@@ -172,67 +172,30 @@ def run_instance_payload(payload: dict) -> tuple[str, list[CheckOutcome]]:
 
 
 def _run_linear_instance(payload: dict) -> tuple[str, list[CheckOutcome]]:
-    import time
-
     from .dirac import (
         default_complement,
         instance_from_json,
-        in_I_Z,
-        verify_linear_lemmas,
-        Z_from_eta_G,
-        F,
+        skew_to_json,
+        subspace_to_json,
     )
+    from .suites import run_check
 
     n, eta, G, beta = instance_from_json(payload)
-    outcomes = []
-    t0 = time.perf_counter()
     if G is None:
         G = default_complement(eta)
-    Z = Z_from_eta_G(eta, G)
-    if in_I_Z(beta, Z):
-        fb = F(beta, Z)
-        detail = f"F(beta) computed; F[0][1] = {fb.mat[0][1]!r}" if n >= 2 else ""
-        outcomes.append(
-            CheckOutcome("linear.F", "pass", detail,
-                         wall_ms=(time.perf_counter() - t0) * 1000)
-        )
-    else:
-        outcomes.append(
-            CheckOutcome("linear.F", "skipped", "beta outside I_Z",
-                         wall_ms=(time.perf_counter() - t0) * 1000)
-        )
-    t0 = time.perf_counter()
-    results = verify_linear_lemmas(eta, G, beta)
-    bad = [k for k, ok in results.items() if not ok]
-    outcomes.append(
-        CheckOutcome(
-            "linear.lemmas",
-            "fail" if bad else "pass",
-            ("failing: " + ", ".join(bad)) if bad else ", ".join(results),
-            {"replay": "linalg.lemma_battery", "data": {
-                "eta": {"n": n, "nvars": eta.nvars, "rows": _mat_json(eta.mat)},
-                "G": {"ambient": n, "nvars": G.nvars, "rows": _mat_json(G.basis)},
-                "beta": {"n": n, "nvars": beta.nvars, "rows": _mat_json(beta.mat)},
-            }} if bad else None,
-            wall_ms=(time.perf_counter() - t0) * 1000,
-        )
-    )
-    return f"linear(n={n})", outcomes
-
-
-def _mat_json(M):
-    from .dirac import matrix_to_json
-
-    return matrix_to_json(M)
+    battery = {
+        "eta": skew_to_json(eta),
+        "G": subspace_to_json(G),
+        "beta": skew_to_json(beta),
+    }
+    return f"linear(n={n})", [run_check("linalg.lemma_battery", battery)]
 
 
 def _run_chart_instance(payload: dict) -> tuple[str, list[CheckOutcome]]:
     import time
 
-    from .courant import graph_of_form_frame, is_dirac_frame
-    from .exterior import de_rham, form_from_json
-    from .presymplectic import CannotCertifyError, deform, instance_from_json
-    from .dirac import NotInIZError, NonHorizontalError
+    from .presymplectic import CannotCertifyError, instance_from_json
+    from .suites import run_check
 
     label = f"presymplectic(n={payload.get('chart')})"
     t0 = time.perf_counter()
@@ -252,53 +215,15 @@ def _run_chart_instance(payload: dict) -> tuple[str, list[CheckOutcome]]:
             f"rank {data.k}; witness {data.certificate['witness']} "
             f"({data.certificate['rule']})",
             wall_ms=(time.perf_counter() - t0) * 1000,
-        )
+        ),
+        run_check("dirac.graph_closedness", {"eta": payload["eta"]}),
     ]
-    t0 = time.perf_counter()
-    dirac_ok = is_dirac_frame(graph_of_form_frame(data.eta))
-    closed = de_rham(data.eta).is_zero()
-    outcomes.append(
-        CheckOutcome(
-            "presym.graph_dirac",
-            "pass" if dirac_ok == closed else "fail",
-            f"is_dirac(graph(eta)) == {dirac_ok}, closed == {closed}",
-            wall_ms=(time.perf_counter() - t0) * 1000,
-        )
-    )
     if payload.get("beta") is not None:
-        t0 = time.perf_counter()
-        try:
-            beta = form_from_json(payload["beta"])
-            rep = deform(data, beta)
-            status = "pass" if rep["biconditional"] else "fail"
-            detail = (
-                f"mc={rep['mc']}; closed={rep['closed']}; "
-                f"rank_k={rep['rank_k']}; transverse={rep['kernel_transverse']}"
-            )
-            witness = None
-            if rep.get("residual") is not None:
-                from .exterior import to_json as _form_json
-
-                witness = _form_json(rep["residual"])
-            ce = None
-            if status == "fail":
-                ce = {"replay": "presym.family_deform", "data": {
-                    "instance": {k: payload[k] for k in
-                                 ("chart", "eta", "G", "ref_point")
-                                 if k in payload},
-                    "beta": payload["beta"],
-                    "expect_mc": None,
-                }}
-            outcomes.append(
-                CheckOutcome("presym.deform", status, detail, ce,
-                             wall_ms=(time.perf_counter() - t0) * 1000,
-                             witness=witness)
-            )
-        except (NotInIZError, NonHorizontalError) as exc:
-            outcomes.append(
-                CheckOutcome("presym.deform", "skipped", str(exc),
-                             wall_ms=(time.perf_counter() - t0) * 1000)
-            )
+        instance = {k: payload[k] for k in ("chart", "eta", "G", "ref_point")
+                    if k in payload}
+        outcomes.append(run_check("presym.family_deform", {
+            "instance": instance, "beta": payload["beta"], "expect_mc": None,
+        }))
     return label, outcomes
 
 

@@ -752,6 +752,28 @@ def matrix_from_json(data: Sequence[Sequence[str]], nvars: int) -> Matrix:
     )
 
 
+# Check payloads carry each matrix with its size and field of definition:
+#   skew maps {"n", "nvars", "rows"}, subspaces {"ambient", "nvars", "rows"}.
+
+
+def skew_to_json(S: _SkewSharp) -> dict:
+    return {"n": S.n, "nvars": S.nvars, "rows": matrix_to_json(S.mat)}
+
+
+def skew_from_json(data: Mapping, cls: type = SkewBilinear) -> _SkewSharp:
+    return cls(matrix_from_json(data["rows"], data["nvars"]))
+
+
+def subspace_to_json(S: Subspace) -> dict:
+    return {"ambient": S.ambient, "nvars": S.nvars, "rows": matrix_to_json(S.basis)}
+
+
+def subspace_from_json(data: Mapping) -> Subspace:
+    return Subspace.from_spanning(
+        data["ambient"], matrix_from_json(data["rows"], data["nvars"])
+    )
+
+
 def instance_to_json(
     n: int, eta: SkewBilinear, beta: SkewBilinear, G: Subspace | None = None
 ) -> dict:

@@ -616,6 +616,8 @@ def _from_json(cls, data: Mapping) -> _GradedElement:
                 )
             num = poly_from_str(item["num"], n)
             den = poly_from_str(item["den"], n)
+            if den.is_zero():
+                raise ValueError(f"zero denominator {item['den']!r} at {idx}")
             terms[idx] = Scalar(num, den)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed element payload: {exc}") from exc

@@ -168,18 +168,22 @@ def random_complement(rng: random.Random, eta: SkewBilinear) -> Subspace:
 
 def random_in_IZ(rng: random.Random, Z: Bivector, bound: int = 9) -> SkewBilinear:
     """Random skew form in I_Z; shrinks toward the origin until inside."""
-    n = Z.n
-    beta = random_skew(rng, n, Z.nvars, bound)
-    scale = 1
-    while not in_I_Z(beta, Z):
-        scale += 1
-        beta = SkewBilinear(
-            linalg.mat_scale(beta.mat, Scalar.const(Z.nvars, Fraction(1, 2))),
+    return shrink_into_IZ(Z, random_skew(rng, Z.n, Z.nvars, bound))
+
+
+def shrink_into_IZ(
+    Z: Bivector, step: SkewBilinear, base: SkewBilinear | None = None
+) -> SkewBilinear:
+    """base + step / 2^j for the least j in 0..59 that lies in I_Z."""
+    for j in range(60):
+        scaled = step if j == 0 else SkewBilinear(
+            linalg.mat_scale(step.mat, Scalar.const(step.nvars, Fraction(1, 2 ** j))),
             check=False,
         )
-        if scale > 60:
-            raise AssertionError("failed to shrink into I_Z")
-    return beta
+        cand = scaled if base is None else base + scaled
+        if in_I_Z(cand, Z):
+            return cand
+    raise AssertionError("failed to shrink into I_Z")
 
 
 def random_horizontal_skew(

@@ -62,7 +62,7 @@ class Poly:
     """Sparse multivariate polynomial over Q.
 
     terms maps exponent tuples (one slot per variable) to nonzero Fractions.
-    Instances are immutable by convention; all operations return new objects.
+    Instances are immutable by convention; no operation modifies its operands.
     """
 
     __slots__ = ("nvars", "terms", "_hash")
@@ -259,7 +259,8 @@ def poly_divexact(f: Poly, g: Poly) -> Poly:
     if f.is_zero():
         return Poly.zero(f.nvars)
     if g.is_constant():
-        return f.scale(1 / g.constant_value())
+        c = g.constant_value()
+        return f if c == 1 else f.scale(1 / c)
     q: dict[tuple[int, ...], Fraction] = {}
     rem = f
     g_lm = g.leading_monomial()
@@ -935,7 +936,12 @@ def poly_from_str(text: str, nvars: int) -> Poly:
                     raise ValueError(f"variable x{i} out of range in {text!r}")
                 exps[i - 1] += int(m.group(2) or 1)
             elif _NUMBER.match(factor):
-                coef *= Fraction(factor)
+                try:
+                    coef *= Fraction(factor)
+                except ZeroDivisionError:
+                    raise ValueError(
+                        f"zero denominator in {factor!r} in polynomial {text!r}"
+                    ) from None
             else:
                 raise ValueError(f"bad factor {factor!r} in polynomial {text!r}")
         result = result + Poly(nvars, {tuple(exps): coef}) if coef else result
@@ -946,10 +952,10 @@ def scalar_from_str(text: str, nvars: int) -> Scalar:
     s = text.strip()
     m = re.match(r"^\((?P<num>.*)\)\s*/\s*\((?P<den>.*)\)$", s)
     if m:
-        return Scalar(
-            poly_from_str(m.group("num"), nvars),
-            poly_from_str(m.group("den"), nvars),
-        )
+        den = poly_from_str(m.group("den"), nvars)
+        if den.is_zero():
+            raise ValueError(f"zero denominator in {text!r}")
+        return Scalar(poly_from_str(m.group("num"), nvars), den)
     return Scalar.from_poly(poly_from_str(s, nvars))
 
 

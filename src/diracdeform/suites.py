@@ -23,6 +23,7 @@ from .courant import (
 )
 from .dirac import (
     Bivector,
+    NonHorizontalError,
     NotInIZError,
     SkewBilinear,
     Subspace,
@@ -33,11 +34,13 @@ from .dirac import (
     in_I_Z,
     lagrangian_graph,
     is_lagrangian,
-    matrix_from_json,
-    matrix_to_json,
     pairing,
     phi_Z,
     rank_and_kernel,
+    skew_from_json,
+    skew_to_json,
+    subspace_from_json,
+    subspace_to_json,
     tau_bivector,
     tau_form,
     verify_linear_lemmas,
@@ -79,7 +82,6 @@ from .koszul import (
 from .presymplectic import (
     CannotCertifyError,
     DistributionFrame,
-    build_presymplectic,
     certify_constant_rank,
     deform,
     horizontal_preservation_conditions,
@@ -99,10 +101,10 @@ from .randgen import (
     random_horizontal_skew,
     random_in_IZ,
     random_point,
-    random_presymplectic_form,
     random_presymplectic_instance,
     random_rank_k_skew,
     random_skew,
+    shrink_into_IZ,
 )
 from .rational import Scalar, degree_cap
 from .report import CheckOutcome, SuiteConfig
@@ -634,32 +636,6 @@ def _run_jacobi(payload):
 # ---------------------------------------------------------------------------
 
 
-def _skew_payload(S: SkewBilinear) -> dict:
-    return {"n": S.n, "nvars": S.nvars, "rows": matrix_to_json(S.mat)}
-
-
-def _skew_from(payload: dict) -> SkewBilinear:
-    return SkewBilinear(matrix_from_json(payload["rows"], payload["nvars"]))
-
-
-def _biv_from(payload: dict) -> Bivector:
-    return Bivector(matrix_from_json(payload["rows"], payload["nvars"]))
-
-
-def _subspace_payload(S: Subspace) -> dict:
-    return {
-        "ambient": S.ambient,
-        "nvars": S.nvars,
-        "rows": matrix_to_json(S.basis),
-    }
-
-
-def _subspace_from(payload: dict) -> Subspace:
-    return Subspace.from_spanning(
-        payload["ambient"], matrix_from_json(payload["rows"], payload["nvars"])
-    )
-
-
 @generator("linalg.worked_examples")
 def _gen_linalg_worked(rng, cfg):
     return {}
@@ -742,13 +718,13 @@ def _gen_f_properties(rng, cfg):
     n = _dim(cfg, 4)
     Z = random_bivector(rng, n)
     beta = random_in_IZ(rng, Z)
-    return {"z": _skew_payload(Z), "beta": _skew_payload(beta)}
+    return {"z": skew_to_json(Z), "beta": skew_to_json(beta)}
 
 
 @executor("linalg.f_properties")
 def _run_f_properties(payload):
-    Z = _biv_from(payload["z"])
-    beta = _skew_from(payload["beta"])
+    Z = skew_from_json(payload["z"], Bivector)
+    beta = skew_from_json(payload["beta"])
     fb = dirac.F(beta, Z)
     ok_skew = linalg.is_skew(fb.mat)
     negZ = Bivector(linalg.mat_neg(Z.mat), check=False)
@@ -769,13 +745,13 @@ def _gen_tau_pairing(rng, cfg):
     Z = random_bivector(rng, n)
     u = [str(Fraction(rng.randint(-9, 9))) for _ in range(2 * n)]
     w = [str(Fraction(rng.randint(-9, 9))) for _ in range(2 * n)]
-    return {"beta": _skew_payload(beta), "z": _skew_payload(Z), "u": u, "w": w}
+    return {"beta": skew_to_json(beta), "z": skew_to_json(Z), "u": u, "w": w}
 
 
 @executor("linalg.tau_pairing")
 def _run_tau_pairing(payload):
-    beta = _skew_from(payload["beta"])
-    Z = _biv_from(payload["z"])
+    beta = skew_from_json(payload["beta"])
+    Z = skew_from_json(payload["z"], Bivector)
     u = tuple(Scalar.const(0, Fraction(x)) for x in payload["u"])
     w = tuple(Scalar.const(0, Fraction(x)) for x in payload["w"])
     ok = pairing(tau_form(beta, u), tau_form(beta, w)) == pairing(u, w)
@@ -796,17 +772,17 @@ def _gen_lagrangian_graph(rng, cfg):
     G = random_complement(rng, eta)
     eps = random_skew(rng, n)
     return {
-        "eta": _skew_payload(eta),
-        "G": _subspace_payload(G),
-        "eps": _skew_payload(eps),
+        "eta": skew_to_json(eta),
+        "G": subspace_to_json(G),
+        "eps": skew_to_json(eps),
     }
 
 
 @executor("linalg.lagrangian_graph")
 def _run_lagrangian_graph(payload):
-    eta = _skew_from(payload["eta"])
-    G = _subspace_from(payload["G"])
-    eps = _skew_from(payload["eps"])
+    eta = skew_from_json(payload["eta"])
+    G = subspace_from_json(payload["G"])
+    eps = skew_from_json(payload["eps"])
     n = eta.n
     _, K = rank_and_kernel(eta)
     L = graph_of_form(eta)
@@ -829,16 +805,8 @@ def _gen_theorem_rank(rng, cfg):
     G = random_complement(rng, eta)
     _, K = rank_and_kernel(eta)
     Z = Z_from_eta_G(eta, G)
-    beta_h = random_horizontal_skew(rng, K, G)
-    while not in_I_Z(beta_h, Z):
-        beta_h = SkewBilinear(
-            linalg.mat_scale(beta_h.mat, Scalar.const(0, Fraction(1, 2))), check=False
-        )
-    beta_h2 = random_horizontal_skew(rng, K, G)
-    while not in_I_Z(beta_h2, Z):
-        beta_h2 = SkewBilinear(
-            linalg.mat_scale(beta_h2.mat, Scalar.const(0, Fraction(1, 2))), check=False
-        )
+    beta_h = shrink_into_IZ(Z, random_horizontal_skew(rng, K, G))
+    beta_h2 = shrink_into_IZ(Z, random_horizontal_skew(rng, K, G))
     # force a nonzero Lambda^2 K* block
     kb = K.basis
     beta_nh = None
@@ -848,34 +816,26 @@ def _gen_theorem_rank(rng, cfg):
         for i in range(n):
             for j in range(n):
                 pert[i][j] = a[j] * b[i] - b[j] * a[i]
-        cand = beta_h + SkewBilinear(linalg.mat(pert))
-        scale = Fraction(1)
-        while not in_I_Z(cand, Z):
-            scale /= 2
-            cand = beta_h + SkewBilinear(
-                linalg.mat_scale(linalg.mat(pert), Scalar.const(0, scale)),
-                check=False,
-            )
-        beta_nh = cand
+        beta_nh = shrink_into_IZ(Z, SkewBilinear(linalg.mat(pert)), base=beta_h)
     out = {
         "n": n,
         "k": k,
-        "eta": _skew_payload(eta),
-        "G": _subspace_payload(G),
-        "beta_h": _skew_payload(beta_h),
-        "beta_h2": _skew_payload(beta_h2),
+        "eta": skew_to_json(eta),
+        "G": subspace_to_json(G),
+        "beta_h": skew_to_json(beta_h),
+        "beta_h2": skew_to_json(beta_h2),
     }
     if beta_nh is not None:
-        out["beta_nh"] = _skew_payload(beta_nh)
+        out["beta_nh"] = skew_to_json(beta_nh)
     return out
 
 
 @executor("linalg.theorem_rank")
 def _run_theorem_rank(payload):
-    eta = _skew_from(payload["eta"])
-    G = _subspace_from(payload["G"])
-    beta = _skew_from(payload["beta_h"])
-    beta2 = _skew_from(payload["beta_h2"])
+    eta = skew_from_json(payload["eta"])
+    G = subspace_from_json(payload["G"])
+    beta = skew_from_json(payload["beta_h"])
+    beta2 = skew_from_json(payload["beta_h2"])
     k = payload["k"]
     n = payload["n"]
     _, K = rank_and_kernel(eta)
@@ -908,7 +868,7 @@ def _run_theorem_rank(payload):
     # non-horizontal inputs break the rank
     ok_breakout = True
     if "beta_nh" in payload:
-        beta_nh = _skew_from(payload["beta_nh"])
+        beta_nh = skew_from_json(payload["beta_nh"])
         r_nh, _ = rank_and_kernel(dirac_exp(eta, G, beta_nh))
         ok_breakout = r_nh != k
     ok = ok_rank and ok_kernel and ok_restrict and ok_transverse and ok_inj and ok_breakout
@@ -928,17 +888,17 @@ def _gen_lemma_battery(rng, cfg):
     Z = Z_from_eta_G(eta, G)
     beta = random_in_IZ(rng, Z)
     return {
-        "eta": _skew_payload(eta),
-        "G": _subspace_payload(G),
-        "beta": _skew_payload(beta),
+        "eta": skew_to_json(eta),
+        "G": subspace_to_json(G),
+        "beta": skew_to_json(beta),
     }
 
 
 @executor("linalg.lemma_battery")
 def _run_lemma_battery(payload):
-    eta = _skew_from(payload["eta"])
-    G = _subspace_from(payload["G"])
-    beta = _skew_from(payload["beta"])
+    eta = skew_from_json(payload["eta"])
+    G = subspace_from_json(payload["G"])
+    beta = skew_from_json(payload["beta"])
     results = verify_linear_lemmas(eta, G, beta)
     bad = [name for name, ok in results.items() if not ok]
     return not bad, "lemmas: " + ", ".join(results) + (f"; failing: {bad}" if bad else "")
@@ -1199,14 +1159,20 @@ def _run_family_deform(payload):
     except CannotCertifyError as exc:
         raise SkipCheck(f"cannot-certify: {exc}")
     beta = form_from_json(payload["beta"])
-    rep = deform(data, beta, _grid(payload))
-    ok = rep["biconditional"] and rep["kernel_transverse"]
+    try:
+        rep = deform(data, beta, _grid(payload))
+    except (NotInIZError, NonHorizontalError) as exc:
+        raise SkipCheck(str(exc))
+    ok = rep["biconditional"] and rep["rank_k"] and rep["kernel_transverse"]
     if payload.get("expect_mc") is not None:
         ok = ok and rep["mc"] == payload["expect_mc"]
-    return ok, (
+    detail = (
         f"mc={rep['mc']}; closed={rep['closed']}; rank_k={rep['rank_k']} "
         f"({rep['rank_mode']}); transverse={rep['kernel_transverse']}"
     )
+    if rep["mc"]:
+        return ok, detail
+    return ok, detail, to_json(rep["residual"])
 
 
 @generator("presym.lambda3_active")
@@ -1547,4 +1513,7 @@ def run_replay(payload: dict) -> CheckOutcome:
     name = payload.get("replay")
     if name not in CHECK_EXECUTORS:
         raise ValueError(f"unknown check name {name!r}")
-    return run_check(name, payload.get("data", {}))
+    try:
+        return run_check(name, payload.get("data", {}))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed replay data for {name}: {exc!r}") from exc

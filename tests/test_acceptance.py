@@ -4,71 +4,46 @@ One test per criterion; each prints a single pass/fail line (run with -s to
 see them live).  All arithmetic checks are exact (zero tolerance); the only
 floating comparison is the optional gradient cross-check at 1e-9 relative
 tolerance inside the exterior suite.  Runtime targets are printed for
-reference.
+reference.  Criteria 04-09 are drivers over the registered suite checks: they
+draw generator payloads (or take the bundled instances) and count the `pass`
+outcomes of `suites.run_check`.
 """
 
 import random
 import time
 from contextlib import contextmanager
-from fractions import Fraction
+from itertools import count, islice
 
-from diracdeform import linalg
-from diracdeform.dirac import (
-    HorizontalDecomposition,
-    SkewBilinear,
-    Subspace,
-    decompose_horizontal,
-    dirac_exp,
-    in_I_Z,
-    rank_and_kernel,
-    verify_linear_lemmas,
-    Z_from_eta_G,
-)
+from diracdeform.dirac import rank_and_kernel, skew_from_json
 from diracdeform.exterior import (
     Chart,
-    DifferentialForm,
     MultivectorField,
     contract,
     de_rham,
     dx,
-    partial,
     schouten,
     wedge,
 )
 from diracdeform.koszul import (
     KoszulContext,
     ShiftedForm,
-    form_to_skew,
-    i_z_determinant,
     jacobi_residual,
     koszul_bracket,
     koszul_bracket_oneform,
-    lam,
-    mc_equivalence_report,
-    mc_residual,
 )
-from diracdeform.presymplectic import (
-    DistributionFrame,
-    build_presymplectic,
-    deform,
-    horizontal_preservation_conditions,
-    horizontality_witness_search,
-    is_horizontal,
-    koszul_preserves_horizontal,
-    phi_z_frame,
-)
-from diracdeform.courant import graph_of_form_frame, is_dirac_frame
-from diracdeform.randgen import (
-    random_complement,
-    random_field,
-    random_form,
-    random_horizontal_skew,
-    random_in_IZ,
-    random_rank_k_skew,
-)
-from diracdeform.rational import Scalar, degree_cap
+from diracdeform.randgen import random_field, random_form
+from diracdeform.rational import degree_cap
 from diracdeform.report import SuiteConfig, assemble_report, comparable
-from diracdeform.suites import run_suite
+from diracdeform.suites import (
+    CHECK_GENERATORS,
+    _deform_bundle_cached,
+    _mc_bundle_cached,
+    derive_rng,
+    family_f1,
+    family_f2,
+    run_check,
+    run_suite,
+)
 
 
 @contextmanager
@@ -186,245 +161,76 @@ def test_criterion_03_linfty_jacobi():
         assert nonpoisson_draws >= 1
 
 
-def _theorem_instance_stream(rng, n, k, count):
-    for _ in range(count):
-        eta = random_rank_k_skew(rng, n, k)
-        G = random_complement(rng, eta)
-        yield eta, G
+def _draws(name: str, dim: int, seed: int):
+    """The generator's payloads for `name` at trials 0, 1, 2, ..."""
+    cfg = SuiteConfig(suite=name, dim=dim, seed=seed)
+    for trial in count():
+        with degree_cap(None):
+            yield CHECK_GENERATORS[name](derive_rng(seed, name, trial), cfg)
 
 
-def _check_theorem_instance(rng, eta, G, k, n):
-    _, K = rank_and_kernel(eta)
-    Z = Z_from_eta_G(eta, G)
-    beta = random_horizontal_skew(rng, K, G, bound=5)
-    while not in_I_Z(beta, Z):
-        beta = SkewBilinear(
-            linalg.mat_scale(beta.mat, Scalar.const(0, Fraction(1, 2))),
-            check=False,
-        )
-    expd = dirac_exp(eta, G, beta)
-    r, ker = rank_and_kernel(expd)
-    assert r == k
-    rows = []
-    for kv in K.basis:
-        img = linalg.mat_vec(Z.mat, beta.apply(kv))
-        rows.append(tuple(a + b for a, b in zip(kv, img)))
-    assert ker == Subspace.from_spanning(n, rows)
-    assert ker.sum_(G).dim == n
-    # restriction to G equals (eta + F(sigma))|_G
-    dec = decompose_horizontal(beta, K, G)
-    sigma_amb = HorizontalDecomposition(
-        K, G, linalg.zeros(K.dim, G.dim, 0), dec.sigma
-    ).reassemble()
-    from diracdeform.dirac import F
-
-    f_sigma = F(sigma_amb, Z)
-    for ga in G.basis:
-        for gb in G.basis:
-            assert expd.value_on(ga, gb) == (eta + f_sigma).value_on(ga, gb)
-    # non-horizontal inputs break the rank (only-if direction)
-    if K.dim >= 2:
-        a, b = K.basis[0], K.basis[1]
-        pert_rows = [
-            [a[j] * b[i] - b[j] * a[i] for j in range(n)] for i in range(n)
-        ]
-        pert = linalg.mat(pert_rows)
-        cand = beta + SkewBilinear(pert)
-        scale = Fraction(1)
-        while not in_I_Z(cand, Z):
-            scale /= 2
-            cand = beta + SkewBilinear(
-                linalg.mat_scale(pert, Scalar.const(0, scale)), check=False
-            )
-        r_nh, _ = rank_and_kernel(dirac_exp(eta, G, cand))
-        assert r_nh != k
-    return eta, G, beta, Z
+def _passes(name: str, payloads) -> int:
+    """Run every payload through the registered executor; count the passes."""
+    outcomes = [run_check(name, payload) for payload in payloads]
+    failed = [o.counterexample for o in outcomes if o.status == "fail"]
+    assert not failed, failed[0]
+    return sum(o.status == "pass" for o in outcomes)
 
 
 def test_criterion_04_parametrization_theorem():
-    rng = seeded("c4")
+    name = "linalg.theorem_rank"
     with criterion(4, "<60s", "constant-rank parametrization: 200 rank-2 "
-                              "instances (n=4) + 50 rank-4 (n=6) + worked"), \
-         degree_cap(None):
-        # worked example: kernel span{e3 + s e2, e4} over Q(s)
-        s = Scalar.variable(1, 1)
-        eta = SkewBilinear.from_pairs(4, 1, {(0, 1): 1})
-        G = Subspace.from_spanning(
-            4,
-            [
-                tuple(Scalar.const(1, c) for c in row)
-                for row in ((1, 0, 0, 0), (0, 1, 0, 0))
-            ],
-        )
-        expd = dirac_exp(eta, G, SkewBilinear.from_pairs(4, 1, {(2, 0): s}))
-        r, ker = rank_and_kernel(expd)
-        z, o = Scalar.zero(1), Scalar.one(1)
-        assert r == 2
-        assert ker == Subspace.from_spanning(4, [(z, s, o, z), (z, z, z, o)])
-        r4, _ = rank_and_kernel(
-            dirac_exp(eta, G, SkewBilinear.from_pairs(4, 1, {(2, 3): 1}))
-        )
-        assert r4 == 4
-        # injectivity on samples: F is invertible on I_Z, so exp is injective
-        prev = {}
-        for eta4, G4 in _theorem_instance_stream(rng, 4, 2, 200):
-            _, _, beta, Z = _check_theorem_instance(rng, eta4, G4, 2, 4)
-            key = hash(eta4)
-            if key in prev:
-                other = prev[key]
-                same_in = other == beta
-                same_out = dirac_exp(eta4, G4, other) == dirac_exp(eta4, G4, beta)
-                assert same_in == same_out
-            prev[key] = beta
-        for eta6, G6 in _theorem_instance_stream(rng, 6, 4, 50):
-            _check_theorem_instance(rng, eta6, G6, 4, 6)
+                              "instances (n=4) + 50 rank-4 (n=6) + worked"):
+        assert _passes("linalg.worked_examples", [{}]) == 1
+        assert _passes(name, islice(_draws(name, 4, seed=4), 200)) == 200
+        rank4 = (p for p in _draws(name, 6, seed=4) if p["k"] == 4)
+        assert _passes(name, islice(rank4, 50)) == 50
 
 
 def test_criterion_05_lemma_battery():
-    rng = seeded("c4")  # the same instance stream as criterion 4
-    with criterion(5, "<60s", "transverse-complement lemmas on the shared "
-                              "randomized instance stream"), degree_cap(None):
-        count = 0
-        for eta, G in _theorem_instance_stream(rng, 4, 2, 120):
-            Z = Z_from_eta_G(eta, G)
-            beta = random_in_IZ(rng, Z, bound=5)
-            results = verify_linear_lemmas(eta, G, beta)
-            assert all(results.values()), results
-            count += 1
-        for eta, G in _theorem_instance_stream(rng, 6, 4, 15):
-            Z = Z_from_eta_G(eta, G)
-            beta = random_in_IZ(rng, Z, bound=5)
-            results = verify_linear_lemmas(eta, G, beta)
-            assert all(results.values()), results
-            count += 1
-        assert count == 135
+    name = "linalg.lemma_battery"
+    with criterion(5, "<60s", "transverse-complement lemmas: 120 instances "
+                              "(n=4) + 15 with rank-4 eta (n=6)"):
+        assert _passes(name, islice(_draws(name, 4, seed=5), 120)) == 120
+        rank4 = (p for p in _draws(name, 6, seed=5)
+                 if rank_and_kernel(skew_from_json(p["eta"]))[0] == 4)
+        assert _passes(name, islice(rank4, 15)) == 15
 
 
 def test_criterion_06_mc_equivalence():
     with criterion(6, "<2min", "MC residual == 0 iff d F(beta) == 0 on all "
-                               "bundled instances (symbolic + grid)"), \
-         degree_cap(None):
-        from diracdeform.suites import _mc_bundle_cached
-        from diracdeform.exterior import field_from_json, form_from_json
-
+                               "bundled instances (symbolic + grid)"):
         bundle = _mc_bundle_cached()
         assert len(bundle) >= 6
-        modes = set()
-        for item in bundle:
-            ctx = KoszulContext(field_from_json(item["z"]))
-            beta = form_from_json(item["beta"])
-            rep = mc_equivalence_report(beta, ctx)
-            assert rep["equivalent"]
-            assert rep["mc"] == item["expect_mc"]
-            modes.add(rep["mode"])
-        assert modes == {"symbolic", "grid"}
+        outcomes = [run_check("mc.equivalence", item) for item in bundle]
+        assert [o.status for o in outcomes].count("pass") == len(bundle)
+        modes = {o.detail.split(";")[0] for o in outcomes}
+        assert modes == {"mode=symbolic", "mode=grid"}
 
 
 def test_criterion_07_horizontality_preservation():
-    rng = seeded("c7")
     with criterion(7, "<2min", "Koszul brackets preserve horizontality on "
-                               "F1/F2; engineered negatives yield witnesses"), \
-         degree_cap(None):
-        c4, c5 = Chart(4), Chart(5)
-        f1 = build_presymplectic(DifferentialForm.make(c4, {(1, 2): 1}))
-        f2 = build_presymplectic(
-            DifferentialForm.make(c5, {(1, 2): 1, (3, 4): 1}),
-            DistributionFrame(
-                c5,
-                (
-                    partial(c5, 1),
-                    partial(c5, 2),
-                    partial(c5, 3),
-                    MultivectorField.make(c5, {(4,): 1, (5,): "x1"}),
-                ),
-                (Fraction(0),) * 5,
-            ),
-        )
-        for data in (f1, f2):
-            assert horizontal_preservation_conditions(data.K, data.context()) == (
-                True,
-                True,
-            )
-            assert koszul_preserves_horizontal(data, rng, trials=8)["all"]
-        # engineered negative: non-involutive K
-        ctx = f1.context()
-        K_neg = DistributionFrame(
-            c4,
-            (partial(c4, 3), MultivectorField.make(c4, {(4,): 1, (1,): "x3"})),
-            (Fraction(0),) * 4,
-        )
-        flags = horizontal_preservation_conditions(K_neg, ctx)
-        assert flags[0] is False
-        w = horizontality_witness_search(K_neg, ctx)
-        assert w is not None and not is_horizontal(w, K_neg)
-        # engineered negative: pairing condition fails
-        ctx2 = KoszulContext(MultivectorField.make(c4, {(1, 2): "x3"}))
-        K_flat = DistributionFrame(
-            c4, (partial(c4, 3), partial(c4, 4)), (Fraction(0),) * 4
-        )
-        g1, g2 = horizontal_preservation_conditions(K_flat, ctx2)
-        assert g1 is True and g2 is False
-        w2 = horizontality_witness_search(K_flat, ctx2)
-        assert w2 is not None and not is_horizontal(w2, K_flat)
+                               "F1/F2; engineered negatives yield witnesses"):
+        # each payload runs 4 bracket trials, so 8 per family
+        payloads = [{"instance": family(), "seed": seed}
+                    for family in (family_f1, family_f2) for seed in (0, 1)]
+        assert _passes("presym.preservation", payloads) == 4
+        assert _passes("presym.sect35_negative", [{}]) == 1
 
 
 def test_criterion_08_main_theorem():
     with criterion(8, "<5min", "MC iff pre-symplectic of rank k, end to end "
-                               "on families F1 and F2 (lambda_3 active)"), \
-         degree_cap(None):
-        from diracdeform.suites import _deform_bundle_cached
-        from diracdeform.exterior import form_from_json
-        from diracdeform.presymplectic import instance_from_json
-
-        lam3_seen = False
-        for item in _deform_bundle_cached():
-            data = instance_from_json(item["instance"])
-            beta = form_from_json(item["beta"])
-            rep = deform(data, beta)
-            assert rep["biconditional"]
-            assert rep["mc"] == item["expect_mc"]
-            assert rep["rank_k"] and rep["kernel_transverse"]
-            if not beta.is_zero() and data.chart.dim == 5:
-                ctx = data.context()
-                s = ShiftedForm(beta)
-                if not lam(3, [s, s, s], ctx).form.is_zero():
-                    lam3_seen = True
-        assert lam3_seen
+                               "on families F1 and F2 (lambda_3 active)"):
+        bundle = _deform_bundle_cached()
+        assert _passes("presym.family_deform", bundle) == len(bundle)
+        assert _passes("presym.lambda3_active", [{}]) == 1
 
 
 def test_criterion_09_dirac_restatements():
-    rng = seeded("c9")
     with criterion(9, "<2min", "is_dirac(graph(eta)) iff closed and "
-                               "is_dirac(Phi_Z(beta)) iff MC, 20+ each"), \
-         degree_cap(None):
-        c3 = Chart(3)
-        done = 0
-        while done < 20:
-            if rng.random() < 0.5:
-                eta = de_rham(random_form(rng, c3, 1, 2, density=0.8))
-            else:
-                eta = random_form(rng, c3, 2, 2, density=0.8)
-            closed = de_rham(eta).is_zero()
-            assert is_dirac_frame(graph_of_form_frame(eta)) == closed
-            done += 1
-        done = 0
-        while done < 20:
-            Z = random_field(rng, c3, 2, 1, density=0.7, bound=3)
-            ctx = KoszulContext(Z)
-            beta = (
-                de_rham(random_form(rng, c3, 1, 1, density=0.7, bound=3))
-                if rng.random() < 0.5
-                else random_form(rng, c3, 2, 1, density=0.7, bound=3)
-            )
-            det = i_z_determinant(form_to_skew(beta), ctx.bivector)
-            try:
-                if det.evaluate([Fraction(0)] * 3) == 0:
-                    continue
-            except ZeroDivisionError:
-                continue
-            mc = mc_residual(beta, ctx).is_zero()
-            assert is_dirac_frame(phi_z_frame(beta, ctx)) == mc
-            done += 1
+                               "is_dirac(Phi_Z(beta)) iff MC, 20 each"):
+        for name in ("dirac.graph_closedness", "dirac.phiz_mc"):
+            assert _passes(name, islice(_draws(name, 3, seed=9), 20)) == 20
 
 
 def test_criterion_10_determinism():

@@ -1,5 +1,6 @@
 """The CLI harness: determinism, replayability, exit codes, and schemas."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from diracdeform.report import SuiteConfig, assemble_report, comparable
 from diracdeform.suites import (
     CHECK_EXECUTORS,
     SUITES,
+    _suite_workload,
     derive_rng,
     run_check,
     run_replay,
@@ -36,9 +38,9 @@ def test_same_seed_identical_reports(suite):
 
 
 def test_different_seeds_differ():
-    r1 = report_for("linalg", seed=1)
-    r2 = report_for("linalg", seed=2)
-    assert comparable(r1) != comparable(r2) or True  # payloads differ; just smoke
+    w1 = _suite_workload(SuiteConfig(suite="linalg", trials=2, seed=1))
+    w2 = _suite_workload(SuiteConfig(suite="linalg", trials=2, seed=2))
+    assert [p for _, p in w1] != [p for _, p in w2]
     # the derived rngs really are decoupled per (seed, check, trial)
     a = derive_rng(1, "x", 0).random()
     b = derive_rng(1, "x", 1).random()
@@ -81,6 +83,27 @@ def test_replay_unknown_check():
         run_replay({"replay": "no.such.check", "data": {}})
 
 
+def test_replay_malformed_data():
+    with pytest.raises(ValueError, match="linalg.lemma_battery"):
+        run_replay({"replay": "linalg.lemma_battery", "data": {}})
+    with pytest.raises(ValueError, match="presym.family_deform"):
+        run_replay({"replay": "presym.family_deform", "data": []})
+
+
+def test_instance_stream_pinned():
+    # the benchmark corpus is drawn from this stream: a generator change
+    # that alters any payload must show up here
+    work = _suite_workload(SuiteConfig(suite="all", trials=2, seed=0))
+    digest = hashlib.sha256(json.dumps(work, sort_keys=True).encode()).hexdigest()
+    assert len(work) == 60
+    assert digest == STREAM_SHA256_ALL_T2_S0
+
+
+STREAM_SHA256_ALL_T2_S0 = (
+    "a0d0d0b8370dac751d28f2c04a609bc962a104c36e68d10b4300955e75546742"
+)
+
+
 def test_every_random_check_has_generator_and_executor():
     from diracdeform.suites import CHECK_GENERATORS
 
@@ -95,14 +118,7 @@ def test_every_random_check_has_generator_and_executor():
 
 
 def test_linear_instance_run(tmp_path):
-    # the 2x2 family instance: F value must match t/(1-t) in the report detail
-    payload = {
-        "n": 2,
-        "eta": [["0", "0"], ["0", "0"]],
-        "G": None,
-        "beta": [["0", "-1/2"], ["1/2", "0"]],
-    }
-    # eta = 0 has full kernel; supply G = {0}? use eta of rank 2 instead
+    # the 2x2 family instance, run through the lemma battery
     payload = {
         "n": 2,
         "eta": [["0", "-1"], ["1", "0"]],
@@ -110,22 +126,29 @@ def test_linear_instance_run(tmp_path):
     }
     label, outcomes = run_instance_payload(payload)
     assert label == "linear(n=2)"
-    by_name = {o.name: o for o in outcomes}
-    assert by_name["linear.lemmas"].status == "pass"
-    assert by_name["linear.F"].status == "pass"
+    assert [(o.name, o.status) for o in outcomes] == [
+        ("linalg.lemma_battery", "pass")
+    ]
 
 
 def test_presymplectic_instance_run(c4):
-    from diracdeform.exterior import DifferentialForm, to_json
+    from diracdeform.exterior import DifferentialForm, form_from_json, to_json
+    from diracdeform.koszul import mc_residual
+    from diracdeform.presymplectic import build_presymplectic
 
     eta = DifferentialForm.make(c4, {(1, 2): 1})
     beta = DifferentialForm.make(c4, {(1, 3): "x4"})
     payload = {"chart": 4, "eta": to_json(eta), "beta": to_json(beta)}
     label, outcomes = run_instance_payload(payload)
-    by_name = {o.name: o for o in outcomes}
-    assert by_name["presym.build"].status == "pass"
-    assert by_name["presym.graph_dirac"].status == "pass"
-    assert by_name["presym.deform"].status == "pass"
+    assert [(o.name, o.status) for o in outcomes] == [
+        ("presym.build", "pass"),
+        ("dirac.graph_closedness", "pass"),
+        ("presym.family_deform", "pass"),
+    ]
+    # beta is not Maurer-Cartan: its residual is attached as a witness
+    assert form_from_json(outcomes[2].witness) == mc_residual(
+        beta, build_presymplectic(eta).context()
+    )
 
 
 def test_uncertifiable_instance_skips(c4):
@@ -177,6 +200,24 @@ def test_cli_run_malformed_json(tmp_path):
     p.write_text("{not json")
     assert main(["run", str(p)]) == 2
     assert main(["run", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("instance", [
+    {"n": 2, "eta": [["0", "-1"], ["1", "0"]], "beta": [["0", "1/0"], ["-1/0", "0"]]},
+    {"n": 2, "eta": [["0", "(1)/(x1-x1)"], ["0", "0"]], "beta": [["0", "0"], ["0", "0"]]},
+    {"chart": 2, "eta": {"chart": 2, "terms": [
+        {"degree": 2, "indices": [1, 2], "num": "1", "den": "x1-x1"}]}},
+], ids=["matrix-entry", "matrix-quotient", "form-term"])
+def test_cli_run_zero_denominator(tmp_path, instance):
+    p = tmp_path / "inst.json"
+    p.write_text(json.dumps(instance))
+    assert main(["run", str(p), "--quiet"]) == 2
+
+
+def test_cli_run_malformed_replay_data(tmp_path):
+    p = tmp_path / "replay.json"
+    p.write_text(json.dumps({"replay": "linalg.lemma_battery", "data": {}}))
+    assert main(["run", str(p), "--quiet"]) == 2
 
 
 def test_cli_run_replay_failure_exit_code(tmp_path):

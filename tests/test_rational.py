@@ -89,6 +89,9 @@ def test_divexact_and_lcm():
     f = (x(1, 2) + x(2, 2)) * (x(1, 2) - x(2, 2))
     g = x(1, 2) + x(2, 2)
     assert poly_divexact(f, g) == x(1, 2) - x(2, 2)
+    # the unit divisor returns f itself; other constants scale
+    assert poly_divexact(f, Poly.one(2)) == f.scale(1)
+    assert poly_divexact(f, Poly.const(2, 2)) == f.scale(Fraction(1, 2))
     with pytest.raises(ValueError):
         poly_divexact(x(1, 2), x(2, 2))
     lcm = poly_lcm(f, g)
