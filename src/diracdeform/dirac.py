@@ -468,8 +468,13 @@ def rank_and_kernel(beta: SkewBilinear) -> tuple[int, Subspace]:
 def default_complement(eta: SkewBilinear) -> Subspace:
     """Dot-product orthogonal complement of ker(eta#), the default G."""
     _, kernel = rank_and_kernel(eta)
+    return kernel_complement(kernel, eta.nvars)
+
+
+def kernel_complement(kernel: Subspace, nvars: int) -> Subspace:
+    """Dot-product orthogonal complement of a kernel; all of V if it is zero."""
     if kernel.dim == 0:
-        return standard_basis_subspace(eta.n, eta.nvars, range(eta.n))
+        return standard_basis_subspace(kernel.ambient, nvars, range(kernel.ambient))
     return kernel.orthogonal_complement()
 
 
@@ -787,11 +792,22 @@ def instance_to_json(
     return out
 
 
+def _require_shape(name: str, rows, count: int | None, width: int) -> None:
+    """ValueError unless rows has `count` rows (any number if None) of `width` entries."""
+    if (count is not None and len(rows) != count) or any(len(r) != width for r in rows):
+        shape = f"{count}x{width}" if count is not None else f"rows of length {width}"
+        raise ValueError(f"malformed linear instance: {name} must be {shape}")
+
+
 def instance_from_json(data: Mapping, nvars: int | None = None) -> tuple:
     """Parse {"n", "eta", "G"?, "beta"} into (n, eta, G or None, beta)."""
     try:
         n = int(data["n"])
         nv = n if nvars is None else nvars
+        _require_shape("eta", data["eta"], n, n)
+        _require_shape("beta", data["beta"], n, n)
+        if data.get("G") is not None:
+            _require_shape("G", data["G"], None, n)
         eta = SkewBilinear(matrix_from_json(data["eta"], nv))
         beta = SkewBilinear(matrix_from_json(data["beta"], nv))
         G = None

@@ -149,10 +149,10 @@ def random_rank_k_skew(rng: random.Random, n: int, k: int) -> SkewBilinear:
 
 def random_complement(rng: random.Random, eta: SkewBilinear) -> Subspace:
     """A complement of ker(eta#): the default one sheared by random K-mixes."""
-    from .dirac import default_complement, rank_and_kernel
+    from .dirac import kernel_complement, rank_and_kernel
 
     _, K = rank_and_kernel(eta)
-    G0 = default_complement(eta)
+    G0 = kernel_complement(K, eta.nvars)
     if K.dim == 0:
         return G0
     rows = []

@@ -714,11 +714,11 @@ class Scalar:
 
     @staticmethod
     def const(nvars: int, c) -> "Scalar":
-        return Scalar(Poly.const(nvars, Fraction(c)), Poly.one(nvars), _canonical=True)
+        return _constant(nvars, Fraction(c))
 
     @staticmethod
     def zero(nvars: int) -> "Scalar":
-        return Scalar(Poly.zero(nvars), Poly.one(nvars), _canonical=True)
+        return _constant(nvars, _ZERO)
 
     @staticmethod
     def one(nvars: int) -> "Scalar":
@@ -765,6 +765,9 @@ class Scalar:
         return Scalar(-self.num, self.den, _canonical=True)
 
     def __add__(self, other: "Scalar") -> "Scalar":
+        both = _constant_pair(self, other)
+        if both is not None:
+            return _constant(self.num.nvars, both[0] + both[1])
         if self.den == other.den:
             return Scalar(self.num + other.num, self.den)
         return Scalar(
@@ -775,6 +778,9 @@ class Scalar:
         return self + (-other)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
+        both = _constant_pair(self, other)
+        if both is not None:
+            return _constant(self.num.nvars, both[0] * both[1])
         if self.is_zero() or other.is_zero():
             return Scalar.zero(self.nvars)
         g1 = poly_gcd(self.num, other.den)
@@ -788,6 +794,9 @@ class Scalar:
     def inverse(self) -> "Scalar":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
+        a = _constant_value(self)
+        if a is not None:
+            return _constant(self.num.nvars, _ONE / a)
         return Scalar(self.den, self.num)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
@@ -847,9 +856,75 @@ class Scalar:
         return f"Scalar({scalar_to_str(self)!r})"
 
 
+# ---------------------------------------------------------------------------
+# The constant fast path.  A canonical Scalar is constant exactly when its
+# denominator is the unit polynomial and its numerator has at most one term,
+# with an all-zero exponent.  Products, sums and inverses of constants are
+# computed on Fractions and rebuilt by `_constant`; the result is the same
+# structure the gcd path gives.  Everything else takes the gcd path.
+# ---------------------------------------------------------------------------
+
+# One unit polynomial per variable count, shared by every constant Scalar, so
+# that recognising a constant's denominator is usually an identity test.
+# Sharing is safe because no operation mutates a Poly.
+_UNITS: dict[int, Poly] = {}
+
+
+def _poly_constant(p: Poly) -> Fraction | None:
+    """The value of p if it is constant, else None."""
+    terms = p.terms
+    if not terms:
+        return _ZERO
+    if len(terms) > 1:
+        return None
+    ((e, c),) = terms.items()
+    return None if any(e) else c
+
+
+def _constant_value(s: Scalar) -> Fraction | None:
+    """The value of a canonical Scalar if it is constant, else None."""
+    c = _poly_constant(s.num)
+    if c is None:
+        return None
+    den = s.den
+    if den is _UNITS.get(den.nvars) or _poly_constant(den) == 1:
+        return c
+    return None
+
+
+def _constant_pair(s: Scalar, t: Scalar) -> tuple[Fraction, Fraction] | None:
+    """The values of s and t if both are constant over one ring, else None."""
+    if s.num.nvars != t.num.nvars:
+        return None
+    a = _constant_value(s)
+    if a is None:
+        return None
+    b = _constant_value(t)
+    if b is None:
+        return None
+    return a, b
+
+
+def _constant_parts(nvars: int, c: Fraction) -> tuple[Poly, Poly]:
+    """Canonical (numerator, denominator) of the constant c."""
+    unit = _UNITS.get(nvars)
+    if unit is None:
+        unit = _UNITS[nvars] = Poly(nvars, {(0,) * nvars: _ONE})
+    return (Poly(nvars, {(0,) * nvars: c}) if c else Poly(nvars, {})), unit
+
+
+def _constant(nvars: int, c: Fraction) -> Scalar:
+    """The canonical constant Scalar c; the one constructor of constants."""
+    num, den = _constant_parts(nvars, c)
+    return Scalar(num, den, _canonical=True)
+
+
 def _cancel(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
+    n, d = _poly_constant(num), _poly_constant(den)
+    if n is not None and d is not None:
+        return _constant_parts(num.nvars, Fraction(n, d))
     if num.is_zero():
         return Poly.zero(num.nvars), Poly.one(num.nvars)
     with degree_cap(None):

@@ -840,7 +840,7 @@ def _run_theorem_rank(payload):
     n = payload["n"]
     _, K = rank_and_kernel(eta)
     Z = Z_from_eta_G(eta, G)
-    expd = dirac_exp(eta, G, beta)
+    expd = eta + dirac.F(beta, Z)
     r, ker = rank_and_kernel(expd)
     ok_rank = r == k
     # kernel is the graph of Z# mu#: K -> G
@@ -854,22 +854,22 @@ def _run_theorem_rank(payload):
     sigma_amb = dirac.HorizontalDecomposition(
         K, G, linalg.zeros(K.dim, G.dim, eta.nvars) if K.dim else (), dec.sigma
     ).reassemble()
-    f_sigma = dirac.F(sigma_amb, Z)
+    expected = eta + dirac.F(sigma_amb, Z)
     ok_restrict = all(
-        expd.value_on(ga, gb) == (eta + f_sigma).value_on(ga, gb)
+        expd.value_on(ga, gb) == expected.value_on(ga, gb)
         for ga in G.basis
         for gb in G.basis
     )
     # kernel transverse to G
     ok_transverse = ker.sum_(G).dim == n
     # injectivity on samples
-    exp2 = dirac_exp(eta, G, beta2)
+    exp2 = eta + dirac.F(beta2, Z)
     ok_inj = (beta == beta2) == (expd == exp2)
     # non-horizontal inputs break the rank
     ok_breakout = True
     if "beta_nh" in payload:
         beta_nh = skew_from_json(payload["beta_nh"])
-        r_nh, _ = rank_and_kernel(dirac_exp(eta, G, beta_nh))
+        r_nh, _ = rank_and_kernel(eta + dirac.F(beta_nh, Z))
         ok_breakout = r_nh != k
     ok = ok_rank and ok_kernel and ok_restrict and ok_transverse and ok_inj and ok_breakout
     detail = (

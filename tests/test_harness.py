@@ -214,6 +214,20 @@ def test_cli_run_zero_denominator(tmp_path, instance):
     assert main(["run", str(p), "--quiet"]) == 2
 
 
+@pytest.mark.parametrize("instance", [
+    {"n": 2, "eta": [["0", "-1"], ["1"]], "beta": [["0", "0"], ["0", "0"]]},
+    {"n": 2, "eta": [["0", "-1"], ["1", "0"]], "beta": [["0", "0"]]},
+    {"n": 2, "eta": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
+     "beta": [["0", "0"], ["0", "0"]]},
+    {"n": 2, "eta": [["0", "-1"], ["1", "0"]], "beta": [["0", "0"], ["0", "0"]],
+     "G": [["1", "0", "0"]]},
+], ids=["ragged-eta", "short-beta", "oversized-eta", "wide-G"])
+def test_cli_run_wrongly_sized_matrix(tmp_path, instance):
+    p = tmp_path / "inst.json"
+    p.write_text(json.dumps(instance))
+    assert main(["run", str(p), "--quiet"]) == 2
+
+
 def test_cli_run_malformed_replay_data(tmp_path):
     p = tmp_path / "replay.json"
     p.write_text(json.dumps({"replay": "linalg.lemma_battery", "data": {}}))
@@ -288,6 +302,17 @@ def test_cli_console_script_smoke():
     )
     assert proc.returncode == 0
     assert "suite dirac" in proc.stdout
+
+
+def test_python_m_help():
+    proc = subprocess.run(
+        [sys.executable, "-m", "diracdeform", "--help"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert "usage: diracdeform" in proc.stdout
 
 
 SNAPSHOT_SKEW_N4_SEED1 = [

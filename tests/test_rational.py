@@ -85,6 +85,55 @@ def test_constant_arithmetic_matches_fractions(a, b, d):
     assert (pa + pb).coefficient(()) == fa + fb
 
 
+FRACTIONS = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.fractions(),
+    st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**40)),
+)
+
+
+def _structure(s: Scalar):
+    return s.num.terms, s.den.terms
+
+
+def _reference(value: Fraction, nv: int):
+    """The canonical structure of a constant, computed two ways."""
+    zero_exp = (0,) * nv
+    want = ({zero_exp: value} if value else {}), {zero_exp: Fraction(1)}
+    if nv:
+        # a common non-constant factor sends the value through poly_gcd/_cancel
+        p = poly_from_str("x1^2 - 3*x2 + 1", nv)
+        through_gcd = Scalar(Poly.const(nv, value.numerator) * p,
+                             Poly.const(nv, value.denominator) * p)
+        assert _structure(through_gcd) == want
+    return want
+
+
+@given(FRACTIONS, FRACTIONS, st.sampled_from([0, 2]))
+@settings(max_examples=200, deadline=None)
+def test_constant_fast_path_matches_general_path(fa, fb, nv):
+    a, b = Scalar.const(nv, fa), Scalar.const(nv, fb)
+    results = {
+        "*": (a * b, fa * fb),
+        "+": (a + b, fa + fb),
+        "-": (a - b, fa - fb),
+    }
+    if fa:
+        results["inverse"] = (a.inverse(), 1 / fa)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+    for op, (got, value) in results.items():
+        assert _structure(got) == _reference(value, nv), op
+        assert all(type(c) is Fraction for c in got.num.terms.values()), op
+        assert got.is_constant() and got.constant_value() == value, op
+    # constants spelled as a quotient are cancelled on Fractions too
+    if fb:
+        quotient = scalar_from_str(f"({fa})/({fb})", nv)
+        assert _structure(quotient) == _reference(fa / fb, nv)
+        assert _structure(a.scale(fb)) == _reference(fa * fb, nv)
+
+
 def test_divexact_and_lcm():
     f = (x(1, 2) + x(2, 2)) * (x(1, 2) - x(2, 2))
     g = x(1, 2) + x(2, 2)
