@@ -570,25 +570,26 @@ def lagrangian_graph(L: Subspace, R: Subspace, eps: Matrix) -> Subspace:
         raise NotTransverseError("L and R must be transverse Lagrangians")
     if not linalg.is_skew(eps):
         raise NotSkewError("eps must be skew")
-    nvars = L.nvars
     with degree_cap(None):
-        gram = linalg.mat(
+        # row b: <r_a, l_b> for each a, then eps[i][b] for each i; one
+        # reduction solves the n systems for the coefficients x of row i
+        aug = linalg.mat(
             [
-                [pairing(R.basis[a], L.basis[b]) for b in range(n)]
-                for a in range(n)
+                [pairing(R.basis[a], L.basis[b]) for a in range(n)]
+                + [eps[i][b] for i in range(n)]
+                for b in range(n)
             ]
         )
-        gramT = linalg.transpose(gram)
+        red, pivots = linalg.rref(aug)
+        if pivots[:n] != tuple(range(n)):
+            raise NotTransverseError("degenerate pairing between L and R")
         rows = []
         for i in range(n):
-            rhs = tuple(eps[i][b] for b in range(n))
-            x = linalg.solve(gramT, rhs)
-            if x is None:
-                raise NotTransverseError("degenerate pairing between L and R")
             v = list(L.basis[i])
             for a in range(n):
-                if not x[a].is_zero():
-                    v = [p + x[a] * q for p, q in zip(v, R.basis[a])]
+                x = red[a][n + i]
+                if not x.is_zero():
+                    v = [p + x * q for p, q in zip(v, R.basis[a])]
             rows.append(tuple(v))
     return Subspace.from_spanning(2 * n, rows)
 

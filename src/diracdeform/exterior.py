@@ -417,27 +417,24 @@ def multi_sharp(
     if W.degrees() - {k}:
         raise DegreeError(f"multivector degree {sorted(W.degrees())} != arity {k}")
     result = DifferentialForm.zero(chart)
-    basis_vectors = {}
+    # iota_{d_j} forms[slot] depends only on (j, slot), not on the term of W
+    # or the permutation that needs it
+    pieces: dict[tuple[int, int], DifferentialForm] = {}
     for J, g in W.terms.items():
         for perm in itertools.permutations(range(k)):
-            sign = _permutation_sign(perm)
             factors = []
-            dead = False
             for slot in range(k):
                 j = J[perm[slot]]
-                v = basis_vectors.get(j)
-                if v is None:
-                    v = partial(chart, j)
-                    basis_vectors[j] = v
-                piece = contract(v, forms[slot])
+                piece = pieces.get((j, slot))
+                if piece is None:
+                    piece = pieces[j, slot] = contract(partial(chart, j), forms[slot])
                 if piece.is_zero():
-                    dead = True
                     break
                 factors.append(piece)
-            if dead:
-                continue
-            term = wedge_all(factors).scale(g)
-            result = result + (term if sign > 0 else -term)
+            else:
+                term = wedge_all(factors).scale(g)
+                sign = _permutation_sign(perm)
+                result = result + (term if sign > 0 else -term)
     return result
 
 

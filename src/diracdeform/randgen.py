@@ -147,11 +147,17 @@ def random_rank_k_skew(rng: random.Random, n: int, k: int) -> SkewBilinear:
     return SkewBilinear.from_values(vals)
 
 
-def random_complement(rng: random.Random, eta: SkewBilinear) -> Subspace:
-    """A complement of ker(eta#): the default one sheared by random K-mixes."""
+def random_complement(
+    rng: random.Random, eta: SkewBilinear, K: Subspace | None = None
+) -> Subspace:
+    """A complement of K = ker(eta#): the default one sheared by random K-mixes.
+
+    K is computed from eta unless the caller already has it.
+    """
     from .dirac import kernel_complement, rank_and_kernel
 
-    _, K = rank_and_kernel(eta)
+    if K is None:
+        _, K = rank_and_kernel(eta)
     G0 = kernel_complement(K, eta.nvars)
     if K.dim == 0:
         return G0

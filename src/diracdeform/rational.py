@@ -154,10 +154,11 @@ class Poly:
             return Poly(self.nvars, {})
         cap = _degree_cap_var.get()
         if cap is not None:
-            d = self.total_degree() + other.total_degree()
-            if d > cap:
+            d1, d2 = self.total_degree(), other.total_degree()
+            if d1 + d2 > cap:
                 raise DegreeCapError(
-                    f"product would have total degree {d} > cap {cap}"
+                    f"product would have total degree {d1 + d2} > cap {cap} "
+                    f"(operands: {_size(d1, self)}; {_size(d2, other)})"
                 )
         out: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
@@ -245,6 +246,11 @@ class Poly:
 
 def _grlex_key(e: tuple[int, ...]) -> tuple:
     return (sum(e), e)
+
+
+def _size(degree: int, p: Poly) -> str:
+    n = len(p.terms)
+    return f"degree {degree}, {n} term{'' if n == 1 else 's'}"
 
 
 # ---------------------------------------------------------------------------
@@ -726,11 +732,11 @@ class Scalar:
 
     @staticmethod
     def variable(i: int, nvars: int) -> "Scalar":
-        return Scalar(Poly.variable(i, nvars), Poly.one(nvars), _canonical=True)
+        return Scalar(Poly.variable(i, nvars), _unit(nvars), _canonical=True)
 
     @staticmethod
     def from_poly(p: Poly) -> "Scalar":
-        return Scalar(p, Poly.one(p.nvars), _canonical=True)
+        return Scalar(p, _unit(p.nvars), _canonical=True)
 
     # -- views -----------------------------------------------------------------
 
@@ -768,6 +774,9 @@ class Scalar:
         both = _constant_pair(self, other)
         if both is not None:
             return _constant(self.num.nvars, both[0] + both[1])
+        if _polynomial_pair(self, other):
+            unit = _unit(self.num.nvars)
+            return Scalar(self.num + other.num, unit, _canonical=True)
         if self.den == other.den:
             return Scalar(self.num + other.num, self.den)
         return Scalar(
@@ -783,6 +792,9 @@ class Scalar:
             return _constant(self.num.nvars, both[0] * both[1])
         if self.is_zero() or other.is_zero():
             return Scalar.zero(self.nvars)
+        if _polynomial_pair(self, other):
+            unit = _unit(self.num.nvars)
+            return Scalar(self.num * other.num, unit, _canonical=True)
         g1 = poly_gcd(self.num, other.den)
         g2 = poly_gcd(other.num, self.den)
         n1 = poly_divexact(self.num, g1)
@@ -857,17 +869,28 @@ class Scalar:
 
 
 # ---------------------------------------------------------------------------
-# The constant fast path.  A canonical Scalar is constant exactly when its
-# denominator is the unit polynomial and its numerator has at most one term,
-# with an all-zero exponent.  Products, sums and inverses of constants are
-# computed on Fractions and rebuilt by `_constant`; the result is the same
-# structure the gcd path gives.  Everything else takes the gcd path.
+# The fast paths.  A canonical Scalar is a polynomial exactly when its
+# denominator is the unit polynomial, and a constant when in addition its
+# numerator has at most one term, with an all-zero exponent.  Products, sums
+# and inverses of constants are computed on Fractions and rebuilt by
+# `_constant`; products and sums of polynomials are computed on numerators
+# alone, since a polynomial over the unit is already canonical.  Either way
+# the result is the same structure the gcd path gives.  Everything else, and
+# operands over different rings, takes the gcd path.
 # ---------------------------------------------------------------------------
 
-# One unit polynomial per variable count, shared by every constant Scalar, so
-# that recognising a constant's denominator is usually an identity test.
-# Sharing is safe because no operation mutates a Poly.
+# One unit polynomial per variable count, shared by every constant and every
+# polynomial Scalar the fast paths build, so that recognising a unit
+# denominator is usually an identity test.  Sharing is safe because no
+# operation mutates a Poly.
 _UNITS: dict[int, Poly] = {}
+
+
+def _unit(nvars: int) -> Poly:
+    unit = _UNITS.get(nvars)
+    if unit is None:
+        unit = _UNITS[nvars] = Poly(nvars, {(0,) * nvars: _ONE})
+    return unit
 
 
 def _poly_constant(p: Poly) -> Fraction | None:
@@ -881,15 +904,18 @@ def _poly_constant(p: Poly) -> Fraction | None:
     return None if any(e) else c
 
 
+def _unit_den(s: Scalar) -> bool:
+    """True if the canonical Scalar s is a polynomial (unit denominator)."""
+    den = s.den
+    return den is _UNITS.get(den.nvars) or _poly_constant(den) == 1
+
+
 def _constant_value(s: Scalar) -> Fraction | None:
     """The value of a canonical Scalar if it is constant, else None."""
     c = _poly_constant(s.num)
-    if c is None:
+    if c is None or not _unit_den(s):
         return None
-    den = s.den
-    if den is _UNITS.get(den.nvars) or _poly_constant(den) == 1:
-        return c
-    return None
+    return c
 
 
 def _constant_pair(s: Scalar, t: Scalar) -> tuple[Fraction, Fraction] | None:
@@ -905,12 +931,14 @@ def _constant_pair(s: Scalar, t: Scalar) -> tuple[Fraction, Fraction] | None:
     return a, b
 
 
+def _polynomial_pair(s: Scalar, t: Scalar) -> bool:
+    """True if s and t are both polynomials over one ring."""
+    return s.num.nvars == t.num.nvars and _unit_den(s) and _unit_den(t)
+
+
 def _constant_parts(nvars: int, c: Fraction) -> tuple[Poly, Poly]:
     """Canonical (numerator, denominator) of the constant c."""
-    unit = _UNITS.get(nvars)
-    if unit is None:
-        unit = _UNITS[nvars] = Poly(nvars, {(0,) * nvars: _ONE})
-    return (Poly(nvars, {(0,) * nvars: c}) if c else Poly(nvars, {})), unit
+    return (Poly(nvars, {(0,) * nvars: c}) if c else Poly(nvars, {})), _unit(nvars)
 
 
 def _constant(nvars: int, c: Fraction) -> Scalar:

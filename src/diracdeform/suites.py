@@ -802,8 +802,8 @@ def _gen_theorem_rank(rng, cfg):
     n = _dim(cfg, 4)
     k = 2 * rng.randint(1, max(1, (n - 1) // 2))  # keep a nonzero kernel
     eta = random_rank_k_skew(rng, n, k)
-    G = random_complement(rng, eta)
     _, K = rank_and_kernel(eta)
+    G = random_complement(rng, eta, K)
     Z = Z_from_eta_G(eta, G)
     beta_h = shrink_into_IZ(Z, random_horizontal_skew(rng, K, G))
     beta_h2 = shrink_into_IZ(Z, random_horizontal_skew(rng, K, G))

@@ -1,5 +1,6 @@
 """Grassmann calculus: worked examples and the algebraic identity battery."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from diracdeform.exterior import (
     to_json,
     vf_commutator,
     wedge,
+    wedge_all,
 )
 from diracdeform.rational import PoleError, Scalar, degree_cap
 from diracdeform.randgen import random_field, random_form
@@ -199,6 +201,31 @@ def test_multi_sharp_alternating(rng, c4):
             # the contracted pieces times the permutation sign
             sign = -((-1) ** ((da - 1) * (db - 1)))
             assert lhs == rhs.scale(sign)
+
+
+def _multi_sharp_reference(forms, W):
+    """multi_sharp as defined: one contraction per (term of W, permutation)."""
+    k = len(forms)
+    out = DifferentialForm.zero(W.chart)
+    for J, g in W.terms.items():
+        for perm in itertools.permutations(range(k)):
+            inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(k), 2))
+            pieces = [contract(partial(W.chart, J[perm[s]]), forms[s]) for s in range(k)]
+            term = wedge_all(pieces).scale(g)
+            out = out + (-term if inversions % 2 else term)
+    return out
+
+
+def test_multi_sharp_matches_uncached_reference(rng, c4):
+    with degree_cap(None):
+        for k in (2, 3):
+            for _ in range(4):
+                W = random_field(rng, c4, k, max_coef_degree=1)
+                forms = [
+                    random_form(rng, c4, rng.randint(1, 2), max_coef_degree=1)
+                    for _ in range(k)
+                ]
+                assert multi_sharp(forms, W) == _multi_sharp_reference(forms, W)
 
 
 def test_pairing_convention(c2):

@@ -134,6 +134,59 @@ def test_constant_fast_path_matches_general_path(fa, fb, nv):
         assert _structure(a.scale(fb)) == _reference(fa * fb, nv)
 
 
+def _polys(nv: int):
+    coefs = st.fractions(-20, 20, max_denominator=12).filter(bool)
+    monos = st.tuples(*[st.integers(0, 2)] * nv)
+    return st.dictionaries(monos, coefs, max_size=4).map(lambda t: Poly(nv, t))
+
+
+@st.composite
+def _poly_operands(draw):
+    nv = draw(st.sampled_from([1, 2, 3]))
+    pa = draw(_polys(nv))
+    # -pa makes the sum cancel to zero
+    pb = draw(_polys(nv)) if draw(st.booleans()) else -pa
+    return nv, pa, pb
+
+
+def _forced(num: Poly, den: Poly) -> Scalar:
+    """num/den sent through poly_gcd/_cancel by a common non-constant factor."""
+    p = poly_from_str(f"x1^2 - 3*x{num.nvars} + 1", num.nvars)
+    return Scalar(num * p, den * p)
+
+
+@given(_poly_operands())
+@settings(max_examples=150, deadline=None)
+def test_polynomial_fast_path_matches_general_path(operands):
+    nv, pa, pb = operands
+    one = Poly.one(nv)
+    a, b = Scalar.from_poly(pa), Scalar.from_poly(pb)
+    q = poly_from_str(f"x{nv} + 2", nv)
+    c = Scalar(pb, q)  # not a polynomial: must take the gcd path
+    with degree_cap(None):
+        cases = {
+            "*": (a * b, pa * pb, one),
+            "+": (a + b, pa + pb, one),
+            "-": (a - b, pa - pb, one),
+            "* rational": (a * c, pa * pb, q),
+            "+ rational": (a + c, pa * q + pb, q),
+        }
+        for op, (got, num, den) in cases.items():
+            assert _structure(got) == _structure(_forced(num, den)), op
+        for op in "*+-":
+            assert _structure(cases[op][0]) == (cases[op][1].terms, one.terms), op
+    # the product keeps the caller's degree cap; mixed rings still raise
+    x1_5 = Scalar.from_poly(poly_from_str("x1^5", 1))
+    x1_4 = Scalar.from_poly(poly_from_str("x1^4", 1))
+    with degree_cap(8):
+        with pytest.raises(DegreeCapError):
+            x1_5 * x1_4
+    other_ring = Scalar.variable(1, nv + 1)
+    for op in (lambda s, t: s * t, lambda s, t: s + t):
+        with pytest.raises(ValueError, match="variable-count mismatch"):
+            op(Scalar.from_poly(q), other_ring)
+
+
 def test_divexact_and_lcm():
     f = (x(1, 2) + x(2, 2)) * (x(1, 2) - x(2, 2))
     g = x(1, 2) + x(2, 2)
@@ -237,8 +290,13 @@ def test_degree_cap_behavior():
     p = poly_from_str("x1^5", 1)
     q = poly_from_str("x1^4", 1)
     with degree_cap(8):
-        with pytest.raises(DegreeCapError):
+        with pytest.raises(
+            DegreeCapError,
+            match=r"total degree 9 > cap 8 \(operands: degree 5, 1 term; degree 4, 1 term\)",
+        ):
             p * q
+        with pytest.raises(DegreeCapError, match=r"degree 5, 2 terms; degree 4, 1 term"):
+            (p + Poly.one(1)) * q
     with degree_cap(None):
         assert (p * q).total_degree() == 9
     with degree_cap(12):
@@ -251,6 +309,19 @@ def test_positive_pattern():
     assert not is_positive_pattern(poly_from_str("x1^2", 2))  # no constant
     assert not is_positive_pattern(poly_from_str("1 + x1", 2))  # odd power
     assert not is_positive_pattern(poly_from_str("1 - x1^2", 2))  # sign
+    # near-misses: each has a rational zero, so neither certificate may accept it
+    near_misses = {
+        "1 + x1^2 - x2^2": (0, 1),
+        "1 + x1^3": (-1, 0),
+        "1 + x1*x2": (1, -1),
+        "1 + x1^2*x2": (1, -1),
+        "x1^2 + x2^2": (0, 0),
+    }
+    for text, zero in near_misses.items():
+        p = poly_from_str(text, 2)
+        assert p.evaluate([Fraction(v) for v in zero]) == 0, text
+        assert not is_positive_pattern(p), text
+        assert not is_definite(p), text
     assert is_definite(poly_from_str("-1 - x1^2", 2))
     assert scalar_is_definite(scalar_from_str("(1 + x1^2)/(2 + x2^2)", 2))
     assert not scalar_is_definite(scalar_from_str("(x1)/(1 + x2^2)", 2))
