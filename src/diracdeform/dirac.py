@@ -432,13 +432,13 @@ def Z_from_eta_G(eta: SkewBilinear, G: Subspace) -> Bivector:
         raise NotComplementaryError(
             f"dim G = {G.dim} but rank(eta) = {k}"
         )
+    if k == 0:
+        return Bivector.zero(n, nvars)
     with degree_cap(None):
         frame = G.basis  # rows g_a
+        images = [eta.apply(g) for g in frame]
         Sg = linalg.mat(
-            [
-                [eta.value_on(frame[a], frame[b]) for b in range(k)]
-                for a in range(k)
-            ]
+            [[linalg.dot(images[a], frame[b]) for b in range(k)] for a in range(k)]
         )
         try:
             N = linalg.inverse(Sg)
@@ -530,21 +530,23 @@ def decompose_horizontal(
     if not K.is_complement_of(G):
         raise NotComplementaryError("K and G are not complementary")
     mK, kG = K.dim, G.dim
+    k_images = [beta.apply(v) for v in K.basis]
+    g_images = [beta.apply(v) for v in G.basis]
     for a in range(mK):
         for b in range(a + 1, mK):
-            if not beta.value_on(K.basis[a], K.basis[b]).is_zero():
+            if not linalg.dot(k_images[a], K.basis[b]).is_zero():
                 raise NonHorizontalError(
                     "Lambda^2 K* block of beta does not vanish"
                 )
     mu = linalg.mat(
         [
-            [beta.value_on(K.basis[a], G.basis[c]) for c in range(kG)]
+            [linalg.dot(k_images[a], G.basis[c]) for c in range(kG)]
             for a in range(mK)
         ]
     ) if mK else ()
     sigma_vals = linalg.mat(
         [
-            [beta.value_on(G.basis[c], G.basis[d]) for d in range(kG)]
+            [linalg.dot(g_images[c], G.basis[d]) for d in range(kG)]
             for c in range(kG)
         ]
     )
@@ -594,11 +596,6 @@ def lagrangian_graph(L: Subspace, R: Subspace, eps: Matrix) -> Subspace:
     return Subspace.from_spanning(2 * n, rows)
 
 
-def phi_0(alpha: SkewBilinear) -> Subspace:
-    """Graph of alpha w.r.t. V + V*; equals lagrangian_graph(V, V*, values)."""
-    return graph_of_form(alpha)
-
-
 def phi_Z(beta: SkewBilinear, Z: Bivector) -> Subspace:
     """The Lagrangian {(v + Z#(iota_v beta), iota_v beta)} transverse to graph(Z)."""
     n, nvars = beta.n, beta.nvars
@@ -620,10 +617,9 @@ def phi_Z(beta: SkewBilinear, Z: Bivector) -> Subspace:
 # ---------------------------------------------------------------------------
 
 
-def annihilator_in_vstar(G: Subspace) -> Subspace:
+def annihilator_in_vstar(G: Subspace, nvars: int) -> Subspace:
     """The annihilator of G inside V*, embedded as {0} + V* rows of V + V*."""
     n = G.ambient
-    nvars = G.nvars
     if G.dim == 0:
         return standard_basis_subspace(2 * n, nvars, range(n, 2 * n))
     xi_basis = linalg.nullspace(linalg.mat(G.basis))
@@ -635,10 +631,10 @@ def annihilator_in_vstar(G: Subspace) -> Subspace:
 def g_plus_kstar(G: Subspace, K: Subspace) -> Subspace:
     """The complement G + K* of graph(eta), with K* = ann(G) inside V*."""
     n = G.ambient
-    nvars = G.nvars
+    nvars = K.nvars if K.basis else G.nvars
     zero = Scalar.zero(nvars)
     g_rows = [tuple(v) + (zero,) * n for v in G.basis]
-    kstar = annihilator_in_vstar(G)
+    kstar = annihilator_in_vstar(G, nvars)
     return Subspace.from_spanning(2 * n, g_rows + list(kstar.basis))
 
 
@@ -673,7 +669,7 @@ def verify_linear_lemmas(
     # rank comparison: dim(Phi cap V) equals dim{v in K : iota_v beta in ann(K)}
     V = v_subspace(n, nvars)
     lhs_dim = phi_gk.intersection(V).dim
-    annK = annihilator_in_vstar(K)
+    annK = annihilator_in_vstar(K, nvars)
     ann_vectors = [v[n:] for v in annK.basis]
     rows = []
     for kv in K.basis:
@@ -804,6 +800,8 @@ def instance_from_json(data: Mapping, nvars: int | None = None) -> tuple:
     """Parse {"n", "eta", "G"?, "beta"} into (n, eta, G or None, beta)."""
     try:
         n = int(data["n"])
+        if n < 1:
+            raise ValueError("linear instance dimension must be >= 1")
         nv = n if nvars is None else nvars
         _require_shape("eta", data["eta"], n, n)
         _require_shape("beta", data["beta"], n, n)

@@ -1,9 +1,11 @@
 """Exact linear algebra over the Scalar field (rationals or rational functions).
 
-Matrices are tuples of tuples of Scalar, treated as immutable.  Determinants
-and inverses run fraction-free (Bareiss / Montante) on denominator-cleared
-polynomial matrices to control intermediate expression swell; echelon forms
-run over the field with gcd-reduced entries at every step.
+Matrices are tuples of tuples of Scalar, treated as immutable.  There are two
+elimination loops.  `rref` runs over the field with gcd-reduced entries at
+every step; ranks, kernels and inverses (the right block of rref([A | I])) are
+read from it.  `_bareiss` runs fraction-free on the row-cleared polynomial
+matrix, dividing exactly and taking no gcd; determinants and span membership
+are read from it.
 """
 
 from __future__ import annotations
@@ -51,12 +53,6 @@ def transpose(A: Matrix) -> Matrix:
 def mat_add(A: Matrix, B: Matrix) -> Matrix:
     return tuple(
         tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B)
-    )
-
-
-def mat_sub(A: Matrix, B: Matrix) -> Matrix:
-    return tuple(
-        tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B)
     )
 
 
@@ -168,74 +164,22 @@ def nullspace(A: Matrix) -> list[Vector]:
     return basis
 
 
-def solve(A: Matrix, b: Sequence[Scalar]) -> Vector | None:
-    """One solution of A x = b, or None if inconsistent."""
-    nr, nc = dims(A)
-    aug = mat([list(row) + [bv] for row, bv in zip(A, b)])
-    R, pivots = rref(aug)
-    if nc in pivots:
-        return None
-    nvars = A[0][0].nvars if A else b[0].nvars
-    zero = Scalar.zero(nvars)
-    x = [zero] * nc
-    for r, pc in enumerate(pivots):
-        x[pc] = R[r][nc]
-    return tuple(x)
-
-
-def rank_fraction_free(A: Matrix) -> int:
-    """Rank over the fraction field via Bareiss elimination (no field ops).
-
-    Clears denominators row-wise and eliminates with exact polynomial
-    divisions only, avoiding gcd blowups of field-style reduction.
-    """
+def inverse(A: Matrix) -> Matrix:
+    """Exact inverse, read from the right block of rref([A | I])."""
     n, m = dims(A)
-    if n == 0 or m == 0:
-        return 0
-    nvars = A[0][0].nvars
-    with degree_cap(None):
-        rows, _ = _clear_rows(A)
-        prev = Poly.one(nvars)
-        r = 0
-        for c in range(m):
-            pivot = next(
-                (i for i in range(r, n) if not rows[i][c].is_zero()), None
-            )
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            piv = rows[r][c]
-            for i in range(r + 1, n):
-                f = rows[i][c]
-                rows[i] = [
-                    poly_divexact(piv * rows[i][j] - f * rows[r][j], prev)
-                    for j in range(m)
-                ]
-            prev = piv
-            r += 1
-            if r == n:
-                break
-        return r
-
-
-def in_span(vectors: Sequence[Vector], w: Vector) -> bool:
-    """Is w a Scalar-linear combination of the given vectors?
-
-    Decided by a fraction-free rank comparison, which stays polynomial even
-    over the rational-function field.
-    """
-    if all(c.is_zero() for c in w):
-        return True
-    if not vectors:
-        return False
-    A = mat(vectors)
-    return rank_fraction_free(A) == rank_fraction_free(
-        mat(list(vectors) + [tuple(w)])
-    )
+    if n != m:
+        raise ValueError("inverse of a non-square matrix")
+    if n == 0:
+        return ()
+    eye = identity(n, A[0][0].nvars)
+    R, pivots = rref(mat([row + e for row, e in zip(A, eye)]))
+    if pivots[:n] != tuple(range(n)):
+        raise ZeroDivisionError("matrix is singular")
+    return tuple(row[n:] for row in R)
 
 
 # ---------------------------------------------------------------------------
-# Fraction-free determinant and inverse
+# Fraction-free elimination: determinants and span membership
 # ---------------------------------------------------------------------------
 
 
@@ -256,8 +200,46 @@ def _clear_rows(A: Matrix) -> tuple[list[list[Poly]], list[Poly]]:
     return rows, lcms
 
 
+def _bareiss(A: Matrix) -> tuple[list[list[Poly]], int, int, list[Poly]]:
+    """Bareiss forward elimination on the row-cleared matrix (no field ops).
+
+    Returns (rows, rank, sign, lcms): the eliminated polynomial rows, the rank
+    over the fraction field, the sign of the row swaps and the row lcms.  For
+    a square matrix of full rank the last pivot is sign * det of the cleared
+    matrix.  Every division is exact, so no gcd is taken.  Callers hold
+    `degree_cap(None)`.
+    """
+    n, m = dims(A)
+    rows, lcms = _clear_rows(A)
+    nvars = A[0][0].nvars
+    zero = Poly.zero(nvars)
+    prev = Poly.one(nvars)
+    sign = 1
+    r = 0
+    for c in range(m):
+        pivot = next((i for i in range(r, n) if not rows[i][c].is_zero()), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            sign = -sign
+        row_r = rows[r]
+        piv = row_r[c]
+        for i in range(r + 1, n):
+            row_i = rows[i]
+            f = row_i[c]
+            for j in range(c + 1, m):
+                row_i[j] = poly_divexact(piv * row_i[j] - f * row_r[j], prev)
+            row_i[c] = zero
+        prev = piv
+        r += 1
+        if r == n:
+            break
+    return rows, r, sign, lcms
+
+
 def det(A: Matrix) -> Scalar:
-    """Exact determinant via Bareiss elimination on the cleared matrix."""
+    """Exact determinant: the signed last Bareiss pivot over the row lcms."""
     n, m = dims(A)
     if n != m:
         raise ValueError("determinant of a non-square matrix")
@@ -265,89 +247,28 @@ def det(A: Matrix) -> Scalar:
         return Scalar.one(0)
     nvars = A[0][0].nvars
     with degree_cap(None):
-        rows, lcms = _clear_rows(A)
-        d, sign = _bareiss_det(rows, nvars)
+        rows, r, sign, lcms = _bareiss(A)
+        if r < n:
+            return Scalar.zero(nvars)
         denom = Poly.one(nvars)
         for m_ in lcms:
             denom = denom * m_
-        result = Scalar(d, denom)
+        result = Scalar(rows[n - 1][n - 1], denom)
         return -result if sign < 0 else result
 
 
-def _bareiss_det(rows: list[list[Poly]], nvars: int) -> tuple[Poly, int]:
-    n = len(rows)
-    sign = 1
-    prev = Poly.one(nvars)
-    for k in range(n - 1):
-        if rows[k][k].is_zero():
-            swap = next(
-                (i for i in range(k + 1, n) if not rows[i][k].is_zero()), None
-            )
-            if swap is None:
-                return Poly.zero(nvars), 1
-            rows[k], rows[swap] = rows[swap], rows[k]
-            sign = -sign
-        piv = rows[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                rows[i][j] = poly_divexact(
-                    rows[k][k] * rows[i][j] - rows[i][k] * rows[k][j], prev
-                )
-            rows[i][k] = Poly.zero(nvars)
-        prev = piv
-    return rows[n - 1][n - 1], sign
+def in_span(vectors: Sequence[Vector], w: Vector) -> bool:
+    """Is w a Scalar-linear combination of the given vectors?
 
-
-def inverse(A: Matrix) -> Matrix:
-    """Exact inverse via fraction-free Gauss-Jordan (Montante) elimination."""
-    n, m = dims(A)
-    if n != m:
-        raise ValueError("inverse of a non-square matrix")
-    nvars = A[0][0].nvars
+    Decided by a fraction-free rank comparison, which stays polynomial even
+    over the rational-function field.
+    """
+    if all(c.is_zero() for c in w):
+        return True
+    if not vectors:
+        return False
     with degree_cap(None):
-        rows, lcms = _clear_rows(A)
-        one = Poly.one(nvars)
-        zero = Poly.zero(nvars)
-        aug = [
-            rows[i] + [one if i == j else zero for j in range(n)]
-            for i in range(n)
-        ]
-        prev = one
-        for k in range(n):
-            if aug[k][k].is_zero():
-                swap = next(
-                    (i for i in range(k + 1, n) if not aug[i][k].is_zero()), None
-                )
-                if swap is None:
-                    raise ZeroDivisionError("matrix is singular")
-                aug[k], aug[swap] = aug[swap], aug[k]
-            piv = aug[k][k]
-            for i in range(n):
-                if i == k:
-                    continue
-                row_i = aug[i]
-                row_k = aug[k]
-                f = row_i[k]
-                aug[i] = [
-                    poly_divexact(piv * row_i[j] - f * row_k[j], prev)
-                    for j in range(2 * n)
-                ]
-            prev = piv
-        d = aug[0][0]
-        for k in range(1, n):
-            if aug[k][k] != d:
-                raise AssertionError("Montante elimination lost diagonal balance")
-        if d.is_zero():
-            raise ZeroDivisionError("matrix is singular")
-        # cleared matrix B = diag(lcm) * A, so  A^{-1} = B^{-1} diag(lcm)
-        inv = []
-        for i in range(n):
-            inv.append(
-                tuple(
-                    Scalar(aug[i][n + j] * lcms[j], d) for j in range(n)
-                )
-            )
-        return tuple(inv)
+        return _bareiss(mat(vectors))[1] == _bareiss(mat(list(vectors) + [tuple(w)]))[1]
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,8 @@ from .exterior import (
     wedge,
 )
 from .presymplectic import DistributionFrame, annihilator_forms
-from .rational import Poly, Scalar, random_fraction
+from .rational import Poly, Scalar, random_fraction, random_poly
 from . import linalg
-
-
-def random_rational(rng: random.Random, bound: int = 100) -> Fraction:
-    return random_fraction(rng, bound)
 
 
 def random_point(rng: random.Random, n: int, bound: int = 12) -> tuple[Fraction, ...]:
@@ -40,25 +36,13 @@ def random_scalar(
     terms: int = 2, bound: int = 9, polynomial: bool = True,
 ) -> Scalar:
     """Random polynomial Scalar (default) or quotient of such."""
-    num = _random_poly(rng, nvars, max_degree, terms, bound)
+    num = random_poly(rng, nvars, max_degree, terms, bound)
     if polynomial:
         return Scalar.from_poly(num)
     den = Poly.zero(nvars)
     while den.is_zero():
-        den = _random_poly(rng, nvars, max_degree, terms, bound)
+        den = random_poly(rng, nvars, max_degree, terms, bound)
     return Scalar(num, den)
-
-
-def _random_poly(rng, nvars, max_degree, terms, bound) -> Poly:
-    out = Poly.zero(nvars)
-    for _ in range(terms):
-        exps = [0] * nvars
-        for _ in range(rng.randint(0, max_degree)):
-            exps[rng.randrange(nvars)] += 1
-        c = random_fraction(rng, bound)
-        if c:
-            out = out + Poly(nvars, {tuple(exps): c})
-    return out
 
 
 def random_form(

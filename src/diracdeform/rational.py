@@ -327,17 +327,6 @@ def _coeffs_wrt(f: Poly, var: int) -> dict[int, Poly]:
     return {k: Poly(f.nvars, t) for k, t in out.items()}
 
 
-def _join_wrt(coeffs: dict[int, Poly], var: int, nvars: int) -> Poly:
-    terms: dict[tuple[int, ...], Fraction] = {}
-    j = var - 1
-    for k, p in coeffs.items():
-        for e, c in p.terms.items():
-            e2 = list(e)
-            e2[j] += k
-            terms[tuple(e2)] = c
-    return Poly(nvars, terms)
-
-
 def _pseudo_rem(f: Poly, g: Poly, var: int) -> Poly:
     """Pseudo-remainder of f by g as univariate polynomials in x_var."""
     nvars = f.nvars
@@ -495,11 +484,6 @@ def _prs_gcd(f: Poly, g: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def _int_coeffs(f: Poly) -> Poly:
-    """Primitive integer-coefficient version of f (divide by rational content)."""
-    return _normalize_primitive(f)
-
-
 def _eval_main_var(f: Poly, var: int, xi: int) -> Poly:
     """Substitute x_var = xi, folding its powers into the coefficients."""
     j = var - 1
@@ -564,7 +548,7 @@ def _heuristic_gcd_raw(f: Poly, g: Poly, depth: int) -> Poly | None:
             )
         else:
             h_eval = _heuristic_gcd_raw(
-                _int_coeffs(fe), _int_coeffs(ge), depth + 1
+                _normalize_primitive(fe), _normalize_primitive(ge), depth + 1
             )
             if h_eval is None:
                 xi = _next_xi(xi)
@@ -574,7 +558,7 @@ def _heuristic_gcd_raw(f: Poly, g: Poly, depth: int) -> Poly | None:
             h_eval = _scale_to_eval_gcd(h_eval, fe, ge, f.nvars)
         h = _reconstruct(h_eval, var, xi, f.nvars)
         if h is not None and not h.is_zero():
-            h = _int_coeffs(h)
+            h = _normalize_primitive(h)
             try:
                 poly_divexact(f, h)
                 poly_divexact(g, h)
@@ -648,8 +632,8 @@ def _heuristic_gcd(f: Poly, g: Poly) -> Poly | None:
     back to the caller's PRS path on the reduced cofactors.
     """
     with degree_cap(None):
-        a = _int_coeffs(f)
-        b = _int_coeffs(g)
+        a = _normalize_primitive(f)
+        b = _normalize_primitive(g)
         acc = Poly.one(f.nvars)
         for _ in range(4):
             h = _heuristic_gcd_raw(a, b, 0)
@@ -747,9 +731,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_one(self) -> bool:
-        return self.den.is_constant() and self.num == self.den
-
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
 
@@ -758,12 +739,6 @@ class Scalar:
 
     def constant_value(self) -> Fraction:
         return self.num.constant_value() / self.den.constant_value()
-
-    def as_poly(self) -> Poly:
-        """The underlying polynomial; requires a constant denominator."""
-        if not self.den.is_constant():
-            raise ValueError("scalar is not polynomial")
-        return self.num.scale(1 / self.den.constant_value())
 
     # -- field operations --------------------------------------------------------
 
@@ -879,10 +854,10 @@ class Scalar:
 # operands over different rings, takes the gcd path.
 # ---------------------------------------------------------------------------
 
-# One unit polynomial per variable count, shared by every constant and every
-# polynomial Scalar the fast paths build, so that recognising a unit
-# denominator is usually an identity test.  Sharing is safe because no
-# operation mutates a Poly.
+# One unit polynomial per variable count, the denominator of every polynomial
+# Scalar: the constructors, the fast paths and `_cancel` all return it, so
+# recognising a unit denominator is an identity test.  Sharing is safe
+# because no operation mutates a Poly.
 _UNITS: dict[int, Poly] = {}
 
 
@@ -906,8 +881,7 @@ def _poly_constant(p: Poly) -> Fraction | None:
 
 def _unit_den(s: Scalar) -> bool:
     """True if the canonical Scalar s is a polynomial (unit denominator)."""
-    den = s.den
-    return den is _UNITS.get(den.nvars) or _poly_constant(den) == 1
+    return s.den is _UNITS.get(s.den.nvars)
 
 
 def _constant_value(s: Scalar) -> Fraction | None:
@@ -954,7 +928,7 @@ def _cancel(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if n is not None and d is not None:
         return _constant_parts(num.nvars, Fraction(n, d))
     if num.is_zero():
-        return Poly.zero(num.nvars), Poly.one(num.nvars)
+        return Poly.zero(num.nvars), _unit(num.nvars)
     with degree_cap(None):
         g = poly_gcd(num, den)
         if not (g.is_constant() and g.constant_value() == 1):
@@ -964,6 +938,8 @@ def _cancel(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         if c != 1:
             num = num.scale(1 / c)
             den = den.scale(1 / c)
+    if den.is_constant():
+        return num, _unit(num.nvars)
     return num, den
 
 

@@ -4,8 +4,12 @@ import hashlib
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracdeform.cli import generate_payload, main, run_instance_payload
 from diracdeform.report import SuiteConfig, assemble_report, comparable
@@ -226,6 +230,52 @@ def test_cli_run_wrongly_sized_matrix(tmp_path, instance):
     p = tmp_path / "inst.json"
     p.write_text(json.dumps(instance))
     assert main(["run", str(p), "--quiet"]) == 2
+
+
+ZERO_2 = [["0", "0"], ["0", "0"]]
+
+
+@pytest.mark.parametrize("instance, code", [
+    ({"n": 2, "eta": ZERO_2, "beta": ZERO_2}, 0),
+    ({"n": 2, "eta": ZERO_2, "beta": ZERO_2, "G": []}, 0),
+    ({"chart": 2, "eta": {"chart": 2, "terms": []}}, 0),
+    ({"n": 0, "eta": [], "beta": []}, 2),
+], ids=["linear", "linear-empty-G", "chart", "dimension-0"])
+def test_cli_run_rank_zero_eta(tmp_path, instance, code):
+    p = tmp_path / "inst.json"
+    p.write_text(json.dumps(instance))
+    assert main(["run", str(p), "--quiet"]) == code
+
+
+NEGATED = {"0": "0", "1": "-1", "-1": "1", "2": "-2", "1/2": "-1/2"}
+ENTRIES = st.sampled_from(list(NEGATED))
+
+
+@st.composite
+def _linear_instances(draw):
+    n = draw(st.integers(1, 3))
+    eta = [["0"] * n for _ in range(n)]
+    beta = [["0"] * n for _ in range(n)]
+    for M in (eta, beta):
+        for i in range(n):
+            for j in range(i + 1, n):
+                a = draw(ENTRIES)
+                M[i][j] = a
+                M[j][i] = NEGATED[a]
+    inst = {"n": n, "eta": eta, "beta": beta}
+    if draw(st.booleans()):
+        inst["G"] = draw(st.lists(st.lists(ENTRIES, min_size=n, max_size=n),
+                                  max_size=n))
+    return inst
+
+
+@given(_linear_instances())
+@settings(max_examples=200, deadline=None)
+def test_cli_run_linear_exit_codes(instance):
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "inst.json"
+        p.write_text(json.dumps(instance))
+        assert main(["run", str(p), "--quiet"]) in (0, 2)
 
 
 def test_cli_run_malformed_replay_data(tmp_path):

@@ -11,6 +11,7 @@ from diracdeform.linalg import (
     evaluate_matrix,
     from_fractions,
     identity,
+    in_span,
     inverse,
     mat,
     mat_mul,
@@ -18,9 +19,8 @@ from diracdeform.linalg import (
     pfaffian,
     rank,
     rref,
-    solve,
 )
-from diracdeform.rational import Scalar, degree_cap, random_poly
+from diracdeform.rational import Poly, Scalar, degree_cap, random_poly
 
 
 def rand_matrix(rng, n, m, nvars=0, deg=0):
@@ -83,6 +83,53 @@ def test_inverse_round_trip(rng):
             inverse(from_fractions([[1, 2], [2, 4]], 0))
 
 
+def rand_rational_function(rng, nvars):
+    """p/q with q non-constant, so the matrix has real denominators."""
+    q = Poly.zero(nvars)
+    while q.is_constant():
+        q = random_poly(rng, nvars, 1, 2, 4)
+    return Scalar(random_poly(rng, nvars, 1, 2, 4), q)
+
+
+def test_det_and_inverse_with_rational_function_entries(rng):
+    with degree_cap(None):
+        for n, nvars in ((2, 2), (3, 1)):
+            for _ in range(3):
+                A = mat([[rand_rational_function(rng, nvars) for _ in range(n)]
+                         for _ in range(n)])
+                d = det(A)
+                assert d == det_permanent_oracle(A)
+                if d.is_zero():
+                    continue
+                Ainv = inverse(A)
+                assert mat_mul(A, Ainv) == identity(n, nvars)
+                assert mat_mul(Ainv, A) == identity(n, nvars)
+
+
+def test_singular_over_rational_functions(rng):
+    with degree_cap(None):
+        for _ in range(3):
+            r0 = [rand_rational_function(rng, 2) for _ in range(3)]
+            r1 = [rand_rational_function(rng, 2) for _ in range(3)]
+            p = Scalar.from_poly(random_poly(rng, 2, 1, 2, 4))
+            q = Scalar.from_poly(random_poly(rng, 2, 1, 2, 4))
+            r2 = tuple(p * a + q * b for a, b in zip(r0, r1))
+            A = mat([r0, r1, r2])
+            assert det(A).is_zero()
+            with pytest.raises(ZeroDivisionError):
+                inverse(A)
+            assert in_span([tuple(r0), tuple(r1)], r2)
+            # a random row is in the span iff the matrix it completes is singular
+            r3 = tuple(rand_rational_function(rng, 2) for _ in range(3))
+            B = mat([r0, r1, r3])
+            assert in_span([tuple(r0), tuple(r1)], r3) == det(B).is_zero()
+
+
+def test_empty_matrix():
+    assert det(()) == Scalar.one(0)
+    assert inverse(()) == ()
+
+
 def test_rref_and_nullspace(rng):
     for _ in range(10):
         n, m = rng.randint(1, 4), rng.randint(1, 5)
@@ -93,21 +140,6 @@ def test_rref_and_nullspace(rng):
             image = [linalg.dot(row, v) for row in A]
             assert all(x.is_zero() for x in image)
         assert rank(A) + len(nullspace(A)) == m
-
-
-def test_solve(rng):
-    for _ in range(10):
-        n = rng.randint(2, 4)
-        A = rand_matrix(rng, n, n)
-        xvec = tuple(Scalar.const(0, Fraction(rng.randint(-4, 4))) for _ in range(n))
-        b = linalg.mat_vec(A, xvec)
-        got = solve(A, b)
-        assert got is not None
-        assert linalg.mat_vec(A, got) == tuple(b)
-    # inconsistency
-    A = from_fractions([[1, 0], [1, 0]], 0)
-    b = (Scalar.const(0, 1), Scalar.const(0, 2))
-    assert solve(A, b) is None
 
 
 def test_pfaffian_square_is_determinant(rng):

@@ -12,6 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diracdeform import rational
 from diracdeform.rational import (
     DegreeCapError,
     Poly,
@@ -185,6 +186,38 @@ def test_polynomial_fast_path_matches_general_path(operands):
     for op in (lambda s, t: s * t, lambda s, t: s + t):
         with pytest.raises(ValueError, match="variable-count mismatch"):
             op(Scalar.from_poly(q), other_ring)
+
+
+@st.composite
+def _scalar_operands(draw):
+    nv = draw(st.sampled_from([1, 2]))
+    pa, pb = draw(_polys(nv)), draw(_polys(nv))
+    q = draw(st.sampled_from([None, f"x{nv} + 2", f"x1^2 - 3*x{nv} + 1"]))
+    den = Poly.one(nv) if q is None else poly_from_str(q, nv)
+    a = Scalar(pa, den)
+    # b = 1/a, -a and a*den make *, + and the quotient cancel to a unit
+    b = draw(st.sampled_from([Scalar(pb, den), -a, Scalar.from_poly(pb)]))
+    if not a.is_zero() and draw(st.booleans()):
+        b = a.inverse()
+    return nv, pa, den, a, b
+
+
+@given(_scalar_operands(), FRACTIONS)
+@settings(max_examples=100, deadline=None)
+def test_unit_denominator_is_the_shared_unit(operands, c):
+    nv, pa, den, a, b = operands
+    with degree_cap(None):
+        results = {
+            "*": a * b, "+": a + b, "-": a - b,
+            "derivative": a.derivative(1), "scale": a.scale(c),
+            "parse": scalar_from_str(scalar_to_str(a), nv),
+            "Scalar(num, den)": Scalar(pa * den, den),
+        }
+        if not a.is_zero():
+            results["inverse"] = a.inverse()
+    for op, s in results.items():
+        unit = s.den.terms == {(0,) * nv: Fraction(1)}
+        assert unit == (s.den is rational._UNITS.get(nv)), op
 
 
 def test_divexact_and_lcm():
