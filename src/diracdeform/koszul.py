@@ -34,6 +34,7 @@ from .exterior import (
     wedge,
 )
 from .rational import Scalar, degree_cap
+from .report import DEFAULT_GRID
 
 
 class ArityError(ValueError):
@@ -397,7 +398,7 @@ def F_symbolic_form(beta: DifferentialForm, ctx: KoszulContext) -> DifferentialF
     return skew_to_form(F_symbolic(beta, ctx), ctx.chart)
 
 
-DEFAULT_GRID_COORDS = (Fraction(0), Fraction(1, 2), Fraction(-1, 3))
+DEFAULT_GRID_COORDS = tuple(Fraction(c) for c in DEFAULT_GRID)
 
 
 def rational_grid(n: int, coords: Sequence[Fraction] = DEFAULT_GRID_COORDS):

@@ -44,7 +44,13 @@ from .koszul import (
     F_symbolic_form,
     rational_grid,
 )
-from .rational import Scalar, degree_cap, scalar_is_definite, scalar_is_polefree
+from .rational import (
+    Scalar,
+    degree_cap,
+    rational_from_str,
+    scalar_is_definite,
+    scalar_is_polefree,
+)
 from . import linalg
 
 
@@ -674,7 +680,7 @@ def instance_from_json(payload: Mapping) -> PreSymplecticData:
         if eta.chart != chart:
             raise ValueError("eta chart does not match instance chart")
         ref = payload.get("ref_point")
-        point = [Fraction(str(x)) for x in ref] if ref else [Fraction(0)] * n
+        point = [rational_from_str(x) for x in ref] if ref else [Fraction(0)] * n
         G = None
         if payload.get("G") is not None:
             sections = [field_from_json(item) for item in payload["G"]]

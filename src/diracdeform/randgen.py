@@ -82,26 +82,18 @@ def random_bivector_field(
 # ---------------------------------------------------------------------------
 
 
-def random_skew(rng: random.Random, n: int, nvars: int = 0,
-                bound: int = 9) -> SkewBilinear:
+def random_skew(
+    rng: random.Random, n: int, nvars: int = 0, bound: int = 9,
+    cls: type = SkewBilinear,
+) -> SkewBilinear | Bivector:
+    """A random skew matrix as a `cls`: SkewBilinear (a form) or Bivector."""
     pairs = {}
     for i in range(n):
         for j in range(i + 1, n):
             c = random_fraction(rng, bound)
             if c:
                 pairs[(i, j)] = Scalar.const(nvars, c)
-    return SkewBilinear.from_pairs(n, nvars, pairs)
-
-
-def random_bivector(rng: random.Random, n: int, nvars: int = 0,
-                    bound: int = 9) -> Bivector:
-    pairs = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = random_fraction(rng, bound)
-            if c:
-                pairs[(i, j)] = Scalar.const(nvars, c)
-    return Bivector.from_pairs(n, nvars, pairs)
+    return cls.from_pairs(n, nvars, pairs)
 
 
 def random_invertible(rng: random.Random, n: int, bound: int = 4) -> linalg.Matrix:

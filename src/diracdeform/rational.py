@@ -57,6 +57,12 @@ def degree_cap(limit: int | None) -> Iterator[None]:
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# The denominator of every polynomial Scalar: `Poly.one`, and so the
+# constructors, the fast path and `_cancel`, all return it, so recognising a
+# polynomial is an identity test.  Sharing is safe because no operation
+# mutates a Poly.
+_UNITS: dict[int, "Poly"] = {}
+
 
 class Poly:
     """Sparse multivariate polynomial over Q.
@@ -87,7 +93,11 @@ class Poly:
 
     @staticmethod
     def one(nvars: int) -> "Poly":
-        return Poly.const(nvars, 1)
+        """The unit polynomial; one shared instance per variable count."""
+        unit = _UNITS.get(nvars)
+        if unit is None:
+            unit = _UNITS[nvars] = Poly(nvars, {(0,) * nvars: _ONE})
+        return unit
 
     @staticmethod
     def variable(i: int, nvars: int) -> "Poly":
@@ -704,11 +714,11 @@ class Scalar:
 
     @staticmethod
     def const(nvars: int, c) -> "Scalar":
-        return _constant(nvars, Fraction(c))
+        return Scalar(Poly.const(nvars, c), Poly.one(nvars), _canonical=True)
 
     @staticmethod
     def zero(nvars: int) -> "Scalar":
-        return _constant(nvars, _ZERO)
+        return Scalar(Poly(nvars, {}), Poly.one(nvars), _canonical=True)
 
     @staticmethod
     def one(nvars: int) -> "Scalar":
@@ -716,11 +726,11 @@ class Scalar:
 
     @staticmethod
     def variable(i: int, nvars: int) -> "Scalar":
-        return Scalar(Poly.variable(i, nvars), _unit(nvars), _canonical=True)
+        return Scalar(Poly.variable(i, nvars), Poly.one(nvars), _canonical=True)
 
     @staticmethod
     def from_poly(p: Poly) -> "Scalar":
-        return Scalar(p, _unit(p.nvars), _canonical=True)
+        return Scalar(p, Poly.one(p.nvars), _canonical=True)
 
     # -- views -----------------------------------------------------------------
 
@@ -735,7 +745,7 @@ class Scalar:
         return self.num.is_constant() and self.den.is_constant()
 
     def is_polynomial(self) -> bool:
-        return self.den.is_constant()
+        return self.den is _UNITS.get(self.den.nvars)
 
     def constant_value(self) -> Fraction:
         return self.num.constant_value() / self.den.constant_value()
@@ -746,12 +756,8 @@ class Scalar:
         return Scalar(-self.num, self.den, _canonical=True)
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        both = _constant_pair(self, other)
-        if both is not None:
-            return _constant(self.num.nvars, both[0] + both[1])
         if _polynomial_pair(self, other):
-            unit = _unit(self.num.nvars)
-            return Scalar(self.num + other.num, unit, _canonical=True)
+            return Scalar(self.num + other.num, self.den, _canonical=True)
         if self.den == other.den:
             return Scalar(self.num + other.num, self.den)
         return Scalar(
@@ -762,14 +768,10 @@ class Scalar:
         return self + (-other)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        both = _constant_pair(self, other)
-        if both is not None:
-            return _constant(self.num.nvars, both[0] * both[1])
+        if _polynomial_pair(self, other):
+            return Scalar(self.num * other.num, self.den, _canonical=True)
         if self.is_zero() or other.is_zero():
             return Scalar.zero(self.nvars)
-        if _polynomial_pair(self, other):
-            unit = _unit(self.num.nvars)
-            return Scalar(self.num * other.num, unit, _canonical=True)
         g1 = poly_gcd(self.num, other.den)
         g2 = poly_gcd(other.num, self.den)
         n1 = poly_divexact(self.num, g1)
@@ -781,9 +783,6 @@ class Scalar:
     def inverse(self) -> "Scalar":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
-        a = _constant_value(self)
-        if a is not None:
-            return _constant(self.num.nvars, _ONE / a)
         return Scalar(self.den, self.num)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
@@ -844,28 +843,19 @@ class Scalar:
 
 
 # ---------------------------------------------------------------------------
-# The fast paths.  A canonical Scalar is a polynomial exactly when its
-# denominator is the unit polynomial, and a constant when in addition its
-# numerator has at most one term, with an all-zero exponent.  Products, sums
-# and inverses of constants are computed on Fractions and rebuilt by
-# `_constant`; products and sums of polynomials are computed on numerators
-# alone, since a polynomial over the unit is already canonical.  Either way
-# the result is the same structure the gcd path gives.  Everything else, and
-# operands over different rings, takes the gcd path.
+# The fast path.  A canonical Scalar is a polynomial exactly when its
+# denominator is the shared unit, so two operands over one ring are both
+# polynomials when they share that denominator.  Their product or sum is
+# computed on numerators alone, since a polynomial over the unit is already
+# canonical; this is the same structure the gcd path gives.  Constants are
+# polynomials too.  Everything else, and operands over different rings, takes
+# the gcd path.
 # ---------------------------------------------------------------------------
 
-# One unit polynomial per variable count, the denominator of every polynomial
-# Scalar: the constructors, the fast paths and `_cancel` all return it, so
-# recognising a unit denominator is an identity test.  Sharing is safe
-# because no operation mutates a Poly.
-_UNITS: dict[int, Poly] = {}
 
-
-def _unit(nvars: int) -> Poly:
-    unit = _UNITS.get(nvars)
-    if unit is None:
-        unit = _UNITS[nvars] = Poly(nvars, {(0,) * nvars: _ONE})
-    return unit
+def _polynomial_pair(s: Scalar, t: Scalar) -> bool:
+    """True if s and t are both polynomials over one ring."""
+    return s.den is t.den and s.is_polynomial()
 
 
 def _poly_constant(p: Poly) -> Fraction | None:
@@ -879,56 +869,14 @@ def _poly_constant(p: Poly) -> Fraction | None:
     return None if any(e) else c
 
 
-def _unit_den(s: Scalar) -> bool:
-    """True if the canonical Scalar s is a polynomial (unit denominator)."""
-    return s.den is _UNITS.get(s.den.nvars)
-
-
-def _constant_value(s: Scalar) -> Fraction | None:
-    """The value of a canonical Scalar if it is constant, else None."""
-    c = _poly_constant(s.num)
-    if c is None or not _unit_den(s):
-        return None
-    return c
-
-
-def _constant_pair(s: Scalar, t: Scalar) -> tuple[Fraction, Fraction] | None:
-    """The values of s and t if both are constant over one ring, else None."""
-    if s.num.nvars != t.num.nvars:
-        return None
-    a = _constant_value(s)
-    if a is None:
-        return None
-    b = _constant_value(t)
-    if b is None:
-        return None
-    return a, b
-
-
-def _polynomial_pair(s: Scalar, t: Scalar) -> bool:
-    """True if s and t are both polynomials over one ring."""
-    return s.num.nvars == t.num.nvars and _unit_den(s) and _unit_den(t)
-
-
-def _constant_parts(nvars: int, c: Fraction) -> tuple[Poly, Poly]:
-    """Canonical (numerator, denominator) of the constant c."""
-    return (Poly(nvars, {(0,) * nvars: c}) if c else Poly(nvars, {})), _unit(nvars)
-
-
-def _constant(nvars: int, c: Fraction) -> Scalar:
-    """The canonical constant Scalar c; the one constructor of constants."""
-    num, den = _constant_parts(nvars, c)
-    return Scalar(num, den, _canonical=True)
-
-
 def _cancel(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
     n, d = _poly_constant(num), _poly_constant(den)
     if n is not None and d is not None:
-        return _constant_parts(num.nvars, Fraction(n, d))
+        return Poly.const(num.nvars, n / d), Poly.one(num.nvars)
     if num.is_zero():
-        return Poly.zero(num.nvars), _unit(num.nvars)
+        return Poly.zero(num.nvars), Poly.one(num.nvars)
     with degree_cap(None):
         g = poly_gcd(num, den)
         if not (g.is_constant() and g.constant_value() == 1):
@@ -939,7 +887,7 @@ def _cancel(num: Poly, den: Poly) -> tuple[Poly, Poly]:
             num = num.scale(1 / c)
             den = den.scale(1 / c)
     if den.is_constant():
-        return num, _unit(num.nvars)
+        return num, Poly.one(num.nvars)
     return num, den
 
 
@@ -974,7 +922,7 @@ def poly_to_str(p: Poly) -> str:
 
 
 def scalar_to_str(s: Scalar) -> str:
-    if s.den.is_constant() and s.den.constant_value() == 1:
+    if s.is_polynomial():
         return poly_to_str(s.num)
     return f"({poly_to_str(s.num)})/({poly_to_str(s.den)})"
 
@@ -1036,6 +984,14 @@ def scalar_from_str(text: str, nvars: int) -> Scalar:
             raise ValueError(f"zero denominator in {text!r}")
         return Scalar(poly_from_str(m.group("num"), nvars), den)
     return Scalar.from_poly(poly_from_str(s, nvars))
+
+
+def rational_from_str(text) -> Fraction:
+    """A rational number such as ``-3/2``, read by `scalar_from_str`.
+
+    Raises ValueError on anything else, a zero denominator included.
+    """
+    return scalar_from_str(str(text), 0).constant_value()
 
 
 # ---------------------------------------------------------------------------

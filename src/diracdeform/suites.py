@@ -64,6 +64,7 @@ from .exterior import (
     wedge,
 )
 from .koszul import (
+    DEFAULT_GRID_COORDS,
     KoszulContext,
     ShiftedForm,
     form_to_skew,
@@ -93,7 +94,6 @@ from .presymplectic import (
     phi_z_frame,
 )
 from .randgen import (
-    random_bivector,
     random_complement,
     random_field,
     random_form,
@@ -106,8 +106,8 @@ from .randgen import (
     random_skew,
     shrink_into_IZ,
 )
-from .rational import Scalar, degree_cap
-from .report import CheckOutcome, SuiteConfig
+from .rational import Scalar, degree_cap, rational_from_str, scalar_from_str
+from .report import DEFAULT_GRID, CheckOutcome, SuiteConfig
 
 
 class SkipCheck(Exception):
@@ -146,11 +146,18 @@ def _dim(cfg: SuiteConfig, default: int) -> int:
     return cfg.dim if cfg.dim is not None else default
 
 
-def _grid(payload_or_cfg) -> tuple[Fraction, ...]:
-    coords = payload_or_cfg.get("grid") if isinstance(payload_or_cfg, dict) else None
+def _grid(payload: dict) -> tuple[Fraction, ...]:
+    coords = payload.get("grid")
     if coords is None:
-        coords = ["0", "1/2", "-1/3"]
-    return tuple(Fraction(str(c)) for c in coords)
+        return DEFAULT_GRID_COORDS
+    return tuple(rational_from_str(c) for c in coords)
+
+
+def _with_grid(payload: dict, cfg: SuiteConfig) -> dict:
+    """The payload, carrying cfg's grid when it is not the default one."""
+    if tuple(cfg.grid_coords) != DEFAULT_GRID:
+        payload["grid"] = list(cfg.grid_coords)
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +300,7 @@ def _run_evaluate_hom(payload):
     a = form_from_json(payload["a"])
     b = form_from_json(payload["b"])
     v = field_from_json(payload["v"])
-    pt = [Fraction(x) for x in payload["point"]]
+    pt = [rational_from_str(x) for x in payload["point"]]
     ok_wedge = evaluate(wedge(a, b), pt) == wedge(evaluate(a, pt), evaluate(b, pt))
     ok_contract = evaluate(contract(v, a), pt) == contract(
         evaluate(v, pt), evaluate(a, pt)
@@ -325,7 +332,7 @@ def _gen_float_gradient(rng, cfg):
 @executor("exterior.float_gradient")
 def _run_float_gradient(payload):
     f = form_from_json(payload["form"])
-    pt = [Fraction(x) for x in payload["point"]]
+    pt = [rational_from_str(x) for x in payload["point"]]
     n = f.chart.dim
     grad = de_rham(f)
     h = Fraction(1, 100000)
@@ -716,7 +723,7 @@ def _run_linalg_worked(payload):
 @generator("linalg.f_properties")
 def _gen_f_properties(rng, cfg):
     n = _dim(cfg, 4)
-    Z = random_bivector(rng, n)
+    Z = random_skew(rng, n, cls=Bivector)
     beta = random_in_IZ(rng, Z)
     return {"z": skew_to_json(Z), "beta": skew_to_json(beta)}
 
@@ -742,7 +749,7 @@ def _run_f_properties(payload):
 def _gen_tau_pairing(rng, cfg):
     n = _dim(cfg, 4)
     beta = random_skew(rng, n)
-    Z = random_bivector(rng, n)
+    Z = random_skew(rng, n, cls=Bivector)
     u = [str(Fraction(rng.randint(-9, 9))) for _ in range(2 * n)]
     w = [str(Fraction(rng.randint(-9, 9))) for _ in range(2 * n)]
     return {"beta": skew_to_json(beta), "z": skew_to_json(Z), "u": u, "w": w}
@@ -752,8 +759,8 @@ def _gen_tau_pairing(rng, cfg):
 def _run_tau_pairing(payload):
     beta = skew_from_json(payload["beta"])
     Z = skew_from_json(payload["z"], Bivector)
-    u = tuple(Scalar.const(0, Fraction(x)) for x in payload["u"])
-    w = tuple(Scalar.const(0, Fraction(x)) for x in payload["w"])
+    u = tuple(scalar_from_str(str(x), 0) for x in payload["u"])
+    w = tuple(scalar_from_str(str(x), 0) for x in payload["w"])
     ok = pairing(tau_form(beta, u), tau_form(beta, w)) == pairing(u, w)
     ok = ok and pairing(tau_bivector(Z, u), tau_bivector(Z, w)) == pairing(u, w)
     ok = ok and tuple(tau_form(-beta, tau_form(beta, u))) == u
@@ -949,7 +956,7 @@ def _gen_mc_equivalence(rng, cfg):
     bundle = _mc_bundle_cached()
     idx = rng.randint(0, 10 ** 9)
     if idx % max(len(bundle), 1) < len(bundle) and rng.random() < 0.75:
-        return dict(bundle[idx % len(bundle)])
+        return _with_grid(dict(bundle[idx % len(bundle)]), cfg)
     n = _dim(cfg, 4)
     chart = Chart(n)
     Z = random_field(rng, chart, 2, 1, density=0.5, bound=3)
@@ -1130,7 +1137,7 @@ def _gen_family_deform(rng, cfg):
     bundle = _deform_bundle_cached()
     idx = rng.randint(0, 10 ** 9)
     if rng.random() < 0.7:
-        return dict(bundle[idx % len(bundle)])
+        return _with_grid(dict(bundle[idx % len(bundle)]), cfg)
     n = _dim(cfg, 4)
     n = max(n, 3)
     chart = Chart(n)
@@ -1149,7 +1156,9 @@ def _gen_family_deform(rng, cfg):
             break
     else:
         beta = DifferentialForm.zero(chart)
-    return {"instance": instance, "beta": to_json(beta), "expect_mc": None}
+    return _with_grid(
+        {"instance": instance, "beta": to_json(beta), "expect_mc": None}, cfg
+    )
 
 
 @executor("presym.family_deform")

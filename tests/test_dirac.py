@@ -41,7 +41,6 @@ from diracdeform.dirac import (
 )
 from diracdeform.rational import Scalar
 from diracdeform.randgen import (
-    random_bivector,
     random_complement,
     random_horizontal_skew,
     random_in_IZ,
@@ -79,7 +78,7 @@ def test_lagrangian_worked():
 def test_tau_worked(rng):
     n = 3
     beta = random_skew(rng, n)
-    Z = random_bivector(rng, n)
+    Z = random_skew(rng, n, cls=Bivector)
     # tau_beta fixes V* pointwise; tau_Z fixes V pointwise
     xi = (const(0),) * n + tuple(const(rng.randint(-4, 4)) for _ in range(n))
     assert tuple(tau_form(beta, xi)) == xi
@@ -123,7 +122,7 @@ def test_F_two_by_two_family():
 
 def test_F_keeps_origin_and_Z_zero(rng):
     n = 4
-    Z = random_bivector(rng, n)
+    Z = random_skew(rng, n, cls=Bivector)
     assert F(SkewBilinear.zero(n, 0), Z) == SkewBilinear.zero(n, 0)
     beta = random_skew(rng, n)
     assert F(beta, Bivector.zero(n, 0)) == beta
@@ -132,7 +131,7 @@ def test_F_keeps_origin_and_Z_zero(rng):
 def test_F_properties_randomized(rng):
     for _ in range(15):
         n = rng.choice([2, 3, 4])
-        Z = random_bivector(rng, n)
+        Z = random_skew(rng, n, cls=Bivector)
         beta = random_in_IZ(rng, Z)
         fb = F(beta, Z)
         assert linalg.is_skew(fb.mat)
@@ -269,7 +268,7 @@ def test_lagrangian_graph_specializations(rng):
     assert lagrangian_graph(V, Vs, beta.values()) == graph_of_form(beta)
     # eps = 0 returns L itself
     assert lagrangian_graph(V, Vs, SkewBilinear.zero(n, 0).values()) == V
-    Z = random_bivector(rng, n)
+    Z = random_skew(rng, n, cls=Bivector)
     got = lagrangian_graph(V, graph_of_bivector(Z), beta.values())
     assert got == phi_Z(beta, Z)
 

@@ -15,6 +15,7 @@ from diracdeform.cli import generate_payload, main, run_instance_payload
 from diracdeform.report import SuiteConfig, assemble_report, comparable
 from diracdeform.suites import (
     CHECK_EXECUTORS,
+    CHECK_GENERATORS,
     SUITES,
     _suite_workload,
     derive_rng,
@@ -108,9 +109,16 @@ STREAM_SHA256_ALL_T2_S0 = (
 )
 
 
-def test_every_random_check_has_generator_and_executor():
-    from diracdeform.suites import CHECK_GENERATORS
+def test_grid_reaches_every_grid_using_payload():
+    # the executors of these checks read the payload's grid (`suites._grid`)
+    cfg = SuiteConfig(suite="all", seed=0, grid_coords=("2", "5"))
+    for name in ("mc.equivalence", "presym.family_deform"):
+        for trial in range(20):
+            payload = CHECK_GENERATORS[name](derive_rng(0, name, trial), cfg)
+            assert payload["grid"] == ["2", "5"], (name, trial)
 
+
+def test_every_random_check_has_generator_and_executor():
     for suite, specs in SUITES.items():
         for name, mode in specs:
             assert name in CHECK_EXECUTORS
@@ -211,7 +219,20 @@ def test_cli_run_malformed_json(tmp_path):
     {"n": 2, "eta": [["0", "(1)/(x1-x1)"], ["0", "0"]], "beta": [["0", "0"], ["0", "0"]]},
     {"chart": 2, "eta": {"chart": 2, "terms": [
         {"degree": 2, "indices": [1, 2], "num": "1", "den": "x1-x1"}]}},
-], ids=["matrix-entry", "matrix-quotient", "form-term"])
+    {"replay": "linalg.tau_pairing", "data": {
+        "beta": {"n": 2, "nvars": 0, "rows": [["0", "-4/3"], ["4/3", "0"]]},
+        "z": {"n": 2, "nvars": 0, "rows": [["0", "-9/5"], ["9/5", "0"]]},
+        "u": ["1/0", "-8", "5", "6"], "w": ["7", "-1", "3", "5"]}},
+    {"chart": 3, "ref_point": ["1/0", "0", "0"], "eta": {"chart": 3, "terms": [
+        {"degree": 2, "indices": [1, 2], "num": "1", "den": "1"}]}},
+    {"replay": "mc.equivalence", "data": {
+        "z": {"chart": 2, "terms": [
+            {"degree": 2, "indices": [1, 2], "num": "1", "den": "1"}]},
+        "beta": {"chart": 2, "terms": [
+            {"degree": 2, "indices": [1, 2], "num": "x1", "den": "1"}]},
+        "expect_mc": True, "grid": ["0", "1/0"]}},
+], ids=["matrix-entry", "matrix-quotient", "form-term", "replay-tau-u",
+        "chart-ref-point", "replay-grid"])
 def test_cli_run_zero_denominator(tmp_path, instance):
     p = tmp_path / "inst.json"
     p.write_text(json.dumps(instance))

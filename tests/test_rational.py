@@ -220,6 +220,20 @@ def test_unit_denominator_is_the_shared_unit(operands, c):
         assert unit == (s.den is rational._UNITS.get(nv)), op
 
 
+def test_zero_product_skips_the_gcd_path(monkeypatch):
+    # 1/(x1 + 2) is not a polynomial, so only the zero check keeps a zero
+    # product with it off the gcd path
+    r = Scalar(Poly.one(1), poly_from_str("x1 + 2", 1))
+    zero = Scalar.zero(1)
+
+    def no_gcd(f, g):
+        raise AssertionError("gcd computed for a zero product")
+
+    monkeypatch.setattr(rational, "poly_gcd", no_gcd)
+    for product in (zero * r, r * zero):
+        assert product.is_zero() and product.is_polynomial()
+
+
 def test_divexact_and_lcm():
     f = (x(1, 2) + x(2, 2)) * (x(1, 2) - x(2, 2))
     g = x(1, 2) + x(2, 2)
