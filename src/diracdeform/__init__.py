@@ -71,7 +71,6 @@ from .presymplectic import (
     certify_constant_rank,
     deform,
     horizontal_preservation_conditions,
-    is_dirac,
     is_horizontal,
     kernel_distribution,
 )

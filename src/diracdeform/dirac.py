@@ -434,8 +434,17 @@ def Z_from_eta_G(eta: SkewBilinear, G: Subspace) -> Bivector:
         )
     if k == 0:
         return Bivector.zero(n, nvars)
+    return Z_from_frame(eta, G.basis)
+
+
+def Z_from_frame(eta: SkewBilinear, frame: Matrix) -> Bivector:
+    """Gamma (Gamma^T eta Gamma)^{-1} Gamma^T for the frame rows g_a (the
+    columns of Gamma): Z# = -(eta|_G#)^{-1} on G = span(g_a), pushed to V.
+
+    The frame is not checked against ker(eta); `Z_from_eta_G` checks it.
+    """
+    k = len(frame)
     with degree_cap(None):
-        frame = G.basis  # rows g_a
         images = [eta.apply(g) for g in frame]
         Sg = linalg.mat(
             [[linalg.dot(images[a], frame[b]) for b in range(k)] for a in range(k)]

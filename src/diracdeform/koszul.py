@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .courant import GeneralizedSection, dorfman
+from . import dirac
 from .dirac import Bivector, SkewBilinear, NotInIZError, i_z_determinant
-from .dirac import F as linear_F
 from .exterior import (
     Chart,
     ChartMismatchError,
@@ -380,18 +380,13 @@ def mc_residual(beta: DifferentialForm, ctx: KoszulContext) -> DifferentialForm:
 
 
 def F_symbolic(beta: DifferentialForm, ctx: KoszulContext) -> SkewBilinear:
-    """The graph map applied fiberwise with function coefficients.
+    """The graph map F of `dirac.F` over the function field Q(x):
+    F(beta)# = beta# (id + Z# beta#)^{-1} with Z = ctx.Z.
 
-    Raises NotInIZError when det(id + Z# beta#) is identically zero
-    (generically singular input).
+    Raises NotInIZError when id + Z# beta# is singular over Q(x), i.e. when
+    det(id + Z# beta#) is identically zero (generically singular input).
     """
-    if beta.degrees() - {2}:
-        raise DegreeError("F expects a 2-form")
-    B = form_to_skew(beta)
-    d = i_z_determinant(B, ctx.bivector)
-    if d.is_zero():
-        raise NotInIZError("det(id + Z# beta#) is identically zero")
-    return linear_F(B, ctx.bivector)
+    return dirac.F(form_to_skew(beta), ctx.bivector)
 
 
 def F_symbolic_form(beta: DifferentialForm, ctx: KoszulContext) -> DifferentialForm:
@@ -422,8 +417,7 @@ def mc_equivalence_report(
     if det.is_zero():
         raise NotInIZError("det(id + Z# beta#) is identically zero")
     residual = mc_residual(beta, ctx)
-    f_form = skew_to_form(linear_F(B, ctx.bivector), ctx.chart)
-    df = de_rham(f_form)
+    df = de_rham(F_symbolic_form(beta, ctx))
     report = {
         "det": det,
         "mc": residual.is_zero(),

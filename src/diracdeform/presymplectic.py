@@ -11,14 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .courant import (
-    GeneralizedSection,
-    courant_pairing,
-    dorfman,
-    is_dirac_frame,
-    section,
-)
-from .dirac import Bivector, NonHorizontalError
+from .courant import GeneralizedSection, courant_pairing, dorfman, section
+from .dirac import NonHorizontalError, Z_from_frame
 from .exterior import (
     Chart,
     ChartMismatchError,
@@ -141,6 +135,28 @@ def coefficient_matrix(eta: DifferentialForm) -> linalg.Matrix:
     return form_to_skew(eta).values()
 
 
+def _pfaffian_scan(M: linalg.Matrix) -> tuple[int, dict]:
+    """The generic rank k of a skew matrix and its nonzero k-Pfaffians.
+
+    Scans the principal Pfaffians of the denominator-cleared matrix from the
+    largest even size down and stops at the first size with a nonzero one.
+    Returns (k, {subset: Pfaffian of M on that subset}); the dict is empty
+    when M is zero.
+    """
+    n = len(M)
+    with degree_cap(None):
+        rows, D = linalg.clear_matrix(M)
+        for m in range(n // 2, 0, -1):
+            pfs = {}
+            for S in itertools.combinations(range(n), 2 * m):
+                pf = linalg.pfaffian_poly(rows, S)
+                if not pf.is_zero():
+                    pfs[S] = Scalar(pf, D.pow(m))
+            if pfs:
+                return 2 * m, pfs
+    return 0, {}
+
+
 def certify_constant_rank(eta: DifferentialForm) -> tuple[int, dict]:
     """Certify that eta# has the same even rank k at every point of R^n.
 
@@ -150,35 +166,16 @@ def certify_constant_rank(eta: DifferentialForm) -> tuple[int, dict]:
     "definite-pattern").  Failure means the input is outside the certified
     class, not that it has non-constant rank.
     """
-    chart = eta.chart
-    n = chart.dim
-    M = coefficient_matrix(eta)
-    with degree_cap(None):
-        rows, D = linalg.clear_matrix(M)
-        generic = None
-        for m in range(n // 2, 0, -1):
-            pfs = {}
-            for S in itertools.combinations(range(n), 2 * m):
-                pf = linalg.pfaffian_poly(rows, S)
-                if not pf.is_zero():
-                    pfs[S] = pf
-            if pfs:
-                generic = (2 * m, pfs)
-                break
-        if generic is None:
-            return 0, {"witness": (), "rule": "constant", "pfaffian": Scalar.one(n)}
-        k, pfs = generic
-        half = k // 2
-        for S, pf in pfs.items():
-            value = Scalar(pf, D.pow(half))
-            if value.is_constant():
-                return k, {"witness": S, "rule": "constant", "pfaffian": value}
-        for S, pf in pfs.items():
-            value = Scalar(pf, D.pow(half))
-            if scalar_is_definite(value):
-                return k, {
-                    "witness": S, "rule": "definite-pattern", "pfaffian": value
-                }
+    n = eta.chart.dim
+    k, pfs = _pfaffian_scan(coefficient_matrix(eta))
+    if k == 0:
+        return 0, {"witness": (), "rule": "constant", "pfaffian": Scalar.one(n)}
+    for S, value in pfs.items():
+        if value.is_constant():
+            return k, {"witness": S, "rule": "constant", "pfaffian": value}
+    for S, value in pfs.items():
+        if scalar_is_definite(value):
+            return k, {"witness": S, "rule": "definite-pattern", "pfaffian": value}
     raise CannotCertifyError(
         f"generic rank {k}, but no {k}-Pfaffian witness is certifiably "
         "nonvanishing on all of Q^n"
@@ -202,12 +199,7 @@ def kernel_distribution(
     chart = eta.chart
     n = chart.dim
     point = tuple(Fraction(x) for x in (ref_point or [0] * n))
-    sharp = form_to_skew(eta).mat
-    cleared, _ = linalg.clear_matrix(sharp)
-    sharp = linalg.mat(
-        [[Scalar.from_poly(p) for p in row] for row in cleared]
-    )
-    basis = linalg.nullspace(sharp)
+    basis = _kernel_rows(eta)
     for v in basis:
         for c in v:
             if not scalar_is_polefree(c):
@@ -224,11 +216,18 @@ def kernel_distribution(
     return frame
 
 
+def _kernel_rows(form: DifferentialForm) -> list[linalg.Vector]:
+    """A basis of ker(form#), read on the denominator-cleared sharp matrix."""
+    cleared, _ = linalg.clear_matrix(form_to_skew(form).mat)
+    return linalg.nullspace(
+        linalg.mat([[Scalar.from_poly(p) for p in row] for row in cleared])
+    )
+
+
 def frame_is_involutive(frame: DistributionFrame) -> bool:
     from .exterior import vf_commutator
 
-    rows = [tuple(v.coefficient((i,)) for i in range(1, frame.chart.dim + 1))
-            for v in frame.sections]
+    rows = frame.coordinate_matrix()
     for a in range(len(frame.sections)):
         for b in range(a + 1, len(frame.sections)):
             w = vf_commutator(frame.sections[a], frame.sections[b])
@@ -268,27 +267,23 @@ def is_horizontal(alpha: DifferentialForm, K: DistributionFrame) -> bool:
 def annihilator_forms(K: DistributionFrame) -> list[DifferentialForm]:
     """A spanning set of annihilator 1-forms (the horizontal-ideal generators).
 
-    Denominators are cleared so the generators are polynomial, hence defined
-    on the whole chart.
+    Denominators are cleared row by row so the generators are polynomial,
+    hence defined on the whole chart.
     """
-    from .rational import Poly, poly_lcm, poly_divexact
-
     chart = K.chart
     n = chart.dim
     if K.rank == 0:
         return [DifferentialForm.make(chart, {(i,): 1}) for i in range(1, n + 1)]
-    M = K.coordinate_matrix()
-    xi_rows = linalg.nullspace(M)
+    xi_rows = linalg.nullspace(K.coordinate_matrix())
+    if not xi_rows:
+        return []
+    with degree_cap(None):
+        cleared, _ = linalg._clear_rows(linalg.mat(xi_rows))
     out = []
-    for xi in xi_rows:
-        with degree_cap(None):
-            m = Poly.one(n)
-            for c in xi:
-                m = poly_lcm(m, c.den)
-            cleared = [
-                Scalar.from_poly(c.num * poly_divexact(m, c.den)) for c in xi
-            ]
-        terms = {(i + 1,): c for i, c in enumerate(cleared) if not c.is_zero()}
+    for row in cleared:
+        terms = {
+            (i + 1,): Scalar.from_poly(p) for i, p in enumerate(row) if not p.is_zero()
+        }
         out.append(DifferentialForm.make(chart, terms))
     return out
 
@@ -321,12 +316,6 @@ class PreSymplecticData:
         return KoszulContext(self.Z)
 
 
-def form_value(eta: DifferentialForm, u: MultivectorField,
-               w: MultivectorField) -> Scalar:
-    """eta(u, w) for vector fields u, w."""
-    return contract(w, contract(u, eta)).scalar_part()
-
-
 def build_presymplectic(
     eta: DifferentialForm,
     G: DistributionFrame | None = None,
@@ -355,7 +344,9 @@ def build_presymplectic(
             "K + G is not certifiably a frame on all of Q^n "
             "(determinant lacks a nonvanishing certificate)"
         )
-    Z = _bivector_from_complement(eta, G)
+    Z = bivector_to_field(
+        Z_from_frame(form_to_skew(eta), G.coordinate_matrix()), chart
+    )
     return PreSymplecticData(
         chart=chart,
         eta=eta,
@@ -381,28 +372,6 @@ def _default_complement_frame(
     comp = linalg.nullspace(Mp)
     rows = [[c.constant_value() for c in v] for v in comp]
     return constant_frame_from_rational_vectors(chart, rows, point)
-
-
-def _bivector_from_complement(
-    eta: DifferentialForm, G: DistributionFrame
-) -> MultivectorField:
-    """The bivector field in Lambda^2 G with Z# = -(eta|_G#)^{-1}."""
-    chart = eta.chart
-    kG = G.rank
-    with degree_cap(None):
-        Sg = linalg.mat(
-            [
-                [form_value(eta, G.sections[a], G.sections[b]) for b in range(kG)]
-                for a in range(kG)
-            ]
-        )
-        try:
-            N = linalg.inverse(Sg)
-        except ZeroDivisionError as exc:
-            raise FrameError("eta restricted to G is singular") from exc
-        Gamma = linalg.transpose(G.coordinate_matrix())
-        W = linalg.mat_mul(Gamma, linalg.mat_mul(N, linalg.transpose(Gamma)))
-    return bivector_to_field(Bivector(W), chart)
 
 
 # ---------------------------------------------------------------------------
@@ -523,11 +492,6 @@ def phi_z_frame(beta: DifferentialForm, ctx: KoszulContext) -> list[GeneralizedS
     return out
 
 
-def is_dirac(frame: Sequence[GeneralizedSection],
-             ref_point: Sequence | None = None) -> bool:
-    return is_dirac_frame(frame, ref_point)
-
-
 # ---------------------------------------------------------------------------
 # The deformation pipeline
 # ---------------------------------------------------------------------------
@@ -539,36 +503,24 @@ def constant_rank_report(
 ) -> dict:
     """Does the 2-form have constant rank k on the whole chart?
 
-    Exact Pfaffian certificate where available, otherwise a rational-grid
-    fallback for the lower bound.  The (k+2)-Pfaffian upper bound is always
-    checked exactly.
+    The generic rank is read exactly from the Pfaffian scan that
+    `certify_constant_rank` uses.  When it is k, a definite k-Pfaffian
+    certifies rank k everywhere; otherwise a rational-grid fallback checks
+    the lower bound.
     """
     chart = form.chart
     n = chart.dim
-    M = coefficient_matrix(form) if not form.is_zero() else linalg.zeros(
-        n, n, n
-    )
-    with degree_cap(None):
-        rows, D = linalg.clear_matrix(M)
-        upper = True
-        for S in itertools.combinations(range(n), k + 2):
-            if not linalg.pfaffian_poly(rows, S).is_zero():
-                upper = False
-                break
-        if not upper:
-            return {"rank_k": False, "mode": "exact", "reason": "rank exceeds k"}
-        if k == 0:
-            return {"rank_k": form.is_zero(), "mode": "exact"}
-        witnesses = []
-        for S in itertools.combinations(range(n), k):
-            pf = linalg.pfaffian_poly(rows, S)
-            if pf.is_zero():
-                continue
-            witnesses.append((S, pf))
-            if scalar_is_definite(Scalar(pf, D.pow(k // 2))):
-                return {"rank_k": True, "mode": "exact", "witness": S}
-    if not witnesses:
+    M = coefficient_matrix(form)
+    generic, pfs = _pfaffian_scan(M)
+    if generic > k:
+        return {"rank_k": False, "mode": "exact", "reason": "rank exceeds k"}
+    if generic < k:
         return {"rank_k": False, "mode": "exact", "reason": "generic rank below k"}
+    if k == 0:
+        return {"rank_k": True, "mode": "exact"}
+    for S, value in pfs.items():
+        if scalar_is_definite(value):
+            return {"rank_k": True, "mode": "exact", "witness": S}
     # grid fallback: rank must be k at every sampled point
     checked = 0
     for point in rational_grid(n, grid_coords):
@@ -630,12 +582,7 @@ def _kernel_transversality(
 ) -> dict:
     """Is ker(exp_eta(beta)#) transverse to G (as subbundles over the chart)?"""
     n = data.chart.dim
-    sharp = form_to_skew(exp_form).mat
-    cleared, _ = linalg.clear_matrix(sharp)
-    sharp = linalg.mat(
-        [[Scalar.from_poly(p) for p in row] for row in cleared]
-    )
-    kernel_rows = linalg.nullspace(sharp)
+    kernel_rows = _kernel_rows(exp_form)
     if len(kernel_rows) != n - data.k:
         return {"transverse": False, "reason": "kernel of unexpected generic rank"}
     combined = linalg.mat(list(kernel_rows) + list(data.G.coordinate_matrix()))

@@ -770,6 +770,8 @@ class Scalar:
     def __mul__(self, other: "Scalar") -> "Scalar":
         if _polynomial_pair(self, other):
             return Scalar(self.num * other.num, self.den, _canonical=True)
+        if self.nvars != other.nvars:
+            raise ValueError("variable-count mismatch")
         if self.is_zero() or other.is_zero():
             return Scalar.zero(self.nvars)
         g1 = poly_gcd(self.num, other.den)

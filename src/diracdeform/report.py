@@ -12,6 +12,8 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Any
 
+from .rational import rational_from_str
+
 
 class InvalidConfigError(ValueError):
     pass
@@ -38,6 +40,11 @@ class SuiteConfig:
             raise InvalidConfigError("dimension must be >= 1")
         if self.max_form_degree < 0 or self.max_coef_degree < 0:
             raise InvalidConfigError("degree bounds must be nonnegative")
+        for c in self.grid_coords:
+            try:
+                rational_from_str(c)
+            except ValueError as exc:
+                raise InvalidConfigError(f"bad grid coordinate {c!r}: {exc}") from exc
 
     def to_json(self) -> dict:
         out = asdict(self)

@@ -9,6 +9,7 @@ a counterexample; feeding that payload back through `run_replay` (or the CLI
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from fractions import Fraction
@@ -916,7 +917,8 @@ def _run_lemma_battery(payload):
 # ---------------------------------------------------------------------------
 
 
-def _mc_bundle() -> list[dict]:
+@functools.cache
+def _mc_bundle_cached() -> list[dict]:
     c2, c4, c5 = Chart(2), Chart(4), Chart(5)
     z_const = MultivectorField.make(c4, {(1, 2): 1})
     z_np = MultivectorField.make(c4, {(1, 2): 1, (3, 4): "x1"})
@@ -939,16 +941,6 @@ def _mc_bundle() -> list[dict]:
         {"z": to_json(z), "beta": to_json(b), "expect_mc": mc}
         for z, b, mc in items
     ]
-
-
-_MC_BUNDLE_CACHE: list[dict] | None = None
-
-
-def _mc_bundle_cached() -> list[dict]:
-    global _MC_BUNDLE_CACHE
-    if _MC_BUNDLE_CACHE is None:
-        _MC_BUNDLE_CACHE = _mc_bundle()
-    return _MC_BUNDLE_CACHE
 
 
 @generator("mc.equivalence")
@@ -1032,7 +1024,8 @@ def family_f2() -> dict:
     return {"chart": 5, "eta": to_json(eta), "G": [to_json(v) for v in G]}
 
 
-def _deform_bundle() -> list[dict]:
+@functools.cache
+def _deform_bundle_cached() -> list[dict]:
     c4, c5 = Chart(4), Chart(5)
     f1, f2 = family_f1(), family_f2()
     f1_betas = [
@@ -1059,16 +1052,6 @@ def _deform_bundle() -> list[dict]:
     for beta, mc in f2_betas:
         out.append({"instance": f2, "beta": to_json(beta), "expect_mc": mc})
     return out
-
-
-_DEFORM_BUNDLE_CACHE: list[dict] | None = None
-
-
-def _deform_bundle_cached() -> list[dict]:
-    global _DEFORM_BUNDLE_CACHE
-    if _DEFORM_BUNDLE_CACHE is None:
-        _DEFORM_BUNDLE_CACHE = _deform_bundle()
-    return _DEFORM_BUNDLE_CACHE
 
 
 @generator("presym.certification_examples")

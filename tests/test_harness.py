@@ -1,10 +1,13 @@
 """The CLI harness: determinism, replayability, exit codes, and schemas."""
 
+import ast
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -118,6 +121,27 @@ def test_grid_reaches_every_grid_using_payload():
             assert payload["grid"] == ["2", "5"], (name, trial)
 
 
+def test_every_function_has_a_caller():
+    """Every function, class and method defined in the package is named at
+    least once besides its definition in the package, tests or benchmark.
+    Dunders and the generators and executors the suite registry calls are
+    exempt."""
+    root = Path(__file__).resolve().parent.parent
+    files = [p for d in ("src", "tests", "bench") for p in (root / d).rglob("*.py")]
+    text = "\n".join(p.read_text() for p in files)
+    words = Counter(re.findall(r"\w+", text))
+    defined = set()
+    for p in (root / "src" / "diracdeform").glob("*.py"):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+    exempt = re.compile(r"__\w+__|_gen_\w+|_run_\w+")
+    uncalled = sorted(
+        name for name in defined if not exempt.fullmatch(name) and words[name] < 2
+    )
+    assert not uncalled, f"defined but never named elsewhere: {uncalled}"
+
+
 def test_every_random_check_has_generator_and_executor():
     for suite, specs in SUITES.items():
         for name, mode in specs:
@@ -194,6 +218,14 @@ def test_cli_verify_and_report(tmp_path, monkeypatch):
 
 def test_cli_unknown_suite():
     assert main(["verify", "nonexistent-suite", "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("suite", ["linalg", "mc"])
+@pytest.mark.parametrize("grid", ["1/0", "0,x1"])
+def test_cli_verify_bad_grid(suite, grid, capsys):
+    # the grid is read when the config is built, whether or not a check uses it
+    assert main(["verify", suite, "--trials", "1", "--grid", grid, "--quiet"]) == 2
+    assert "grid coordinate" in capsys.readouterr().err
 
 
 def test_cli_run_instance(tmp_path):

@@ -1,13 +1,18 @@
 """Constant-rank certification, kernels, horizontality, preservation, and the
 full deformation pipeline on the bundled families."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from diracdeform import linalg
 from diracdeform.dirac import NonHorizontalError
 from diracdeform.exterior import (
+    Chart,
     DifferentialForm,
     MultivectorField,
     de_rham,
@@ -25,6 +30,7 @@ from diracdeform.presymplectic import (
     annihilator_forms,
     build_presymplectic,
     certify_constant_rank,
+    coefficient_matrix,
     constant_rank_report,
     deform,
     frame_is_involutive,
@@ -192,6 +198,10 @@ def test_preservation_conditions_positive(c4, c5):
     assert horizontal_preservation_conditions(d1.K, d1.context()) == (True, True)
     d2 = f2_data(c5)
     assert horizontal_preservation_conditions(d2.K, d2.context()) == (True, True)
+    # rank 0: K is the whole tangent space, so it has no annihilator
+    d0 = build_presymplectic(DifferentialForm.zero(c4))
+    assert annihilator_forms(d0.K) == []
+    assert horizontal_preservation_conditions(d0.K, d0.context()) == (True, True)
 
 
 def test_koszul_preserves_horizontal(c4, c5):
@@ -301,6 +311,40 @@ def test_constant_rank_report_modes(c4):
     assert not rep["rank_k"]
     rep = constant_rank_report(DifferentialForm.make(c4, {(1, 2): "x1"}), 2)
     assert rep["mode"] == "grid" and not rep["rank_k"]  # rank drops at x1 = 0
+
+
+@st.composite
+def _two_forms(draw):
+    """2-forms on charts of dimension 2-5 with constant and polynomial
+    coefficients; most coefficients are zero, so every rank occurs."""
+    n = draw(st.integers(2, 5))
+    pool = ["0", "0", "0", "1", "-2", "1/3", "x1", f"x{n}^2 + 1", f"x1*x{n} - 1"]
+    terms = {}
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        c = draw(st.sampled_from(pool))
+        if c != "0":
+            terms[(i, j)] = c
+    return DifferentialForm.make(Chart(n), terms)
+
+
+@given(_two_forms())
+@example(DifferentialForm.zero(Chart(3)))
+@example(DifferentialForm.make(Chart(2), {(1, 2): "x1"}))
+@example(DifferentialForm.make(Chart(5), {(1, 2): 1, (3, 4): "x1"}))
+@settings(max_examples=40, deadline=None)
+def test_pfaffian_scan_matches_rank_oracle(form):
+    """Both readers of the Pfaffian scan against the rank over Q(x)."""
+    n = form.chart.dim
+    r = linalg.rank(coefficient_matrix(form))
+    for k in range(0, n + 1, 2):
+        rep = constant_rank_report(form, k)
+        exact_no = not rep["rank_k"] and rep["mode"] == "exact"
+        assert exact_no == (r != k), (k, r, rep)
+    try:
+        k, _ = certify_constant_rank(form)
+    except CannotCertifyError:
+        return
+    assert k == r
 
 
 # -- Dirac restatements --------------------------------------------------------------------------

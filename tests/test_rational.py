@@ -184,8 +184,11 @@ def test_polynomial_fast_path_matches_general_path(operands):
             x1_5 * x1_4
     other_ring = Scalar.variable(1, nv + 1)
     for op in (lambda s, t: s * t, lambda s, t: s + t):
-        with pytest.raises(ValueError, match="variable-count mismatch"):
-            op(Scalar.from_poly(q), other_ring)
+        for s, t in [(Scalar.from_poly(q), other_ring),
+                     (Scalar.zero(nv), other_ring),
+                     (Scalar.from_poly(q), Scalar.zero(nv + 1))]:
+            with pytest.raises(ValueError, match="variable-count mismatch"):
+                op(s, t)
 
 
 @st.composite
