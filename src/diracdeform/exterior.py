@@ -29,6 +29,12 @@ from .rational import (
 )
 
 
+# The largest chart dimension accepted.  Work grows at least exponentially
+# in it (exterior bases, Pfaffian scans), so a larger chart from an instance
+# file or `--dim` is a usage error rather than a run that never ends.
+MAX_CHART_DIM = 12
+
+
 class ChartMismatchError(ValueError):
     """Operands live on different charts."""
 
@@ -45,8 +51,10 @@ class Chart:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("chart dimension must be >= 1")
+        if not 1 <= self.dim <= MAX_CHART_DIM:
+            raise ValueError(
+                f"chart dimension {self.dim} is outside 1..{MAX_CHART_DIM}"
+            )
         if not self.labels:
             object.__setattr__(
                 self, "labels", tuple(f"x{i}" for i in range(1, self.dim + 1))

@@ -1,15 +1,26 @@
 """Exact linear algebra over the Scalar field (rationals or rational functions).
 
-Matrices are tuples of tuples of Scalar, treated as immutable.  There are two
-elimination loops.  `rref` runs over the field with gcd-reduced entries at
-every step; ranks, kernels and inverses (the right block of rref([A | I])) are
-read from it.  `_bareiss` runs fraction-free on the row-cleared polynomial
-matrix, dividing exactly and taking no gcd; determinants and span membership
-are read from it.
+Matrices are tuples of tuples of Scalar, treated as immutable.  A matrix whose
+entries are all constants (over any number of variables) is worked on Python
+ints: each row is cleared by the lcm of its denominators once, and Scalars are
+built only for the results.  The route is chosen from the entries alone.
+
+There are two elimination loops.  `_bareiss` runs fraction-free on cleared
+rows, of ints for a constant matrix and of polynomials otherwise, dividing
+exactly and taking no gcd; determinants and span membership are read from it,
+and on ints it also does the Gauss-Jordan back-elimination that `rref` reads.
+`rref` of a matrix with a non-constant entry scales each row by the lcm of
+its denominators and then runs over the field with gcd-reduced entries at
+every step.  Ranks, kernels and inverses (the right
+block of rref([A | I])) are read from `rref`.  On polynomial rows the
+fraction-free Gauss-Jordan loop is slower than the field loop, so it is not
+used there.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -66,6 +77,10 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     if k != k2:
         raise ValueError(f"shape mismatch {n}x{k} @ {k2}x{m}")
     Bt = transpose(B)
+    if n and k and m:
+        product = _int_product(A, Bt)
+        if product is not None:
+            return product
     out = []
     for row in A:
         out.append(
@@ -83,7 +98,39 @@ def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
 
 
 def mat_vec(A: Matrix, v: Sequence[Scalar]) -> Vector:
+    if A and v:
+        product = _int_product(A, (tuple(v),))
+        if product is not None:
+            return tuple(row[0] for row in product)
     return tuple(dot(row, v) for row in A)
+
+
+def _int_product(A: Matrix, Bt: Matrix) -> Matrix | None:
+    """A @ B on ints when both are constant (B given by its columns Bt), else None.
+
+    Entry (i, j) is the int dot product of row i of A cleared by its lcm a_i
+    and column j of B cleared by its lcm b_j, over a_i * b_j.
+    """
+    nvars = A[0][0].nvars
+    cleared_a = _int_rows(A, nvars)
+    if cleared_a is None:
+        return None
+    cleared_b = _int_rows(Bt, nvars)
+    if cleared_b is None:
+        return None
+    rows, row_lcms = cleared_a
+    cols, col_lcms = cleared_b
+    zero = Scalar.zero(nvars)
+    out = []
+    for row, a in zip(rows, row_lcms):
+        out_row = []
+        for col, b in zip(cols, col_lcms):
+            total = sum(map(operator.mul, row, col))
+            out_row.append(
+                Scalar.const(nvars, Fraction(total, a * b)) if total else zero
+            )
+        out.append(tuple(out_row))
+    return tuple(out)
 
 
 def mat_scale(A: Matrix, c: Scalar) -> Matrix:
@@ -103,16 +150,30 @@ def is_skew(A: Matrix) -> bool:
 
 
 def rref(A: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns, exact over the field."""
-    if not A:
+    """Reduced row echelon form and pivot columns, exact over the field.
+
+    A constant matrix is reduced by fraction-free Gauss-Jordan on ints, which
+    leaves each pivot row as its last pivot p times the reduced row, so each
+    entry is built once as a / p.  RREF is unique, so both routes agree.
+    Otherwise the field loop runs; a matrix with real denominators first has
+    each row scaled by their lcm, which leaves the RREF unchanged and keeps
+    a denominator shared by a whole row out of every gcd.
+    """
+    if not A or not A[0]:
         return A, ()
-    rows = [list(r) for r in A]
-    nr, nc = len(rows), len(rows[0])
-    nvars = rows[0][0].nvars if nc else 0
+    nvars = A[0][0].nvars
+    cleared = _int_rows(A, nvars)
+    if cleared is not None:
+        return _int_rref(cleared[0], nvars)
+    nr, nc = len(A), len(A[0])
     zero = Scalar.zero(nvars)
     pivots: list[int] = []
     r = 0
     with degree_cap(None):
+        if all(a.is_polynomial() for row in A for a in row):
+            rows = [list(row) for row in A]
+        else:
+            rows = [[Scalar.from_poly(p) for p in row] for row in _clear_rows(A)[0]]
         for c in range(nc):
             pivot_row = None
             for i in range(r, nr):
@@ -136,6 +197,23 @@ def rref(A: Matrix) -> tuple[Matrix, tuple[int, ...]]:
             if r == nr:
                 break
     return mat(rows), tuple(pivots)
+
+
+def _int_rref(rows: list[list[int]], nvars: int) -> tuple[Matrix, tuple[int, ...]]:
+    """RREF of a constant matrix from its cleared int rows, as Scalars."""
+    pivots, _ = _bareiss(rows, back=True)
+    zero = Scalar.zero(nvars)
+    one = Scalar.one(nvars)
+    out = []
+    for row, c in zip(rows, pivots):
+        p = row[c]
+        out.append(tuple(
+            zero if not a else one if a == p else Scalar.const(nvars, Fraction(a, p))
+            for a in row
+        ))
+    zero_row = (zero,) * len(rows[0])
+    out.extend(zero_row for _ in range(len(rows) - len(pivots)))
+    return tuple(out), pivots
 
 
 def rank(A: Matrix) -> int:
@@ -183,6 +261,33 @@ def inverse(A: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
+def _int_rows(A: Matrix, nvars: int) -> tuple[list[list[int]], list[int]] | None:
+    """Each row of a constant matrix times the lcm of its denominators.
+
+    Returns (int rows, row lcms), or None if some entry is not a constant over
+    `nvars` variables: its denominator is not the shared unit, or its
+    numerator has a term of nonzero exponent.
+    """
+    unit = Poly.one(nvars)
+    key = (0,) * nvars
+    rows: list[list[int]] = []
+    lcms: list[int] = []
+    for row in A:
+        values = []
+        for a in row:
+            terms = a.num.terms
+            if a.den is not unit or len(terms) > 1:
+                return None
+            c = terms.get(key) if terms else 0
+            if c is None:
+                return None
+            values.append(c)
+        m = math.lcm(*[c.denominator for c in values])
+        rows.append([c.numerator * (m // c.denominator) for c in values])
+        lcms.append(m)
+    return rows, lcms
+
+
 def _clear_rows(A: Matrix) -> tuple[list[list[Poly]], list[Poly]]:
     """Scale each row by the lcm of its denominators; returns (poly rows, lcms)."""
     nvars = A[0][0].nvars
@@ -200,24 +305,33 @@ def _clear_rows(A: Matrix) -> tuple[list[list[Poly]], list[Poly]]:
     return rows, lcms
 
 
-def _bareiss(A: Matrix) -> tuple[list[list[Poly]], int, int, list[Poly]]:
-    """Bareiss forward elimination on the row-cleared matrix (no field ops).
+def _cleared(A: Matrix) -> tuple[list[list], list]:
+    """Row-cleared A: int rows and lcms if A is constant, else polynomial ones."""
+    return _int_rows(A, A[0][0].nvars) or _clear_rows(A)
 
-    Returns (rows, rank, sign, lcms): the eliminated polynomial rows, the rank
-    over the fraction field, the sign of the row swaps and the row lcms.  For
-    a square matrix of full rank the last pivot is sign * det of the cleared
-    matrix.  Every division is exact, so no gcd is taken.  Callers hold
-    `degree_cap(None)`.
+
+def _bareiss(rows: list[list], back: bool = False) -> tuple[tuple[int, ...], int]:
+    """Fraction-free elimination, in place, on rows of ints or of polynomials.
+
+    Returns (pivot columns, sign of the row swaps); the rank over the fraction
+    field is the number of pivots.  Each update is (piv*a - f*b) / prev with
+    prev the previous pivot, and every division is exact, so no gcd is
+    taken.  For a square matrix of full rank the last pivot is sign * det.
+    With `back`, the rows above each pivot take the same update
+    (Gauss-Jordan), so every pivot row ends as the last pivot times its
+    reduced row.  Callers with polynomial rows hold `degree_cap(None)`.
     """
-    n, m = dims(A)
-    rows, lcms = _clear_rows(A)
-    nvars = A[0][0].nvars
-    zero = Poly.zero(nvars)
-    prev = Poly.one(nvars)
+    n, m = len(rows), len(rows[0])
+    if isinstance(rows[0][0], Poly):
+        nvars = rows[0][0].nvars
+        zero, prev, div = Poly.zero(nvars), Poly.one(nvars), poly_divexact
+    else:
+        zero, prev, div = 0, 1, operator.floordiv
+    pivots: list[int] = []
     sign = 1
     r = 0
     for c in range(m):
-        pivot = next((i for i in range(r, n) if not rows[i][c].is_zero()), None)
+        pivot = next((i for i in range(r, n) if rows[i][c] != zero), None)
         if pivot is None:
             continue
         if pivot != r:
@@ -225,17 +339,21 @@ def _bareiss(A: Matrix) -> tuple[list[list[Poly]], int, int, list[Poly]]:
             sign = -sign
         row_r = rows[r]
         piv = row_r[c]
-        for i in range(r + 1, n):
+        for i in range(n) if back else range(r + 1, n):
+            if i == r:
+                continue
             row_i = rows[i]
             f = row_i[c]
-            for j in range(c + 1, m):
-                row_i[j] = poly_divexact(piv * row_i[j] - f * row_r[j], prev)
+            # above the pivot row, columns before c hold reduced entries
+            for j in range(c + 1 if i > r else 0, m):
+                row_i[j] = div(piv * row_i[j] - f * row_r[j], prev)
             row_i[c] = zero
         prev = piv
+        pivots.append(c)
         r += 1
         if r == n:
             break
-    return rows, r, sign, lcms
+    return tuple(pivots), sign
 
 
 def det(A: Matrix) -> Scalar:
@@ -247,13 +365,17 @@ def det(A: Matrix) -> Scalar:
         return Scalar.one(0)
     nvars = A[0][0].nvars
     with degree_cap(None):
-        rows, r, sign, lcms = _bareiss(A)
-        if r < n:
+        rows, lcms = _cleared(A)
+        pivots, sign = _bareiss(rows)
+        if len(pivots) < n:
             return Scalar.zero(nvars)
+        last = rows[n - 1][n - 1]
+        if isinstance(last, int):
+            return Scalar.const(nvars, Fraction(sign * last, math.prod(lcms)))
         denom = Poly.one(nvars)
         for m_ in lcms:
             denom = denom * m_
-        result = Scalar(rows[n - 1][n - 1], denom)
+        result = Scalar(last, denom)
         return -result if sign < 0 else result
 
 
@@ -268,7 +390,9 @@ def in_span(vectors: Sequence[Vector], w: Vector) -> bool:
     if not vectors:
         return False
     with degree_cap(None):
-        return _bareiss(mat(vectors))[1] == _bareiss(mat(list(vectors) + [tuple(w)]))[1]
+        before = _bareiss(_cleared(mat(vectors))[0])[0]
+        after = _bareiss(_cleared(mat(list(vectors) + [tuple(w)]))[0])[0]
+        return len(before) == len(after)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +403,7 @@ def in_span(vectors: Sequence[Vector], w: Vector) -> bool:
 def clear_matrix(A: Matrix) -> tuple[list[list[Poly]], Poly]:
     """Scale the whole matrix by the lcm D of all denominators.
 
-    Returns (polynomial entries of D*A, D).  Useful for Pfaffian and kernel
+    Returns (polynomial entries of D*A, D).  Useful for Pfaffian
     computations, where a uniform polynomial matrix avoids fraction-field
     gcd churn: Pf_S(D*A) = D^{|S|/2} Pf_S(A).
     """

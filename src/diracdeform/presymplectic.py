@@ -135,18 +135,22 @@ def coefficient_matrix(eta: DifferentialForm) -> linalg.Matrix:
     return form_to_skew(eta).values()
 
 
-def _pfaffian_scan(M: linalg.Matrix) -> tuple[int, dict]:
+def _pfaffian_scan(M: linalg.Matrix, top: int | None = None) -> tuple[int, dict]:
     """The generic rank k of a skew matrix and its nonzero k-Pfaffians.
 
-    Scans the principal Pfaffians of the denominator-cleared matrix from the
-    largest even size down and stops at the first size with a nonzero one.
-    Returns (k, {subset: Pfaffian of M on that subset}); the dict is empty
-    when M is zero.
+    Scans the principal Pfaffians of the denominator-cleared matrix from size
+    `top` (default: the largest even size) down and stops at the first size
+    with a nonzero one.  A nonzero 2s-Pfaffian forces a nonzero
+    (2s-2)-Pfaffian, so a scan from `top` returns the generic rank when it is
+    at most `top`, and `top` when it is larger.  Returns
+    (k, {subset: Pfaffian of M on that subset}); the dict is empty when M is
+    zero.
     """
     n = len(M)
+    top = n if top is None else min(top, n)
     with degree_cap(None):
         rows, D = linalg.clear_matrix(M)
-        for m in range(n // 2, 0, -1):
+        for m in range(top // 2, 0, -1):
             pfs = {}
             for S in itertools.combinations(range(n), 2 * m):
                 pf = linalg.pfaffian_poly(rows, S)
@@ -217,11 +221,8 @@ def kernel_distribution(
 
 
 def _kernel_rows(form: DifferentialForm) -> list[linalg.Vector]:
-    """A basis of ker(form#), read on the denominator-cleared sharp matrix."""
-    cleared, _ = linalg.clear_matrix(form_to_skew(form).mat)
-    return linalg.nullspace(
-        linalg.mat([[Scalar.from_poly(p) for p in row] for row in cleared])
-    )
+    """A basis of ker(form#)."""
+    return linalg.nullspace(form_to_skew(form).mat)
 
 
 def frame_is_involutive(frame: DistributionFrame) -> bool:
@@ -504,14 +505,15 @@ def constant_rank_report(
     """Does the 2-form have constant rank k on the whole chart?
 
     The generic rank is read exactly from the Pfaffian scan that
-    `certify_constant_rank` uses.  When it is k, a definite k-Pfaffian
+    `certify_constant_rank` uses, started at size k + 2: whether the rank
+    exceeds k is settled there.  When it is k, a definite k-Pfaffian
     certifies rank k everywhere; otherwise a rational-grid fallback checks
     the lower bound.
     """
     chart = form.chart
     n = chart.dim
     M = coefficient_matrix(form)
-    generic, pfs = _pfaffian_scan(M)
+    generic, pfs = _pfaffian_scan(M, k + 2)
     if generic > k:
         return {"rank_k": False, "mode": "exact", "reason": "rank exceeds k"}
     if generic < k:

@@ -86,7 +86,8 @@ class Poly:
 
     @staticmethod
     def const(nvars: int, c) -> "Poly":
-        c = Fraction(c)
+        if type(c) is not Fraction:
+            c = Fraction(c)
         if c == 0:
             return Poly(nvars, {})
         return Poly(nvars, {(0,) * nvars: c})

@@ -12,6 +12,7 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Any
 
+from .exterior import MAX_CHART_DIM
 from .rational import rational_from_str
 
 
@@ -36,8 +37,8 @@ class SuiteConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise InvalidConfigError("trials must be >= 1")
-        if self.dim is not None and self.dim < 1:
-            raise InvalidConfigError("dimension must be >= 1")
+        if self.dim is not None and not 1 <= self.dim <= MAX_CHART_DIM:
+            raise InvalidConfigError(f"dimension must be in 1..{MAX_CHART_DIM}")
         if self.max_form_degree < 0 or self.max_coef_degree < 0:
             raise InvalidConfigError("degree bounds must be nonnegative")
         for c in self.grid_coords:

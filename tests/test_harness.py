@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracdeform.cli import generate_payload, main, run_instance_payload
+from diracdeform.exterior import MAX_CHART_DIM
 from diracdeform.report import SuiteConfig, assemble_report, comparable
 from diracdeform.suites import (
     CHECK_EXECUTORS,
@@ -226,6 +228,20 @@ def test_cli_verify_bad_grid(suite, grid, capsys):
     # the grid is read when the config is built, whether or not a check uses it
     assert main(["verify", suite, "--trials", "1", "--grid", grid, "--quiet"]) == 2
     assert "grid coordinate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim", [MAX_CHART_DIM + 1, 100000])
+def test_cli_oversized_chart_exits_2(tmp_path, dim, capsys):
+    # refused when the chart is built, before any arithmetic on it
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps({"chart": dim, "eta": {"chart": dim, "terms": []}}))
+    t0 = time.perf_counter()
+    assert main(["run", str(p), "--quiet"]) == 2
+    assert main(["verify", "presymplectic", "--dim", str(dim), "--quiet"]) == 2
+    assert time.perf_counter() - t0 < 5
+    assert f"1..{MAX_CHART_DIM}" in capsys.readouterr().err
+    # every documented dimension stays valid
+    assert SuiteConfig(suite="presymplectic", dim=MAX_CHART_DIM).dim >= 6
 
 
 def test_cli_run_instance(tmp_path):

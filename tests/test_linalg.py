@@ -4,6 +4,9 @@ import itertools
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracdeform import linalg
 from diracdeform.linalg import (
@@ -19,6 +22,7 @@ from diracdeform.linalg import (
     pfaffian,
     rank,
     rref,
+    transpose,
 )
 from diracdeform.rational import Poly, Scalar, degree_cap, random_poly
 
@@ -175,3 +179,146 @@ def test_evaluate_matrix():
     B = evaluate_matrix(A, [Fraction(3)])
     assert B[0][0].constant_value() == 3
     assert B[1][1].constant_value() == 9
+
+
+# ---------------------------------------------------------------------------
+# Constant matrices take the int route; sympy is the independent oracle.
+# ---------------------------------------------------------------------------
+
+SYMS = sympy.symbols("x1 x2")
+
+
+def _to_sympy(s: Scalar):
+    def poly(p):
+        return sympy.Add(*(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(x**k for x, k in zip(SYMS, e)))
+            for e, c in p.terms.items()
+        ))
+
+    return poly(s.num) / poly(s.den)
+
+
+def _sympy_matrix(A):
+    return sympy.Matrix([[_to_sympy(a) for a in row] for row in A])
+
+
+def _same(A, S) -> bool:
+    """Do the Scalar matrix A and the sympy matrix S have equal entries?"""
+    return (len(A), len(A[0]) if A else 0) == S.shape and all(
+        sympy.cancel(_to_sympy(a) - S[i, j]) == 0
+        for i, row in enumerate(A) for j, a in enumerate(row)
+    )
+
+
+@st.composite
+def _fraction_rows(draw, max_n=5, max_m=5):
+    """A small rational matrix, often with a row that depends on two others."""
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(1, max_m))
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m),
+                         min_size=n, max_size=n))
+    if n >= 3 and draw(st.booleans()):
+        a, b = draw(entry), draw(entry)
+        rows[-1] = [a * u + b * v for u, v in zip(rows[0], rows[1])]
+    return rows
+
+
+def _square(rows):
+    k = min(len(rows), len(rows[0]))
+    return [row[:k] for row in rows[:k]]
+
+
+def _check_against_sympy(A):
+    """Every int-route operation on A agrees with sympy on the same matrix."""
+    S = _sympy_matrix(A)
+    R, pivots = rref(A)
+    SR, spivots = S.rref(simplify=True)
+    assert pivots == spivots and _same(R, SR)
+    assert rank(A) == len(spivots)
+    kernel = nullspace(A)
+    skernel = S.nullspace(simplify=True)
+    assert len(kernel) == len(skernel)
+    for v, sv in zip(kernel, skernel):
+        assert _same(mat([v]), sv.T)
+    assert _same(mat_mul(A, transpose(A)), S * S.T)
+    assert _same(mat([linalg.mat_vec(A, A[0])]), (S * S[0, :].T).T)
+    if len(A) >= 2:
+        assert in_span(A[:-1], A[-1]) == (S[:-1, :].rank(simplify=True) == S.rank(simplify=True))
+    Q = mat(_square(A))
+    SQ = _sympy_matrix(Q)
+    d = det(Q)
+    assert sympy.cancel(_to_sympy(d) - SQ.det()) == 0
+    if d.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            inverse(Q)
+    else:
+        assert _same(inverse(Q), SQ.inv())
+
+
+@given(_fraction_rows())
+@settings(max_examples=120, deadline=None)
+def test_int_route_matches_sympy_over_q(rows):
+    A = from_fractions(rows, 0)
+    assert linalg._int_rows(A, 0) is not None
+    _check_against_sympy(A)
+
+
+def _lift(value, nvars):
+    """A result over Q carried to nvars variables, entry by entry."""
+    if isinstance(value, Scalar):
+        return Scalar.const(nvars, value.constant_value())
+    return tuple(_lift(v, nvars) for v in value)
+
+
+def _entries(value):
+    if isinstance(value, Scalar):
+        yield value
+    else:
+        for v in value:
+            yield from _entries(v)
+
+
+@given(_fraction_rows(), st.integers(1, 2))
+@settings(max_examples=80, deadline=None)
+def test_constant_qx_matrices_match_q(rows, nvars):
+    Aq = from_fractions(rows, 0)
+    Ax = from_fractions(rows, nvars)
+    Qq, Qx = mat(_square(Aq)), mat(_square(Ax))
+    assert linalg._int_rows(Ax, nvars) is not None
+
+    def results(A, Q):
+        out = [rref(A)[0], tuple(nullspace(A)), mat_mul(A, transpose(A)),
+               linalg.mat_vec(A, A[0]), (det(Q),)]
+        if not det(Q).is_zero():
+            out.append(inverse(Q))
+        return out
+
+    over_q, over_x = results(Aq, Qq), results(Ax, Qx)
+    assert over_x == [_lift(r, nvars) for r in over_q]
+    assert rref(Ax)[1] == rref(Aq)[1]
+    for s in _entries(over_x):
+        assert s.nvars == nvars and s.is_polynomial()
+    if len(rows) >= 2:
+        assert in_span(Ax[:-1], Ax[-1]) == in_span(Aq[:-1], Aq[-1])
+
+
+@given(_fraction_rows(max_n=4, max_m=4), st.integers(1, 2), st.data())
+@settings(max_examples=30, deadline=None)
+def test_one_nonconstant_entry_takes_the_field_route(rows, nvars, data):
+    """A single polynomial or rational-function entry leaves the int route."""
+    A = [list(row) for row in from_fractions(rows, nvars)]
+    i = data.draw(st.integers(0, len(rows) - 1))
+    j = data.draw(st.integers(0, len(rows[0]) - 1))
+    c = Poly.const(nvars, data.draw(st.integers(-3, 3)))
+    x = Poly.variable(nvars, nvars) + c
+    A[i][j] = data.draw(st.sampled_from([
+        Scalar.from_poly(x), Scalar(Poly.one(nvars), x),
+    ]))
+    A = mat(A)
+    assert linalg._int_rows(A, nvars) is None
+    _check_against_sympy(A)

@@ -331,6 +331,7 @@ def _two_forms(draw):
 @example(DifferentialForm.zero(Chart(3)))
 @example(DifferentialForm.make(Chart(2), {(1, 2): "x1"}))
 @example(DifferentialForm.make(Chart(5), {(1, 2): 1, (3, 4): "x1"}))
+@example(DifferentialForm.make(Chart(6), {(1, 2): 1, (3, 4): "x1", (5, 6): "x2^2 + 1"}))
 @settings(max_examples=40, deadline=None)
 def test_pfaffian_scan_matches_rank_oracle(form):
     """Both readers of the Pfaffian scan against the rank over Q(x)."""
@@ -340,6 +341,9 @@ def test_pfaffian_scan_matches_rank_oracle(form):
         rep = constant_rank_report(form, k)
         exact_no = not rep["rank_k"] and rep["mode"] == "exact"
         assert exact_no == (r != k), (k, r, rep)
+        if r != k:
+            reason = "rank exceeds k" if r > k else "generic rank below k"
+            assert rep["reason"] == reason, (k, r, rep)
     try:
         k, _ = certify_constant_rank(form)
     except CannotCertifyError:
