@@ -18,6 +18,7 @@ import contextvars
 import re
 from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterator, Sequence
 
 
@@ -69,14 +70,16 @@ class Poly:
 
     terms maps exponent tuples (one slot per variable) to nonzero Fractions.
     Instances are immutable by convention; no operation modifies its operands.
+    That is what makes the hash and the integer form safe to cache.
     """
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "terms", "_hash", "_int")
 
     def __init__(self, nvars: int, terms: dict[tuple[int, ...], Fraction]):
         self.nvars = nvars
         self.terms = terms
         self._hash: int | None = None
+        self._int: _IntegerForm | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -131,9 +134,13 @@ class Poly:
 
     def degree_in(self, i: int) -> int:
         """Degree in variable x_i (1-based); 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        return max(e[i - 1] for e in self.terms)
+        return self._integer_form().degrees[i - 1]
+
+    def _integer_form(self) -> "_IntegerForm":
+        form = self._int
+        if form is None:
+            form = self._int = _IntegerForm(self)
+        return form
 
     def coefficient(self, exponents: tuple[int, ...]) -> Fraction:
         return self.terms.get(exponents, _ZERO)
@@ -216,16 +223,30 @@ class Poly:
         return Poly(self.nvars, out)
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
+        """The exact value at a rational point (ints, Fractions or strings).
+
+        With x_i = p_i/q_i and D_i the degree in x_i, the value is
+        sum c_e prod p_i^e_i q_i^(D_i - e_i) over L prod q_i^D_i, where the
+        c_e are the integer numerators over the common denominator L.
+        """
         if len(point) != self.nvars:
             raise ValueError("point dimension mismatch")
-        total = _ZERO
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(point, e):
-                if k:
-                    v *= Fraction(x) ** k
-            total += v
-        return total
+        form = self._integer_form()
+        den = form.den
+        tables = []
+        for i in form.active:
+            x = point[i]
+            if type(x) is not Fraction:
+                x = Fraction(x)
+            table = _power_table(x.numerator, x.denominator, form.degrees[i])
+            tables.append(table)
+            den *= table[0]  # q_i^D_i
+        total = 0
+        for c, e in form.terms:
+            for t, k in zip(tables, e):
+                c *= t[k]
+            total += c
+        return Fraction(total, den)
 
     # -- comparisons ----------------------------------------------------------
 
@@ -253,6 +274,47 @@ class Poly:
 
     def leading_coefficient(self) -> Fraction:
         return self.terms[self.leading_monomial()]
+
+
+class _IntegerForm:
+    """A Poly over one integer denominator, filled once and cached on it.
+
+    den: the lcm of the coefficient denominators.
+    degrees: the degree in each variable.
+    active: the variables of positive degree, 0-based and ascending.
+    terms: per term, its integer numerator over den and its exponents in
+    the active variables.
+    """
+
+    __slots__ = ("den", "active", "degrees", "terms")
+
+    def __init__(self, p: Poly):
+        den = 1
+        for c in p.terms.values():
+            if c.denominator != 1:
+                den = lcm(den, c.denominator)
+        self.den = den
+        self.degrees = (
+            tuple(map(max, zip(*p.terms))) if p.terms else (0,) * p.nvars
+        )
+        self.active = active = tuple(i for i, d in enumerate(self.degrees) if d)
+        self.terms = [
+            (c.numerator * (den // c.denominator), tuple(e[i] for i in active))
+            for e, c in p.terms.items()
+        ]
+
+
+def _power_table(p: int, q: int, degree: int) -> list[int]:
+    """[p^k q^(degree - k) for k = 0..degree]."""
+    table = [1] * (degree + 1)
+    for k in range(1, degree + 1):
+        table[k] = table[k - 1] * p
+    if q != 1:
+        r = q
+        for k in range(degree - 1, -1, -1):
+            table[k] *= r
+            r *= q
+    return table
 
 
 def _grlex_key(e: tuple[int, ...]) -> tuple:
@@ -302,8 +364,6 @@ def _content(f: Poly) -> Fraction:
     """
     if f.is_zero():
         return _ONE
-    from math import gcd, lcm
-
     num = 0
     den = 1
     for c in f.terms.values():
@@ -390,22 +450,23 @@ def _univariate_gcd_degree(
     return max(fa) if fa else 0
 
 
-def _specialize_to_var(f: Poly, var: int, point: Sequence[Fraction]) -> dict[int, Fraction]:
-    """Evaluate all variables but x_var, returning a univariate poly."""
-    out: dict[int, Fraction] = {}
+def _specialize_to_var(f: Poly, var: int, point: Sequence[int]) -> dict[int, Fraction]:
+    """Evaluate all variables but x_var at integers, returning a univariate poly."""
+    form = f._integer_form()
     j = var - 1
-    for e, c in f.terms.items():
-        v = c
-        for i, k in enumerate(e):
-            if i != j and k:
-                v *= point[i] ** k
-        if v:
-            s = out.get(e[j], _ZERO) + v
-            if s:
-                out[e[j]] = s
-            else:
-                out.pop(e[j], None)
-    return out
+    slot = form.active.index(j) if j in form.active else None
+    # x_var keeps its exponent: its table is all ones
+    tables = [
+        _power_table(1 if i == j else point[i], 1, form.degrees[i])
+        for i in form.active
+    ]
+    sums: dict[int, int] = {}
+    for c, e in form.terms:
+        for t, k in zip(tables, e):
+            c *= t[k]
+        k = 0 if slot is None else e[slot]
+        sums[k] = sums.get(k, 0) + c
+    return {k: Fraction(c, form.den) for k, c in sums.items() if c}
 
 
 def _gcd_certainly_trivial(f: Poly, g: Poly) -> bool:
@@ -426,7 +487,7 @@ def _gcd_certainly_trivial(f: Poly, g: Poly) -> bool:
             probe, dprobe = (f, df) if df else (g, dg)
         bounded = False
         for attempt in range(4):
-            point = [Fraction(2 + attempt + 3 * i) for i in range(nv)]
+            point = [2 + attempt + 3 * i for i in range(nv)]
             a = _specialize_to_var(probe, var, point)
             if not a or max(a) != dprobe:
                 continue  # leading coefficient vanished; bound invalid
@@ -551,11 +612,9 @@ def _heuristic_gcd_raw(f: Poly, g: Poly, depth: int) -> Poly | None:
             xi = _next_xi(xi)
             continue
         if fe.is_constant() and ge.is_constant():
-            from math import gcd as int_gcd
-
             h_eval = Poly.const(
-                f.nvars, int_gcd(int(abs(fe.constant_value())),
-                                 int(abs(ge.constant_value())))
+                f.nvars, gcd(int(abs(fe.constant_value())),
+                             int(abs(ge.constant_value())))
             )
         else:
             h_eval = _heuristic_gcd_raw(
@@ -583,23 +642,19 @@ def _heuristic_gcd_raw(f: Poly, g: Poly, depth: int) -> Poly | None:
 
 def _scale_to_eval_gcd(h_eval: Poly, fe: Poly, ge: Poly, nvars: int) -> Poly:
     """Scale the recursive gcd by the integer gcd of remaining contents."""
-    from math import gcd as int_gcd
-
     cf = _integer_content(fe)
     cg = _integer_content(ge)
     ch = _integer_content(h_eval)
-    extra = int_gcd(cf, cg)
+    extra = gcd(cf, cg)
     if ch == 0:
         return h_eval
     return h_eval.scale(Fraction(extra, ch)) if extra != ch else h_eval
 
 
 def _integer_content(f: Poly) -> int:
-    from math import gcd as int_gcd
-
     c = 0
     for v in f.terms.values():
-        c = int_gcd(c, abs(int(v)))
+        c = gcd(c, abs(int(v)))
     return c
 
 
@@ -930,6 +985,11 @@ def scalar_to_str(s: Scalar) -> str:
     return f"({poly_to_str(s.num)})/({poly_to_str(s.den)})"
 
 
+# The largest exponent of a variable that `poly_from_str` accepts.  Checked
+# before any arithmetic: one power of a huge exponent runs in C, where no
+# timer can interrupt it, so a larger one is a usage error.
+MAX_EXPONENT = 64
+
 _FACTOR = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 _NUMBER = re.compile(r"^\d+(?:/\d+)?$")
 
@@ -965,6 +1025,11 @@ def poly_from_str(text: str, nvars: int) -> Poly:
                 if not 1 <= i <= nvars:
                     raise ValueError(f"variable x{i} out of range in {text!r}")
                 exps[i - 1] += int(m.group(2) or 1)
+                if exps[i - 1] > MAX_EXPONENT:
+                    raise ValueError(
+                        f"exponent {exps[i - 1]} of x{i} exceeds {MAX_EXPONENT} "
+                        f"in polynomial {text!r}"
+                    )
             elif _NUMBER.match(factor):
                 try:
                     coef *= Fraction(factor)

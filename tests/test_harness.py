@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from diracdeform.cli import generate_payload, main, run_instance_payload
 from diracdeform.exterior import MAX_CHART_DIM
+from diracdeform.rational import MAX_EXPONENT
 from diracdeform.report import SuiteConfig, assemble_report, comparable
 from diracdeform.suites import (
     CHECK_EXECUTORS,
@@ -242,6 +243,26 @@ def test_cli_oversized_chart_exits_2(tmp_path, dim, capsys):
     assert f"1..{MAX_CHART_DIM}" in capsys.readouterr().err
     # every documented dimension stays valid
     assert SuiteConfig(suite="presymplectic", dim=MAX_CHART_DIM).dim >= 6
+
+
+@pytest.mark.parametrize("instance", [
+    {"n": 2, "eta": [["0", "-1"], ["1", "0"]],
+     "beta": [["0", "x1^100000000"], ["-x1^100000000", "0"]]},
+    {"chart": 2, "eta": {"chart": 2, "terms": [
+        {"degree": 2, "indices": [1, 2], "num": "x1^100000000 + 1", "den": "1"}]}},
+])
+def test_cli_run_huge_exponent(tmp_path, instance):
+    # refused by the parser: one huge power runs in C, where no timer reaches
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(instance))
+    proc = subprocess.run(
+        [sys.executable, "-m", "diracdeform", "run", str(p), "--quiet"],
+        capture_output=True,
+        text=True,
+        timeout=5,
+    )
+    assert proc.returncode == 2
+    assert f"exceeds {MAX_EXPONENT}" in proc.stderr
 
 
 def test_cli_run_instance(tmp_path):

@@ -271,6 +271,161 @@ def test_gcd_matches_sympy_oracle():
             assert ratio.is_constant() and ratio != 0
 
 
+def _prs_cases():
+    """(f, g, h, nvars): f*h and g*h share exactly h up to a constant."""
+    return [
+        ("x1 + 2", "x1^2 + 3", "x1 - 1", 1),
+        ("x1^3 - x1 + 5", "2*x1^2 + 7", "3*x1^2 - 4*x1 + 1", 1),
+        ("x1 + x2", "x1 - x2 + 3", "x1*x2 + 1", 2),
+        ("x1^2 + x2", "x2^2 - x1", "1/2*x1 + 1/3*x2^2 - 1", 2),
+        ("x1 + x3", "x2^2 - x3 + 1", "x1 + x2*x3 - 2", 3),
+        ("x1*x2 - x3^2", "x1 + x2 + x3", "1", 3),
+        # a common factor free of the main variable x1: only the content
+        # of f and g with respect to x1 carries it
+        ("x1 + 3", "x1^2 + x2", "x2 + 1", 2),
+        ("x1*x3 + 1", "x1^2 - x3", "x2^2*x3 + 5", 3),
+    ]
+
+
+@pytest.mark.parametrize("f, g, h, nv", _prs_cases())
+def test_prs_gcd_matches_sympy(f, g, h, nv):
+    f, g, h = (poly_from_str(t, nv) for t in (f, g, h))
+    with degree_cap(None):
+        a, b = f * h, g * h
+        mine = rational._prs_gcd(a, b)
+        poly_divexact(a, mine)
+        poly_divexact(b, mine)
+    theirs = sympy.gcd(
+        sympy.Poly(to_sympy(a), *SYMS[:nv]), sympy.Poly(to_sympy(b), *SYMS[:nv])
+    ).as_expr()
+    ratio = sympy.simplify(to_sympy(mine) / theirs)
+    assert ratio.is_constant() and ratio != 0
+    assert sympy.simplify(to_sympy(mine) / to_sympy(h)).is_constant()
+    # normalized: coprime integer coefficients, positive leading coefficient
+    assert rational._content(mine) == 1
+
+
+def _fraction_evaluate(p: Poly, point) -> Fraction:
+    """The Fraction loop `Poly.evaluate` ran before the integer form."""
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        v = c
+        for xv, k in zip(point, e):
+            if k:
+                v *= Fraction(xv) ** k
+        total += v
+    return total
+
+
+def _fraction_specialize(f: Poly, var: int, point) -> dict:
+    """The Fraction loop `_specialize_to_var` ran before the integer form."""
+    out = {}
+    j = var - 1
+    for e, c in f.terms.items():
+        v = c
+        for i, k in enumerate(e):
+            if i != j and k:
+                v *= Fraction(point[i]) ** k
+        if v:
+            s = out.get(e[j], Fraction(0)) + v
+            if s:
+                out[e[j]] = s
+            else:
+                out.pop(e[j], None)
+    return out
+
+
+BIG_COEFS = st.one_of(
+    st.fractions(-20, 20, max_denominator=12),
+    st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**40)),
+).filter(bool)
+
+# zero, negative, non-unit denominators; spelled as int, Fraction and str
+COORDINATES = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.fractions(-9, 9, max_denominator=7),
+    st.fractions(-9, 9, max_denominator=7).map(str),
+    st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**40)),
+)
+
+
+@st.composite
+def _evaluation_cases(draw):
+    nv = draw(st.integers(0, 4))
+    monos = st.tuples(*[st.integers(0, 3)] * nv)
+    p = Poly(nv, draw(st.dictionaries(monos, BIG_COEFS, max_size=6)))
+    points = draw(st.lists(st.lists(COORDINATES, min_size=nv, max_size=nv),
+                           min_size=1, max_size=4))
+    return nv, p, points
+
+
+@given(_evaluation_cases())
+@settings(max_examples=300, deadline=None)
+def test_integer_evaluate_matches_fraction_reference(case):
+    nv, p, points = case
+    # several points on one Poly: a stale cached form would show
+    for point in points:
+        got = p.evaluate(point)
+        assert type(got) is Fraction
+        assert got == _fraction_evaluate(p, point)
+    assert Poly.zero(nv).evaluate(points[0]) == 0
+    if not p.is_zero():
+        inverse = Scalar(Poly.one(nv), p)
+        for point in points:
+            value = _fraction_evaluate(p, point)
+            if value:
+                assert inverse.evaluate(point) == 1 / value
+            else:
+                with pytest.raises(PoleError):
+                    inverse.evaluate(point)
+    if nv:
+        # 1/(x1 - a) has a pole at the first point
+        a = Poly.const(nv, Fraction(points[0][0]))
+        with pytest.raises(PoleError):
+            Scalar(Poly.one(nv), Poly.variable(1, nv) - a).evaluate(points[0])
+
+
+@st.composite
+def _certificate_cases(draw):
+    nv = draw(st.integers(1, 3))
+    monos = st.tuples(*[st.integers(0, 3)] * nv)
+    coefs = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=5),
+                      BIG_COEFS).filter(bool)
+    f, g, h = (Poly(nv, draw(st.dictionaries(monos, coefs, min_size=1, max_size=4)))
+               for _ in range(3))
+    if draw(st.booleans()):
+        # an engineered common factor (a constant h leaves f and g as drawn)
+        with degree_cap(None):
+            f, g = f * h, g * h
+    return nv, f, g
+
+
+@given(_certificate_cases(), st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_gcd_certificate_reads_the_integer_form(case, attempt):
+    nv, f, g = case
+    point = [2 + attempt + 3 * i for i in range(nv)]
+    for p in (f, g):
+        for var in range(1, nv + 1):
+            assert p.degree_in(var) == max(e[var - 1] for e in p.terms)
+            assert rational._specialize_to_var(p, var, point) == \
+                _fraction_specialize(p, var, point)
+    if rational._gcd_certainly_trivial(f, g):
+        theirs = sympy.gcd(
+            sympy.Poly(to_sympy(f), *SYMS[:nv]), sympy.Poly(to_sympy(g), *SYMS[:nv])
+        )
+        assert theirs.total_degree() == 0
+
+
+def test_parse_exponent_limit():
+    limit = rational.MAX_EXPONENT
+    assert poly_from_str(f"x1^{limit}*x2", 2).degree_in(1) == limit
+    for text in (f"x1^{limit + 1}", f"x2*x1^{limit}*x1", "x1^100000000 + 1"):
+        with pytest.raises(ValueError, match=f"exceeds {limit}"):
+            poly_from_str(text, 2)
+
+
 # -- canonical fractions --------------------------------------------------------
 
 
