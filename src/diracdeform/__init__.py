@@ -15,7 +15,7 @@ Layers:
   suites/cli     seeded verification harness with replayable reports
 """
 
-from .rational import DegreeCapError, Poly, PoleError, Scalar, degree_cap
+from .rational import Poly, PoleError, Scalar
 from .exterior import (
     Chart,
     ChartMismatchError,

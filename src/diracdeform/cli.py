@@ -192,30 +192,14 @@ def _run_linear_instance(payload: dict) -> tuple[str, list[CheckOutcome]]:
 
 
 def _run_chart_instance(payload: dict) -> tuple[str, list[CheckOutcome]]:
-    import time
-
-    from .presymplectic import CannotCertifyError, instance_from_json
     from .suites import run_check
 
     label = f"presymplectic(n={payload.get('chart')})"
-    t0 = time.perf_counter()
-    try:
-        data = instance_from_json(payload)
-    except CannotCertifyError as exc:
-        return label, [
-            CheckOutcome(
-                "presym.build", "skipped", f"cannot-certify: {exc}",
-                wall_ms=(time.perf_counter() - t0) * 1000,
-            )
-        ]
+    build = run_check("presym.build", payload)
+    if build.status == "skipped":
+        return label, [build]
     outcomes = [
-        CheckOutcome(
-            "presym.build",
-            "pass",
-            f"rank {data.k}; witness {data.certificate['witness']} "
-            f"({data.certificate['rule']})",
-            wall_ms=(time.perf_counter() - t0) * 1000,
-        ),
+        build,
         run_check("dirac.graph_closedness", {"eta": payload["eta"]}),
     ]
     if payload.get("beta") is not None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .rational import Scalar, degree_cap, scalar_from_str, scalar_to_str
+from .rational import Scalar, scalar_from_str, scalar_to_str
 from . import linalg
 from .linalg import Matrix, Vector
 
@@ -393,12 +393,11 @@ def i_z_determinant(beta: SkewBilinear, Z: Bivector) -> Scalar:
     """
     if beta.n != Z.n:
         raise DimensionMismatchError("dimension mismatch")
-    with degree_cap(None):
-        n, nvars = beta.n, beta.nvars
-        M = linalg.mat_add(
-            linalg.identity(n, nvars), linalg.mat_mul(Z.mat, beta.mat)
-        )
-        return linalg.det(M)
+    n, nvars = beta.n, beta.nvars
+    M = linalg.mat_add(
+        linalg.identity(n, nvars), linalg.mat_mul(Z.mat, beta.mat)
+    )
+    return linalg.det(M)
 
 
 def in_I_Z(beta: SkewBilinear, Z: Bivector) -> bool:
@@ -409,16 +408,15 @@ def F(beta: SkewBilinear, Z: Bivector) -> SkewBilinear:
     """The graph map: F(beta)# = beta# (id + Z# beta#)^{-1}."""
     if beta.n != Z.n:
         raise DimensionMismatchError("dimension mismatch")
-    with degree_cap(None):
-        n, nvars = beta.n, beta.nvars
-        M = linalg.mat_add(
-            linalg.identity(n, nvars), linalg.mat_mul(Z.mat, beta.mat)
-        )
-        try:
-            Minv = linalg.inverse(M)
-        except ZeroDivisionError as exc:
-            raise NotInIZError("id + Z# beta# is singular") from exc
-        out = linalg.mat_mul(beta.mat, Minv)
+    n, nvars = beta.n, beta.nvars
+    M = linalg.mat_add(
+        linalg.identity(n, nvars), linalg.mat_mul(Z.mat, beta.mat)
+    )
+    try:
+        Minv = linalg.inverse(M)
+    except ZeroDivisionError as exc:
+        raise NotInIZError("id + Z# beta# is singular") from exc
+    out = linalg.mat_mul(beta.mat, Minv)
     return SkewBilinear(out)
 
 
@@ -444,17 +442,16 @@ def Z_from_frame(eta: SkewBilinear, frame: Matrix) -> Bivector:
     The frame is not checked against ker(eta); `Z_from_eta_G` checks it.
     """
     k = len(frame)
-    with degree_cap(None):
-        images = [eta.apply(g) for g in frame]
-        Sg = linalg.mat(
-            [[linalg.dot(images[a], frame[b]) for b in range(k)] for a in range(k)]
-        )
-        try:
-            N = linalg.inverse(Sg)
-        except ZeroDivisionError as exc:
-            raise DegenerateRestrictionError("eta|_G is singular") from exc
-        Gamma = linalg.transpose(frame)  # n x k, columns g_a
-        W = linalg.mat_mul(Gamma, linalg.mat_mul(N, linalg.transpose(Gamma)))
+    images = [eta.apply(g) for g in frame]
+    Sg = linalg.mat(
+        [[linalg.dot(images[a], frame[b]) for b in range(k)] for a in range(k)]
+    )
+    try:
+        N = linalg.inverse(Sg)
+    except ZeroDivisionError as exc:
+        raise DegenerateRestrictionError("eta|_G is singular") from exc
+    Gamma = linalg.transpose(frame)  # n x k, columns g_a
+    W = linalg.mat_mul(Gamma, linalg.mat_mul(N, linalg.transpose(Gamma)))
     return Bivector(W)
 
 
@@ -521,11 +518,10 @@ class HorizontalDecomposition:
         for c in range(kG):
             for d in range(kG):
                 hat[mK + c][mK + d] = sig[c][d]
-        with degree_cap(None):
-            Pinv = linalg.inverse(P)
-            vals = linalg.mat_mul(
-                linalg.transpose(Pinv), linalg.mat_mul(linalg.mat(hat), Pinv)
-            )
+        Pinv = linalg.inverse(P)
+        vals = linalg.mat_mul(
+            linalg.transpose(Pinv), linalg.mat_mul(linalg.mat(hat), Pinv)
+        )
         return SkewBilinear.from_values(vals)
 
 
@@ -581,27 +577,17 @@ def lagrangian_graph(L: Subspace, R: Subspace, eps: Matrix) -> Subspace:
         raise NotTransverseError("L and R must be transverse Lagrangians")
     if not linalg.is_skew(eps):
         raise NotSkewError("eps must be skew")
-    with degree_cap(None):
-        # row b: <r_a, l_b> for each a, then eps[i][b] for each i; one
-        # reduction solves the n systems for the coefficients x of row i
-        aug = linalg.mat(
-            [
-                [pairing(R.basis[a], L.basis[b]) for a in range(n)]
-                + [eps[i][b] for i in range(n)]
-                for b in range(n)
-            ]
-        )
-        red, pivots = linalg.rref(aug)
-        if pivots[:n] != tuple(range(n)):
-            raise NotTransverseError("degenerate pairing between L and R")
-        rows = []
-        for i in range(n):
-            v = list(L.basis[i])
-            for a in range(n):
-                x = red[a][n + i]
-                if not x.is_zero():
-                    v = [p + x * q for p, q in zip(v, R.basis[a])]
-            rows.append(tuple(v))
+    # row b: <r_a, l_b> for each a, then eps[i][b] for each i; one
+    # reduction solves the n systems for the coefficients x of row i.
+    # <r, l> is l . (r with its V and V* halves swapped).
+    swapped = tuple(r[n:] + r[:n] for r in R.basis)
+    gram = linalg.mat_mul(L.basis, linalg.transpose(swapped))
+    aug = tuple(gram[b] + tuple(eps[i][b] for i in range(n)) for b in range(n))
+    red, pivots = linalg.rref(aug)
+    if pivots[:n] != tuple(range(n)):
+        raise NotTransverseError("degenerate pairing between L and R")
+    X = tuple(tuple(red[a][n + i] for a in range(n)) for i in range(n))
+    rows = linalg.mat_add(L.basis, linalg.mat_mul(X, R.basis))
     return Subspace.from_spanning(2 * n, rows)
 
 
@@ -610,14 +596,13 @@ def phi_Z(beta: SkewBilinear, Z: Bivector) -> Subspace:
     n, nvars = beta.n, beta.nvars
     zero = Scalar.zero(nvars)
     one = Scalar.one(nvars)
-    with degree_cap(None):
-        WB = linalg.mat_mul(Z.mat, beta.mat)
-        rows = []
-        for i in range(n):
-            v = [zero] * n
-            v[i] = one
-            top = tuple(v[k] + WB[k][i] for k in range(n))
-            rows.append(top + tuple(beta.mat[k][i] for k in range(n)))
+    WB = linalg.mat_mul(Z.mat, beta.mat)
+    rows = []
+    for i in range(n):
+        v = [zero] * n
+        v[i] = one
+        top = tuple(v[k] + WB[k][i] for k in range(n))
+        rows.append(top + tuple(beta.mat[k][i] for k in range(n)))
     return Subspace.from_spanning(2 * n, rows)
 
 
@@ -734,13 +719,12 @@ def _phi0_inverse_matches_F(beta: SkewBilinear, Z: Bivector) -> bool:
     basis = phiz.basis
     top = linalg.mat([v[:n] for v in basis])
     bottom = linalg.mat([v[n:] for v in basis])
-    with degree_cap(None):
-        try:
-            top_inv = linalg.inverse(linalg.transpose(top))
-        except ZeroDivisionError:
-            return False
-        # rows of the graph are (v, alpha# v); alpha# = bottom^T (top^T)^{-1}
-        alpha_sharp = linalg.mat_mul(linalg.transpose(bottom), top_inv)
+    try:
+        top_inv = linalg.inverse(linalg.transpose(top))
+    except ZeroDivisionError:
+        return False
+    # rows of the graph are (v, alpha# v); alpha# = bottom^T (top^T)^{-1}
+    alpha_sharp = linalg.mat_mul(linalg.transpose(bottom), top_inv)
     try:
         alpha = SkewBilinear(alpha_sharp)
     except NotSkewError:

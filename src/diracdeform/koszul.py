@@ -33,7 +33,7 @@ from .exterior import (
     schouten,
     wedge,
 )
-from .rational import Scalar, degree_cap
+from .rational import Scalar
 from .report import DEFAULT_GRID
 
 
@@ -82,8 +82,7 @@ class KoszulContext:
             raise DegreeError("Z must be a bivector field")
         self.chart = Z.chart
         self.Z = Z
-        with degree_cap(None):
-            self.half_schouten = schouten(Z, Z).scale(Fraction(1, 2))
+        self.half_schouten = schouten(Z, Z).scale(Fraction(1, 2))
         self.bivector = field_to_bivector(Z)
         n = self.chart.dim
         self._sharp_basis = []

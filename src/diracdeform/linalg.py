@@ -27,7 +27,6 @@ from typing import Sequence
 from .rational import (
     Poly,
     Scalar,
-    degree_cap,
     poly_divexact,
     poly_lcm,
 )
@@ -169,33 +168,32 @@ def rref(A: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     zero = Scalar.zero(nvars)
     pivots: list[int] = []
     r = 0
-    with degree_cap(None):
-        if all(a.is_polynomial() for row in A for a in row):
-            rows = [list(row) for row in A]
-        else:
-            rows = [[Scalar.from_poly(p) for p in row] for row in _clear_rows(A)[0]]
-        for c in range(nc):
-            pivot_row = None
-            for i in range(r, nr):
-                if not rows[i][c].is_zero():
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            inv = rows[r][c].inverse()
-            rows[r] = [zero if j < c else inv * rows[r][j] for j in range(nc)]
-            for i in range(nr):
-                if i == r or rows[i][c].is_zero():
-                    continue
-                f = rows[i][c]
-                rows[i] = [
-                    rows[i][j] - f * rows[r][j] for j in range(nc)
-                ]
-            pivots.append(c)
-            r += 1
-            if r == nr:
+    if all(a.is_polynomial() for row in A for a in row):
+        rows = [list(row) for row in A]
+    else:
+        rows = [[Scalar.from_poly(p) for p in row] for row in _clear_rows(A)[0]]
+    for c in range(nc):
+        pivot_row = None
+        for i in range(r, nr):
+            if not rows[i][c].is_zero():
+                pivot_row = i
                 break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [zero if j < c else inv * rows[r][j] for j in range(nc)]
+        for i in range(nr):
+            if i == r or rows[i][c].is_zero():
+                continue
+            f = rows[i][c]
+            rows[i] = [
+                rows[i][j] - f * rows[r][j] for j in range(nc)
+            ]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
     return mat(rows), tuple(pivots)
 
 
@@ -319,7 +317,7 @@ def _bareiss(rows: list[list], back: bool = False) -> tuple[tuple[int, ...], int
     taken.  For a square matrix of full rank the last pivot is sign * det.
     With `back`, the rows above each pivot take the same update
     (Gauss-Jordan), so every pivot row ends as the last pivot times its
-    reduced row.  Callers with polynomial rows hold `degree_cap(None)`.
+    reduced row.
     """
     n, m = len(rows), len(rows[0])
     if isinstance(rows[0][0], Poly):
@@ -364,19 +362,18 @@ def det(A: Matrix) -> Scalar:
     if n == 0:
         return Scalar.one(0)
     nvars = A[0][0].nvars
-    with degree_cap(None):
-        rows, lcms = _cleared(A)
-        pivots, sign = _bareiss(rows)
-        if len(pivots) < n:
-            return Scalar.zero(nvars)
-        last = rows[n - 1][n - 1]
-        if isinstance(last, int):
-            return Scalar.const(nvars, Fraction(sign * last, math.prod(lcms)))
-        denom = Poly.one(nvars)
-        for m_ in lcms:
-            denom = denom * m_
-        result = Scalar(last, denom)
-        return -result if sign < 0 else result
+    rows, lcms = _cleared(A)
+    pivots, sign = _bareiss(rows)
+    if len(pivots) < n:
+        return Scalar.zero(nvars)
+    last = rows[n - 1][n - 1]
+    if isinstance(last, int):
+        return Scalar.const(nvars, Fraction(sign * last, math.prod(lcms)))
+    denom = Poly.one(nvars)
+    for m_ in lcms:
+        denom = denom * m_
+    result = Scalar(last, denom)
+    return -result if sign < 0 else result
 
 
 def in_span(vectors: Sequence[Vector], w: Vector) -> bool:
@@ -389,10 +386,9 @@ def in_span(vectors: Sequence[Vector], w: Vector) -> bool:
         return True
     if not vectors:
         return False
-    with degree_cap(None):
-        before = _bareiss(_cleared(mat(vectors))[0])[0]
-        after = _bareiss(_cleared(mat(list(vectors) + [tuple(w)]))[0])[0]
-        return len(before) == len(after)
+    before = _bareiss(_cleared(mat(vectors))[0])[0]
+    after = _bareiss(_cleared(mat(list(vectors) + [tuple(w)]))[0])[0]
+    return len(before) == len(after)
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +404,13 @@ def clear_matrix(A: Matrix) -> tuple[list[list[Poly]], Poly]:
     gcd churn: Pf_S(D*A) = D^{|S|/2} Pf_S(A).
     """
     nvars = A[0][0].nvars
-    with degree_cap(None):
-        D = Poly.one(nvars)
-        for row in A:
-            for a in row:
-                D = poly_lcm(D, a.den)
-        rows = [
-            [a.num * poly_divexact(D, a.den) for a in row] for row in A
-        ]
+    D = Poly.one(nvars)
+    for row in A:
+        for a in row:
+            D = poly_lcm(D, a.den)
+    rows = [
+        [a.num * poly_divexact(D, a.den) for a in row] for row in A
+    ]
     return rows, D
 
 
@@ -427,8 +422,7 @@ def pfaffian_poly(rows: Sequence[Sequence[Poly]],
     nvars = rows[0][0].nvars if rows else 0
     if len(idx) % 2:
         return Poly.zero(nvars)
-    with degree_cap(None):
-        return _pf_poly(rows, idx, nvars)
+    return _pf_poly(rows, idx, nvars)
 
 
 def _pf_poly(rows, idx: tuple[int, ...], nvars: int) -> Poly:
@@ -448,27 +442,6 @@ def _pf_poly(rows, idx: tuple[int, ...], nvars: int) -> Poly:
             term = -term
         total = total + term
     return total
-
-
-def pfaffian(A: Matrix, subset: Sequence[int] | None = None) -> Scalar:
-    """Pfaffian of a principal submatrix of a skew matrix (0-based indices).
-
-    Pf of the empty matrix is 1; odd-sized subsets give 0.  Computed on the
-    denominator-cleared matrix, with a single reconstruction at the end.
-    """
-    n, m = dims(A)
-    if n != m:
-        raise ValueError("pfaffian of a non-square matrix")
-    idx = tuple(range(n)) if subset is None else tuple(subset)
-    nvars = A[0][0].nvars if A else 0
-    if len(idx) % 2:
-        return Scalar.zero(nvars)
-    if not idx:
-        return Scalar.one(nvars)
-    with degree_cap(None):
-        rows, D = clear_matrix(A)
-        pf = _pf_poly(rows, idx, nvars)
-        return Scalar(pf, D.pow(len(idx) // 2))
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from .koszul import (
 )
 from .rational import (
     Scalar,
-    degree_cap,
     rational_from_str,
     scalar_is_definite,
     scalar_is_polefree,
@@ -148,16 +147,15 @@ def _pfaffian_scan(M: linalg.Matrix, top: int | None = None) -> tuple[int, dict]
     """
     n = len(M)
     top = n if top is None else min(top, n)
-    with degree_cap(None):
-        rows, D = linalg.clear_matrix(M)
-        for m in range(top // 2, 0, -1):
-            pfs = {}
-            for S in itertools.combinations(range(n), 2 * m):
-                pf = linalg.pfaffian_poly(rows, S)
-                if not pf.is_zero():
-                    pfs[S] = Scalar(pf, D.pow(m))
-            if pfs:
-                return 2 * m, pfs
+    rows, D = linalg.clear_matrix(M)
+    for m in range(top // 2, 0, -1):
+        pfs = {}
+        for S in itertools.combinations(range(n), 2 * m):
+            pf = linalg.pfaffian_poly(rows, S)
+            if not pf.is_zero():
+                pfs[S] = Scalar(pf, D.pow(m))
+        if pfs:
+            return 2 * m, pfs
     return 0, {}
 
 
@@ -278,8 +276,7 @@ def annihilator_forms(K: DistributionFrame) -> list[DifferentialForm]:
     xi_rows = linalg.nullspace(K.coordinate_matrix())
     if not xi_rows:
         return []
-    with degree_cap(None):
-        cleared, _ = linalg._clear_rows(linalg.mat(xi_rows))
+    cleared, _ = linalg._clear_rows(linalg.mat(xi_rows))
     out = []
     for row in cleared:
         terms = {
@@ -433,20 +430,19 @@ def horizontality_witness_search(
                 s = s * Scalar.variable(i, n)
             monomials.append(s)
     family = [xi.scale(m) for xi in ann for m in monomials]
-    with degree_cap(None):
-        for x in family:
-            out = de_rham(x)
+    for x in family:
+        out = de_rham(x)
+        if not is_horizontal(out, K):
+            return out
+    for x, y in itertools.combinations(family, 2):
+        out = lam(2, [ShiftedForm(x), ShiftedForm(y)], ctx).form
+        if not is_horizontal(out, K):
+            return out
+    if not ctx.is_poisson():
+        for combo in itertools.combinations(family, 3):
+            out = lam(3, [ShiftedForm(f) for f in combo], ctx).form
             if not is_horizontal(out, K):
                 return out
-        for x, y in itertools.combinations(family, 2):
-            out = lam(2, [ShiftedForm(x), ShiftedForm(y)], ctx).form
-            if not is_horizontal(out, K):
-                return out
-        if not ctx.is_poisson():
-            for combo in itertools.combinations(family, 3):
-                out = lam(3, [ShiftedForm(f) for f in combo], ctx).form
-                if not is_horizontal(out, K):
-                    return out
     return None
 
 
@@ -458,21 +454,20 @@ def koszul_preserves_horizontal(
 
     ctx = data.context()
     report = {"lambda1": True, "lambda2": True, "lambda3": True, "trials": trials}
-    with degree_cap(None):
-        for _ in range(trials):
-            degs = [rng.choice([1, 2, 3]) for _ in range(3)]
-            xs = []
-            for d in degs:
-                h = random_horizontal_form(rng, data.K, d)
-                if not is_horizontal(h, data.K):
-                    raise AssertionError("generator produced non-horizontal form")
-                xs.append(ShiftedForm(h))
-            if not is_horizontal(lam(1, xs[:1], ctx).form, data.K):
-                report["lambda1"] = False
-            if not is_horizontal(lam(2, xs[:2], ctx).form, data.K):
-                report["lambda2"] = False
-            if not is_horizontal(lam(3, xs, ctx).form, data.K):
-                report["lambda3"] = False
+    for _ in range(trials):
+        degs = [rng.choice([1, 2, 3]) for _ in range(3)]
+        xs = []
+        for d in degs:
+            h = random_horizontal_form(rng, data.K, d)
+            if not is_horizontal(h, data.K):
+                raise AssertionError("generator produced non-horizontal form")
+            xs.append(ShiftedForm(h))
+        if not is_horizontal(lam(1, xs[:1], ctx).form, data.K):
+            report["lambda1"] = False
+        if not is_horizontal(lam(2, xs[:2], ctx).form, data.K):
+            report["lambda2"] = False
+        if not is_horizontal(lam(3, xs, ctx).form, data.K):
+            report["lambda3"] = False
     report["all"] = report["lambda1"] and report["lambda2"] and report["lambda3"]
     return report
 
@@ -557,14 +552,13 @@ def deform(data: PreSymplecticData, beta: DifferentialForm,
     if not is_horizontal(beta, data.K):
         raise NonHorizontalError("beta is not horizontal for ker(eta#)")
     ctx = data.context()
-    with degree_cap(None):
-        residual = mc_residual(beta, ctx)
-        mc = residual.is_zero()
-        f_form = F_symbolic_form(beta, ctx)  # raises NotInIZError if degenerate
-        exp_form = data.eta + f_form
-        closed = de_rham(exp_form).is_zero()
-        rank_rep = constant_rank_report(exp_form, data.k, grid_coords)
-        transverse_rep = _kernel_transversality(exp_form, data, grid_coords)
+    residual = mc_residual(beta, ctx)
+    mc = residual.is_zero()
+    f_form = F_symbolic_form(beta, ctx)  # raises NotInIZError if degenerate
+    exp_form = data.eta + f_form
+    closed = de_rham(exp_form).is_zero()
+    rank_rep = constant_rank_report(exp_form, data.k, grid_coords)
+    transverse_rep = _kernel_transversality(exp_form, data, grid_coords)
     report = {
         "mc": mc,
         "closed": closed,

@@ -14,45 +14,14 @@ Structural equality of canonical forms is mathematical equality.
 
 from __future__ import annotations
 
-import contextvars
 import re
-from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, Sequence
-
-
-class DegreeCapError(ArithmeticError):
-    """A polynomial product exceeded the active total-degree cap."""
+from typing import Sequence
 
 
 class PoleError(ZeroDivisionError):
     """Evaluation at a point where a denominator vanishes."""
-
-
-# Total-degree guard against runaway expression swell.  Products whose total
-# degree would exceed the cap raise DegreeCapError instead of truncating.
-# Bounded internal algorithms (elimination, adjugates, Pfaffians) lift the cap
-# around their own arithmetic; see `degree_cap`.  Stored in a ContextVar so
-# concurrent threads and tasks see independent settings.
-_DEFAULT_DEGREE_CAP = 8
-_degree_cap_var: contextvars.ContextVar[int | None] = contextvars.ContextVar(
-    "diracdeform_degree_cap", default=_DEFAULT_DEGREE_CAP
-)
-
-
-def current_degree_cap() -> int | None:
-    return _degree_cap_var.get()
-
-
-@contextmanager
-def degree_cap(limit: int | None) -> Iterator[None]:
-    """Temporarily set the polynomial total-degree cap (None = unlimited)."""
-    token = _degree_cap_var.set(limit)
-    try:
-        yield
-    finally:
-        _degree_cap_var.reset(token)
 
 
 _ZERO = Fraction(0)
@@ -170,14 +139,6 @@ class Poly:
             raise ValueError("variable-count mismatch")
         if not self.terms or not other.terms:
             return Poly(self.nvars, {})
-        cap = _degree_cap_var.get()
-        if cap is not None:
-            d1, d2 = self.total_degree(), other.total_degree()
-            if d1 + d2 > cap:
-                raise DegreeCapError(
-                    f"product would have total degree {d1 + d2} > cap {cap} "
-                    f"(operands: {_size(d1, self)}; {_size(d2, other)})"
-                )
         out: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -321,11 +282,6 @@ def _grlex_key(e: tuple[int, ...]) -> tuple:
     return (sum(e), e)
 
 
-def _size(degree: int, p: Poly) -> str:
-    n = len(p.terms)
-    return f"degree {degree}, {n} term{'' if n == 1 else 's'}"
-
-
 # ---------------------------------------------------------------------------
 # Division, gcd, and content
 # ---------------------------------------------------------------------------
@@ -344,15 +300,14 @@ def poly_divexact(f: Poly, g: Poly) -> Poly:
     rem = f
     g_lm = g.leading_monomial()
     g_lc = g.terms[g_lm]
-    with degree_cap(None):
-        while not rem.is_zero():
-            lm = rem.leading_monomial()
-            diff = tuple(a - b for a, b in zip(lm, g_lm))
-            if any(d < 0 for d in diff):
-                raise ValueError("inexact polynomial division")
-            c = rem.terms[lm] / g_lc
-            q[diff] = c
-            rem = rem - Poly(f.nvars, {diff: c}) * g
+    while not rem.is_zero():
+        lm = rem.leading_monomial()
+        diff = tuple(a - b for a, b in zip(lm, g_lm))
+        if any(d < 0 for d in diff):
+            raise ValueError("inexact polynomial division")
+        c = rem.terms[lm] / g_lc
+        q[diff] = c
+        rem = rem - Poly(f.nvars, {diff: c}) * g
     return Poly(f.nvars, q)
 
 
@@ -406,14 +361,13 @@ def _pseudo_rem(f: Poly, g: Poly, var: int) -> Poly:
     lead_g = gc[dg]
     xvar = Poly.variable(var, nvars)
     rem = f
-    with degree_cap(None):
-        while not rem.is_zero():
-            rc = _coeffs_wrt(rem, var)
-            dr = max(rc)
-            if dr < dg:
-                break
-            lead_r = rc[dr]
-            rem = rem * lead_g - g * lead_r * xvar.pow(dr - dg)
+    while not rem.is_zero():
+        rc = _coeffs_wrt(rem, var)
+        dr = max(rc)
+        if dr < dg:
+            break
+        lead_r = rc[dr]
+        rem = rem * lead_g - g * lead_r * xvar.pow(dr - dg)
     return rem
 
 
@@ -538,17 +492,16 @@ def _prs_gcd(f: Poly, g: Poly) -> Poly:
     b = poly_divexact(g, cg)
     if a.degree_in(var) < b.degree_in(var):
         a, b = b, a
-    with degree_cap(None):
-        while True:
-            r = _pseudo_rem(a, b, var)
-            if r.is_zero():
-                break
-            r = poly_divexact(r, _poly_content_wrt(r, var))
-            a, b = b, r
-            if b.degree_in(var) == 0:
-                b = Poly.one(f.nvars)
-                break
-        return _normalize_primitive(cont * b)
+    while True:
+        r = _pseudo_rem(a, b, var)
+        if r.is_zero():
+            break
+        r = poly_divexact(r, _poly_content_wrt(r, var))
+        a, b = b, r
+        if b.degree_in(var) == 0:
+            b = Poly.one(f.nvars)
+            break
+    return _normalize_primitive(cont * b)
 
 
 # ---------------------------------------------------------------------------
@@ -697,26 +650,25 @@ def _heuristic_gcd(f: Poly, g: Poly) -> Poly | None:
     coprime (via the specialization bound test); anything unresolved falls
     back to the caller's PRS path on the reduced cofactors.
     """
-    with degree_cap(None):
-        a = _normalize_primitive(f)
-        b = _normalize_primitive(g)
-        acc = Poly.one(f.nvars)
-        for _ in range(4):
-            h = _heuristic_gcd_raw(a, b, 0)
-            if h is None:
-                if acc.is_constant():
-                    return None
-                return _normalize_primitive(acc * _prs_gcd(a, b))
-            acc = acc * h
-            if h.is_constant():
-                return _normalize_primitive(acc)
-            a = poly_divexact(a, h)
-            b = poly_divexact(b, h)
-            if a.is_constant() or b.is_constant():
-                return _normalize_primitive(acc)
-            if _gcd_certainly_trivial(a, b):
-                return _normalize_primitive(acc)
-        return _normalize_primitive(acc * _prs_gcd(a, b))
+    a = _normalize_primitive(f)
+    b = _normalize_primitive(g)
+    acc = Poly.one(f.nvars)
+    for _ in range(4):
+        h = _heuristic_gcd_raw(a, b, 0)
+        if h is None:
+            if acc.is_constant():
+                return None
+            return _normalize_primitive(acc * _prs_gcd(a, b))
+        acc = acc * h
+        if h.is_constant():
+            return _normalize_primitive(acc)
+        a = poly_divexact(a, h)
+        b = poly_divexact(b, h)
+        if a.is_constant() or b.is_constant():
+            return _normalize_primitive(acc)
+        if _gcd_certainly_trivial(a, b):
+            return _normalize_primitive(acc)
+    return _normalize_primitive(acc * _prs_gcd(a, b))
 
 
 def _main_variable(f: Poly, g: Poly) -> int:
@@ -741,8 +693,7 @@ def _normalize_primitive(f: Poly) -> Poly:
 def poly_lcm(f: Poly, g: Poly) -> Poly:
     if f.is_zero() or g.is_zero():
         return Poly.zero(f.nvars)
-    with degree_cap(None):
-        return _normalize_primitive(poly_divexact(f * g, poly_gcd(f, g)))
+    return _normalize_primitive(poly_divexact(f * g, poly_gcd(f, g)))
 
 
 # ---------------------------------------------------------------------------
@@ -868,13 +819,12 @@ class Scalar:
         dd = d.derivative(i)
         if dd.is_zero():
             return Scalar(dn, d)
-        with degree_cap(None):
-            g = poly_gcd(d, dd)
-            if g.is_constant():
-                return Scalar(dn * d - n * dd, d * d)
-            u = poly_divexact(d, g)
-            v = poly_divexact(dd, g)
-            return Scalar(dn * u - n * v, d * u)
+        g = poly_gcd(d, dd)
+        if g.is_constant():
+            return Scalar(dn * d - n * dd, d * d)
+        u = poly_divexact(d, g)
+        v = poly_divexact(dd, g)
+        return Scalar(dn * u - n * v, d * u)
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         dv = self.den.evaluate(point)
@@ -935,15 +885,14 @@ def _cancel(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         return Poly.const(num.nvars, n / d), Poly.one(num.nvars)
     if num.is_zero():
         return Poly.zero(num.nvars), Poly.one(num.nvars)
-    with degree_cap(None):
-        g = poly_gcd(num, den)
-        if not (g.is_constant() and g.constant_value() == 1):
-            num = poly_divexact(num, g)
-            den = poly_divexact(den, g)
-        c = _content(den)
-        if c != 1:
-            num = num.scale(1 / c)
-            den = den.scale(1 / c)
+    g = poly_gcd(num, den)
+    if not (g.is_constant() and g.constant_value() == 1):
+        num = poly_divexact(num, g)
+        den = poly_divexact(den, g)
+    c = _content(den)
+    if c != 1:
+        num = num.scale(1 / c)
+        den = den.scale(1 / c)
     if den.is_constant():
         return num, Poly.one(num.nvars)
     return num, den

@@ -107,7 +107,7 @@ from .randgen import (
     random_skew,
     shrink_into_IZ,
 )
-from .rational import Scalar, degree_cap, rational_from_str, scalar_from_str
+from .rational import Scalar, rational_from_str, scalar_from_str
 from .report import DEFAULT_GRID, CheckOutcome, SuiteConfig
 
 
@@ -403,20 +403,13 @@ def _run_ext_worked(payload):
         == DifferentialForm.make(c2, {(): 1})
     )
     checks.append(det_pairing(partial(c2, 1, 2), dx(c2, 1, 2)) == Scalar.one(2))
-    # pole and degree-cap errors
-    from .rational import PoleError, DegreeCapError
+    # pole errors
+    from .rational import PoleError
 
     try:
         evaluate(DifferentialForm.make(c2, {(2,): "(1)/(1 - x1)"}), [1, 0])
         checks.append(False)
     except PoleError:
-        checks.append(True)
-    try:
-        big = DifferentialForm.make(c2, {(1,): "x1^5"})
-        with degree_cap(8):
-            wedge(big, DifferentialForm.make(c2, {(2,): "x2^5"}))
-        checks.append(False)
-    except DegreeCapError:
         checks.append(True)
     bad = [i for i, ok in enumerate(checks) if not ok]
     return not bad, f"{len(checks)} worked examples" + (f"; failing: {bad}" if bad else "")
@@ -1144,12 +1137,24 @@ def _gen_family_deform(rng, cfg):
     )
 
 
-@executor("presym.family_deform")
-def _run_family_deform(payload):
+def _certified_instance(payload):
+    """The chart instance of `payload`; an uncertifiable rank skips the check."""
     try:
-        data = instance_from_json(payload["instance"])
+        return instance_from_json(payload)
     except CannotCertifyError as exc:
         raise SkipCheck(f"cannot-certify: {exc}")
+
+
+@executor("presym.build")
+def _run_build(payload):
+    data = _certified_instance(payload)
+    cert = data.certificate
+    return True, f"rank {data.k}; witness {cert['witness']} ({cert['rule']})"
+
+
+@executor("presym.family_deform")
+def _run_family_deform(payload):
+    data = _certified_instance(payload["instance"])
     beta = form_from_json(payload["beta"])
     try:
         rep = deform(data, beta, _grid(payload))
@@ -1207,10 +1212,7 @@ def _gen_preservation(rng, cfg):
 
 @executor("presym.preservation")
 def _run_preservation(payload):
-    try:
-        data = instance_from_json(payload["instance"])
-    except CannotCertifyError as exc:
-        raise SkipCheck(f"cannot-certify: {exc}")
+    data = _certified_instance(payload["instance"])
     ctx = data.context()
     flags = horizontal_preservation_conditions(data.K, ctx)
     rng = random.Random(payload["seed"])
@@ -1427,8 +1429,7 @@ def run_check(name: str, payload: dict) -> CheckOutcome:
     t0 = time.perf_counter()
     witness = None
     try:
-        with degree_cap(None):
-            result = CHECK_EXECUTORS[name](payload)
+        result = CHECK_EXECUTORS[name](payload)
         ok, detail = result[0], result[1]
         if len(result) > 2:
             witness = result[2]
@@ -1457,8 +1458,7 @@ def _suite_workload(config: SuiteConfig):
         for trial in range(config.trials):
             rng = derive_rng(config.seed, name, trial)
             try:
-                with degree_cap(None):
-                    payload = CHECK_GENERATORS[name](rng, config)
+                payload = CHECK_GENERATORS[name](rng, config)
             except Exception as exc:  # generator trouble is a harness bug
                 work.append((name, exc))
                 continue

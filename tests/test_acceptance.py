@@ -32,7 +32,6 @@ from diracdeform.koszul import (
     koszul_bracket_oneform,
 )
 from diracdeform.randgen import random_field, random_form
-from diracdeform.rational import degree_cap
 from diracdeform.report import SuiteConfig, assemble_report, comparable
 from diracdeform.suites import (
     CHECK_GENERATORS,
@@ -71,8 +70,7 @@ def seeded(tag: str) -> random.Random:
 
 def test_criterion_01_exterior_axioms():
     rng = seeded("c1")
-    with criterion(1, "<60s", "exterior axioms, 100 exact checks per identity"), \
-         degree_cap(None):
+    with criterion(1, "<60s", "exterior axioms, 100 exact checks per identity"):
         charts = [Chart(n) for n in (2, 3, 4, 5)]
         for i in range(100):
             chart = charts[i % 4]
@@ -123,7 +121,7 @@ def test_criterion_01_exterior_axioms():
 def test_criterion_02_convention_consistency():
     rng = seeded("c2")
     with criterion(2, "<30s", "Koszul bracket: definition == 1-form formula, "
-                              "100 pairs + worked value"), degree_cap(None):
+                              "100 pairs + worked value"):
         c2 = Chart(2)
         ctx = KoszulContext(MultivectorField.make(c2, {(1, 2): "x1"}))
         assert koszul_bracket(dx(c2, 1), dx(c2, 2), ctx) == dx(c2, 1)
@@ -140,8 +138,7 @@ def test_criterion_02_convention_consistency():
 def test_criterion_03_linfty_jacobi():
     rng = seeded("c3")
     with criterion(3, "<5min", "generalized Jacobi, arities 1..5, 25 draws "
-                               "per arity on R^4, coef degree <= 2"), \
-         degree_cap(None):
+                               "per arity on R^4, coef degree <= 2"):
         c4 = Chart(4)
         nonpoisson_draws = 0
         for arity in range(1, 6):
@@ -165,8 +162,7 @@ def _draws(name: str, dim: int, seed: int):
     """The generator's payloads for `name` at trials 0, 1, 2, ..."""
     cfg = SuiteConfig(suite=name, dim=dim, seed=seed)
     for trial in count():
-        with degree_cap(None):
-            yield CHECK_GENERATORS[name](derive_rng(seed, name, trial), cfg)
+        yield CHECK_GENERATORS[name](derive_rng(seed, name, trial), cfg)
 
 
 def _passes(name: str, payloads) -> int:

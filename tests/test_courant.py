@@ -22,7 +22,6 @@ from diracdeform.exterior import (
     partial,
 )
 from diracdeform.randgen import random_field, random_form
-from diracdeform.rational import degree_cap
 
 
 def test_section_validation(c2, c3):
@@ -59,19 +58,18 @@ def test_dorfman_worked(c2):
 
 
 def test_dorfman_leibniz_identity(rng, c3):
-    with degree_cap(None):
-        for _ in range(6):
-            secs = [
-                section(
-                    random_field(rng, c3, 1, 1, density=0.6, bound=4),
-                    random_form(rng, c3, 1, 1, density=0.6, bound=4),
-                )
-                for _ in range(3)
-            ]
-            s1, s2, s3 = secs
-            lhs = dorfman(s1, dorfman(s2, s3))
-            rhs = dorfman(dorfman(s1, s2), s3) + dorfman(s2, dorfman(s1, s3))
-            assert (lhs - rhs).is_zero()
+    for _ in range(6):
+        secs = [
+            section(
+                random_field(rng, c3, 1, 1, density=0.6, bound=4),
+                random_form(rng, c3, 1, 1, density=0.6, bound=4),
+            )
+            for _ in range(3)
+        ]
+        s1, s2, s3 = secs
+        lhs = dorfman(s1, dorfman(s2, s3))
+        rhs = dorfman(dorfman(s1, s2), s3) + dorfman(s2, dorfman(s1, s3))
+        assert (lhs - rhs).is_zero()
 
 
 def test_is_dirac_worked(c2, c3, c4):

@@ -29,7 +29,7 @@ from diracdeform.exterior import (
     wedge,
     wedge_all,
 )
-from diracdeform.rational import PoleError, Scalar, degree_cap
+from diracdeform.rational import PoleError, Scalar
 from diracdeform.randgen import random_field, random_form
 
 
@@ -63,22 +63,20 @@ def test_de_rham_worked(c2):
 
 
 def test_d_squared_randomized(rng, c4):
-    with degree_cap(None):
-        for _ in range(25):
-            deg = rng.randint(0, 3)
-            alpha = random_form(rng, c4, deg, max_coef_degree=4)
-            assert de_rham(de_rham(alpha)).is_zero()
+    for _ in range(25):
+        deg = rng.randint(0, 3)
+        alpha = random_form(rng, c4, deg, max_coef_degree=4)
+        assert de_rham(de_rham(alpha)).is_zero()
 
 
 def test_graded_leibniz_randomized(rng, c4):
-    with degree_cap(None):
-        for _ in range(25):
-            p = rng.randint(0, 3)
-            a = random_form(rng, c4, p)
-            b = random_form(rng, c4, rng.randint(0, 3))
-            lhs = de_rham(wedge(a, b))
-            rhs = wedge(de_rham(a), b) + wedge(a, de_rham(b)).scale((-1) ** p)
-            assert lhs == rhs
+    for _ in range(25):
+        p = rng.randint(0, 3)
+        a = random_form(rng, c4, p)
+        b = random_form(rng, c4, rng.randint(0, 3))
+        lhs = de_rham(wedge(a, b))
+        rhs = wedge(de_rham(a), b) + wedge(a, de_rham(b)).scale((-1) ** p)
+        assert lhs == rhs
 
 
 # -- contraction ----------------------------------------------------------------
@@ -93,14 +91,13 @@ def test_contraction_convention(c2, c3):
 
 def test_contraction_nested_oracle(rng, c4):
     # iota_{X1 ^ X2} == iota_{X1} o iota_{X2} on random decomposables
-    with degree_cap(None):
-        for _ in range(10):
-            X = random_field(rng, c4, 1)
-            Y = random_field(rng, c4, 1)
-            alpha = random_form(rng, c4, rng.randint(2, 4))
-            lhs = contract(wedge(X, Y), alpha)
-            rhs = contract(X, contract(Y, alpha))
-            assert lhs == rhs
+    for _ in range(10):
+        X = random_field(rng, c4, 1)
+        Y = random_field(rng, c4, 1)
+        alpha = random_form(rng, c4, rng.randint(2, 4))
+        lhs = contract(wedge(X, Y), alpha)
+        rhs = contract(X, contract(Y, alpha))
+        assert lhs == rhs
 
 
 def test_lie_derivative_worked(c2):
@@ -132,15 +129,14 @@ def test_schouten_worked(c3, c4):
 
 
 def test_schouten_graded_symmetry(rng, c4):
-    with degree_cap(None):
-        for _ in range(20):
-            p = rng.randint(0, 3)
-            q = rng.randint(0, 3)
-            P = random_field(rng, c4, p)
-            Q = random_field(rng, c4, q)
-            lhs = schouten(P, Q)
-            rhs = schouten(Q, P).scale((-1) ** ((p - 1) * (q - 1)))
-            assert (lhs + rhs).is_zero()
+    for _ in range(20):
+        p = rng.randint(0, 3)
+        q = rng.randint(0, 3)
+        P = random_field(rng, c4, p)
+        Q = random_field(rng, c4, q)
+        lhs = schouten(P, Q)
+        rhs = schouten(Q, P).scale((-1) ** ((p - 1) * (q - 1)))
+        assert (lhs + rhs).is_zero()
 
 
 def test_schouten_operator_identity_oracle(rng, c4):
@@ -151,18 +147,17 @@ def test_schouten_operator_identity_oracle(rng, c4):
         u = de_rham(contract(W, a))
         return t - u if wdeg % 2 == 0 else t + u
 
-    with degree_cap(None):
-        for _ in range(20):
-            p = rng.randint(1, 2)
-            q = rng.randint(1, 2)
-            P = random_field(rng, c4, p)
-            Q = random_field(rng, c4, q)
-            alpha = random_form(rng, c4, rng.randint(p + q - 1, 4))
-            lhs = contract(schouten(P, Q), alpha)
-            t = lie_gc(P, p, contract(Q, alpha))
-            u = contract(Q, lie_gc(P, p, alpha))
-            rhs = t - u.scale((-1) ** (q * (p - 1)))
-            assert lhs == rhs
+    for _ in range(20):
+        p = rng.randint(1, 2)
+        q = rng.randint(1, 2)
+        P = random_field(rng, c4, p)
+        Q = random_field(rng, c4, q)
+        alpha = random_form(rng, c4, rng.randint(p + q - 1, 4))
+        lhs = contract(schouten(P, Q), alpha)
+        t = lie_gc(P, p, contract(Q, alpha))
+        u = contract(Q, lie_gc(P, p, alpha))
+        rhs = t - u.scale((-1) ** (q * (p - 1)))
+        assert lhs == rhs
 
 
 # -- multi-sharp --------------------------------------------------------------------
@@ -184,23 +179,22 @@ def test_multi_sharp_arity_guard(c3):
 
 
 def test_multi_sharp_alternating(rng, c4):
-    with degree_cap(None):
-        for _ in range(8):
-            W = random_field(rng, c4, 2)
-            a = random_form(rng, c4, rng.randint(1, 2))
-            b = random_form(rng, c4, rng.randint(1, 2))
-            da, db = 0, 0
-            if not a.is_zero():
-                da = a.degree()
-            if not b.is_zero():
-                db = b.degree()
-            lhs = multi_sharp([a, b], W)
-            rhs = multi_sharp([b, a], W)
-            # swapping the slots introduces the sign of swapping the forms
-            # against the (odd) pairing slots: (-1)^(da*db) from the wedge of
-            # the contracted pieces times the permutation sign
-            sign = -((-1) ** ((da - 1) * (db - 1)))
-            assert lhs == rhs.scale(sign)
+    for _ in range(8):
+        W = random_field(rng, c4, 2)
+        a = random_form(rng, c4, rng.randint(1, 2))
+        b = random_form(rng, c4, rng.randint(1, 2))
+        da, db = 0, 0
+        if not a.is_zero():
+            da = a.degree()
+        if not b.is_zero():
+            db = b.degree()
+        lhs = multi_sharp([a, b], W)
+        rhs = multi_sharp([b, a], W)
+        # swapping the slots introduces the sign of swapping the forms
+        # against the (odd) pairing slots: (-1)^(da*db) from the wedge of
+        # the contracted pieces times the permutation sign
+        sign = -((-1) ** ((da - 1) * (db - 1)))
+        assert lhs == rhs.scale(sign)
 
 
 def _multi_sharp_reference(forms, W):
@@ -217,15 +211,14 @@ def _multi_sharp_reference(forms, W):
 
 
 def test_multi_sharp_matches_uncached_reference(rng, c4):
-    with degree_cap(None):
-        for k in (2, 3):
-            for _ in range(4):
-                W = random_field(rng, c4, k, max_coef_degree=1)
-                forms = [
-                    random_form(rng, c4, rng.randint(1, 2), max_coef_degree=1)
-                    for _ in range(k)
-                ]
-                assert multi_sharp(forms, W) == _multi_sharp_reference(forms, W)
+    for k in (2, 3):
+        for _ in range(4):
+            W = random_field(rng, c4, k, max_coef_degree=1)
+            forms = [
+                random_form(rng, c4, rng.randint(1, 2), max_coef_degree=1)
+                for _ in range(k)
+            ]
+            assert multi_sharp(forms, W) == _multi_sharp_reference(forms, W)
 
 
 def test_pairing_convention(c2):
@@ -244,16 +237,15 @@ def test_evaluate_worked(c2):
 
 
 def test_evaluate_homomorphism(rng, c3):
-    with degree_cap(None):
-        for _ in range(10):
-            a = random_form(rng, c3, rng.randint(0, 2))
-            b = random_form(rng, c3, rng.randint(0, 2))
-            v = random_field(rng, c3, 1)
-            pt = [Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(3)]
-            assert evaluate(wedge(a, b), pt) == wedge(evaluate(a, pt), evaluate(b, pt))
-            assert evaluate(contract(v, a), pt) == contract(
-                evaluate(v, pt), evaluate(a, pt)
-            )
+    for _ in range(10):
+        a = random_form(rng, c3, rng.randint(0, 2))
+        b = random_form(rng, c3, rng.randint(0, 2))
+        v = random_field(rng, c3, 1)
+        pt = [Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(3)]
+        assert evaluate(wedge(a, b), pt) == wedge(evaluate(a, pt), evaluate(b, pt))
+        assert evaluate(contract(v, a), pt) == contract(
+            evaluate(v, pt), evaluate(a, pt)
+        )
 
 
 def test_json_roundtrip(rng, c4):

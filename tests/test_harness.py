@@ -402,6 +402,16 @@ def test_cli_generate_kinds(tmp_path):
         assert data
 
 
+def test_cli_generate_then_run_uncapped(tmp_path, capsys):
+    # highest exponent 7: products of this size are computed exactly
+    p = str(tmp_path / "sheared.json")
+    assert main(["generate", "presymplectic-instance", "--dim", "5",
+                 "--rank", "2", "--shear-degree", "6", "--seed", "1",
+                 "--out", p]) == 0
+    assert main(["run", p, "--quiet"]) == 0
+    assert "2 pass, 0 fail, 0 skipped" in capsys.readouterr().out
+
+
 def test_generate_deterministic_and_snapshot():
     a = generate_payload("skew-form", 1, 4, 2, 1)
     b = generate_payload("skew-form", 1, 4, 2, 1)

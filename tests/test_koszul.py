@@ -38,7 +38,6 @@ from diracdeform.koszul import (
     F_symbolic,
     F_symbolic_form,
 )
-from diracdeform.rational import degree_cap
 from diracdeform.randgen import random_field, random_form, random_scalar
 
 
@@ -58,12 +57,11 @@ def test_context_invariants(c4):
 
 
 def test_conversion_roundtrips(rng, c4):
-    with degree_cap(None):
-        for _ in range(6):
-            beta = random_form(rng, c4, 2)
-            assert skew_to_form(form_to_skew(beta), c4) == beta
-            Z = random_field(rng, c4, 2)
-            assert bivector_to_field(field_to_bivector(Z), c4) == Z
+    for _ in range(6):
+        beta = random_form(rng, c4, 2)
+        assert skew_to_form(form_to_skew(beta), c4) == beta
+        Z = random_field(rng, c4, 2)
+        assert bivector_to_field(field_to_bivector(Z), c4) == Z
 
 
 def test_sharp_convention(c4):
@@ -98,12 +96,11 @@ def test_constant_inputs_constant_Z(c4):
 
 
 def test_oneform_formula_agreement_randomized(rng, c3):
-    with degree_cap(None):
-        for _ in range(20):
-            ctx = KoszulContext(random_field(rng, c3, 2, 2, density=0.8))
-            a = random_form(rng, c3, 1, 2, density=0.8)
-            b = random_form(rng, c3, 1, 2, density=0.8)
-            assert koszul_bracket(a, b, ctx) == koszul_bracket_oneform(a, b, ctx)
+    for _ in range(20):
+        ctx = KoszulContext(random_field(rng, c3, 2, 2, density=0.8))
+        a = random_form(rng, c3, 1, 2, density=0.8)
+        b = random_form(rng, c3, 1, 2, density=0.8)
+        assert koszul_bracket(a, b, ctx) == koszul_bracket_oneform(a, b, ctx)
 
 
 def test_bracket_requires_homogeneous(c3):
@@ -132,11 +129,10 @@ def test_trinary_matches_direct_expansion(rng, c4):
     from diracdeform.exterior import multi_sharp
 
     ctx = nonpoisson_ctx(c4)
-    with degree_cap(None):
-        for _ in range(6):
-            forms = [random_form(rng, c4, 2) for _ in range(3)]
-            direct = multi_sharp(forms, ctx.half_schouten)
-            assert trinary_bracket(*forms, ctx) == direct
+    for _ in range(6):
+        forms = [random_form(rng, c4, 2) for _ in range(3)]
+        direct = multi_sharp(forms, ctx.half_schouten)
+        assert trinary_bracket(*forms, ctx) == direct
 
 
 # -- lambda and mu -------------------------------------------------------------------
@@ -162,45 +158,42 @@ def test_lambda_arity_guard(rng, c4):
 
 def test_lambda_graded_symmetry(rng, c4):
     ctx = nonpoisson_ctx(c4)
-    with degree_cap(None):
-        for _ in range(10):
-            degs = [rng.randint(0, 3) for _ in range(3)]
-            xs = [ShiftedForm(random_form(rng, c4, d)) for d in degs]
-            d = [x.shifted_degree for x in xs]
-            s01 = (-1) ** (d[0] * d[1])
-            assert lam(2, [xs[0], xs[1]], ctx).form == lam(
-                2, [xs[1], xs[0]], ctx
-            ).form.scale(s01)
-            s12 = (-1) ** (d[1] * d[2])
-            assert lam(3, xs, ctx).form == lam(
-                3, [xs[0], xs[2], xs[1]], ctx
-            ).form.scale(s12)
+    for _ in range(10):
+        degs = [rng.randint(0, 3) for _ in range(3)]
+        xs = [ShiftedForm(random_form(rng, c4, d)) for d in degs]
+        d = [x.shifted_degree for x in xs]
+        s01 = (-1) ** (d[0] * d[1])
+        assert lam(2, [xs[0], xs[1]], ctx).form == lam(
+            2, [xs[1], xs[0]], ctx
+        ).form.scale(s01)
+        s12 = (-1) ** (d[1] * d[2])
+        assert lam(3, xs, ctx).form == lam(
+            3, [xs[0], xs[2], xs[1]], ctx
+        ).form.scale(s12)
 
 
 def test_mu_relations_and_intertwiner(rng, c4):
     ctx = nonpoisson_ctx(c4)
     psi = psi_from_dorfman(ctx)
     assert psi == -ctx.half_schouten
-    with degree_cap(None):
-        for _ in range(8):
-            degs = [rng.randint(0, 3) for _ in range(3)]
-            xs = [ShiftedForm(random_form(rng, c4, d)) for d in degs]
-            assert mu(1, xs[:1], ctx).form == lam(1, xs[:1], ctx).form
-            assert mu(2, xs[:2], ctx).form == -lam(2, xs[:2], ctx).form
-            assert mu(3, xs, ctx, psi=psi).form == lam(3, xs, ctx).form
-            for k in (1, 2, 3):
-                args = xs[:k]
-                assert mu(k, [-x for x in args], ctx).form == -lam(k, args, ctx).form
+    for _ in range(8):
+        degs = [rng.randint(0, 3) for _ in range(3)]
+        xs = [ShiftedForm(random_form(rng, c4, d)) for d in degs]
+        assert mu(1, xs[:1], ctx).form == lam(1, xs[:1], ctx).form
+        assert mu(2, xs[:2], ctx).form == -lam(2, xs[:2], ctx).form
+        assert mu(3, xs, ctx, psi=psi).form == lam(3, xs, ctx).form
+        for k in (1, 2, 3):
+            args = xs[:k]
+            assert mu(k, [-x for x in args], ctx).form == -lam(k, args, ctx).form
 
 
 def test_lstar_bracket_equals_koszul(rng, c4):
     """The Dorfman-Leibniz extension reproduces the Koszul bracket."""
     ctx = nonpoisson_ctx(c4)
-    with degree_cap(None):
-        for _ in range(8):
-            a = random_form(rng, c4, rng.randint(0, 3))
-            b = random_form(rng, c4, rng.randint(0, 3))
-            assert lstar_bracket(a, b, ctx) == koszul_bracket(a, b, ctx)
+    for _ in range(8):
+        a = random_form(rng, c4, rng.randint(0, 3))
+        b = random_form(rng, c4, rng.randint(0, 3))
+        assert lstar_bracket(a, b, ctx) == koszul_bracket(a, b, ctx)
 
 
 def test_psi_is_tensorial_and_alternating(rng, c4):
@@ -210,10 +203,9 @@ def test_psi_is_tensorial_and_alternating(rng, c4):
     assert psi_value(ctx, b[1], b[0], b[2]) == -v123
     assert psi_value(ctx, b[0], b[0], b[2]).is_zero()
     f = random_scalar(rng, 4, 2)
-    with degree_cap(None):
-        assert psi_value(ctx, b[0].scale(f), b[1], b[2]) == f * v123
-        assert psi_value(ctx, b[0], b[1].scale(f), b[2]) == f * v123
-        assert psi_value(ctx, b[0], b[1], b[2].scale(f)) == f * v123
+    assert psi_value(ctx, b[0].scale(f), b[1], b[2]) == f * v123
+    assert psi_value(ctx, b[0], b[1].scale(f), b[2]) == f * v123
+    assert psi_value(ctx, b[0], b[1], b[2].scale(f)) == f * v123
 
 
 # -- generalized Jacobi -----------------------------------------------------------------
@@ -221,22 +213,20 @@ def test_psi_is_tensorial_and_alternating(rng, c4):
 
 def test_jacobi_identities_all_arities(rng, c4):
     ctx = nonpoisson_ctx(c4)
-    with degree_cap(None):
-        for arity in range(1, 6):
-            for _ in range(3):
-                degs = [rng.randint(1, 3) for _ in range(arity)]
-                xs = [ShiftedForm(random_form(rng, c4, d, 2)) for d in degs]
-                assert jacobi_residual(xs, ctx).is_zero()
+    for arity in range(1, 6):
+        for _ in range(3):
+            degs = [rng.randint(1, 3) for _ in range(arity)]
+            xs = [ShiftedForm(random_form(rng, c4, d, 2)) for d in degs]
+            assert jacobi_residual(xs, ctx).is_zero()
 
 
 def test_jacobi_poisson_dgla(rng, c3):
     Zp = MultivectorField.make(c3, {(1, 2): 1, (1, 3): "x2"})
     ctx = KoszulContext(Zp)
-    with degree_cap(None):
-        for _ in range(4):
-            xs = [ShiftedForm(random_form(rng, c3, rng.randint(1, 3))) for _ in range(3)]
-            assert lam(3, xs, ctx).form.is_zero()
-            assert jacobi_residual(xs, ctx).is_zero()
+    for _ in range(4):
+        xs = [ShiftedForm(random_form(rng, c3, rng.randint(1, 3))) for _ in range(3)]
+        assert lam(3, xs, ctx).form.is_zero()
+        assert jacobi_residual(xs, ctx).is_zero()
 
 
 # -- Maurer-Cartan ------------------------------------------------------------------------
@@ -303,17 +293,16 @@ def test_mc_equivalence_modes(c2, c4):
 
 
 def test_mc_equivalence_randomized(rng, c4):
-    with degree_cap(None):
-        done = 0
-        while done < 8:
-            Z = random_field(rng, c4, 2, 1, density=0.5, bound=3)
-            ctx = KoszulContext(Z)
-            beta = random_form(rng, c4, 2, 1, density=0.5, bound=3)
-            if i_z_determinant(form_to_skew(beta), ctx.bivector).is_zero():
-                continue
-            rep = mc_equivalence_report(beta, ctx)
-            assert rep["equivalent"]
-            done += 1
+    done = 0
+    while done < 8:
+        Z = random_field(rng, c4, 2, 1, density=0.5, bound=3)
+        ctx = KoszulContext(Z)
+        beta = random_form(rng, c4, 2, 1, density=0.5, bound=3)
+        if i_z_determinant(form_to_skew(beta), ctx.bivector).is_zero():
+            continue
+        rep = mc_equivalence_report(beta, ctx)
+        assert rep["equivalent"]
+        done += 1
 
 
 def test_dirac_mc_agreement_regression(c3):
@@ -325,8 +314,7 @@ def test_dirac_mc_agreement_regression(c3):
         c3, {(1, 2): "2*x1 - 1/3*x2", (1, 3): "1/2*x2 + 1", (2, 3): "2*x1 - 3*x2"}
     )
     beta = DifferentialForm.make(c3, {(1, 2): "x2 - 2/3", (1, 3): "x3 - 1"})
-    with degree_cap(None):
-        ctx = KoszulContext(Z)
-        mc = mc_residual(beta, ctx).is_zero()
-        dirac = is_dirac_frame(phi_z_frame(beta, ctx))
-        assert mc is False and dirac is False
+    ctx = KoszulContext(Z)
+    mc = mc_residual(beta, ctx).is_zero()
+    dirac = is_dirac_frame(phi_z_frame(beta, ctx))
+    assert mc is False and dirac is False

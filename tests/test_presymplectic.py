@@ -48,7 +48,6 @@ from diracdeform.randgen import (
     random_horizontal_form,
     random_presymplectic_form,
 )
-from diracdeform.rational import degree_cap
 
 
 def f1_data(c4) -> PreSymplecticData:
@@ -139,11 +138,10 @@ def test_annihilator_and_ideal(rng, c4):
     K = kernel_distribution(DifferentialForm.make(c4, {(1, 2): 1}))
     ann = annihilator_forms(K)
     assert sorted(to_json(a)["terms"][0]["indices"] for a in ann) == [[1], [2]]
-    with degree_cap(None):
-        for _ in range(8):
-            h = random_horizontal_form(rng, K, rng.randint(1, 3))
-            assert is_horizontal(h, K)
-            assert is_horizontal(de_rham(h), K)
+    for _ in range(8):
+        h = random_horizontal_form(rng, K, rng.randint(1, 3))
+        assert is_horizontal(h, K)
+        assert is_horizontal(de_rham(h), K)
 
 
 def test_frame_guards(c4):
@@ -355,51 +353,49 @@ def test_pfaffian_scan_matches_rank_oracle(form):
 
 
 def test_graph_dirac_iff_closed(rng, c3):
-    with degree_cap(None):
-        for _ in range(8):
-            if rng.random() < 0.5:
-                eta = de_rham(
-                    DifferentialForm.make(
-                        c3,
-                        {
-                            (i,): f"x{rng.randint(1, 3)}"
-                            for i in range(1, 4)
-                            if rng.random() < 0.7
-                        },
-                    )
+    for _ in range(8):
+        if rng.random() < 0.5:
+            eta = de_rham(
+                DifferentialForm.make(
+                    c3,
+                    {
+                        (i,): f"x{rng.randint(1, 3)}"
+                        for i in range(1, 4)
+                        if rng.random() < 0.7
+                    },
                 )
-            else:
-                eta = DifferentialForm.make(
-                    c3, {(1, 3): f"x{rng.randint(1, 3)}"}
-                )
-            closed = de_rham(eta).is_zero()
-            assert is_dirac_frame(graph_of_form_frame(eta)) == closed
+            )
+        else:
+            eta = DifferentialForm.make(
+                c3, {(1, 3): f"x{rng.randint(1, 3)}"}
+            )
+        closed = de_rham(eta).is_zero()
+        assert is_dirac_frame(graph_of_form_frame(eta)) == closed
 
 
 def test_phi_z_dirac_iff_mc(rng, c3):
     from diracdeform.koszul import form_to_skew, i_z_determinant
     from diracdeform.randgen import random_field, random_form
 
-    with degree_cap(None):
-        done = 0
-        while done < 6:
-            Z = random_field(rng, c3, 2, 1, density=0.7, bound=3)
-            ctx = KoszulContext(Z)
-            beta = (
-                de_rham(random_form(rng, c3, 1, 1, density=0.7, bound=3))
-                if rng.random() < 0.5
-                else random_form(rng, c3, 2, 1, density=0.7, bound=3)
-            )
-            det = i_z_determinant(form_to_skew(beta), ctx.bivector)
-            try:
-                if det.evaluate([Fraction(0)] * 3) == 0:
-                    continue
-            except ZeroDivisionError:
+    done = 0
+    while done < 6:
+        Z = random_field(rng, c3, 2, 1, density=0.7, bound=3)
+        ctx = KoszulContext(Z)
+        beta = (
+            de_rham(random_form(rng, c3, 1, 1, density=0.7, bound=3))
+            if rng.random() < 0.5
+            else random_form(rng, c3, 2, 1, density=0.7, bound=3)
+        )
+        det = i_z_determinant(form_to_skew(beta), ctx.bivector)
+        try:
+            if det.evaluate([Fraction(0)] * 3) == 0:
                 continue
-            frame = phi_z_frame(beta, ctx)
-            mc = mc_residual(beta, ctx).is_zero()
-            assert is_dirac_frame(frame) == mc
-            done += 1
+        except ZeroDivisionError:
+            continue
+        frame = phi_z_frame(beta, ctx)
+        mc = mc_residual(beta, ctx).is_zero()
+        assert is_dirac_frame(frame) == mc
+        done += 1
 
 
 def test_sheared_instance_pipeline_regression(c5):

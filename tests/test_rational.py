@@ -14,11 +14,9 @@ from hypothesis import strategies as st
 
 from diracdeform import rational
 from diracdeform.rational import (
-    DegreeCapError,
     Poly,
     PoleError,
     Scalar,
-    degree_cap,
     is_definite,
     is_positive_pattern,
     poly_divexact,
@@ -164,24 +162,18 @@ def test_polynomial_fast_path_matches_general_path(operands):
     a, b = Scalar.from_poly(pa), Scalar.from_poly(pb)
     q = poly_from_str(f"x{nv} + 2", nv)
     c = Scalar(pb, q)  # not a polynomial: must take the gcd path
-    with degree_cap(None):
-        cases = {
-            "*": (a * b, pa * pb, one),
-            "+": (a + b, pa + pb, one),
-            "-": (a - b, pa - pb, one),
-            "* rational": (a * c, pa * pb, q),
-            "+ rational": (a + c, pa * q + pb, q),
-        }
-        for op, (got, num, den) in cases.items():
-            assert _structure(got) == _structure(_forced(num, den)), op
-        for op in "*+-":
-            assert _structure(cases[op][0]) == (cases[op][1].terms, one.terms), op
-    # the product keeps the caller's degree cap; mixed rings still raise
-    x1_5 = Scalar.from_poly(poly_from_str("x1^5", 1))
-    x1_4 = Scalar.from_poly(poly_from_str("x1^4", 1))
-    with degree_cap(8):
-        with pytest.raises(DegreeCapError):
-            x1_5 * x1_4
+    cases = {
+        "*": (a * b, pa * pb, one),
+        "+": (a + b, pa + pb, one),
+        "-": (a - b, pa - pb, one),
+        "* rational": (a * c, pa * pb, q),
+        "+ rational": (a + c, pa * q + pb, q),
+    }
+    for op, (got, num, den) in cases.items():
+        assert _structure(got) == _structure(_forced(num, den)), op
+    for op in "*+-":
+        assert _structure(cases[op][0]) == (cases[op][1].terms, one.terms), op
+    # mixed rings still raise
     other_ring = Scalar.variable(1, nv + 1)
     for op in (lambda s, t: s * t, lambda s, t: s + t):
         for s, t in [(Scalar.from_poly(q), other_ring),
@@ -209,15 +201,14 @@ def _scalar_operands(draw):
 @settings(max_examples=100, deadline=None)
 def test_unit_denominator_is_the_shared_unit(operands, c):
     nv, pa, den, a, b = operands
-    with degree_cap(None):
-        results = {
-            "*": a * b, "+": a + b, "-": a - b,
-            "derivative": a.derivative(1), "scale": a.scale(c),
-            "parse": scalar_from_str(scalar_to_str(a), nv),
-            "Scalar(num, den)": Scalar(pa * den, den),
-        }
-        if not a.is_zero():
-            results["inverse"] = a.inverse()
+    results = {
+        "*": a * b, "+": a + b, "-": a - b,
+        "derivative": a.derivative(1), "scale": a.scale(c),
+        "parse": scalar_from_str(scalar_to_str(a), nv),
+        "Scalar(num, den)": Scalar(pa * den, den),
+    }
+    if not a.is_zero():
+        results["inverse"] = a.inverse()
     for op, s in results.items():
         unit = s.den.terms == {(0,) * nv: Fraction(1)}
         assert unit == (s.den is rational._UNITS.get(nv)), op
@@ -252,23 +243,22 @@ def test_divexact_and_lcm():
 
 def test_gcd_matches_sympy_oracle():
     rng = random.Random(5)
-    with degree_cap(None):
-        for _ in range(120):
-            nv = rng.randint(1, 4)
-            f = random_poly(rng, nv, rng.randint(0, 3), terms=rng.randint(1, 3), bound=6)
-            g = random_poly(rng, nv, rng.randint(0, 3), terms=rng.randint(1, 3), bound=6)
-            if rng.random() < 0.5:
-                h = random_poly(rng, nv, 2, terms=2, bound=4)
-                f, g = f * h, g * h
-            if f.is_zero() or g.is_zero():
-                continue
-            mine = to_sympy(poly_gcd(f, g))
-            theirs = sympy.gcd(
-                sympy.Poly(to_sympy(f), *SYMS[:nv]),
-                sympy.Poly(to_sympy(g), *SYMS[:nv]),
-            ).as_expr()
-            ratio = sympy.simplify(mine / theirs)
-            assert ratio.is_constant() and ratio != 0
+    for _ in range(120):
+        nv = rng.randint(1, 4)
+        f = random_poly(rng, nv, rng.randint(0, 3), terms=rng.randint(1, 3), bound=6)
+        g = random_poly(rng, nv, rng.randint(0, 3), terms=rng.randint(1, 3), bound=6)
+        if rng.random() < 0.5:
+            h = random_poly(rng, nv, 2, terms=2, bound=4)
+            f, g = f * h, g * h
+        if f.is_zero() or g.is_zero():
+            continue
+        mine = to_sympy(poly_gcd(f, g))
+        theirs = sympy.gcd(
+            sympy.Poly(to_sympy(f), *SYMS[:nv]),
+            sympy.Poly(to_sympy(g), *SYMS[:nv]),
+        ).as_expr()
+        ratio = sympy.simplify(mine / theirs)
+        assert ratio.is_constant() and ratio != 0
 
 
 def _prs_cases():
@@ -290,11 +280,10 @@ def _prs_cases():
 @pytest.mark.parametrize("f, g, h, nv", _prs_cases())
 def test_prs_gcd_matches_sympy(f, g, h, nv):
     f, g, h = (poly_from_str(t, nv) for t in (f, g, h))
-    with degree_cap(None):
-        a, b = f * h, g * h
-        mine = rational._prs_gcd(a, b)
-        poly_divexact(a, mine)
-        poly_divexact(b, mine)
+    a, b = f * h, g * h
+    mine = rational._prs_gcd(a, b)
+    poly_divexact(a, mine)
+    poly_divexact(b, mine)
     theirs = sympy.gcd(
         sympy.Poly(to_sympy(a), *SYMS[:nv]), sympy.Poly(to_sympy(b), *SYMS[:nv])
     ).as_expr()
@@ -396,8 +385,7 @@ def _certificate_cases(draw):
                for _ in range(3))
     if draw(st.booleans()):
         # an engineered common factor (a constant h leaves f and g as drawn)
-        with degree_cap(None):
-            f, g = f * h, g * h
+        f, g = f * h, g * h
     return nv, f, g
 
 
@@ -442,16 +430,15 @@ def test_scalar_canonical_form():
 
 def test_scalar_field_axioms():
     rng = random.Random(11)
-    with degree_cap(None):
-        for _ in range(40):
-            nv = 3
-            a = Scalar(random_poly(rng, nv, 2, 2, 5), _nonzero(rng, nv))
-            b = Scalar(random_poly(rng, nv, 2, 2, 5), _nonzero(rng, nv))
-            c = Scalar(random_poly(rng, nv, 2, 2, 5), _nonzero(rng, nv))
-            assert (a + b) * c == a * c + b * c
-            assert a - a == Scalar.zero(nv)
-            if not b.is_zero():
-                assert (a / b) * b == a
+    for _ in range(40):
+        nv = 3
+        a = Scalar(random_poly(rng, nv, 2, 2, 5), _nonzero(rng, nv))
+        b = Scalar(random_poly(rng, nv, 2, 2, 5), _nonzero(rng, nv))
+        c = Scalar(random_poly(rng, nv, 2, 2, 5), _nonzero(rng, nv))
+        assert (a + b) * c == a * c + b * c
+        assert a - a == Scalar.zero(nv)
+        if not b.is_zero():
+            assert (a / b) * b == a
 
 
 def _nonzero(rng, nv):
@@ -463,17 +450,16 @@ def _nonzero(rng, nv):
 
 def test_derivative_quotient_rule_vs_sympy():
     rng = random.Random(23)
-    with degree_cap(None):
-        for _ in range(30):
-            nv = 3
-            s = Scalar(random_poly(rng, nv, 3, 2, 6), _nonzero(rng, nv))
-            i = rng.randint(1, nv)
-            mine = s.derivative(i)
-            theirs = sympy.diff(
-                to_sympy(s.num) / to_sympy(s.den), SYMS[i - 1]
-            )
-            got = to_sympy(mine.num) / to_sympy(mine.den)
-            assert sympy.simplify(got - theirs) == 0
+    for _ in range(30):
+        nv = 3
+        s = Scalar(random_poly(rng, nv, 3, 2, 6), _nonzero(rng, nv))
+        i = rng.randint(1, nv)
+        mine = s.derivative(i)
+        theirs = sympy.diff(
+            to_sympy(s.num) / to_sympy(s.den), SYMS[i - 1]
+        )
+        got = to_sympy(mine.num) / to_sympy(mine.den)
+        assert sympy.simplify(got - theirs) == 0
 
 
 def test_evaluate_and_poles():
@@ -489,23 +475,6 @@ def test_scalar_string_roundtrip():
     assert scalar_from_str(scalar_to_str(s), 2) == s
     t = scalar_from_str("x1 - 5", 2)
     assert t.is_polynomial()
-
-
-def test_degree_cap_behavior():
-    p = poly_from_str("x1^5", 1)
-    q = poly_from_str("x1^4", 1)
-    with degree_cap(8):
-        with pytest.raises(
-            DegreeCapError,
-            match=r"total degree 9 > cap 8 \(operands: degree 5, 1 term; degree 4, 1 term\)",
-        ):
-            p * q
-        with pytest.raises(DegreeCapError, match=r"degree 5, 2 terms; degree 4, 1 term"):
-            (p + Poly.one(1)) * q
-    with degree_cap(None):
-        assert (p * q).total_degree() == 9
-    with degree_cap(12):
-        assert (p * q).total_degree() == 9
 
 
 def test_positive_pattern():
@@ -544,56 +513,31 @@ def test_pattern_soundness_no_rational_zero():
 def test_gcd_heuristic_stacked_factors():
     """Dense stacked common factors must cancel exactly (heuristic + fallback)."""
     rng = random.Random(17)
-    with degree_cap(None):
-        for _ in range(25):
-            nv = rng.randint(2, 5)
-            h = random_poly(rng, nv, rng.randint(1, 3), terms=3, bound=6)
-            if h.is_zero():
-                continue
-            f = random_poly(rng, nv, 2, terms=3, bound=6) * h
-            g = random_poly(rng, nv, 2, terms=3, bound=6) * h
-            if f.is_zero() or g.is_zero():
-                continue
-            d = poly_gcd(f, g)
-            # the engineered factor divides the gcd, the gcd divides both,
-            # and the cofactors are coprime
-            h_prim = poly_gcd(h, h)  # primitive normalization of h
-            poly_divexact(d, h_prim)
-            qf, qg = poly_divexact(f, d), poly_divexact(g, d)
-            assert poly_gcd(qf, qg).is_constant()
+    for _ in range(25):
+        nv = rng.randint(2, 5)
+        h = random_poly(rng, nv, rng.randint(1, 3), terms=3, bound=6)
+        if h.is_zero():
+            continue
+        f = random_poly(rng, nv, 2, terms=3, bound=6) * h
+        g = random_poly(rng, nv, 2, terms=3, bound=6) * h
+        if f.is_zero() or g.is_zero():
+            continue
+        d = poly_gcd(f, g)
+        # the engineered factor divides the gcd, the gcd divides both,
+        # and the cofactors are coprime
+        h_prim = poly_gcd(h, h)  # primitive normalization of h
+        poly_divexact(d, h_prim)
+        qf, qg = poly_divexact(f, d), poly_divexact(g, d)
+        assert poly_gcd(qf, qg).is_constant()
 
 
 def test_derivative_shared_denominator_factors():
     """d(n/d) with gcd(d, d') != 1 stays fast and exact (gcd-extracted rule)."""
-    with degree_cap(None):
-        n3 = 3
-        d = poly_from_str("x1^2*x2 + x1*x2", n3)  # = x1*x2*(x1+1), not squarefree-friendly
-        num = poly_from_str("x3 + 1", n3)
-        s = Scalar(num, d)
-        ds = s.derivative(1)
-        theirs = sympy.diff(to_sympy(s.num) / to_sympy(s.den), SYMS[0])
-        got = to_sympy(ds.num) / to_sympy(ds.den)
-        assert sympy.simplify(got - theirs) == 0
-
-
-def test_degree_cap_thread_isolation():
-    import threading
-
-    from diracdeform.rational import current_degree_cap
-
-    seen = {}
-
-    def worker(name, limit):
-        with degree_cap(limit):
-            seen[name] = current_degree_cap()
-
-    threads = [
-        threading.Thread(target=worker, args=("a", None)),
-        threading.Thread(target=worker, args=("b", 3)),
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert seen == {"a": None, "b": 3}
-    assert current_degree_cap() == 8
+    n3 = 3
+    d = poly_from_str("x1^2*x2 + x1*x2", n3)  # = x1*x2*(x1+1), not squarefree-friendly
+    num = poly_from_str("x3 + 1", n3)
+    s = Scalar(num, d)
+    ds = s.derivative(1)
+    theirs = sympy.diff(to_sympy(s.num) / to_sympy(s.den), SYMS[0])
+    got = to_sympy(ds.num) / to_sympy(ds.den)
+    assert sympy.simplify(got - theirs) == 0
