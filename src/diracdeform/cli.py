@@ -235,9 +235,20 @@ def generate_payload(kind: str, seed: int, dim: int, rank: int,
         random_presymplectic_instance,
         random_skew,
     )
+    from .rational import MAX_EXPONENT
 
-    rng = random.Random(f"generate:{kind}:{seed}")
     chart = Chart(dim)
+    if kind in ("presymplectic-instance", "horizontal-form"):
+        if rank < 0 or rank > dim or rank % 2:
+            raise ValueError(f"--rank must be even and in 0..{dim}, got {rank}")
+        # a shear of degree D writes exponents of at most 2D - 2 in any
+        # one variable, so this bound keeps the instance readable by `run`
+        max_shear = MAX_EXPONENT // 2 + 1
+        if not 0 <= shear_degree <= max_shear:
+            raise ValueError(
+                f"--shear-degree must be in 0..{max_shear}, got {shear_degree}"
+            )
+    rng = random.Random(f"generate:{kind}:{seed}")
     if kind == "skew-form":
         S = random_skew(rng, dim)
         return {"kind": kind, "n": dim, "matrix": matrix_to_json(S.mat)}

@@ -405,19 +405,22 @@ def in_I_Z(beta: SkewBilinear, Z: Bivector) -> bool:
 
 
 def F(beta: SkewBilinear, Z: Bivector) -> SkewBilinear:
-    """The graph map: F(beta)# = beta# (id + Z# beta#)^{-1}."""
+    """The graph map: F(beta)# = beta# (id + Z# beta#)^{-1}.
+
+    Solved as (id + beta# Z#) X = beta# (push-through identity).  Both
+    matrices have the same determinant (Sylvester), so NotInIZError is
+    raised exactly outside I_Z.
+    """
     if beta.n != Z.n:
         raise DimensionMismatchError("dimension mismatch")
     n, nvars = beta.n, beta.nvars
     M = linalg.mat_add(
-        linalg.identity(n, nvars), linalg.mat_mul(Z.mat, beta.mat)
+        linalg.identity(n, nvars), linalg.mat_mul(beta.mat, Z.mat)
     )
     try:
-        Minv = linalg.inverse(M)
+        return SkewBilinear(linalg.solve(M, beta.mat))
     except ZeroDivisionError as exc:
         raise NotInIZError("id + Z# beta# is singular") from exc
-    out = linalg.mat_mul(beta.mat, Minv)
-    return SkewBilinear(out)
 
 
 def Z_from_eta_G(eta: SkewBilinear, G: Subspace) -> Bivector:
@@ -447,11 +450,9 @@ def Z_from_frame(eta: SkewBilinear, frame: Matrix) -> Bivector:
         [[linalg.dot(images[a], frame[b]) for b in range(k)] for a in range(k)]
     )
     try:
-        N = linalg.inverse(Sg)
+        W = linalg.mat_mul(linalg.transpose(frame), linalg.solve(Sg, frame))
     except ZeroDivisionError as exc:
         raise DegenerateRestrictionError("eta|_G is singular") from exc
-    Gamma = linalg.transpose(frame)  # n x k, columns g_a
-    W = linalg.mat_mul(Gamma, linalg.mat_mul(N, linalg.transpose(Gamma)))
     return Bivector(W)
 
 
@@ -641,7 +642,7 @@ def verify_linear_lemmas(
     for every valid input (they are theorems).  Returns {lemma: bool}.
     """
     n, nvars = eta.n, eta.nvars
-    k, K = rank_and_kernel(eta)
+    _, K = rank_and_kernel(eta)
     if not K.is_complement_of(G):
         raise NotComplementaryError("G is not a complement of ker(eta)")
     Z = Z_from_eta_G(eta, G)
@@ -662,29 +663,19 @@ def verify_linear_lemmas(
 
     # rank comparison: dim(Phi cap V) equals dim{v in K : iota_v beta in ann(K)}
     V = v_subspace(n, nvars)
-    lhs_dim = phi_gk.intersection(V).dim
     annK = annihilator_in_vstar(K, nvars)
-    ann_vectors = [v[n:] for v in annK.basis]
-    rows = []
-    for kv in K.basis:
-        rows.append(tuple(beta.apply(kv)))
-    rhs_dim = 0
-    if K.dim:
-        coeff_rows = []
-        for image in rows:
-            coeff_rows.append(image)
-        # v in K with beta# v in span(ann K): kernel of the quotient map
-        span_rows = [tuple(x) for x in ann_vectors]
-        quotient_kernel = _relative_kernel(coeff_rows, span_rows, nvars)
-        rhs_dim = quotient_kernel
-    results["rankgood"] = lhs_dim == rhs_dim
+    rhs_dim = _relative_kernel(
+        [beta.apply(v) for v in K.basis], [v[n:] for v in annK.basis]
+    )
+    results["rankgood"] = phi_gk.intersection(V).dim == rhs_dim
 
     # graph(exp_eta(beta)) = Phi_{G + K*}(beta-bar), when beta is in I_Z
-    if in_I_Z(beta, Z):
-        expd = eta + F(beta, Z)
-        results["niceeq"] = graph_of_form(expd) == phi_gk
-        results["phizbeta"] = graph_of_form(F(beta, Z)) == phiz
-        results["almost_dirac_iii"] = _phi0_inverse_matches_F(beta, Z)
+    member = in_I_Z(beta, Z)
+    if member:
+        f_beta = F(beta, Z)
+        results["niceeq"] = graph_of_form(eta + f_beta) == phi_gk
+        results["phizbeta"] = graph_of_form(f_beta) == phiz
+        results["almost_dirac_iii"] = _phi0_inverse_matches_F(phiz, f_beta)
     else:
         results["niceeq"] = True
         results["phizbeta"] = True
@@ -693,16 +684,15 @@ def verify_linear_lemmas(
     # Phi_Z(beta) transverse to V* iff beta in I_Z
     vstar = v_star_subspace(n, nvars)
     transverse = phiz.intersection(vstar).dim == 0
-    results["almost_dirac_ii"] = transverse == in_I_Z(beta, Z)
+    results["almost_dirac_ii"] = transverse == member
 
     return results
 
 
-def _relative_kernel(images: list[Vector], span_rows: list[Vector], nvars: int) -> int:
+def _relative_kernel(images: list[Vector], span_rows: list[Vector]) -> int:
     """dim of {c : sum c_a images_a lies in span(span_rows)}."""
     if not images:
         return 0
-    n = len(images[0])
     cols = [list(img) for img in images] + [
         [-x for x in row] for row in span_rows
     ]
@@ -712,24 +702,17 @@ def _relative_kernel(images: list[Vector], span_rows: list[Vector], nvars: int) 
     return Subspace.from_spanning(len(images), coeff_vecs).dim
 
 
-def _phi0_inverse_matches_F(beta: SkewBilinear, Z: Bivector) -> bool:
+def _phi0_inverse_matches_F(phiz: Subspace, f_beta: SkewBilinear) -> bool:
     """Read Phi_Z(beta) as a graph over V and compare with F(beta)."""
-    n, nvars = beta.n, beta.nvars
-    phiz = phi_Z(beta, Z)
-    basis = phiz.basis
-    top = linalg.mat([v[:n] for v in basis])
-    bottom = linalg.mat([v[n:] for v in basis])
+    n = phiz.ambient // 2
+    top = linalg.mat([v[:n] for v in phiz.basis])
+    bottom = linalg.mat([v[n:] for v in phiz.basis])
+    # rows of the graph are (v, alpha# v): top alpha#^T = bottom
     try:
-        top_inv = linalg.inverse(linalg.transpose(top))
-    except ZeroDivisionError:
+        alpha = SkewBilinear(linalg.transpose(linalg.solve(top, bottom)))
+    except (ZeroDivisionError, NotSkewError):
         return False
-    # rows of the graph are (v, alpha# v); alpha# = bottom^T (top^T)^{-1}
-    alpha_sharp = linalg.mat_mul(linalg.transpose(bottom), top_inv)
-    try:
-        alpha = SkewBilinear(alpha_sharp)
-    except NotSkewError:
-        return False
-    return alpha == F(beta, Z)
+    return alpha == f_beta
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ exactly and taking no gcd; determinants and span membership are read from it,
 and on ints it also does the Gauss-Jordan back-elimination that `rref` reads.
 `rref` of a matrix with a non-constant entry scales each row by the lcm of
 its denominators and then runs over the field with gcd-reduced entries at
-every step.  Ranks, kernels and inverses (the right
-block of rref([A | I])) are read from `rref`.  On polynomial rows the
+every step.  Ranks, kernels and linear solves (`solve(A, B)` is the right
+block of rref([A | B])) are read from `rref`.  On polynomial rows the
 fraction-free Gauss-Jordan loop is slower than the field loop, so it is not
 used there.
 """
@@ -240,18 +240,29 @@ def nullspace(A: Matrix) -> list[Vector]:
     return basis
 
 
-def inverse(A: Matrix) -> Matrix:
-    """Exact inverse, read from the right block of rref([A | I])."""
+def solve(A: Matrix, B: Matrix) -> Matrix:
+    """X with A X = B, read from the right block of rref([A | B]).
+
+    A singular A raises ZeroDivisionError; a non-square A, or a B whose row
+    count differs from A's, raises ValueError.
+    """
     n, m = dims(A)
     if n != m:
-        raise ValueError("inverse of a non-square matrix")
+        raise ValueError("solve with a non-square matrix")
+    if len(B) != n:
+        raise ValueError(f"shape mismatch: {n}x{n} system with {len(B)} right-hand rows")
     if n == 0:
         return ()
-    eye = identity(n, A[0][0].nvars)
-    R, pivots = rref(mat([row + e for row, e in zip(A, eye)]))
+    R, pivots = rref(mat([row + b for row, b in zip(A, B)]))
     if pivots[:n] != tuple(range(n)):
         raise ZeroDivisionError("matrix is singular")
     return tuple(row[n:] for row in R)
+
+
+def inverse(A: Matrix) -> Matrix:
+    """Exact inverse: solve(A, I)."""
+    nvars = A[0][0].nvars if A and A[0] else 0
+    return solve(A, identity(len(A), nvars))
 
 
 # ---------------------------------------------------------------------------

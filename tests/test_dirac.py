@@ -128,12 +128,20 @@ def test_F_keeps_origin_and_Z_zero(rng):
     assert F(beta, Bivector.zero(n, 0)) == beta
 
 
+def _F_by_definition(beta, Z):
+    """beta# (id + Z# beta#)^{-1}, the reference for F's push-through solve."""
+    M = linalg.mat_add(linalg.identity(beta.n, beta.nvars),
+                       linalg.mat_mul(Z.mat, beta.mat))
+    return linalg.mat_mul(beta.mat, linalg.inverse(M))
+
+
 def test_F_properties_randomized(rng):
     for _ in range(15):
         n = rng.choice([2, 3, 4])
         Z = random_skew(rng, n, cls=Bivector)
         beta = random_in_IZ(rng, Z)
         fb = F(beta, Z)
+        assert fb.mat == _F_by_definition(beta, Z)
         assert linalg.is_skew(fb.mat)
         assert F(fb, -Z) == beta
         assert graph_of_form(fb) == phi_Z(beta, Z)

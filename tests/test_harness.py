@@ -412,6 +412,32 @@ def test_cli_generate_then_run_uncapped(tmp_path, capsys):
     assert "2 pass, 0 fail, 0 skipped" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("kind", ["presymplectic-instance", "horizontal-form"])
+@pytest.mark.parametrize("flags", [
+    ["--shear-degree", str(MAX_EXPONENT // 2 + 2)],
+    ["--shear-degree", "200"],
+    ["--shear-degree", "-3"],
+    ["--rank", "-2"],
+    ["--rank", "3"],
+    ["--rank", "6"],
+])
+def test_cli_generate_bad_flag_exits_2(tmp_path, kind, flags, capsys):
+    out = tmp_path / "bad.json"
+    assert main(["generate", kind, "--dim", "4", *flags, "--out", str(out)]) == 2
+    assert flags[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_generate_largest_shear_then_run(tmp_path, capsys):
+    # a shear of degree D writes exponents of at most 2D - 2 <= MAX_EXPONENT
+    p = str(tmp_path / "sheared.json")
+    assert main(["generate", "presymplectic-instance", "--dim", "5",
+                 "--rank", "2", "--shear-degree", str(MAX_EXPONENT // 2 + 1),
+                 "--seed", "1", "--out", p]) == 0
+    assert main(["run", p, "--quiet"]) == 0
+    assert "2 pass, 0 fail, 0 skipped" in capsys.readouterr().out
+
+
 def test_generate_deterministic_and_snapshot():
     a = generate_payload("skew-form", 1, 4, 2, 1)
     b = generate_payload("skew-form", 1, 4, 2, 1)

@@ -38,6 +38,7 @@ from diracdeform.koszul import (
     F_symbolic,
     F_symbolic_form,
 )
+from diracdeform.linalg import identity, inverse, mat_add, mat_mul
 from diracdeform.randgen import random_field, random_form, random_scalar
 
 
@@ -302,6 +303,10 @@ def test_mc_equivalence_randomized(rng, c4):
             continue
         rep = mc_equivalence_report(beta, ctx)
         assert rep["equivalent"]
+        # F against its definition beta# (id + Z# beta#)^{-1}
+        B, W = form_to_skew(beta).mat, ctx.bivector.mat
+        M = mat_add(identity(4, 4), mat_mul(W, B))
+        assert F_symbolic(beta, ctx).mat == mat_mul(B, inverse(M))
         done += 1
 
 

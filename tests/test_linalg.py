@@ -23,6 +23,7 @@ from diracdeform.linalg import (
     pfaffian_poly,
     rank,
     rref,
+    solve,
     transpose,
 )
 from diracdeform.rational import Poly, Scalar, random_poly
@@ -129,6 +130,17 @@ def test_singular_over_rational_functions(rng):
 def test_empty_matrix():
     assert det(()) == Scalar.one(0)
     assert inverse(()) == ()
+
+
+def test_solve_shape_errors():
+    A = from_fractions([[1, 2], [3, 4]], 0)
+    with pytest.raises(ValueError):
+        solve(from_fractions([[1, 2, 3], [4, 5, 6]], 0), A)
+    with pytest.raises(ValueError):
+        solve(A, from_fractions([[1, 2]], 0))
+    with pytest.raises(ValueError):
+        solve(A, from_fractions([[1], [2], [3]], 0))
+    assert solve((), ()) == ()
 
 
 def test_rref_and_nullspace(rng):
@@ -250,13 +262,17 @@ def _check_against_sympy(A):
         assert in_span(A[:-1], A[-1]) == (S[:-1, :].rank(simplify=True) == S.rank(simplify=True))
     Q = mat(_square(A))
     SQ = _sympy_matrix(Q)
+    B = A[: len(Q)]
     d = det(Q)
     assert sympy.cancel(_to_sympy(d) - SQ.det()) == 0
     if d.is_zero():
         with pytest.raises(ZeroDivisionError):
             inverse(Q)
+        with pytest.raises(ZeroDivisionError):
+            solve(Q, B)
     else:
         assert _same(inverse(Q), SQ.inv())
+        assert _same(solve(Q, B), SQ.inv() * _sympy_matrix(B))
 
 
 @given(_fraction_rows())
