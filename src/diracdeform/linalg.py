@@ -278,19 +278,15 @@ def _int_rows(A: Matrix, nvars: int) -> tuple[list[list[int]], list[int]] | None
     numerator has a term of nonzero exponent.
     """
     unit = Poly.one(nvars)
-    key = (0,) * nvars
     rows: list[list[int]] = []
     lcms: list[int] = []
     for row in A:
         values = []
         for a in row:
-            terms = a.num.terms
-            if a.den is not unit or len(terms) > 1:
+            num = a.num
+            if a.den is not unit or not num.is_constant():
                 return None
-            c = terms.get(key) if terms else 0
-            if c is None:
-                return None
-            values.append(c)
+            values.append(num.content if num.ip else 0)
         m = math.lcm(*[c.denominator for c in values])
         rows.append([c.numerator * (m // c.denominator) for c in values])
         lcms.append(m)

@@ -278,7 +278,7 @@ def random_presymplectic_form(
                 exps[rng.randrange(k, n)] += 1
             c = random_fraction(rng, bound)
             if c:
-                shift = shift + Poly(n, {tuple(exps): c})
+                shift = shift + Poly.from_terms(n, {tuple(exps): c})
         phis.append(p + Scalar.from_poly(shift))
     eta = DifferentialForm.zero(chart)
     for i in range(k // 2):

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
+from operator import or_
 from typing import Sequence
 
 
@@ -33,43 +35,54 @@ _ONE = Fraction(1)
 # mutates a Poly.
 _UNITS: dict[int, "Poly"] = {}
 
+# An exponent vector is packed into one int key: the total degree in the top
+# slot, then the exponents of x_1 .. x_n, _SLOT bits each.  Integer order on
+# keys is graded-lex order, so the leading monomial is max(keys), and a
+# monomial product is one add.  Degrees stay at most MAX_DEGREE, below half a
+# slot, so a sum of two keys never carries between slots, and a difference
+# that borrows sets the top bit of some slot.
+_SLOT = 16
+_MASK = (1 << _SLOT) - 1
+MAX_DEGREE = (1 << (_SLOT - 1)) - 1
+_CONST = {0: 1}  # the primitive part of every constant
+
 
 class Poly:
-    """Sparse multivariate polynomial over Q.
+    """Sparse multivariate polynomial over Q: content * sum(v x^k in ip).
 
-    terms maps exponent tuples (one slot per variable) to nonzero Fractions.
-    Instances are immutable by convention; no operation modifies its operands.
-    That is what makes the hash and the integer form safe to cache.
+    ip maps packed exponent keys to coprime ints, the leading (largest-key)
+    one positive; content is a nonzero Fraction, 1 for zero (no terms).
+    Instances and their dicts are immutable by convention and may be shared.
     """
 
-    __slots__ = ("nvars", "terms", "_hash", "_int")
+    __slots__ = ("nvars", "content", "ip", "_hash")
 
-    def __init__(self, nvars: int, terms: dict[tuple[int, ...], Fraction]):
+    def __init__(self, nvars: int, content: Fraction, ip: dict[int, int]):
         self.nvars = nvars
-        self.terms = terms
+        self.content = content
+        self.ip = ip
         self._hash: int | None = None
-        self._int: _IntegerForm | None = None
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
     def zero(nvars: int) -> "Poly":
-        return Poly(nvars, {})
+        return Poly(nvars, _ONE, {})
 
     @staticmethod
     def const(nvars: int, c) -> "Poly":
         if type(c) is not Fraction:
             c = Fraction(c)
         if c == 0:
-            return Poly(nvars, {})
-        return Poly(nvars, {(0,) * nvars: c})
+            return Poly.zero(nvars)
+        return Poly(nvars, c, _CONST)
 
     @staticmethod
     def one(nvars: int) -> "Poly":
         """The unit polynomial; one shared instance per variable count."""
         unit = _UNITS.get(nvars)
         if unit is None:
-            unit = _UNITS[nvars] = Poly(nvars, {(0,) * nvars: _ONE})
+            unit = _UNITS[nvars] = Poly(nvars, _ONE, _CONST)
         return unit
 
     @staticmethod
@@ -77,84 +90,116 @@ class Poly:
         """The variable x_i, 1-based."""
         if not 1 <= i <= nvars:
             raise ValueError(f"variable index {i} out of range 1..{nvars}")
-        exp = [0] * nvars
-        exp[i - 1] = 1
-        return Poly(nvars, {tuple(exp): _ONE})
+        return Poly(nvars, _ONE, {_step(i, nvars): 1})
+
+    @staticmethod
+    def from_terms(nvars: int, terms: dict[tuple[int, ...], Fraction]) -> "Poly":
+        """The polynomial with these {exponent tuple: coefficient} terms."""
+        coefs = {_pack(e): Fraction(c) for e, c in terms.items() if c}
+        den = lcm(*[c.denominator for c in coefs.values()])
+        ints = {k: c.numerator * (den // c.denominator) for k, c in coefs.items()}
+        return _primitive(nvars, ints, Fraction(1, den))
 
     # -- predicates and views ------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ip
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return not self.ip or (len(self.ip) == 1 and 0 in self.ip)
 
     def constant_value(self) -> Fraction:
-        if not self.terms:
+        if not self.ip:
             return _ZERO
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
+        return self.content
 
     def degree_in(self, i: int) -> int:
         """Degree in variable x_i (1-based); 0 for the zero polynomial."""
-        return self._integer_form().degrees[i - 1]
-
-    def _integer_form(self) -> "_IntegerForm":
-        form = self._int
-        if form is None:
-            form = self._int = _IntegerForm(self)
-        return form
+        shift = _SLOT * (self.nvars - i)
+        return max([(k >> shift) & _MASK for k in self.ip], default=0)
 
     def coefficient(self, exponents: tuple[int, ...]) -> Fraction:
-        return self.terms.get(exponents, _ZERO)
+        v = self.ip.get(_pack(exponents))
+        return self.content * v if v else _ZERO
+
+    def items(self) -> list[tuple[tuple[int, ...], Fraction]]:
+        """(exponent tuple, coefficient) per term, in decreasing graded-lex order."""
+        n, c = self.nvars, self.content
+        return [(_exponents(k, n), c * self.ip[k])
+                for k in sorted(self.ip, reverse=True)]
 
     # -- ring operations -----------------------------------------------------
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Poly(self.nvars, -self.content, self.ip) if self.ip else self
 
     def __add__(self, other: "Poly") -> "Poly":
         if self.nvars != other.nvars:
             raise ValueError("variable-count mismatch")
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, _ZERO) + c
+        if not other.ip:
+            return self
+        if not self.ip:
+            return other
+        # num/den * (a * self.ip + b * other.ip), all on ints
+        a, b = self.content, other.content
+        den = lcm(a.denominator, b.denominator)
+        a = a.numerator * (den // a.denominator)
+        b = b.numerator * (den // b.denominator)
+        num = gcd(a, b)
+        a //= num
+        b //= num
+        out = dict(self.ip) if a == 1 else {k: a * v for k, v in self.ip.items()}
+        get = out.get
+        for k, v in other.ip.items():
+            s = get(k, 0) + b * v
             if s:
-                out[e] = s
+                out[k] = s
             else:
-                out.pop(e, None)
-        return Poly(self.nvars, out)
+                del out[k]
+        return _primitive(self.nvars, out, Fraction(num, den))
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if self.nvars != other.nvars:
+        """Content times content, and an integer convolution of the primitive
+        parts.  By Gauss's lemma that convolution is primitive, and its
+        leading term is the product of two positive leading terms, so the
+        result needs no normalization."""
+        n = self.nvars
+        if n != other.nvars:
             raise ValueError("variable-count mismatch")
-        if not self.terms or not other.terms:
-            return Poly(self.nvars, {})
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, _ZERO) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Poly(self.nvars, out)
+        a, b = self.ip, other.ip
+        if not a or not b:
+            return Poly.zero(n)
+        if len(a) < len(b):
+            a, b = b, a
+        kb = max(b)
+        if (max(a) + kb) >> (_SLOT * n) > MAX_DEGREE:
+            raise OverflowError(f"polynomial degree exceeds {MAX_DEGREE}")
+        content = self.content
+        if other.content != 1:
+            content = other.content if content == 1 else content * other.content
+        if len(b) == 1:  # a monomial: its coefficient is 1
+            return Poly(n, content, a if kb == 0 else {k + kb: v for k, v in a.items()})
+        out: dict[int, int] = {}
+        get = out.get
+        for k2, v2 in b.items():
+            for k1, v1 in a.items():
+                k = k1 + k2
+                out[k] = get(k, 0) + v1 * v2
+        if 0 in out.values():
+            out = {k: v for k, v in out.items() if v}
+        return Poly(n, content, out)
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        if c == 0:
-            return Poly(self.nvars, {})
-        return Poly(self.nvars, {e: c * v for e, v in self.terms.items()})
+        if type(c) is not Fraction:
+            c = Fraction(c)
+        if c == 0 or not self.ip:
+            return Poly.zero(self.nvars)
+        return Poly(self.nvars, self.content * c, self.ip)
 
     def pow(self, k: int) -> "Poly":
         if k < 0:
@@ -168,46 +213,48 @@ class Poly:
 
     def derivative(self, i: int) -> "Poly":
         """Partial derivative with respect to x_i (1-based)."""
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
-            k = e[i - 1]
-            if k == 0:
-                continue
-            e2 = list(e)
-            e2[i - 1] = k - 1
-            key = tuple(e2)
-            s = out.get(key, _ZERO) + c * k
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return Poly(self.nvars, out)
+        n = self.nvars
+        shift, step = _SLOT * (n - i), _step(i, n)
+        # distinct keys stay distinct, so no two terms meet
+        out = {}
+        for k, v in self.ip.items():
+            e = (k >> shift) & _MASK
+            if e:
+                out[k - step] = e * v
+        return _primitive(n, out, self.content)
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         """The exact value at a rational point (ints, Fractions or strings).
 
-        With x_i = p_i/q_i and D_i the degree in x_i, the value is
-        sum c_e prod p_i^e_i q_i^(D_i - e_i) over L prod q_i^D_i, where the
-        c_e are the integer numerators over the common denominator L.
+        With x_i = p_i/q_i and D_i a bound on the degree in x_i, the value
+        is the content times sum v_e prod p_i^e_i q_i^(D_i - e_i) over
+        prod q_i^D_i.  D_i is read from the bitwise or of the keys, which
+        bounds every slot by less than twice its largest value.
         """
-        if len(point) != self.nvars:
+        n = self.nvars
+        if len(point) != n:
             raise ValueError("point dimension mismatch")
-        form = self._integer_form()
-        den = form.den
+        bits = reduce(or_, self.ip, 0)
+        if not bits:  # a constant
+            return self.content if self.ip else _ZERO
+        den = self.content.denominator
         tables = []
-        for i in form.active:
-            x = point[i]
-            if type(x) is not Fraction:
-                x = Fraction(x)
-            table = _power_table(x.numerator, x.denominator, form.degrees[i])
-            tables.append(table)
-            den *= table[0]  # q_i^D_i
+        for i, x in enumerate(point):
+            shift = _SLOT * (n - 1 - i)
+            d = (bits >> shift) & _MASK
+            if d:
+                if type(x) is not Fraction:
+                    x = Fraction(x)
+                table = _power_table(x.numerator, x.denominator, d)
+                tables.append((shift, table))
+                den *= table[0]  # q_i^D_i
         total = 0
-        for c, e in form.terms:
-            for t, k in zip(tables, e):
-                c *= t[k]
-            total += c
-        return Fraction(total, den)
+        mask = _MASK
+        for k, v in self.ip.items():
+            for shift, table in tables:
+                v *= table[(k >> shift) & mask]
+            total += v
+        return Fraction(total * self.content.numerator, den)
 
     # -- comparisons ----------------------------------------------------------
 
@@ -215,54 +262,49 @@ class Poly:
         return (
             isinstance(other, Poly)
             and self.nvars == other.nvars
-            and self.terms == other.terms
+            and self.content == other.content
+            and self.ip == other.ip
         )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.nvars, frozenset(self.terms.items())))
+            self._hash = hash((self.nvars, self.content, frozenset(self.ip.items())))
         return self._hash
 
     def __repr__(self) -> str:
         return f"Poly({poly_to_str(self)!r})"
 
-    # -- graded-lex leading data ----------------------------------------------
 
-    def leading_monomial(self) -> tuple[int, ...]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=_grlex_key)
-
-    def leading_coefficient(self) -> Fraction:
-        return self.terms[self.leading_monomial()]
+def _step(i: int, nvars: int) -> int:
+    """The key of x_i (1-based): one unit of its exponent and of the degree."""
+    return (1 << (_SLOT * nvars)) + (1 << (_SLOT * (nvars - i)))
 
 
-class _IntegerForm:
-    """A Poly over one integer denominator, filled once and cached on it.
+def _pack(exponents: Sequence[int]) -> int:
+    key = sum(exponents)
+    if key > MAX_DEGREE:
+        raise OverflowError(f"polynomial degree exceeds {MAX_DEGREE}")
+    for e in exponents:
+        key = key << _SLOT | e
+    return key
 
-    den: the lcm of the coefficient denominators.
-    degrees: the degree in each variable.
-    active: the variables of positive degree, 0-based and ascending.
-    terms: per term, its integer numerator over den and its exponents in
-    the active variables.
-    """
 
-    __slots__ = ("den", "active", "degrees", "terms")
+def _exponents(key: int, nvars: int) -> tuple[int, ...]:
+    return tuple((key >> (_SLOT * (nvars - i))) & _MASK for i in range(1, nvars + 1))
 
-    def __init__(self, p: Poly):
-        den = 1
-        for c in p.terms.values():
-            if c.denominator != 1:
-                den = lcm(den, c.denominator)
-        self.den = den
-        self.degrees = (
-            tuple(map(max, zip(*p.terms))) if p.terms else (0,) * p.nvars
-        )
-        self.active = active = tuple(i for i, d in enumerate(self.degrees) if d)
-        self.terms = [
-            (c.numerator * (den // c.denominator), tuple(e[i] for i in active))
-            for e, c in p.terms.items()
-        ]
+
+def _primitive(nvars: int, ints: dict[int, int], content: Fraction = _ONE) -> Poly:
+    """The Poly content * sum(v x^k for k, v in ints), for nonzero int values."""
+    if not ints:
+        return Poly.zero(nvars)
+    g = gcd(*ints.values())
+    if ints[max(ints)] < 0:
+        g = -g
+    if len(ints) == 1 and 0 in ints:
+        ints = _CONST
+    elif g != 1:
+        ints = {k: v // g for k, v in ints.items()}
+    return Poly(nvars, content if g == 1 else content * g, ints)
 
 
 def _power_table(p: int, q: int, degree: int) -> list[int]:
@@ -278,56 +320,54 @@ def _power_table(p: int, q: int, degree: int) -> list[int]:
     return table
 
 
-def _grlex_key(e: tuple[int, ...]) -> tuple:
-    return (sum(e), e)
-
-
 # ---------------------------------------------------------------------------
 # Division, gcd, and content
 # ---------------------------------------------------------------------------
 
 
 def poly_divexact(f: Poly, g: Poly) -> Poly:
-    """Exact division f / g; raises ValueError if g does not divide f."""
+    """Exact division f / g; raises ValueError if g does not divide f.
+
+    The classic loop runs on the primitive parts.  If g divides f, Gauss's
+    lemma makes the quotient primitive over Z, so each step divides two ints
+    exactly and subtracts two keys without a borrow; the first step that
+    does not proves g does not divide f.
+    """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if f.is_zero():
         return Poly.zero(f.nvars)
     if g.is_constant():
-        c = g.constant_value()
+        c = g.content
         return f if c == 1 else f.scale(1 / c)
-    q: dict[tuple[int, ...], Fraction] = {}
-    rem = f
-    g_lm = g.leading_monomial()
-    g_lc = g.terms[g_lm]
-    while not rem.is_zero():
-        lm = rem.leading_monomial()
-        diff = tuple(a - b for a, b in zip(lm, g_lm))
-        if any(d < 0 for d in diff):
+    # the top bit of every slot
+    high = ((1 << (_SLOT * (f.nvars + 1))) - 1) // _MASK << (_SLOT - 1)
+    gi = g.ip
+    g_lk = max(gi)
+    g_lc = gi[g_lk]
+    rem = dict(f.ip)
+    get = rem.get
+    q: dict[int, int] = {}
+    while rem:
+        lk = max(rem)
+        d = lk - g_lk
+        c, r = divmod(rem[lk], g_lc)
+        if d < 0 or d & high or r:
             raise ValueError("inexact polynomial division")
-        c = rem.terms[lm] / g_lc
-        q[diff] = c
-        rem = rem - Poly(f.nvars, {diff: c}) * g
-    return Poly(f.nvars, q)
+        q[d] = c
+        for k, v in gi.items():
+            k += d
+            s = get(k, 0) - c * v
+            if s:
+                rem[k] = s
+            else:
+                del rem[k]
+    return Poly(f.nvars, f.content / g.content, q)
 
 
 def _content(f: Poly) -> Fraction:
-    """Positive rational c with f/c having coprime integer coefficients.
-
-    Sign convention: c carries the sign of the graded-lex leading coefficient,
-    so f/c always has positive leading coefficient.
-    """
-    if f.is_zero():
-        return _ONE
-    num = 0
-    den = 1
-    for c in f.terms.values():
-        num = gcd(num, abs(c.numerator))
-        den = lcm(den, c.denominator)
-    content = Fraction(num, den)
-    if f.leading_coefficient() < 0:
-        content = -content
-    return content
+    """c with f/c having coprime integer coefficients, the leading one positive."""
+    return f.content
 
 
 def _poly_content_wrt(f: Poly, var: int) -> Poly:
@@ -343,14 +383,13 @@ def _poly_content_wrt(f: Poly, var: int) -> Poly:
 
 def _coeffs_wrt(f: Poly, var: int) -> dict[int, Poly]:
     """Split f by the exponent of x_var; coefficients keep nvars slots."""
-    out: dict[int, dict[tuple[int, ...], Fraction]] = {}
-    j = var - 1
-    for e, c in f.terms.items():
-        k = e[j]
-        e2 = list(e)
-        e2[j] = 0
-        out.setdefault(k, {})[tuple(e2)] = c
-    return {k: Poly(f.nvars, t) for k, t in out.items()}
+    n = f.nvars
+    shift, step = _SLOT * (n - var), _step(var, n)
+    out: dict[int, dict[int, int]] = {}
+    for k, v in f.ip.items():
+        e = (k >> shift) & _MASK
+        out.setdefault(e, {})[k - e * step] = v
+    return {e: _primitive(n, t, f.content) for e, t in out.items()}
 
 
 def _pseudo_rem(f: Poly, g: Poly, var: int) -> Poly:
@@ -406,21 +445,22 @@ def _univariate_gcd_degree(
 
 def _specialize_to_var(f: Poly, var: int, point: Sequence[int]) -> dict[int, Fraction]:
     """Evaluate all variables but x_var at integers, returning a univariate poly."""
-    form = f._integer_form()
-    j = var - 1
-    slot = form.active.index(j) if j in form.active else None
-    # x_var keeps its exponent: its table is all ones
+    n = f.nvars
+    bits = reduce(or_, f.ip, 0)  # bounds each exponent, as in evaluate
     tables = [
-        _power_table(1 if i == j else point[i], 1, form.degrees[i])
-        for i in form.active
+        (s, _power_table(point[i], 1, (bits >> s) & _MASK))
+        for i, s in enumerate(range(_SLOT * (n - 1), -1, -_SLOT))
+        if i != var - 1 and (bits >> s) & _MASK
     ]
+    shift = _SLOT * (n - var)
     sums: dict[int, int] = {}
-    for c, e in form.terms:
-        for t, k in zip(tables, e):
-            c *= t[k]
-        k = 0 if slot is None else e[slot]
-        sums[k] = sums.get(k, 0) + c
-    return {k: Fraction(c, form.den) for k, c in sums.items() if c}
+    for k, v in f.ip.items():
+        for s, table in tables:
+            v *= table[(k >> s) & _MASK]
+        e = (k >> shift) & _MASK
+        sums[e] = sums.get(e, 0) + v
+    c = f.content
+    return {e: Fraction(v * c.numerator, c.denominator) for e, v in sums.items() if v}
 
 
 def _gcd_certainly_trivial(f: Poly, g: Poly) -> bool:
@@ -505,40 +545,27 @@ def _prs_gcd(f: Poly, g: Poly) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# Heuristic gcd: evaluate at a large integer, reconstruct digits, verify.
+# Heuristic gcd (Char, Geddes & Gonnet, GCDHEU): evaluate at a large integer,
+# reconstruct digits, verify.  It runs on primitive integer polynomials, so
+# it reads and writes the packed integer values directly.
 # ---------------------------------------------------------------------------
 
 
 def _eval_main_var(f: Poly, var: int, xi: int) -> Poly:
     """Substitute x_var = xi, folding its powers into the coefficients."""
-    j = var - 1
-    out: dict[tuple[int, ...], Fraction] = {}
-    for e, c in f.terms.items():
-        v = c * xi ** e[j] if e[j] else c
-        e2 = list(e)
-        e2[j] = 0
-        key = tuple(e2)
-        s = out.get(key, _ZERO) + v
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return Poly(f.nvars, out)
+    n = f.nvars
+    shift, step = _SLOT * (n - var), _step(var, n)
+    out: dict[int, int] = {}
+    for k, v in f.ip.items():
+        e = (k >> shift) & _MASK
+        k -= e * step
+        out[k] = out.get(k, 0) + v * xi**e
+    return _primitive(n, {k: v for k, v in out.items() if v}, f.content)
 
 
 def _smod(a: int, m: int) -> int:
     r = a % m
     return r - m if 2 * r > m else r
-
-
-def _poly_smod(f: Poly, xi: int) -> Poly:
-    """Coefficient-wise symmetric remainder mod xi (coefficients are ints)."""
-    out = {}
-    for e, c in f.terms.items():
-        r = _smod(int(c), xi)
-        if r:
-            out[e] = Fraction(r)
-    return Poly(f.nvars, out)
 
 
 def _heuristic_gcd_raw(f: Poly, g: Poly, depth: int) -> Poly | None:
@@ -556,8 +583,9 @@ def _heuristic_gcd_raw(f: Poly, g: Poly, depth: int) -> Poly | None:
     if depth > 8:
         return None
     var = _main_variable(f, g)
-    norm = min(_max_abs_coeff(f), _max_abs_coeff(g))
-    xi = 2 * int(norm) + 29
+    xi = 2 * min(max(map(abs, p.ip.values())) for p in (f, g)) + 29
+    # the gcd has no higher degree in x_var than either operand
+    limit = min(f.degree_in(var), g.degree_in(var))
     for _ in range(6):
         fe = _eval_main_var(f, var, xi)
         ge = _eval_main_var(g, var, xi)
@@ -578,8 +606,8 @@ def _heuristic_gcd_raw(f: Poly, g: Poly, depth: int) -> Poly | None:
                 continue
             # the gcd of the evaluations also carries the integer gcd of
             # the evaluated contents
-            h_eval = _scale_to_eval_gcd(h_eval, fe, ge, f.nvars)
-        h = _reconstruct(h_eval, var, xi, f.nvars)
+            h_eval = _scale_to_eval_gcd(h_eval, fe, ge)
+        h = _reconstruct(h_eval, var, xi, limit)
         if h is not None and not h.is_zero():
             h = _normalize_primitive(h)
             try:
@@ -593,54 +621,45 @@ def _heuristic_gcd_raw(f: Poly, g: Poly, depth: int) -> Poly | None:
     return None
 
 
-def _scale_to_eval_gcd(h_eval: Poly, fe: Poly, ge: Poly, nvars: int) -> Poly:
-    """Scale the recursive gcd by the integer gcd of remaining contents."""
-    cf = _integer_content(fe)
-    cg = _integer_content(ge)
-    ch = _integer_content(h_eval)
-    extra = gcd(cf, cg)
-    if ch == 0:
-        return h_eval
-    return h_eval.scale(Fraction(extra, ch)) if extra != ch else h_eval
+def _scale_to_eval_gcd(h_eval: Poly, fe: Poly, ge: Poly) -> Poly:
+    """Scale the recursive gcd by the integer gcd of remaining contents.
 
-
-def _integer_content(f: Poly) -> int:
-    c = 0
-    for v in f.terms.values():
-        c = gcd(c, abs(int(v)))
-    return c
-
-
-def _max_abs_coeff(f: Poly) -> Fraction:
-    return max(abs(c) for c in f.terms.values())
+    fe, ge and h_eval have integer coefficients, so each content is an
+    integer: plus or minus the gcd of the coefficients.
+    """
+    extra = gcd(fe.content.numerator, ge.content.numerator)
+    ch = abs(h_eval.content.numerator)
+    return h_eval if extra == ch else h_eval.scale(Fraction(extra, ch))
 
 
 def _next_xi(xi: int) -> int:
     return 2 * xi + 29
 
 
-def _reconstruct(gamma: Poly, var: int, xi: int, nvars: int) -> Poly | None:
-    """Rebuild a polynomial in x_var from its base-xi digit expansion."""
-    h = Poly.zero(nvars)
+def _reconstruct(gamma: Poly, var: int, xi: int, limit: int) -> Poly | None:
+    """Rebuild a polynomial of degree at most `limit` in x_var from its
+    base-xi digit expansion; gamma has integer coefficients and no x_var."""
+    c = gamma.content
+    if c.denominator != 1:
+        return None
+    n = gamma.nvars
+    step = _step(var, n)
+    rest = {k: v * c.numerator for k, v in gamma.ip.items()}
+    out: dict[int, int] = {}
     e = 0
-    j = var - 1
-    limit = 80
-    while not gamma.is_zero():
-        digit = _poly_smod(gamma, xi)
-        if not digit.is_zero():
-            terms = {}
-            for exps, c in digit.terms.items():
-                e2 = list(exps)
-                e2[j] += e
-                terms[tuple(e2)] = c
-            h = h + Poly(nvars, terms)
-        gamma = (gamma - digit).scale(Fraction(1, xi))
-        if any(c.denominator != 1 for c in gamma.terms.values()):
-            return None
-        e += 1
+    while rest:
         if e > limit:
             return None
-    return h
+        digits, rest = rest, {}
+        for k, v in digits.items():
+            r = _smod(v, xi)
+            if r:
+                out[k + e * step] = r
+            v = (v - r) // xi
+            if v:
+                rest[k] = v
+        e += 1
+    return _primitive(n, out)
 
 
 def _heuristic_gcd(f: Poly, g: Poly) -> Poly | None:
@@ -685,9 +704,9 @@ def _main_variable(f: Poly, g: Poly) -> int:
 
 
 def _normalize_primitive(f: Poly) -> Poly:
-    if f.is_zero():
+    if f.is_zero() or f.content == 1:
         return f
-    return f.scale(1 / _content(f))
+    return Poly(f.nvars, _ONE, f.ip)
 
 
 def poly_lcm(f: Poly, g: Poly) -> Poly:
@@ -725,7 +744,7 @@ class Scalar:
 
     @staticmethod
     def zero(nvars: int) -> "Scalar":
-        return Scalar(Poly(nvars, {}), Poly.one(nvars), _canonical=True)
+        return Scalar(Poly.zero(nvars), Poly.one(nvars), _canonical=True)
 
     @staticmethod
     def one(nvars: int) -> "Scalar":
@@ -866,33 +885,22 @@ def _polynomial_pair(s: Scalar, t: Scalar) -> bool:
     return s.den is t.den and s.is_polynomial()
 
 
-def _poly_constant(p: Poly) -> Fraction | None:
-    """The value of p if it is constant, else None."""
-    terms = p.terms
-    if not terms:
-        return _ZERO
-    if len(terms) > 1:
-        return None
-    ((e, c),) = terms.items()
-    return None if any(e) else c
-
-
 def _cancel(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
-    n, d = _poly_constant(num), _poly_constant(den)
-    if n is not None and d is not None:
-        return Poly.const(num.nvars, n / d), Poly.one(num.nvars)
     if num.is_zero():
-        return Poly.zero(num.nvars), Poly.one(num.nvars)
+        return num, Poly.one(num.nvars)
+    if num.is_constant() and den.is_constant():
+        value = num.constant_value() / den.constant_value()
+        return Poly.const(num.nvars, value), Poly.one(num.nvars)
     g = poly_gcd(num, den)
-    if not (g.is_constant() and g.constant_value() == 1):
+    if not g.is_constant():
         num = poly_divexact(num, g)
         den = poly_divexact(den, g)
     c = _content(den)
     if c != 1:
         num = num.scale(1 / c)
-        den = den.scale(1 / c)
+        den = _normalize_primitive(den)
     if den.is_constant():
         return num, Poly.one(num.nvars)
     return num, den
@@ -907,24 +915,30 @@ def _cancel(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 def poly_to_str(p: Poly) -> str:
     if p.is_zero():
         return "0"
-    items = sorted(p.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
+    n = p.nvars
+    num, den = p.content.numerator, p.content.denominator
     parts: list[str] = []
-    for e, c in items:
+    # key order is graded-lex order
+    for k in sorted(p.ip, reverse=True):
+        v = p.ip[k] * num
+        g = gcd(v, den)
+        a, b = abs(v) // g, den // g
+        coef = str(a) if b == 1 else f"{a}/{b}"
         mono = "*".join(
-            f"x{i + 1}" if k == 1 else f"x{i + 1}^{k}"
-            for i, k in enumerate(e)
-            if k
+            f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
+            for i, e in enumerate(_exponents(k, n))
+            if e
         )
         if not mono:
-            body = str(abs(c))
-        elif abs(c) == 1:
+            body = coef
+        elif coef == "1":
             body = mono
         else:
-            body = f"{abs(c)}*{mono}"
+            body = f"{coef}*{mono}"
         if not parts:
-            parts.append(body if c > 0 else f"-{body}")
+            parts.append(body if v > 0 else f"-{body}")
         else:
-            parts.append(f" + {body}" if c > 0 else f" - {body}")
+            parts.append(f" + {body}" if v > 0 else f" - {body}")
     return "".join(parts)
 
 
@@ -963,7 +977,7 @@ def poly_from_str(text: str, nvars: int) -> Poly:
     if not buf:
         raise ValueError(f"trailing sign in polynomial string {text!r}")
     tokens.append((sign, buf))
-    result = Poly.zero(nvars)
+    terms: dict[tuple[int, ...], Fraction] = {}
     for sgn, term in tokens:
         coef = Fraction(sgn)
         exps = [0] * nvars
@@ -988,8 +1002,9 @@ def poly_from_str(text: str, nvars: int) -> Poly:
                     ) from None
             else:
                 raise ValueError(f"bad factor {factor!r} in polynomial {text!r}")
-        result = result + Poly(nvars, {tuple(exps): coef}) if coef else result
-    return result
+        e = tuple(exps)
+        terms[e] = terms[e] + coef if e in terms else coef
+    return Poly.from_terms(nvars, terms)
 
 
 def scalar_from_str(text: str, nvars: int) -> Scalar:
@@ -1027,7 +1042,7 @@ def is_positive_pattern(p: Poly) -> bool:
     const = p.coefficient((0,) * p.nvars)
     if const <= 0:
         return False
-    for e, c in p.terms.items():
+    for e, c in p.items():
         if not any(e):
             continue
         if c <= 0 or any(k % 2 for k in e):
@@ -1064,13 +1079,13 @@ def random_fraction(rng, bound: int = 100) -> Fraction:
 
 def random_poly(rng, nvars: int, max_degree: int, terms: int = 3,
                 bound: int = 10) -> Poly:
-    out = Poly.zero(nvars)
+    out: dict[tuple[int, ...], Fraction] = {}
     for _ in range(terms):
         exps = [0] * nvars
         budget = rng.randint(0, max_degree)
         for _ in range(budget):
             exps[rng.randrange(nvars)] += 1
+        e = tuple(exps)
         c = random_fraction(rng, bound)
-        if c:
-            out = out + Poly(nvars, {tuple(exps): c})
-    return out
+        out[e] = out[e] + c if e in out else c
+    return Poly.from_terms(nvars, out)

@@ -204,7 +204,7 @@ def _to_sympy(s: Scalar):
         return sympy.Add(*(
             sympy.Rational(c.numerator, c.denominator)
             * sympy.Mul(*(x**k for x, k in zip(SYMS, e)))
-            for e, c in p.terms.items()
+            for e, c in p.items()
         ))
 
     return poly(s.num) / poly(s.den)

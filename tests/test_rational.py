@@ -30,12 +30,12 @@ from diracdeform.rational import (
     scalar_to_str,
 )
 
-SYMS = sympy.symbols("x1 x2 x3 x4")
+SYMS = sympy.symbols("x1 x2 x3 x4 x5")
 
 
 def to_sympy(p: Poly):
     total = 0
-    for e, c in p.terms.items():
+    for e, c in p.items():
         term = sympy.Rational(c.numerator, c.denominator)
         for s, k in zip(SYMS, e):
             term *= s**k
@@ -92,7 +92,7 @@ FRACTIONS = st.one_of(
 
 
 def _structure(s: Scalar):
-    return s.num.terms, s.den.terms
+    return dict(s.num.items()), dict(s.den.items())
 
 
 def _reference(value: Fraction, nv: int):
@@ -124,7 +124,7 @@ def test_constant_fast_path_matches_general_path(fa, fb, nv):
             a.inverse()
     for op, (got, value) in results.items():
         assert _structure(got) == _reference(value, nv), op
-        assert all(type(c) is Fraction for c in got.num.terms.values()), op
+        assert all(type(c) is Fraction for _, c in got.num.items()), op
         assert got.is_constant() and got.constant_value() == value, op
     # constants spelled as a quotient are cancelled on Fractions too
     if fb:
@@ -136,7 +136,7 @@ def test_constant_fast_path_matches_general_path(fa, fb, nv):
 def _polys(nv: int):
     coefs = st.fractions(-20, 20, max_denominator=12).filter(bool)
     monos = st.tuples(*[st.integers(0, 2)] * nv)
-    return st.dictionaries(monos, coefs, max_size=4).map(lambda t: Poly(nv, t))
+    return st.dictionaries(monos, coefs, max_size=4).map(lambda t: Poly.from_terms(nv, t))
 
 
 @st.composite
@@ -172,7 +172,7 @@ def test_polynomial_fast_path_matches_general_path(operands):
     for op, (got, num, den) in cases.items():
         assert _structure(got) == _structure(_forced(num, den)), op
     for op in "*+-":
-        assert _structure(cases[op][0]) == (cases[op][1].terms, one.terms), op
+        assert _structure(cases[op][0]) == (dict(cases[op][1].items()), dict(one.items())), op
     # mixed rings still raise
     other_ring = Scalar.variable(1, nv + 1)
     for op in (lambda s, t: s * t, lambda s, t: s + t):
@@ -210,7 +210,7 @@ def test_unit_denominator_is_the_shared_unit(operands, c):
     if not a.is_zero():
         results["inverse"] = a.inverse()
     for op, s in results.items():
-        unit = s.den.terms == {(0,) * nv: Fraction(1)}
+        unit = dict(s.den.items()) == {(0,) * nv: Fraction(1)}
         assert unit == (s.den is rational._UNITS.get(nv)), op
 
 
@@ -297,7 +297,7 @@ def test_prs_gcd_matches_sympy(f, g, h, nv):
 def _fraction_evaluate(p: Poly, point) -> Fraction:
     """The Fraction loop `Poly.evaluate` ran before the integer form."""
     total = Fraction(0)
-    for e, c in p.terms.items():
+    for e, c in p.items():
         v = c
         for xv, k in zip(point, e):
             if k:
@@ -310,7 +310,7 @@ def _fraction_specialize(f: Poly, var: int, point) -> dict:
     """The Fraction loop `_specialize_to_var` ran before the integer form."""
     out = {}
     j = var - 1
-    for e, c in f.terms.items():
+    for e, c in f.items():
         v = c
         for i, k in enumerate(e):
             if i != j and k:
@@ -343,7 +343,7 @@ COORDINATES = st.one_of(
 def _evaluation_cases(draw):
     nv = draw(st.integers(0, 4))
     monos = st.tuples(*[st.integers(0, 3)] * nv)
-    p = Poly(nv, draw(st.dictionaries(monos, BIG_COEFS, max_size=6)))
+    p = Poly.from_terms(nv, draw(st.dictionaries(monos, BIG_COEFS, max_size=6)))
     points = draw(st.lists(st.lists(COORDINATES, min_size=nv, max_size=nv),
                            min_size=1, max_size=4))
     return nv, p, points
@@ -381,7 +381,7 @@ def _certificate_cases(draw):
     monos = st.tuples(*[st.integers(0, 3)] * nv)
     coefs = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=5),
                       BIG_COEFS).filter(bool)
-    f, g, h = (Poly(nv, draw(st.dictionaries(monos, coefs, min_size=1, max_size=4)))
+    f, g, h = (Poly.from_terms(nv, draw(st.dictionaries(monos, coefs, min_size=1, max_size=4)))
                for _ in range(3))
     if draw(st.booleans()):
         # an engineered common factor (a constant h leaves f and g as drawn)
@@ -396,7 +396,7 @@ def test_gcd_certificate_reads_the_integer_form(case, attempt):
     point = [2 + attempt + 3 * i for i in range(nv)]
     for p in (f, g):
         for var in range(1, nv + 1):
-            assert p.degree_in(var) == max(e[var - 1] for e in p.terms)
+            assert p.degree_in(var) == max(e[var - 1] for e, _ in p.items())
             assert rational._specialize_to_var(p, var, point) == \
                 _fraction_specialize(p, var, point)
     if rational._gcd_certainly_trivial(f, g):
@@ -412,6 +412,131 @@ def test_parse_exponent_limit():
     for text in (f"x1^{limit + 1}", f"x2*x1^{limit}*x1", "x1^100000000 + 1"):
         with pytest.raises(ValueError, match=f"exceeds {limit}"):
             poly_from_str(text, 2)
+
+
+# -- the packed canonical form -----------------------------------------------------
+
+
+@st.composite
+def _sympy_cases(draw):
+    nv = draw(st.integers(1, 5))
+    monos = st.tuples(*[st.integers(0, 2)] * nv)
+    coefs = st.fractions(-9, 9, max_denominator=6).filter(bool)
+    f, g, h = (Poly.from_terms(nv, draw(st.dictionaries(monos, coefs, max_size=4)))
+               for _ in range(3))
+    point = draw(st.lists(st.fractions(-5, 5, max_denominator=4),
+                          min_size=nv, max_size=nv))
+    return nv, f, g, h, point, draw(st.integers(1, nv))
+
+
+@given(_sympy_cases())
+@settings(max_examples=120, deadline=None)
+def test_packed_poly_matches_sympy(case):
+    nv, f, g, h, point, var = case
+    gens = SYMS[:nv]
+
+    def sp(p):
+        return sympy.Poly(to_sympy(p), *gens, domain=sympy.QQ)
+
+    assert sp(f * g) == sp(f) * sp(g)
+    assert sp(f + g) == sp(f) + sp(g)
+    assert sp(f - g) == sp(f) - sp(g)
+    assert sp(f.derivative(var)) == sp(f).diff(gens[var - 1])
+    subs = dict(zip(gens, (sympy.Rational(x.numerator, x.denominator) for x in point)))
+    assert f.evaluate(point) == sympy.sympify(to_sympy(f)).subs(subs)
+    if not h.is_zero():
+        assert poly_divexact(f * h, h) == f
+        _, rem = sympy.div(sp(f), sp(h))
+        if rem.is_zero:
+            assert sp(poly_divexact(f, h)) * sp(h) == sp(f)
+        else:
+            with pytest.raises(ValueError):
+                poly_divexact(f, h)
+        if not (f.is_zero() or g.is_zero()):
+            mine = sp(poly_gcd(f * h, g * h))
+            assert mine.monic() == sympy.gcd(sp(f * h), sp(g * h)).monic()
+            # normalized: coprime integer coefficients, positive leading one
+            assert mine.LC(order="grlex") > 0
+            assert rational._content(poly_gcd(f * h, g * h)) == 1
+
+
+@pytest.mark.parametrize("f, g, nv", [
+    ("x1", "x2", 2),
+    ("x1^2*x3", "x2*x3", 3),
+    ("x1*x2^2", "x1^2", 2),
+    ("x2^3 + x1", "x1*x3", 3),
+])
+def test_divexact_refuses_a_borrowing_monomial(f, g, nv):
+    # the leading key of f minus that of g is positive, but the monomial
+    # difference has a negative exponent: a slot borrows
+    f, g = poly_from_str(f, nv), poly_from_str(g, nv)
+    assert max(f.ip) - max(g.ip) > 0
+    with pytest.raises(ValueError, match="inexact"):
+        poly_divexact(f, g)
+
+
+def test_degree_beyond_the_top_slot_is_refused():
+    top = rational.MAX_DEGREE
+    x1 = Poly.variable(1, 3)
+    high = Poly.from_terms(3, {(top - 1, 0, 0): 1})
+    # degree MAX_DEGREE fits and reads back exactly
+    assert (high * x1).items() == [((top, 0, 0), Fraction(1))]
+    assert (high * x1).degree_in(1) == top
+    for make in (lambda: high * x1 * x1,
+                 lambda: (high * x1) * Poly.variable(3, 3),
+                 lambda: Poly.from_terms(3, {(top, 0, 1): 1})):
+        with pytest.raises(OverflowError, match=f"degree exceeds {top}"):
+            make()
+
+
+@pytest.mark.parametrize("nv, terms", [
+    (3, {(2, 0, 1): Fraction(-3, 2), (0, 1, 0): Fraction(5), (0, 0, 0): Fraction(1, 3)}),
+    (2, {(1, 1): Fraction(-4), (2, 0): Fraction(-6), (0, 0): Fraction(2)}),
+    (1, {(0,): Fraction(-7, 3)}),
+    (4, {(1, 0, 0, 2): Fraction(2, 9), (0, 3, 0, 0): Fraction(-1, 6)}),
+    (2, {}),
+    (2, {(1, 0): Fraction(0)}),
+])
+def test_sum_and_terms_build_one_canonical_form(nv, terms):
+    from_terms = Poly.from_terms(nv, terms)
+    as_sum = Poly.zero(nv)
+    for e, c in terms.items():
+        as_sum = as_sum + Poly.from_terms(nv, {e: c})
+    as_product = Poly.from_terms(nv, terms) * Poly.one(nv)
+    parsed = poly_from_str(poly_to_str(from_terms), nv)
+    for p in (as_sum, as_product, parsed):
+        assert p == from_terms and hash(p) == hash(from_terms)
+        assert p.content == from_terms.content and p.ip == from_terms.ip
+    nonzero = {e: c for e, c in terms.items() if c}
+    assert dict(from_terms.items()) == nonzero
+    assert from_terms.is_zero() == (not nonzero)
+    if nonzero:
+        # the primitive part leads with a positive coefficient; the sign
+        # of the leading coefficient sits in the content
+        assert from_terms.ip[max(from_terms.ip)] > 0
+        lead = from_terms.items()[0][1]
+        assert (from_terms.content < 0) == (lead < 0)
+    assert from_terms - as_sum == Poly.zero(nv)
+    assert hash(from_terms - as_sum) == hash(Poly.zero(nv))
+
+
+@pytest.mark.parametrize("nv, terms, text", [
+    (3, {(3, 1, 0): 2, (0, 1, 0): -1, (0, 0, 0): Fraction(1, 2)},
+     "2*x1^3*x2 - x2 + 1/2"),
+    (3, {(1, 0, 0): 1, (0, 2, 0): -1, (0, 0, 1): Fraction(3, 4),
+         (1, 1, 0): Fraction(-2, 3)},
+     "-2/3*x1*x2 - x2^2 + x1 + 3/4*x3"),
+    (2, {(0, 0): Fraction(-7, 3)}, "-7/3"),
+    (4, {(0, 0, 0, 1): -1, (0, 0, 1, 0): 1, (0, 1, 0, 0): Fraction(-5, 2),
+         (1, 0, 0, 0): 6, (1, 0, 0, 1): Fraction(-1, 9), (0, 1, 1, 0): 1},
+     "-1/9*x1*x4 + x2*x3 + 6*x1 - 5/2*x2 + x3 - x4"),
+    (5, {(2, 0, 0, 0, 1): Fraction(4, 3), (0, 0, 3, 0, 0): -1,
+         (1, 1, 1, 0, 0): 1, (0, 0, 0, 0, 0): -12},
+     "4/3*x1^2*x5 + x1*x2*x3 - x3^3 - 12"),
+])
+def test_printed_terms_follow_graded_lex_order(nv, terms, text):
+    # strings printed by the tuple-keyed representation for the same terms
+    assert poly_to_str(Poly.from_terms(nv, terms)) == text
 
 
 # -- canonical fractions --------------------------------------------------------
