@@ -162,6 +162,10 @@ def run_instance_payload(payload: dict) -> tuple[str, list[CheckOutcome]]:
         raise ValueError("instance payload must be a JSON object")
     if "replay" in payload:
         return f"replay:{payload['replay']}", [suites.run_replay(payload)]
+    if payload.get("kind") in ("skew-form", "bivector-field", "horizontal-form"):
+        raise ValueError(f"a {payload['kind']!r} file is not an input of `run`; "
+                         "it accepts presymplectic-instance files, linear "
+                         "instances ('n' and 'eta') and replay files")
     if "chart" in payload:
         return _run_chart_instance(payload)
     if "n" in payload:
@@ -178,7 +182,7 @@ def _run_linear_instance(payload: dict) -> tuple[str, list[CheckOutcome]]:
         skew_to_json,
         subspace_to_json,
     )
-    from .suites import run_check
+    from .suites import INPUT_ERRORS, run_check
 
     n, eta, G, beta = instance_from_json(payload)
     if G is None:
@@ -188,26 +192,28 @@ def _run_linear_instance(payload: dict) -> tuple[str, list[CheckOutcome]]:
         "G": subspace_to_json(G),
         "beta": skew_to_json(beta),
     }
-    return f"linear(n={n})", [run_check("linalg.lemma_battery", battery)]
+    check = run_check("linalg.lemma_battery", battery, INPUT_ERRORS)
+    return f"linear(n={n})", [check]
 
 
 def _run_chart_instance(payload: dict) -> tuple[str, list[CheckOutcome]]:
-    from .suites import run_check
+    from .suites import INPUT_ERRORS, run_check
 
     label = f"presymplectic(n={payload.get('chart')})"
-    build = run_check("presym.build", payload)
+    build = run_check("presym.build", payload, INPUT_ERRORS)
     if build.status == "skipped":
         return label, [build]
     outcomes = [
         build,
-        run_check("dirac.graph_closedness", {"eta": payload["eta"]}),
+        run_check("dirac.graph_closedness", {"eta": payload["eta"]},
+                  INPUT_ERRORS),
     ]
     if payload.get("beta") is not None:
         instance = {k: payload[k] for k in ("chart", "eta", "G", "ref_point")
                     if k in payload}
         outcomes.append(run_check("presym.family_deform", {
             "instance": instance, "beta": payload["beta"], "expect_mc": None,
-        }))
+        }, INPUT_ERRORS))
     return label, outcomes
 
 

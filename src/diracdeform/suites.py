@@ -1425,7 +1425,15 @@ SUITES["all"] = [entry for name in
                  for entry in SUITES[name]]
 
 
-def run_check(name: str, payload: dict) -> CheckOutcome:
+# What an executor raises on a payload it cannot read.
+INPUT_ERRORS = (KeyError, TypeError, ValueError)
+
+
+def run_check(name: str, payload: dict, input_errors=()) -> CheckOutcome:
+    """Run one check.  SkipCheck gives a skipped record; any other exception
+    of the executor, unless of a type in `input_errors`, a fail record that
+    names it and replays it.  Callers that read the payload from a file pass
+    INPUT_ERRORS, so a malformed file stays a usage error there."""
     t0 = time.perf_counter()
     witness = None
     try:
@@ -1436,6 +1444,10 @@ def run_check(name: str, payload: dict) -> CheckOutcome:
         status = "pass" if ok else "fail"
     except SkipCheck as exc:
         status, detail = "skipped", str(exc)
+    except input_errors:
+        raise
+    except Exception as exc:
+        status, detail = "fail", f"{type(exc).__name__}: {exc}"
     wall = (time.perf_counter() - t0) * 1000
     counterexample = None
     if status == "fail":
@@ -1506,6 +1518,6 @@ def run_replay(payload: dict) -> CheckOutcome:
     if name not in CHECK_EXECUTORS:
         raise ValueError(f"unknown check name {name!r}")
     try:
-        return run_check(name, payload.get("data", {}))
+        return run_check(name, payload.get("data", {}), INPUT_ERRORS)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed replay data for {name}: {exc!r}") from exc

@@ -89,6 +89,35 @@ def test_failure_counterexample_replays():
     assert again.name == out.name
 
 
+def test_executor_exception_is_a_replayable_failure(monkeypatch, tmp_path, capsys):
+    def broken(payload):
+        raise RuntimeError("representation bug")
+
+    monkeypatch.setitem(CHECK_EXECUTORS, "dirac.phiz_mc", broken)
+    outcomes = run_suite(SuiteConfig(suite="dirac", trials=2, seed=0))
+    # the suite runs to the end: the other check still passes
+    assert [(o.name, o.status) for o in outcomes] == [
+        ("dirac.graph_closedness", "pass"), ("dirac.graph_closedness", "pass"),
+        ("dirac.phiz_mc", "fail"), ("dirac.phiz_mc", "fail"),
+    ]
+    failed = outcomes[2]
+    assert failed.detail == "RuntimeError: representation bug"
+    assert failed.counterexample["replay"] == "dirac.phiz_mc"
+    p = tmp_path / "replay.json"
+    p.write_text(json.dumps(failed.counterexample))
+    assert main(["run", str(p)]) == 1
+    assert "RuntimeError: representation bug" in capsys.readouterr().out
+
+
+def test_run_check_lets_interrupts_through(monkeypatch):
+    def interrupted(payload):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(CHECK_EXECUTORS, "dirac.phiz_mc", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_check("dirac.phiz_mc", {})
+
+
 def test_replay_unknown_check():
     with pytest.raises(ValueError):
         run_replay({"replay": "no.such.check", "data": {}})
@@ -426,6 +455,15 @@ def test_cli_generate_bad_flag_exits_2(tmp_path, kind, flags, capsys):
     assert main(["generate", kind, "--dim", "4", *flags, "--out", str(out)]) == 2
     assert flags[0] in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["skew-form", "bivector-field", "horizontal-form"])
+def test_cli_run_names_the_generated_kind_it_refuses(tmp_path, kind, capsys):
+    p = str(tmp_path / f"{kind}.json")
+    assert main(["generate", kind, "--dim", "4", "--rank", "2", "--out", p]) == 0
+    assert main(["run", p, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert repr(kind) in err and "presymplectic-instance" in err
 
 
 def test_cli_generate_largest_shear_then_run(tmp_path, capsys):
