@@ -94,8 +94,8 @@ class Poly:
 
     @staticmethod
     def from_terms(nvars: int, terms: dict[tuple[int, ...], Fraction]) -> "Poly":
-        """The polynomial with these {exponent tuple: coefficient} terms."""
-        coefs = {_pack(e): Fraction(c) for e, c in terms.items() if c}
+        """The polynomial with these {exponent tuple: int or Fraction} terms."""
+        coefs = {_pack(e): c for e, c in terms.items() if c}
         den = lcm(*[c.denominator for c in coefs.values()])
         ints = {k: c.numerator * (den // c.denominator) for k, c in coefs.items()}
         return _primitive(nvars, ints, Fraction(1, den))
@@ -300,11 +300,10 @@ def _primitive(nvars: int, ints: dict[int, int], content: Fraction = _ONE) -> Po
     g = gcd(*ints.values())
     if ints[max(ints)] < 0:
         g = -g
-    if len(ints) == 1 and 0 in ints:
-        ints = _CONST
-    elif g != 1:
+    if g != 1:
+        content = Fraction(content.numerator * g, content.denominator)
         ints = {k: v // g for k, v in ints.items()}
-    return Poly(nvars, content if g == 1 else content * g, ints)
+    return Poly(nvars, content, _CONST if ints == _CONST else ints)
 
 
 def _power_table(p: int, q: int, degree: int) -> list[int]:
@@ -346,7 +345,6 @@ def poly_divexact(f: Poly, g: Poly) -> Poly:
     g_lk = max(gi)
     g_lc = gi[g_lk]
     rem = dict(f.ip)
-    get = rem.get
     q: dict[int, int] = {}
     while rem:
         lk = max(rem)
@@ -357,7 +355,7 @@ def poly_divexact(f: Poly, g: Poly) -> Poly:
         q[d] = c
         for k, v in gi.items():
             k += d
-            s = get(k, 0) - c * v
+            s = rem.get(k, 0) - c * v
             if s:
                 rem[k] = s
             else:
@@ -447,11 +445,12 @@ def _specialize_to_var(f: Poly, var: int, point: Sequence[int]) -> dict[int, Fra
     """Evaluate all variables but x_var at integers, returning a univariate poly."""
     n = f.nvars
     bits = reduce(or_, f.ip, 0)  # bounds each exponent, as in evaluate
-    tables = [
-        (s, _power_table(point[i], 1, (bits >> s) & _MASK))
-        for i, s in enumerate(range(_SLOT * (n - 1), -1, -_SLOT))
-        if i != var - 1 and (bits >> s) & _MASK
-    ]
+    tables = []
+    for i in range(n):
+        s = _SLOT * (n - 1 - i)
+        d = (bits >> s) & _MASK
+        if d and i != var - 1:
+            tables.append((s, _power_table(point[i], 1, d)))
     shift = _SLOT * (n - var)
     sums: dict[int, int] = {}
     for k, v in f.ip.items():
