@@ -1036,17 +1036,12 @@ def is_positive_pattern(p: Poly) -> bool:
     Sound certificate that p has no real zero (in particular no rational one):
     every recognized polynomial is >= its constant term > 0 on all of R^n.
     """
-    if p.is_zero():
-        return False
-    const = p.coefficient((0,) * p.nvars)
-    if const <= 0:
-        return False
-    for e, c in p.items():
-        if not any(e):
-            continue
-        if c <= 0 or any(k % 2 for k in e):
-            return False
-    return True
+    # every coefficient is positive exactly when the content and every
+    # integer value are, and every exponent is even when no key has the low
+    # bit of an exponent slot set
+    odd = sum(1 << (_SLOT * i) for i in range(p.nvars))
+    return p.content > 0 and 0 in p.ip and all(
+        v > 0 and not k & odd for k, v in p.ip.items())
 
 
 def is_definite(p: Poly) -> bool:
