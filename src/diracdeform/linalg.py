@@ -283,10 +283,10 @@ def _int_rows(A: Matrix, nvars: int) -> tuple[list[list[int]], list[int]] | None
     for row in A:
         values = []
         for a in row:
-            num = a.num
-            if a.den is not unit or not num.is_constant():
+            ip = a.num.ip
+            if a.den is not unit or len(ip) > 1 or (ip and 0 not in ip):
                 return None
-            values.append(num.content if num.ip else 0)
+            values.append(a.num.content if ip else 0)
         m = math.lcm(*[c.denominator for c in values])
         rows.append([c.numerator * (m // c.denominator) for c in values])
         lcms.append(m)
