@@ -142,6 +142,8 @@ class Poly:
             return self
         if not self.ip:
             return other
+        if self.ip is _CONST and other.ip is _CONST:
+            return Poly.const(self.nvars, self.content + other.content)
         # num/den * (a * self.ip + b * other.ip), all on ints
         a, b = self.content, other.content
         den = lcm(a.denominator, b.denominator)
@@ -890,8 +892,7 @@ def _cancel(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if num.is_zero():
         return num, Poly.one(num.nvars)
     if num.is_constant() and den.is_constant():
-        value = num.constant_value() / den.constant_value()
-        return Poly.const(num.nvars, value), Poly.one(num.nvars)
+        return Poly.const(num.nvars, num.content / den.content), Poly.one(num.nvars)
     g = poly_gcd(num, den)
     if not g.is_constant():
         num = poly_divexact(num, g)
