@@ -125,7 +125,18 @@ def _cmd_verify(args) -> int:
         f"suite {args.suite}: {s['pass']} pass, {s['fail']} fail, "
         f"{s['skipped']} skipped" + (f" -> {path}" if path else "")
     )
+    if not args.quiet:
+        print(_slowest_line(report["checks"]))
     return exit_code(report)
+
+
+def _slowest_line(checks: list[dict], count: int = 3) -> str:
+    """The `count` slowest checks, each as #<1-based position> <name> <wall_ms>."""
+    order = sorted(range(len(checks)), key=lambda i: -checks[i]["wall_ms"])
+    return "slowest: " + ", ".join(
+        f"#{i + 1} {checks[i]['name']} {checks[i]['wall_ms']:.1f} ms"
+        for i in order[:count]
+    )
 
 
 def _cmd_run(args) -> int:

@@ -23,7 +23,9 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence, Union
 
 from .rational import (
+    PoleError,
     Scalar,
+    as_point,
     scalar_from_str,
     scalar_to_str,
 )
@@ -567,19 +569,39 @@ def vf_commutator(X: MultivectorField, Y: MultivectorField) -> MultivectorField:
 
 
 def evaluate(elem: _GradedElement, point: Sequence) -> _GradedElement:
-    """Substitute a rational point into all coefficients.
+    """Substitute a rational point (a sequence or a `rational.Point`) into
+    all coefficients.
 
     Raises PoleError when some denominator vanishes at the point.
     """
-    pt = [Fraction(x) for x in point]
-    if len(pt) != elem.chart.dim:
-        raise ValueError("point dimension mismatch")
+    pt = _chart_point(elem, point)
     n = elem.chart.dim
 
     def ev(c: Scalar) -> Scalar:
         return Scalar.const(n, c.evaluate(pt))
 
     return elem.map_coefficients(ev)
+
+
+def vanishes_at(elem: _GradedElement, point: Sequence) -> bool:
+    """Is `evaluate(elem, point)` zero?
+
+    Raises PoleError where `evaluate` does, when some coefficient's
+    denominator vanishes at the point; otherwise tests the numerators on
+    their integer sums, building no Fraction.
+    """
+    pt = _chart_point(elem, point)
+    coefficients = elem.terms.values()
+    if any(c.den.vanishes_at(pt) for c in coefficients):
+        raise PoleError.at(pt)
+    return all(c.num.vanishes_at(pt) for c in coefficients)
+
+
+def _chart_point(elem: _GradedElement, point: Sequence):
+    pt = as_point(point)
+    if len(pt) != elem.chart.dim:
+        raise ValueError("point dimension mismatch")
+    return pt
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,13 @@ built only for the results.  The route is chosen from the entries alone.
 
 There are two elimination loops.  `_bareiss` runs fraction-free on cleared
 rows, of ints for a constant matrix and of polynomials otherwise, dividing
-exactly and taking no gcd; determinants and span membership are read from it,
-and on ints it also does the Gauss-Jordan back-elimination that `rref` reads.
-`rref` of a matrix with a non-constant entry scales each row by the lcm of
-its denominators and then runs over the field with gcd-reduced entries at
-every step.  Ranks, kernels and linear solves (`solve(A, B)` is the right
-block of rref([A | B])) are read from `rref`.  On polynomial rows the
+exactly and taking no gcd; determinants, span membership and the rank of a
+constant matrix are read from it, and on ints it also does the Gauss-Jordan
+back-elimination that `rref` reads.  `rref` of a matrix with a non-constant
+entry scales each row by the lcm of its denominators and then runs over the
+field with gcd-reduced entries at every step.  Kernels, linear solves
+(`solve(A, B)` is the right block of rref([A | B])) and the ranks of
+non-constant matrices are read from `rref`.  On polynomial rows the
 fraction-free Gauss-Jordan loop is slower than the field loop, so it is not
 used there.
 """
@@ -215,6 +216,12 @@ def _int_rref(rows: list[list[int]], nvars: int) -> tuple[Matrix, tuple[int, ...
 
 
 def rank(A: Matrix) -> int:
+    """The rank; for a constant matrix, the pivot count of one forward
+    Bareiss pass on its cleared int rows (no back-elimination, no RREF)."""
+    if A and A[0]:
+        cleared = _int_rows(A, A[0][0].nvars)
+        if cleared is not None:
+            return len(_bareiss(cleared[0])[0])
     return len(rref(A)[1])
 
 

@@ -39,6 +39,7 @@ from .koszul import (
     rational_grid,
 )
 from .rational import (
+    Point,
     Scalar,
     rational_from_str,
     scalar_is_definite,
@@ -518,11 +519,20 @@ def constant_rank_report(
     for S, value in pfs.items():
         if scalar_is_definite(value):
             return {"rank_k": True, "mode": "exact", "witness": S}
-    # grid fallback: rank must be k at every sampled point
+    # grid fallback: rank must be k at every sampled point.  M is exactly
+    # skew, so its strict upper triangle gives the whole matrix.
     checked = 0
+    zero = Scalar.zero(0)
     for point in rational_grid(n, grid_coords):
+        pt = Point(point)
+        Mp = [[zero] * n for _ in range(n)]
         try:
-            Mp = linalg.evaluate_matrix(M, point)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    v = M[i][j].evaluate(pt)
+                    if v:
+                        Mp[i][j] = Scalar.const(0, v)
+                        Mp[j][i] = Scalar.const(0, -v)
         except ZeroDivisionError:
             continue
         checked += 1
@@ -589,11 +599,11 @@ def _kernel_transversality(
         return {"transverse": True, "mode": "exact"}
     checked = 0
     for point in rational_grid(n, grid_coords):
-        try:
-            if d.evaluate(point) == 0:
-                return {"transverse": False, "reason": f"kernel meets G at {point}"}
-        except ZeroDivisionError:
+        pt = Point(point)
+        if d.den.vanishes_at(pt):
             continue
+        if d.num.vanishes_at(pt):
+            return {"transverse": False, "reason": f"kernel meets G at {point}"}
         checked += 1
     return {"transverse": True, "mode": "grid", "points": checked}
 

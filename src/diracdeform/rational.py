@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import gcd, lcm
 from operator import or_
 from typing import Sequence
@@ -24,6 +24,10 @@ from typing import Sequence
 
 class PoleError(ZeroDivisionError):
     """Evaluation at a point where a denominator vanishes."""
+
+    @classmethod
+    def at(cls, point) -> "PoleError":
+        return cls(f"denominator vanishes at point {tuple(point)}")
 
 
 _ZERO = Fraction(0)
@@ -225,29 +229,41 @@ class Poly:
                 out[k - step] = e * v
         return _primitive(n, out, self.content)
 
-    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        """The exact value at a rational point (ints, Fractions or strings).
+    def evaluate(self, point: Point | Sequence) -> Fraction:
+        """The exact value at a rational point (ints, Fractions or strings)."""
+        s, d = self._sum_at(as_point(point))
+        c = self.content
+        if s == d:  # a constant, or any value that is the content itself
+            return c
+        return Fraction(s * c.numerator, d * c.denominator)
 
-        With x_i = p_i/q_i and D_i a bound on the degree in x_i, the value
-        is the content times sum v_e prod p_i^e_i q_i^(D_i - e_i) over
-        prod q_i^D_i.  D_i is read from the bitwise or of the keys, which
-        bounds every slot by less than twice its largest value.
+    def vanishes_at(self, point: Point | Sequence) -> bool:
+        """Is the value at the point zero?  Read from the integer sum alone."""
+        return not self._sum_at(as_point(point))[0]
+
+    def _sum_at(self, point: Point) -> tuple[int, int]:
+        """(s, d) with the value at the point equal to content * s / d.
+
+        With x_i = p_i/q_i and D_i a bound on the degree in x_i, s is
+        sum v_e prod p_i^e_i q_i^(D_i - e_i) and d is prod q_i^D_i, both
+        ints.  D_i is read from the bitwise or of the keys, which bounds
+        every slot by less than twice its largest value; the point builds
+        each table once.
         """
         n = self.nvars
-        if len(point) != n:
+        if len(point.coords) != n:
             raise ValueError("point dimension mismatch")
         bits = reduce(or_, self.ip, 0)
         if not bits:  # a constant
-            return self.content if self.ip else _ZERO
-        den = self.content.denominator
+            return (1 if self.ip else 0), 1
+        den = 1
         tables = []
-        for i, x in enumerate(point):
-            shift = _SLOT * (n - 1 - i)
+        shift = _SLOT * n
+        for i in range(n):
+            shift -= _SLOT
             d = (bits >> shift) & _MASK
             if d:
-                if type(x) is not Fraction:
-                    x = Fraction(x)
-                table = _power_table(x.numerator, x.denominator, d)
+                table = point.table(i, d)
                 tables.append((shift, table))
                 den *= table[0]  # q_i^D_i
         total = 0
@@ -256,7 +272,7 @@ class Poly:
             for shift, table in tables:
                 v *= table[(k >> shift) & mask]
             total += v
-        return Fraction(total * self.content.numerator, den)
+        return total, den
 
     # -- comparisons ----------------------------------------------------------
 
@@ -319,6 +335,40 @@ def _power_table(p: int, q: int, degree: int) -> list[int]:
             table[k] *= r
             r *= q
     return table
+
+
+class Point:
+    """A rational point at which many polynomials are evaluated.
+
+    Holds the coordinates as Fractions and builds the power table
+    [p^k q^(D-k) for k = 0..D] of coordinate p/q for each (variable, degree
+    bound D) on first use, so every evaluation at the point shares it.
+    """
+
+    __slots__ = ("coords", "_tables")
+
+    def __init__(self, coords: Sequence):
+        self.coords = tuple([x if type(x) is Fraction else Fraction(x) for x in coords])
+        self._tables: dict[tuple[int, int], list[int]] = {}
+
+    def __len__(self) -> int:
+        return len(self.coords)
+
+    def __iter__(self):
+        return iter(self.coords)
+
+    def table(self, i: int, degree: int) -> list[int]:
+        """The power table of coordinate i (0-based) for degree bound `degree`."""
+        key = (i, degree)
+        table = self._tables.get(key)
+        if table is None:
+            x = self.coords[i]
+            table = self._tables[key] = _power_table(x.numerator, x.denominator, degree)
+        return table
+
+
+def as_point(point: Point | Sequence) -> Point:
+    return point if type(point) is Point else Point(point)
 
 
 # ---------------------------------------------------------------------------
@@ -410,41 +460,49 @@ def _pseudo_rem(f: Poly, g: Poly, var: int) -> Poly:
     return rem
 
 
-def _univariate_gcd_degree(
-    a: dict[int, Fraction], b: dict[int, Fraction]
-) -> int:
-    """Degree of gcd of two univariate polynomials given as exponent->coef."""
-    fa = dict(a)
-    fb = dict(b)
+# The certificate's univariate gcds run modulo this Mersenne prime.
+_PRIME = (1 << 61) - 1
+
+
+def _univariate_gcd_degree(a: dict[int, int], b: dict[int, int]) -> int:
+    """Degree of gcd(a mod p, b mod p) in (Z/p)[x], p = _PRIME, for integer
+    polynomials given as exponent->coef; -1 when both vanish mod p."""
+    fa, fb = _dense_mod(a), _dense_mod(b)
     while fb:
-        da = max(fa) if fa else -1
-        db = max(fb)
-        if da < db:
-            fa, fb = fb, fa
-            continue
-        lc = fb[db]
-        top = fa.pop(da)
-        ratio = top / lc
-        for e, c in fb.items():
-            if e == db:
-                continue
-            k = e + da - db
-            s = fa.get(k, _ZERO) - ratio * c
-            if s:
-                fa[k] = s
-            else:
-                fa.pop(k, None)
-        if not fa:
-            fa, fb = fb, {}
-            break
-        if max(fa) >= db:
-            continue
+        db = len(fb) - 1
+        inv = pow(fb[-1], -1, _PRIME)
+        while len(fa) > db:
+            c = fa[-1] * inv % _PRIME
+            off = len(fa) - 1 - db
+            for j in range(db):  # the top term cancels exactly
+                fa[off + j] = (fa[off + j] - c * fb[j]) % _PRIME
+            fa.pop()
+            while fa and not fa[-1]:
+                fa.pop()
         fa, fb = fb, fa
-    return max(fa) if fa else 0
+    return len(fa) - 1
 
 
-def _specialize_to_var(f: Poly, var: int, point: Sequence[int]) -> dict[int, Fraction]:
-    """Evaluate all variables but x_var at integers, returning a univariate poly."""
+def _dense_mod(a: dict[int, int]) -> list[int]:
+    """Coefficients mod p by ascending exponent, without leading zeros."""
+    out = [0] * (max(a, default=-1) + 1)
+    for e, v in a.items():
+        out[e] = v % _PRIME
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+@lru_cache(maxsize=1024)
+def _int_powers(x: int, degree: int) -> tuple[int, ...]:
+    """(x^k for k = 0..degree), shared: the certificate's points are fixed."""
+    return tuple(_power_table(x, 1, degree))
+
+
+def _specialize_to_var(f: Poly, var: int, point: Sequence[int]) -> dict[int, int]:
+    """The primitive part of f with every variable but x_var set to an
+    integer: a univariate {exponent: int}.  The content is dropped, since a
+    nonzero scale changes no gcd degree."""
     n = f.nvars
     bits = reduce(or_, f.ip, 0)  # bounds each exponent, as in evaluate
     tables = []
@@ -452,7 +510,7 @@ def _specialize_to_var(f: Poly, var: int, point: Sequence[int]) -> dict[int, Fra
         s = _SLOT * (n - 1 - i)
         d = (bits >> s) & _MASK
         if d and i != var - 1:
-            tables.append((s, _power_table(point[i], 1, d)))
+            tables.append((s, _int_powers(point[i], d)))
     shift = _SLOT * (n - var)
     sums: dict[int, int] = {}
     for k, v in f.ip.items():
@@ -460,16 +518,20 @@ def _specialize_to_var(f: Poly, var: int, point: Sequence[int]) -> dict[int, Fra
             v *= table[(k >> s) & _MASK]
         e = (k >> shift) & _MASK
         sums[e] = sums.get(e, 0) + v
-    c = f.content
-    return {e: Fraction(v * c.numerator, c.denominator) for e, v in sums.items() if v}
+    return {e: v for e, v in sums.items() if v}
 
 
 def _gcd_certainly_trivial(f: Poly, g: Poly) -> bool:
     """Sound fast test that gcd(f, g) is constant.
 
-    For each variable, deg_x(gcd) <= deg(gcd of univariate specializations)
-    whenever the specialization preserves deg_x(f).  If every variable bound
-    is zero the gcd is a unit.  Returning False just means "unknown".
+    For each variable x, specialize the other variables at integers and
+    reduce mod the prime p (Brown's modular degree bound).  The primitive
+    gcd H over Z divides the probe, so after specialization its leading
+    coefficient in x divides the probe's.  If the probe keeps its degree in
+    x and p does not divide its leading coefficient, H keeps its degree in x
+    mod p and divides both images, so deg_x(H) is at most the degree of
+    their gcd mod p.  If every variable bound is zero the gcd is a unit.
+    Returning False just means "unknown".
     """
     nv = f.nvars
     for var in range(1, nv + 1):
@@ -484,8 +546,8 @@ def _gcd_certainly_trivial(f: Poly, g: Poly) -> bool:
         for attempt in range(4):
             point = [2 + attempt + 3 * i for i in range(nv)]
             a = _specialize_to_var(probe, var, point)
-            if not a or max(a) != dprobe:
-                continue  # leading coefficient vanished; bound invalid
+            if not a or max(a) != dprobe or not a[dprobe] % _PRIME:
+                continue  # leading coefficient vanished (mod p); bound invalid
             other = g if probe is f else f
             b = _specialize_to_var(other, var, point)
             if not b:
@@ -846,11 +908,14 @@ class Scalar:
         v = poly_divexact(dd, g)
         return Scalar(dn * u - n * v, d * u)
 
-    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        dv = self.den.evaluate(point)
+    def evaluate(self, point: Point | Sequence) -> Fraction:
+        pt = as_point(point)
+        if self.is_polynomial():  # the unit denominator has no pole
+            return self.num.evaluate(pt)
+        dv = self.den.evaluate(pt)
         if dv == 0:
-            raise PoleError(f"denominator vanishes at point {tuple(point)}")
-        return self.num.evaluate(point) / dv
+            raise PoleError.at(point)
+        return self.num.evaluate(pt) / dv
 
     # -- comparisons -----------------------------------------------------------------
 

@@ -9,7 +9,8 @@ trial) and checks every k-th recorded call against sympy.
 
 Recording reuses the benchmark tracer's patcher (`bench/tracing.py`), which
 reaches every `from .x import y` copy of a traced function; `Poly.derivative`
-is not traced there, so it is patched on the class.  Operands are read
+and `Poly.vanishes_at` (the grid's zero test) are not traced there, so they
+are patched on the class.  Operands are read
 through `poly_to_str` and parsed here, so the oracle depends on no internal
 representation.
 """
@@ -41,6 +42,7 @@ STRIDE = {
     "linalg.rref": 1,
     "linalg.det": 1,
     "derivative": 2,
+    "vanishes_at": 5,
 }
 SUITES = ("mc", "presymplectic", "dirac")
 MAX_VARS = 12
@@ -79,8 +81,8 @@ def _recording(fn, log):
 def recorded():
     recorder = _Recorder()
     mp = pytest.MonkeyPatch()
-    mp.setattr(Poly, "derivative",
-               _recording(Poly.derivative, recorder.log["derivative"]))
+    for name in ("derivative", "vanishes_at"):
+        mp.setattr(Poly, name, _recording(getattr(Poly, name), recorder.log[name]))
     try:
         with recorder:
             for suite in SUITES:
@@ -175,6 +177,17 @@ def test_substitutions_match_sympy(recorded):
                 for i, c in enumerate(point)}
         want = _sym(p).as_expr().subs(subs) if p.nvars else _sym(p).as_expr()
         assert want == sympy.Rational(v.numerator, v.denominator)
+
+
+def test_zero_tests_match_sympy(recorded):
+    # The reduced pass meets no zero value at a grid point (a vanishing
+    # residual has no coefficients to test); the hypothesis tests in
+    # test_rational.py and test_exterior.py reach zeros and poles.
+    for (p, point), vanishes, _ in _kept(recorded["vanishes_at"], "vanishes_at"):
+        subs = {GENS[i]: sympy.Rational(str(Fraction(c)))
+                for i, c in enumerate(point)}
+        value = _sym(p).as_expr().subs(subs) if p.nvars else _sym(p).as_expr()
+        assert vanishes == (value == 0)
 
 
 def test_rref_matches_sympy(recorded):

@@ -4,6 +4,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracdeform.exterior import (
     Chart,
@@ -25,11 +27,12 @@ from diracdeform.exterior import (
     partial,
     schouten,
     to_json,
+    vanishes_at,
     vf_commutator,
     wedge,
     wedge_all,
 )
-from diracdeform.rational import PoleError, Scalar
+from diracdeform.rational import PoleError, Scalar, poly_from_str
 from diracdeform.randgen import random_field, random_form
 
 
@@ -246,6 +249,45 @@ def test_evaluate_homomorphism(rng, c3):
         assert evaluate(contract(v, a), pt) == contract(
             evaluate(v, pt), evaluate(a, pt)
         )
+
+
+# coefficient pieces: x1 - a vanishes on the grid below for a in it, so
+# the draws hit poles and zero values often
+_GRID = ("0", "1", "-1", "1/2")
+_FACTORS = st.sampled_from(["1", "x1", "x2 + 1", "x1 - 1", "x1*x2 - 1/2", "2*x3 + 1"])
+
+
+@st.composite
+def _coefficient(draw):
+    def product(factors):
+        out = Scalar.one(3)
+        for f in factors:
+            out = out * Scalar.from_poly(poly_from_str(f, 3))
+        return out
+
+    num = product(draw(st.lists(_FACTORS, min_size=1, max_size=3)))
+    if draw(st.booleans()):
+        return num / product(draw(st.lists(_FACTORS, min_size=1, max_size=2)))
+    return num.scale(draw(st.integers(0, 3)))
+
+
+@given(st.dictionaries(st.sampled_from([(1,), (2,), (3,), (1, 2), (2, 3)]),
+                       _coefficient(), max_size=4),
+       st.lists(st.sampled_from(_GRID), min_size=3, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_vanishes_at_matches_evaluate(terms, point):
+    c3 = Chart(3)
+    elem = DifferentialForm.make(c3, terms)
+    try:
+        want = evaluate(elem, point).is_zero()
+    except PoleError as exc:
+        with pytest.raises(PoleError) as got:
+            vanishes_at(elem, point)
+        assert str(got.value) == str(exc)
+    else:
+        assert vanishes_at(elem, point) == want
+    with pytest.raises(ValueError):
+        vanishes_at(elem, point[:2])
 
 
 def test_json_roundtrip(rng, c4):

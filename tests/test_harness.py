@@ -252,6 +252,21 @@ def test_cli_unknown_suite():
     assert main(["verify", "nonexistent-suite", "--quiet"]) == 2
 
 
+def test_cli_verify_ends_with_the_slowest_checks(tmp_path, capsys):
+    path = tmp_path / "mc.json"
+    assert main(["verify", "mc", "--trials", "2", "--report", str(path)]) == 0
+    last = capsys.readouterr().out.rstrip("\n").splitlines()[-1]
+    checks = json.loads(path.read_text())["checks"]
+    ranked = sorted(range(len(checks)), key=lambda i: -checks[i]["wall_ms"])[:3]
+    assert len(ranked) == 3
+    assert last == "slowest: " + ", ".join(
+        f"#{i + 1} {checks[i]['name']} {checks[i]['wall_ms']:.1f} ms" for i in ranked)
+    # --quiet keeps only the summary line
+    assert main(["verify", "mc", "--trials", "1", "--quiet"]) == 0
+    out = capsys.readouterr().out
+    assert "slowest" not in out and out.startswith("suite mc:")
+
+
 @pytest.mark.parametrize("suite", ["linalg", "mc"])
 @pytest.mark.parametrize("grid", ["1/0", "0,x1"])
 def test_cli_verify_bad_grid(suite, grid, capsys):

@@ -293,6 +293,16 @@ def test_mc_equivalence_modes(c2, c4):
     assert rep2["points_checked"] > 0
 
 
+def test_mc_equivalence_skips_zeros_of_the_determinant(c2):
+    # det(id + Z# beta#) = (x1 - 1)^2 vanishes on the grid row x1 = 1
+    ctx = KoszulContext(MultivectorField.make(c2, {(1, 2): 1}))
+    beta = DifferentialForm.make(c2, {(1, 2): "x1"})
+    grid = (Fraction(0), Fraction(1), Fraction(-1))
+    rep = mc_equivalence_report(beta, ctx, grid)
+    assert rep["mode"] == "grid" and rep["equivalent"]
+    assert rep["points_checked"] == 6
+
+
 def test_mc_equivalence_randomized(rng, c4):
     done = 0
     while done < 8:

@@ -337,3 +337,29 @@ def test_one_nonconstant_entry_takes_the_field_route(rows, nvars, data):
     A = mat(A)
     assert linalg._int_rows(A, nvars) is None
     _check_against_sympy(A)
+
+
+@given(_fraction_rows(max_n=6, max_m=6), st.integers(0, 2), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_forward_pivot_rank_matches_sympy(rows, nvars, skew):
+    """The rank of a constant matrix, skew or not, from forward pivots alone."""
+    if skew:
+        # the drawn entries, read in turn, fill the strict upper triangle
+        flat = [v for row in rows for v in row]
+        n = len(rows)
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for t, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+            rows[i][j] = flat[t % len(flat)]
+            rows[j][i] = -rows[i][j]
+    A = from_fractions(rows, nvars)
+
+    def no_rref(*_):
+        raise AssertionError("a constant rank reads no RREF")
+
+    real_rref = linalg.rref
+    linalg.rref = no_rref
+    try:
+        got = rank(A)
+    finally:
+        linalg.rref = real_rref
+    assert got == sympy.Matrix(rows).rank()

@@ -397,13 +397,122 @@ def test_gcd_certificate_reads_the_integer_form(case, attempt):
     for p in (f, g):
         for var in range(1, nv + 1):
             assert p.degree_in(var) == max(e[var - 1] for e, _ in p.items())
-            assert rational._specialize_to_var(p, var, point) == \
-                _fraction_specialize(p, var, point)
+            got = rational._specialize_to_var(p, var, point)
+            assert all(type(v) is int for v in got.values())
+            # the content is dropped: the integer sums of the primitive part
+            assert got == {e: v / p.content
+                           for e, v in _fraction_specialize(p, var, point).items()}
     if rational._gcd_certainly_trivial(f, g):
         theirs = sympy.gcd(
             sympy.Poly(to_sympy(f), *SYMS[:nv]), sympy.Poly(to_sympy(g), *SYMS[:nv])
         )
         assert theirs.total_degree() == 0
+
+
+P61 = (1 << 61) - 1
+
+
+def _recording_gcd_degree(monkeypatch) -> list:
+    calls = []
+    real = rational._univariate_gcd_degree
+
+    def record(a, b):
+        calls.append((dict(a), dict(b)))
+        return real(a, b)
+
+    monkeypatch.setattr(rational, "_univariate_gcd_degree", record)
+    return calls
+
+
+def test_certificate_skips_a_probe_lead_divisible_by_p(monkeypatch):
+    calls = _recording_gcd_degree(monkeypatch)
+    x1, x2 = x(1, 2), x(2, 2)
+    # in x1 the probe's leading coefficient x2 + p - 5 is p at attempt 0
+    # (x2 = 5) and p + 1 at attempt 1 (x2 = 6)
+    f = (x2 + Poly.const(2, P61 - 5)) * x1 + Poly.one(2)
+    assert rational._gcd_certainly_trivial(f, x1)
+    assert calls[0][0] == {1: P61 + 1, 0: 1}
+    # univariate: the leading coefficient p survives every attempt
+    calls.clear()
+    f = x(1, 1).scale(P61) + Poly.one(1)
+    assert not rational._gcd_certainly_trivial(f, x(1, 1))
+    assert calls == []
+    assert poly_gcd(f, x(1, 1)) == Poly.one(1)
+
+
+def test_certificate_is_unknown_when_images_mod_p_agree():
+    f = x(1, 2) * x(2, 2) + Poly.one(2)
+    g = f - Poly.const(2, P61)  # coprime over Q, equal mod p
+    assert not rational._gcd_certainly_trivial(f, g)
+    assert poly_gcd(f, g) == Poly.one(2)
+
+
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+       st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+       st.lists(st.integers(-9, 9), min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_univariate_gcd_degree_matches_sympy(a, b, h):
+    t = sympy.Symbol("t")
+
+    def expr(coefs):
+        return sum(c * t**e for e, c in enumerate(coefs))
+
+    A, B = sympy.expand(expr(a) * expr(h)), sympy.expand(expr(b) * expr(h))
+    if A == 0:
+        return
+
+    def ints(e):
+        return {k: int(c) for (k,), c in sympy.Poly(e, t).terms() if c} if e != 0 else {}
+
+    want = sympy.degree(sympy.gcd(A, B), t)
+    assert rational._univariate_gcd_degree(ints(A), ints(B)) == want
+
+
+@st.composite
+def _shared_point_cases(draw):
+    nv = draw(st.integers(0, 4))
+    monos = st.tuples(*[st.integers(0, 3)] * nv)
+    polys = [Poly.from_terms(nv, draw(st.dictionaries(monos, BIG_COEFS, max_size=5)))
+             for _ in range(draw(st.integers(1, 4)))]
+    points = draw(st.lists(st.lists(COORDINATES, min_size=nv, max_size=nv),
+                           min_size=1, max_size=3))
+    return nv, polys, points
+
+
+@given(_shared_point_cases())
+@settings(max_examples=200, deadline=None)
+def test_shared_point_matches_fresh_evaluation(case):
+    """One Point serves polynomials of different degrees, in both orders."""
+    nv, polys, points = case
+    for coords in points:
+        fractions = [Fraction(c) for c in coords]
+        for order in (polys, polys[::-1]):
+            pt = rational.Point(coords)
+            for p in order:
+                want = _fraction_evaluate(p, coords)
+                assert p.evaluate(pt) == p.evaluate(coords) == want
+                assert p.vanishes_at(pt) == p.vanishes_at(coords) == (want == 0)
+        pt = rational.Point(coords)
+        scalars = [Scalar(p, q) for p, q in zip(polys, polys[1:] + polys[:1])
+                   if not q.is_zero()]
+        if nv:
+            # 1/(x1 - c) has a pole at the point
+            scalars.append(Scalar(Poly.one(nv),
+                                  Poly.variable(1, nv) - Poly.const(nv, fractions[0])))
+        for s in scalars:
+            den = _fraction_evaluate(s.den, coords)
+            if den:
+                assert s.evaluate(pt) == s.evaluate(coords) == \
+                    _fraction_evaluate(s.num, coords) / den
+            else:
+                with pytest.raises(PoleError) as shared:
+                    s.evaluate(pt)
+                with pytest.raises(PoleError) as fresh:
+                    s.evaluate(coords)
+                assert str(shared.value) == \
+                    f"denominator vanishes at point {tuple(fractions)}"
+                assert str(fresh.value) == \
+                    f"denominator vanishes at point {tuple(coords)}"
 
 
 def test_parse_exponent_limit():
