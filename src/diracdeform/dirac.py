@@ -298,91 +298,63 @@ def v_star_subspace(n: int, nvars: int) -> Subspace:
     return standard_basis_subspace(2 * n, nvars, range(n, 2 * n))
 
 
+def _graph(top: Matrix, bottom: Matrix) -> Subspace:
+    """The image {(top u, bottom u)} in V + V*: the rows top_i + bottom_i,
+    with top_i, bottom_i the i-th columns of the two n x n matrices."""
+    rows = [a + b for a, b in zip(linalg.transpose(top), linalg.transpose(bottom))]
+    return Subspace.from_spanning(2 * len(top), rows)
+
+
 def graph_of_form(beta: SkewBilinear) -> Subspace:
     """graph(beta) = {(v, beta# v)} in V + V*."""
-    n, nvars = beta.n, beta.nvars
-    zero = Scalar.zero(nvars)
-    one = Scalar.one(nvars)
-    rows = []
-    for i in range(n):
-        v = [zero] * n
-        v[i] = one
-        rows.append(tuple(v) + tuple(beta.mat[k][i] for k in range(n)))
-    return Subspace.from_spanning(2 * n, rows)
+    return _graph(linalg.identity(beta.n, beta.nvars), beta.mat)
 
 
 def graph_of_bivector(Z: Bivector) -> Subspace:
     """graph(Z) = {(Z# xi, xi)} in V + V*."""
-    n, nvars = Z.n, Z.nvars
-    zero = Scalar.zero(nvars)
-    one = Scalar.one(nvars)
-    rows = []
-    for j in range(n):
-        xi = [zero] * n
-        xi[j] = one
-        rows.append(tuple(Z.mat[k][j] for k in range(n)) + tuple(xi))
-    return Subspace.from_spanning(2 * n, rows)
+    return _graph(Z.mat, linalg.identity(Z.n, Z.nvars))
 
 
-def _tau_matrix_form(beta: SkewBilinear) -> Matrix:
-    n, nvars = beta.n, beta.nvars
-    zero = Scalar.zero(nvars)
-    one = Scalar.one(nvars)
-    rows = []
-    for i in range(n):
-        rows.append(
-            tuple(one if j == i else zero for j in range(n)) + (zero,) * n
-        )
-    for i in range(n):
-        rows.append(
-            tuple(beta.mat[i]) + tuple(one if j == i else zero for j in range(n))
-        )
-    return linalg.mat(rows)
+def _blocks(A: Matrix, B: Matrix, C: Matrix, D: Matrix) -> Matrix:
+    """The 2n x 2n matrix [[A, B], [C, D]] of four n x n blocks."""
+    return linalg.mat(
+        [a + b for a, b in zip(A, B)] + [c + d for c, d in zip(C, D)]
+    )
 
 
-def _tau_matrix_bivector(Z: Bivector) -> Matrix:
-    n, nvars = Z.n, Z.nvars
-    zero = Scalar.zero(nvars)
-    one = Scalar.one(nvars)
-    rows = []
-    for i in range(n):
-        rows.append(
-            tuple(one if j == i else zero for j in range(n)) + tuple(Z.mat[i])
-        )
-    for i in range(n):
-        rows.append(
-            (zero,) * n + tuple(one if j == i else zero for j in range(n))
-        )
-    return linalg.mat(rows)
+def _gauge(M: Matrix, target):
+    """Apply the map M of V + V* to a vector or a subspace of V + V*."""
+    if isinstance(target, Subspace):
+        if target.ambient != len(M):
+            raise DimensionMismatchError("subspace not in V + V*")
+        return target.transform(M)
+    if len(target) != len(M):
+        raise DimensionMismatchError("vector not in V + V*")
+    return linalg.mat_vec(M, tuple(target))
 
 
 def tau_form(beta: SkewBilinear, target):
     """Gauge transform (v, xi) -> (v, xi + beta# v) on vectors or subspaces."""
-    M = _tau_matrix_form(beta)
-    if isinstance(target, Subspace):
-        if target.ambient != 2 * beta.n:
-            raise DimensionMismatchError("subspace not in V + V*")
-        return target.transform(M)
-    if len(target) != 2 * beta.n:
-        raise DimensionMismatchError("vector not in V + V*")
-    return linalg.mat_vec(M, tuple(target))
+    one = linalg.identity(beta.n, beta.nvars)
+    zero = linalg.zeros(beta.n, beta.n, beta.nvars)
+    return _gauge(_blocks(one, zero, beta.mat, one), target)
 
 
 def tau_bivector(Z: Bivector, target):
     """Gauge transform (v, xi) -> (v + Z# xi, xi) on vectors or subspaces."""
-    M = _tau_matrix_bivector(Z)
-    if isinstance(target, Subspace):
-        if target.ambient != 2 * Z.n:
-            raise DimensionMismatchError("subspace not in V + V*")
-        return target.transform(M)
-    if len(target) != 2 * Z.n:
-        raise DimensionMismatchError("vector not in V + V*")
-    return linalg.mat_vec(M, tuple(target))
+    one = linalg.identity(Z.n, Z.nvars)
+    zero = linalg.zeros(Z.n, Z.n, Z.nvars)
+    return _gauge(_blocks(one, Z.mat, zero, one), target)
 
 
 # ---------------------------------------------------------------------------
 # The map F and the Dirac exponential
 # ---------------------------------------------------------------------------
+
+
+def _id_plus(A: Matrix, B: Matrix, nvars: int) -> Matrix:
+    """id + A B for n x n matrices A and B."""
+    return linalg.mat_add(linalg.identity(len(A), nvars), linalg.mat_mul(A, B))
 
 
 def i_z_determinant(beta: SkewBilinear, Z: Bivector) -> Scalar:
@@ -393,11 +365,7 @@ def i_z_determinant(beta: SkewBilinear, Z: Bivector) -> Scalar:
     """
     if beta.n != Z.n:
         raise DimensionMismatchError("dimension mismatch")
-    n, nvars = beta.n, beta.nvars
-    M = linalg.mat_add(
-        linalg.identity(n, nvars), linalg.mat_mul(Z.mat, beta.mat)
-    )
-    return linalg.det(M)
+    return linalg.det(_id_plus(Z.mat, beta.mat, beta.nvars))
 
 
 def in_I_Z(beta: SkewBilinear, Z: Bivector) -> bool:
@@ -413,10 +381,7 @@ def F(beta: SkewBilinear, Z: Bivector) -> SkewBilinear:
     """
     if beta.n != Z.n:
         raise DimensionMismatchError("dimension mismatch")
-    n, nvars = beta.n, beta.nvars
-    M = linalg.mat_add(
-        linalg.identity(n, nvars), linalg.mat_mul(beta.mat, Z.mat)
-    )
+    M = _id_plus(beta.mat, Z.mat, beta.nvars)
     try:
         return SkewBilinear(linalg.solve(M, beta.mat))
     except ZeroDivisionError as exc:
@@ -425,16 +390,13 @@ def F(beta: SkewBilinear, Z: Bivector) -> SkewBilinear:
 
 def Z_from_eta_G(eta: SkewBilinear, G: Subspace) -> Bivector:
     """The bivector in Lambda^2 G with Z# = -(eta|_G#)^{-1}, pushed to V."""
-    n, nvars = eta.n, eta.nvars
-    if G.ambient != n:
+    if G.ambient != eta.n:
         raise DimensionMismatchError("G not a subspace of V")
     k = linalg.rank(eta.mat)
     if G.dim != k:
         raise NotComplementaryError(
             f"dim G = {G.dim} but rank(eta) = {k}"
         )
-    if k == 0:
-        return Bivector.zero(n, nvars)
     return Z_from_frame(eta, G.basis)
 
 
@@ -443,8 +405,11 @@ def Z_from_frame(eta: SkewBilinear, frame: Matrix) -> Bivector:
     columns of Gamma): Z# = -(eta|_G#)^{-1} on G = span(g_a), pushed to V.
 
     The frame is not checked against ker(eta); `Z_from_eta_G` checks it.
+    An empty frame gives the zero bivector.
     """
     k = len(frame)
+    if k == 0:
+        return Bivector.zero(eta.n, eta.nvars)
     images = [eta.apply(g) for g in frame]
     Sg = linalg.mat(
         [[linalg.dot(images[a], frame[b]) for b in range(k)] for a in range(k)]
@@ -594,17 +559,7 @@ def lagrangian_graph(L: Subspace, R: Subspace, eps: Matrix) -> Subspace:
 
 def phi_Z(beta: SkewBilinear, Z: Bivector) -> Subspace:
     """The Lagrangian {(v + Z#(iota_v beta), iota_v beta)} transverse to graph(Z)."""
-    n, nvars = beta.n, beta.nvars
-    zero = Scalar.zero(nvars)
-    one = Scalar.one(nvars)
-    WB = linalg.mat_mul(Z.mat, beta.mat)
-    rows = []
-    for i in range(n):
-        v = [zero] * n
-        v[i] = one
-        top = tuple(v[k] + WB[k][i] for k in range(n))
-        rows.append(top + tuple(beta.mat[k][i] for k in range(n)))
-    return Subspace.from_spanning(2 * n, rows)
+    return _graph(_id_plus(Z.mat, beta.mat, beta.nvars), beta.mat)
 
 
 # ---------------------------------------------------------------------------

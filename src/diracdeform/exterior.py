@@ -97,10 +97,18 @@ def _sorted_with_sign(indices: Sequence[int]) -> tuple[IndexTuple, int]:
     return tuple(idx), sign
 
 
-def _merge_sign(left: IndexTuple, right: IndexTuple) -> tuple[IndexTuple, int]:
-    """Concatenate two increasing tuples, with the shuffle sign; 0 on overlap."""
-    merged, sign = _sorted_with_sign(left + right)
-    return merged, sign
+def _add_term(terms: dict[IndexTuple, Scalar], idx: IndexTuple, c: Scalar) -> None:
+    """terms[idx] += c, dropping the entry when the sum is zero.
+
+    Every sum that enters a graded element passes through here, so no stored
+    coefficient is zero: the canonical form that `==` and `hash` rely on.
+    """
+    prev = terms.get(idx)
+    c = c if prev is None else prev + c
+    if c.is_zero():
+        terms.pop(idx, None)
+    else:
+        terms[idx] = c
 
 
 class _GradedElement:
@@ -127,14 +135,7 @@ class _GradedElement:
                 if not 1 <= i <= chart.dim:
                     raise ValueError(f"index {i} out of range 1..{chart.dim}")
             c = chart.scalar(value)
-            if sign < 0:
-                c = -c
-            prev = terms.get(idx)
-            c = c if prev is None else prev + c
-            if c.is_zero():
-                terms.pop(idx, None)
-            else:
-                terms[idx] = c
+            _add_term(terms, idx, c if sign > 0 else -c)
         return cls(chart, terms)
 
     @classmethod
@@ -193,12 +194,7 @@ class _GradedElement:
         self._check_same(other)
         out = dict(self.terms)
         for i, c in other.terms.items():
-            s = out.get(i)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(i, None)
-            else:
-                out[i] = s
+            _add_term(out, i, c)
         return type(self)(self.chart, out)
 
     def __neg__(self):
@@ -295,18 +291,11 @@ def wedge(a: _GradedElement, b: _GradedElement) -> _GradedElement:
     out: dict[IndexTuple, Scalar] = {}
     for i1, c1 in a.terms.items():
         for i2, c2 in b.terms.items():
-            idx, sign = _merge_sign(i1, i2)
+            idx, sign = _sorted_with_sign(i1 + i2)
             if sign == 0:
                 continue
             c = c1 * c2
-            if sign < 0:
-                c = -c
-            s = out.get(idx)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = s
+            _add_term(out, idx, c if sign > 0 else -c)
     return type(a)(a.chart, out)
 
 
@@ -326,16 +315,10 @@ def de_rham(alpha: DifferentialForm) -> DifferentialForm:
             dc = c.derivative(i)
             if dc.is_zero():
                 continue
-            merged, sign = _merge_sign((i,), idx)
+            merged, sign = _sorted_with_sign((i,) + idx)
             if sign == 0:
                 continue
-            v = -dc if sign < 0 else dc
-            s = out.get(merged)
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(merged, None)
-            else:
-                out[merged] = s
+            _add_term(out, merged, dc if sign > 0 else -dc)
     return DifferentialForm(chart, out)
 
 
@@ -371,14 +354,7 @@ def contract(P: MultivectorField, alpha: DifferentialForm) -> DifferentialForm:
             if sign == 0:
                 continue
             c = g * f
-            if sign < 0:
-                c = -c
-            prev = out.get(rest)
-            c = c if prev is None else prev + c
-            if c.is_zero():
-                out.pop(rest, None)
-            else:
-                out[rest] = c
+            _add_term(out, rest, c if sign > 0 else -c)
     return DifferentialForm(chart, out)
 
 
@@ -475,39 +451,33 @@ def schouten(P: MultivectorField, Q: MultivectorField) -> MultivectorField:
         raise TypeError("schouten expects multivector fields")
     if P.chart != Q.chart:
         raise ChartMismatchError("operands live on different charts")
-    chart = P.chart
-    out = MultivectorField.zero(chart)
+    terms: dict[IndexTuple, Scalar] = {}
     for (I, f) in P.terms.items():
         for (J, g) in Q.terms.items():
-            out = out + _schouten_term(chart, I, f, J, g)
-    return out
+            _schouten_term(terms, I, f, J, g)
+    return MultivectorField(P.chart, terms)
 
 
 def _schouten_term(
-    chart: Chart, I: IndexTuple, f: Scalar, J: IndexTuple, g: Scalar
-) -> MultivectorField:
+    terms: dict[IndexTuple, Scalar],
+    I: IndexTuple, f: Scalar, J: IndexTuple, g: Scalar,
+) -> None:
+    """Add [f d_I, g d_J] into terms."""
     p, q = len(I), len(J)
     if p == 0 and q == 0:
-        return MultivectorField.zero(chart)
+        return
     if q == 0:
-        return _bracket_with_function(chart, I, f, g)
+        _bracket_with_function(terms, I, f, g, 1)
+        return
     if p == 0:
         # graded symmetry with p = 0: [f, Q] = -(-1)^(q-1) [Q, f]
-        res = _bracket_with_function(chart, J, g, f)
-        return res.scale(-((-1) ** (q - 1)))
-    terms: dict[IndexTuple, Scalar] = {}
+        _bracket_with_function(terms, J, g, f, (-1) ** q)
+        return
 
-    def add(indices: Sequence[int], coeff: Scalar):
-        idx, sign = _sorted_with_sign(tuple(indices))
-        if sign == 0 or coeff.is_zero():
-            return
-        c = -coeff if sign < 0 else coeff
-        prev = terms.get(idx)
-        c = c if prev is None else prev + c
-        if c.is_zero():
-            terms.pop(idx, None)
-        else:
-            terms[idx] = c
+    def add(indices: IndexTuple, c: Scalar, sign: int):
+        idx, s = _sorted_with_sign(indices)
+        if s and not c.is_zero():
+            _add_term(terms, idx, c if s * sign > 0 else -c)
 
     for a in range(1, p + 1):
         for b in range(1, q + 1):
@@ -515,45 +485,26 @@ def _schouten_term(
             base = (-1) ** (a + b)
             if a == 1 and b == 1:
                 # [f d_{i1}, g d_{j1}] = f (d_{i1} g) d_{j1} - g (d_{j1} f) d_{i1}
-                c1 = f * g.derivative(I[0])
-                if not c1.is_zero():
-                    add((J[0],) + rest, c1.scale(base))
-                c2 = g * f.derivative(J[0])
-                if not c2.is_zero():
-                    add((I[0],) + rest, (-c2).scale(base))
+                add((J[0],) + rest, f * g.derivative(I[0]), base)
+                add((I[0],) + rest, g * f.derivative(J[0]), -base)
             elif a == 1:
                 # [f d_{i1}, d_{jb}] = -(d_{jb} f) d_{i1}
-                c = g * f.derivative(J[b - 1])
-                if not c.is_zero():
-                    add((I[0],) + rest, (-c).scale(base))
+                add((I[0],) + rest, g * f.derivative(J[b - 1]), -base)
             elif b == 1:
                 # [d_{ia}, g d_{j1}] = (d_{ia} g) d_{j1}
-                c = f * g.derivative(I[a - 1])
-                if not c.is_zero():
-                    add((J[0],) + rest, c.scale(base))
-    return MultivectorField(chart, terms)
+                add((J[0],) + rest, f * g.derivative(I[a - 1]), base)
 
 
 def _bracket_with_function(
-    chart: Chart, I: IndexTuple, f: Scalar, g: Scalar
-) -> MultivectorField:
-    """[f d_I, g] = sum_a (-1)^(p-a) f (d_{ia} g) d_{I minus ia}."""
+    terms: dict[IndexTuple, Scalar], I: IndexTuple, f: Scalar, g: Scalar, sign: int
+) -> None:
+    """Add sign * [f d_I, g] = sign * sum_a (-1)^(p-a) f (d_{ia} g) d_{I minus ia}
+    into terms."""
     p = len(I)
-    out: dict[IndexTuple, Scalar] = {}
     for a in range(1, p + 1):
         c = f * g.derivative(I[a - 1])
-        if c.is_zero():
-            continue
-        if (p - a) % 2:
-            c = -c
-        idx = I[:a - 1] + I[a:]
-        prev = out.get(idx)
-        c = c if prev is None else prev + c
-        if c.is_zero():
-            out.pop(idx, None)
-        else:
-            out[idx] = c
-    return MultivectorField(chart, out)
+        if not c.is_zero():
+            _add_term(terms, I[:a - 1] + I[a:], c if sign * (-1) ** (p - a) > 0 else -c)
 
 
 def vf_commutator(X: MultivectorField, Y: MultivectorField) -> MultivectorField:
@@ -592,7 +543,8 @@ def vanishes_at(elem: _GradedElement, point: Sequence) -> bool:
     """
     pt = _chart_point(elem, point)
     coefficients = elem.terms.values()
-    if any(c.den.vanishes_at(pt) for c in coefficients):
+    # coefficients often share a denominator; each distinct one is tested once
+    if any(den.vanishes_at(pt) for den in {c.den for c in coefficients}):
         raise PoleError.at(pt)
     return all(c.num.vanishes_at(pt) for c in coefficients)
 

@@ -28,6 +28,7 @@ from .exterior import (
     MultivectorField,
     contract,
     de_rham,
+    lie_derivative,
     multi_sharp,
     schouten,
     vanishes_at,
@@ -116,17 +117,18 @@ class KoszulContext:
 # ---------------------------------------------------------------------------
 
 
-def form_to_skew(beta: DifferentialForm) -> SkewBilinear:
-    if beta.degrees() - {2}:
-        raise DegreeError("expected a 2-form")
-    n = beta.chart.dim
-    nvars = n
-    return SkewBilinear.from_pairs(
-        n, nvars, {(i - 1, j - 1): c for (i, j), c in beta.terms.items()}
+def _to_skew(elem, cls: type, what: str):
+    """The skew matrix of kind cls housing the degree-2 element elem."""
+    if elem.degrees() - {2}:
+        raise DegreeError(f"expected {what}")
+    n = elem.chart.dim
+    return cls.from_pairs(
+        n, n, {(i - 1, j - 1): c for (i, j), c in elem.terms.items()}
     )
 
 
-def skew_to_form(S: SkewBilinear, chart: Chart) -> DifferentialForm:
+def _from_skew(S, chart: Chart, cls: type):
+    """The degree-2 element of kind cls on chart with the skew matrix S."""
     if S.n != chart.dim:
         raise ChartMismatchError("matrix size does not match chart")
     terms = {}
@@ -135,26 +137,23 @@ def skew_to_form(S: SkewBilinear, chart: Chart) -> DifferentialForm:
             c = S.value(i, j)
             if not c.is_zero():
                 terms[(i + 1, j + 1)] = c
-    return DifferentialForm.make(chart, terms)
+    return cls.make(chart, terms)
+
+
+def form_to_skew(beta: DifferentialForm) -> SkewBilinear:
+    return _to_skew(beta, SkewBilinear, "a 2-form")
+
+
+def skew_to_form(S: SkewBilinear, chart: Chart) -> DifferentialForm:
+    return _from_skew(S, chart, DifferentialForm)
 
 
 def field_to_bivector(Z: MultivectorField) -> Bivector:
-    if Z.degrees() - {2}:
-        raise DegreeError("expected a bivector field")
-    n = Z.chart.dim
-    return Bivector.from_pairs(
-        n, n, {(i - 1, j - 1): c for (i, j), c in Z.terms.items()}
-    )
+    return _to_skew(Z, Bivector, "a bivector field")
 
 
 def bivector_to_field(W: Bivector, chart: Chart) -> MultivectorField:
-    terms = {}
-    for i in range(W.n):
-        for j in range(i + 1, W.n):
-            c = W.value(i, j)
-            if not c.is_zero():
-                terms[(i + 1, j + 1)] = c
-    return MultivectorField.make(chart, terms)
+    return _from_skew(W, chart, MultivectorField)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +163,7 @@ def bivector_to_field(W: Bivector, chart: Chart) -> MultivectorField:
 
 def lie_by_bivector(ctx: KoszulContext, alpha: DifferentialForm) -> DifferentialForm:
     """L_Z = iota_Z d - d iota_Z."""
-    return contract(ctx.Z, de_rham(alpha)) - de_rham(contract(ctx.Z, alpha))
+    return lie_derivative(ctx.Z, alpha)
 
 
 def koszul_bracket(

@@ -415,11 +415,6 @@ def poly_divexact(f: Poly, g: Poly) -> Poly:
     return Poly(f.nvars, f.content / g.content, q)
 
 
-def _content(f: Poly) -> Fraction:
-    """c with f/c having coprime integer coefficients, the leading one positive."""
-    return f.content
-
-
 def _poly_content_wrt(f: Poly, var: int) -> Poly:
     """Gcd of the coefficients of f viewed as univariate in x_var."""
     coeffs = _coeffs_wrt(f, var)
@@ -962,7 +957,7 @@ def _cancel(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if not g.is_constant():
         num = poly_divexact(num, g)
         den = poly_divexact(den, g)
-    c = _content(den)
+    c = den.content
     if c != 1:
         num = num.scale(1 / c)
         den = _normalize_primitive(den)

@@ -358,11 +358,6 @@ def _run_float_gradient(payload):
     return worst <= 1e-9, f"max relative error {worst:.2e} <= 1e-9"
 
 
-@generator("exterior.worked_examples")
-def _gen_ext_worked(rng, cfg):
-    return {}
-
-
 @executor("exterior.worked_examples")
 def _run_ext_worked(payload):
     c2 = Chart(2)
@@ -422,11 +417,6 @@ def _run_ext_worked(payload):
 
 def _payload_ctx(payload) -> KoszulContext:
     return KoszulContext(field_from_json(payload["z"]))
-
-
-@generator("koszul.worked_r2")
-def _gen_worked_r2(rng, cfg):
-    return {}
 
 
 @executor("koszul.worked_r2")
@@ -635,11 +625,6 @@ def _run_jacobi(payload):
 # ---------------------------------------------------------------------------
 # linalg suite
 # ---------------------------------------------------------------------------
-
-
-@generator("linalg.worked_examples")
-def _gen_linalg_worked(rng, cfg):
-    return {}
 
 
 @executor("linalg.worked_examples")
@@ -972,11 +957,6 @@ def _run_mc_equivalence(payload):
     return ok, detail, to_json(mc_residual(beta, ctx))
 
 
-@generator("mc.cross_module")
-def _gen_mc_cross(rng, cfg):
-    return {}
-
-
 @executor("mc.cross_module")
 def _run_mc_cross(payload):
     # the n=2 family with constant t, matched against the linear-algebra route
@@ -1047,11 +1027,6 @@ def _deform_bundle_cached() -> list[dict]:
     return out
 
 
-@generator("presym.certification_examples")
-def _gen_cert_examples(rng, cfg):
-    return {}
-
-
 @executor("presym.certification_examples")
 def _run_cert_examples(payload):
     c4, c5 = Chart(4), Chart(5)
@@ -1075,11 +1050,6 @@ def _run_cert_examples(payload):
     return not bad, f"{len(checks)} certification examples" + (
         f"; failing: {bad}" if bad else ""
     )
-
-
-@generator("presym.kernel_examples")
-def _gen_kernel_examples(rng, cfg):
-    return {}
 
 
 @executor("presym.kernel_examples")
@@ -1172,11 +1142,6 @@ def _run_family_deform(payload):
     return ok, detail, to_json(rep["residual"])
 
 
-@generator("presym.lambda3_active")
-def _gen_lambda3_active(rng, cfg):
-    return {}
-
-
 @executor("presym.lambda3_active")
 def _run_lambda3_active(payload):
     c5 = Chart(5)
@@ -1219,11 +1184,6 @@ def _run_preservation(payload):
     rep = koszul_preserves_horizontal(data, rng, trials=4)
     ok = flags == (True, True) and rep["all"]
     return ok, f"conditions {flags}; preservation {rep['all']}"
-
-
-@generator("presym.sect35_negative")
-def _gen_sect35(rng, cfg):
-    return {}
 
 
 @executor("presym.sect35_negative")
@@ -1366,57 +1326,56 @@ def _run_phiz_mc(payload):
 # ---------------------------------------------------------------------------
 
 
-FIXED = "fixed"
-RANDOM = "random"
-
-SUITES: dict[str, list[tuple[str, str]]] = {
+# A check with a registered generator runs once per trial on a drawn payload;
+# one without runs once on {} (its executor holds fixed worked examples).
+SUITES: dict[str, list[str]] = {
     "exterior": [
-        ("exterior.worked_examples", FIXED),
-        ("exterior.d_squared", RANDOM),
-        ("exterior.leibniz", RANDOM),
-        ("exterior.wedge_algebra", RANDOM),
-        ("exterior.schouten_symmetry", RANDOM),
-        ("exterior.operator_identity", RANDOM),
-        ("exterior.evaluate_homomorphism", RANDOM),
-        ("exterior.float_gradient", RANDOM),
+        "exterior.worked_examples",
+        "exterior.d_squared",
+        "exterior.leibniz",
+        "exterior.wedge_algebra",
+        "exterior.schouten_symmetry",
+        "exterior.operator_identity",
+        "exterior.evaluate_homomorphism",
+        "exterior.float_gradient",
     ],
     "koszul": [
-        ("koszul.worked_r2", FIXED),
-        ("koszul.oneform_consistency", RANDOM),
-        ("koszul.lambda_symmetry", RANDOM),
-        ("koszul.lambda2_expressions", RANDOM),
-        ("koszul.mu_relations", RANDOM),
-        ("koszul.intertwiner", RANDOM),
-        ("koszul.poisson_case", RANDOM),
+        "koszul.worked_r2",
+        "koszul.oneform_consistency",
+        "koszul.lambda_symmetry",
+        "koszul.lambda2_expressions",
+        "koszul.mu_relations",
+        "koszul.intertwiner",
+        "koszul.poisson_case",
     ],
     "linf-jacobi": [
-        ("linfty.jacobi", RANDOM),
+        "linfty.jacobi",
     ],
     "linalg": [
-        ("linalg.worked_examples", FIXED),
-        ("linalg.f_properties", RANDOM),
-        ("linalg.tau_pairing", RANDOM),
-        ("linalg.lagrangian_graph", RANDOM),
-        ("linalg.theorem_rank", RANDOM),
-        ("linalg.lemma_battery", RANDOM),
+        "linalg.worked_examples",
+        "linalg.f_properties",
+        "linalg.tau_pairing",
+        "linalg.lagrangian_graph",
+        "linalg.theorem_rank",
+        "linalg.lemma_battery",
     ],
     "mc": [
-        ("mc.cross_module", FIXED),
-        ("mc.equivalence", RANDOM),
+        "mc.cross_module",
+        "mc.equivalence",
     ],
     "presymplectic": [
-        ("presym.certification_examples", FIXED),
-        ("presym.kernel_examples", FIXED),
-        ("presym.sect35_negative", FIXED),
-        ("presym.lambda3_active", FIXED),
-        ("presym.family_deform", RANDOM),
-        ("presym.preservation", RANDOM),
-        ("presym.hor_subcomplex", RANDOM),
-        ("presym.dorfman", RANDOM),
+        "presym.certification_examples",
+        "presym.kernel_examples",
+        "presym.sect35_negative",
+        "presym.lambda3_active",
+        "presym.family_deform",
+        "presym.preservation",
+        "presym.hor_subcomplex",
+        "presym.dorfman",
     ],
     "dirac": [
-        ("dirac.graph_closedness", RANDOM),
-        ("dirac.phiz_mc", RANDOM),
+        "dirac.graph_closedness",
+        "dirac.phiz_mc",
     ],
 }
 SUITES["all"] = [entry for name in
@@ -1463,8 +1422,8 @@ def _suite_workload(config: SuiteConfig):
     workload is identical however the checks are later executed.
     """
     work = []
-    for name, mode in SUITES[config.suite]:
-        if mode == FIXED:
+    for name in SUITES[config.suite]:
+        if name not in CHECK_GENERATORS:
             work.append((name, {}))
             continue
         for trial in range(config.trials):

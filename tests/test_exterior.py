@@ -290,6 +290,46 @@ def test_vanishes_at_matches_evaluate(terms, point):
         vanishes_at(elem, point[:2])
 
 
+# -- canonical form: sorted in-range indices, no stored zero ---------------------
+
+
+def _assert_canonical(elem):
+    for idx, c in elem.terms.items():
+        assert all(1 <= i <= elem.chart.dim for i in idx), idx
+        assert all(a < b for a, b in zip(idx, idx[1:])), idx
+        assert not c.is_zero(), idx
+    # a stored zero or an unsorted key would make these two unequal
+    assert type(elem).make(elem.chart, elem.terms) == elem
+
+
+def _element(cls):
+    raw = st.lists(st.integers(1, 3), max_size=3).map(tuple)
+    terms = st.dictionaries(raw, _coefficient(), max_size=4)
+    return terms.map(lambda t: cls.make(Chart(3), t))
+
+
+@given(_element(DifferentialForm), _element(DifferentialForm),
+       _element(MultivectorField), _element(MultivectorField),
+       st.integers(0, 3), st.integers(0, 3), _coefficient())
+@settings(max_examples=60, deadline=None)
+def test_results_stay_canonical(a, b, P, Q, p, q, c):
+    Pp, Qq = P.part(p), Q.part(q)
+    W = P.part(2)
+    results = [
+        a, P, a + b, a - b, a.scale(c), P.scale(c), wedge(a, b), wedge(P, Q),
+        de_rham(a), contract(P, a), schouten(P, Q), multi_sharp([a, b], W),
+    ]
+    cancelling = [
+        a + (-a), P - P, wedge(a.part(1), a.part(1)),
+        schouten(Pp, Qq) + schouten(Qq, Pp).scale((-1) ** ((p - 1) * (q - 1))),
+        multi_sharp([a.part(1), a.part(1)], W),
+    ]
+    for r in results + cancelling:
+        _assert_canonical(r)
+    for r in cancelling:
+        assert r.terms == {}
+
+
 def test_json_roundtrip(rng, c4):
     for _ in range(6):
         a = random_form(rng, c4, rng.randint(0, 3))

@@ -291,7 +291,7 @@ def test_prs_gcd_matches_sympy(f, g, h, nv):
     assert ratio.is_constant() and ratio != 0
     assert sympy.simplify(to_sympy(mine) / to_sympy(h)).is_constant()
     # normalized: coprime integer coefficients, positive leading coefficient
-    assert rational._content(mine) == 1
+    assert mine.content == 1
 
 
 def _fraction_evaluate(p: Poly, point) -> Fraction:
@@ -566,7 +566,7 @@ def test_packed_poly_matches_sympy(case):
             assert mine.monic() == sympy.gcd(sp(f * h), sp(g * h)).monic()
             # normalized: coprime integer coefficients, positive leading one
             assert mine.LC(order="grlex") > 0
-            assert rational._content(poly_gcd(f * h, g * h)) == 1
+            assert poly_gcd(f * h, g * h).content == 1
 
 
 @pytest.mark.parametrize("f, g, nv", [
