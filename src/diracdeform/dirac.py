@@ -543,16 +543,15 @@ def lagrangian_graph(L: Subspace, R: Subspace, eps: Matrix) -> Subspace:
         raise NotTransverseError("L and R must be transverse Lagrangians")
     if not linalg.is_skew(eps):
         raise NotSkewError("eps must be skew")
-    # row b: <r_a, l_b> for each a, then eps[i][b] for each i; one
-    # reduction solves the n systems for the coefficients x of row i.
-    # <r, l> is l . (r with its V and V* halves swapped).
+    # gram[b][a] = <r_a, l_b>, so column i of gram^-1 eps^T holds the
+    # coefficients x of row i; <r, l> is l . (r with its V and V* halves
+    # swapped).
     swapped = tuple(r[n:] + r[:n] for r in R.basis)
     gram = linalg.mat_mul(L.basis, linalg.transpose(swapped))
-    aug = tuple(gram[b] + tuple(eps[i][b] for i in range(n)) for b in range(n))
-    red, pivots = linalg.rref(aug)
-    if pivots[:n] != tuple(range(n)):
-        raise NotTransverseError("degenerate pairing between L and R")
-    X = tuple(tuple(red[a][n + i] for a in range(n)) for i in range(n))
+    try:
+        X = linalg.transpose(linalg.solve(gram, linalg.transpose(eps)))
+    except ZeroDivisionError:
+        raise NotTransverseError("degenerate pairing between L and R") from None
     rows = linalg.mat_add(L.basis, linalg.mat_mul(X, R.basis))
     return Subspace.from_spanning(2 * n, rows)
 

@@ -34,7 +34,7 @@ from .exterior import (
     vanishes_at,
     wedge,
 )
-from .rational import Point, Scalar
+from .rational import Point, Poly, Scalar
 from .report import DEFAULT_GRID
 
 
@@ -394,9 +394,16 @@ def F_symbolic_form(beta: DifferentialForm, ctx: KoszulContext) -> DifferentialF
 DEFAULT_GRID_COORDS = tuple(Fraction(c) for c in DEFAULT_GRID)
 
 
-def rational_grid(n: int, coords: Sequence[Fraction] = DEFAULT_GRID_COORDS):
-    """The deterministic grid of rational points used for pointwise checks."""
-    return itertools.product(*(list(coords) for _ in range(n)))
+def grid_points(n: int, coords: Sequence[Fraction], avoid: Sequence[Poly]):
+    """The deterministic grid coords^n of the pointwise checks, in order.
+
+    Yields (point, Point) for each grid point at which no polynomial in
+    `avoid` vanishes (a pole or a zero that the caller skips).
+    """
+    for point in itertools.product(coords, repeat=n):
+        pt = Point(point)
+        if not any(p.vanishes_at(pt) for p in avoid):
+            yield point, pt
 
 
 def mc_equivalence_report(
@@ -427,13 +434,10 @@ def mc_equivalence_report(
         report["points_checked"] = None
         return report
     report["mode"] = "grid"
-    n = ctx.chart.dim
     checked = 0
     ok = True
-    for point in rational_grid(n, grid_coords):
-        pt = Point(point)
-        if det.den.vanishes_at(pt) or det.num.vanishes_at(pt):
-            continue  # a pole or a zero of the determinant
+    # skip the poles and the zeros of the determinant
+    for _, pt in grid_points(ctx.chart.dim, grid_coords, (det.den, det.num)):
         checked += 1
         if vanishes_at(residual, pt) != vanishes_at(df, pt):
             ok = False

@@ -26,8 +26,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .rational import (
+    PoleError,
     Poly,
     Scalar,
+    as_point,
     poly_divexact,
     poly_lcm,
 )
@@ -464,11 +466,15 @@ def _pf_poly(rows, idx: tuple[int, ...], nvars: int) -> Poly:
 
 
 def evaluate_matrix(A: Matrix, point: Sequence[Fraction]) -> Matrix:
-    """Evaluate all entries at a rational point (Scalars over zero variables)."""
-    out = []
-    for row in A:
-        out.append(tuple(Scalar.const(0, a.evaluate(point)) for a in row))
-    return tuple(out)
+    """Evaluate all entries at a rational point (Scalars over zero variables).
+
+    The entries share one `Point`; a pole raises PoleError naming `point`.
+    """
+    pt = as_point(point)
+    try:
+        return tuple(tuple(Scalar.const(0, a.evaluate(pt)) for a in row) for row in A)
+    except PoleError:
+        raise PoleError.at(point) from None
 
 
 def from_fractions(rows: Sequence[Sequence], nvars: int) -> Matrix:

@@ -36,10 +36,9 @@ from .koszul import (
     lam,
     mc_residual,
     F_symbolic_form,
-    rational_grid,
+    grid_points,
 )
 from .rational import (
-    Point,
     Scalar,
     rational_from_str,
     scalar_is_definite,
@@ -506,10 +505,7 @@ def constant_rank_report(
     certifies rank k everywhere; otherwise a rational-grid fallback checks
     the lower bound.
     """
-    chart = form.chart
-    n = chart.dim
-    M = coefficient_matrix(form)
-    generic, pfs = _pfaffian_scan(M, k + 2)
+    generic, pfs = _pfaffian_scan(coefficient_matrix(form), k + 2)
     if generic > k:
         return {"rank_k": False, "mode": "exact", "reason": "rank exceeds k"}
     if generic < k:
@@ -519,24 +515,14 @@ def constant_rank_report(
     for S, value in pfs.items():
         if scalar_is_definite(value):
             return {"rank_k": True, "mode": "exact", "witness": S}
-    # grid fallback: rank must be k at every sampled point.  M is exactly
-    # skew, so its strict upper triangle gives the whole matrix.
+    # grid fallback: every (k+2)-Pfaffian vanishes identically, so off the
+    # poles the rank is k exactly where the numerator of some k-Pfaffian
+    # does not vanish (its denominator divides a power of the poles' lcm).
     checked = 0
-    zero = Scalar.zero(0)
-    for point in rational_grid(n, grid_coords):
-        pt = Point(point)
-        Mp = [[zero] * n for _ in range(n)]
-        try:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    v = M[i][j].evaluate(pt)
-                    if v:
-                        Mp[i][j] = Scalar.const(0, v)
-                        Mp[j][i] = Scalar.const(0, -v)
-        except ZeroDivisionError:
-            continue
+    poles = {c.den for c in form.terms.values()}
+    for point, pt in grid_points(form.chart.dim, grid_coords, poles):
         checked += 1
-        if linalg.rank(Mp) != k:
+        if all(pf.num.vanishes_at(pt) for pf in pfs.values()):
             return {
                 "rank_k": False,
                 "mode": "grid",
@@ -598,10 +584,7 @@ def _kernel_transversality(
     if scalar_is_definite(d):
         return {"transverse": True, "mode": "exact"}
     checked = 0
-    for point in rational_grid(n, grid_coords):
-        pt = Point(point)
-        if d.den.vanishes_at(pt):
-            continue
+    for point, pt in grid_points(n, grid_coords, (d.den,)):
         if d.num.vanishes_at(pt):
             return {"transverse": False, "reason": f"kernel meets G at {point}"}
         checked += 1

@@ -253,7 +253,7 @@ def _gen_operator_identity(rng, cfg):
     chart = Chart(n)
     p = rng.randint(1, 2)
     q = rng.randint(1, 2)
-    ad = rng.randint(max(p + q - 1, 0), n)
+    ad = rng.randint(min(p + q - 1, n), n)
     return {
         "p_field": to_json(random_field(rng, chart, p, cfg.max_coef_degree)),
         "q_field": to_json(random_field(rng, chart, q, cfg.max_coef_degree)),

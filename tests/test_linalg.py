@@ -26,7 +26,7 @@ from diracdeform.linalg import (
     solve,
     transpose,
 )
-from diracdeform.rational import Poly, Scalar, random_poly
+from diracdeform.rational import Point, PoleError, Poly, Scalar, random_poly, scalar_from_str
 
 
 def rand_matrix(rng, n, m, nvars=0, deg=0):
@@ -190,6 +190,19 @@ def test_evaluate_matrix():
     B = evaluate_matrix(A, [Fraction(3)])
     assert B[0][0].constant_value() == 3
     assert B[1][1].constant_value() == 9
+    # the entries share one Point: values as at a fresh point, and a pole
+    # names the caller's point
+    entries = ["(x1 + x2^2)/(x2 + 2)", "x1*x2 - 1/3", "(1)/(x1 - 1)", "1"]
+    C = mat([[scalar_from_str(e, 2) for e in entries[:2]],
+             [scalar_from_str(e, 2) for e in entries[2:]]])
+    point = [Fraction(1, 2), Fraction(-3)]
+    got = evaluate_matrix(C, point)
+    assert [[e.constant_value() for e in row] for row in got] == [
+        [c.evaluate(Point(point)) for c in row] for row in C
+    ]
+    with pytest.raises(PoleError) as pole:
+        evaluate_matrix(C, [1, 0])
+    assert str(pole.value) == "denominator vanishes at point (1, 0)"
 
 
 # ---------------------------------------------------------------------------

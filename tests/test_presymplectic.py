@@ -20,7 +20,13 @@ from diracdeform.exterior import (
     partial,
     to_json,
 )
-from diracdeform.koszul import KoszulContext, ShiftedForm, lam, mc_residual
+from diracdeform.koszul import (
+    DEFAULT_GRID_COORDS,
+    KoszulContext,
+    ShiftedForm,
+    lam,
+    mc_residual,
+)
 from diracdeform.presymplectic import (
     CannotCertifyError,
     DistributionFrame,
@@ -48,6 +54,7 @@ from diracdeform.randgen import (
     random_horizontal_form,
     random_presymplectic_form,
 )
+from diracdeform.rational import PoleError
 
 
 def f1_data(c4) -> PreSymplecticData:
@@ -313,10 +320,12 @@ def test_constant_rank_report_modes(c4):
 
 @st.composite
 def _two_forms(draw):
-    """2-forms on charts of dimension 2-5 with constant and polynomial
-    coefficients; most coefficients are zero, so every rank occurs."""
+    """2-forms on charts of dimension 2-5 with constant, polynomial and
+    rational coefficients; most coefficients are zero, so every rank occurs.
+    `3*x1 + 1` vanishes and `(1)/(2*x1 - 1)` has a pole on the default grid."""
     n = draw(st.integers(2, 5))
-    pool = ["0", "0", "0", "1", "-2", "1/3", "x1", f"x{n}^2 + 1", f"x1*x{n} - 1"]
+    pool = ["0", "0", "0", "1", "-2", "1/3", "x1", f"x{n}^2 + 1", f"x1*x{n} - 1",
+            "3*x1 + 1", "(1)/(2*x1 - 1)"]
     terms = {}
     for i, j in itertools.combinations(range(1, n + 1), 2):
         c = draw(st.sampled_from(pool))
@@ -330,11 +339,17 @@ def _two_forms(draw):
 @example(DifferentialForm.make(Chart(2), {(1, 2): "x1"}))
 @example(DifferentialForm.make(Chart(5), {(1, 2): 1, (3, 4): "x1"}))
 @example(DifferentialForm.make(Chart(6), {(1, 2): 1, (3, 4): "x1", (5, 6): "x2^2 + 1"}))
+# a pole at the first grid point, then a rank drop where 3*x1 + 1 vanishes
+@example(DifferentialForm.make(Chart(2), {(1, 2): "(3*x1 + 1)/(x1^2 + x2^2)"}))
+# poles where x1 = 0; one of two 2-Pfaffians vanishes before both do
+@example(DifferentialForm.make(Chart(3), {(1, 2): "3*x1 + 1", (1, 3): "(2*x2 - 1)/(x1)"}))
 @settings(max_examples=40, deadline=None)
 def test_pfaffian_scan_matches_rank_oracle(form):
-    """Both readers of the Pfaffian scan against the rank over Q(x)."""
+    """Both readers of the Pfaffian scan against the rank over Q(x), and the
+    grid fallback against the rank of the evaluated matrix at each point."""
     n = form.chart.dim
-    r = linalg.rank(coefficient_matrix(form))
+    M = coefficient_matrix(form)
+    r = linalg.rank(M)
     for k in range(0, n + 1, 2):
         rep = constant_rank_report(form, k)
         exact_no = not rep["rank_k"] and rep["mode"] == "exact"
@@ -342,11 +357,29 @@ def test_pfaffian_scan_matches_rank_oracle(form):
         if r != k:
             reason = "rank exceeds k" if r > k else "generic rank below k"
             assert rep["reason"] == reason, (k, r, rep)
+        if rep["mode"] == "grid":
+            assert rep == _grid_rank_reference(M, k), (k, rep)
     try:
         k, _ = certify_constant_rank(form)
     except CannotCertifyError:
         return
     assert k == r
+
+
+def _grid_rank_reference(M, k: int) -> dict:
+    """The grid verdict of `constant_rank_report` from `linalg.rank` of the
+    matrix evaluated at each grid point, skipping the poles."""
+    checked = 0
+    for point in itertools.product(DEFAULT_GRID_COORDS, repeat=len(M)):
+        try:
+            Mp = linalg.evaluate_matrix(M, point)
+        except PoleError:
+            continue
+        checked += 1
+        if linalg.rank(Mp) != k:
+            return {"rank_k": False, "mode": "grid", "points": checked,
+                    "reason": f"rank drop at {point}"}
+    return {"rank_k": True, "mode": "grid", "points": checked}
 
 
 # -- Dirac restatements --------------------------------------------------------------------------
