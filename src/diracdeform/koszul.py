@@ -74,16 +74,20 @@ class ShiftedForm:
 
 
 class KoszulContext:
-    """A bivector field Z with its cached half Schouten square and sharp map."""
+    """A bivector field Z with its sharp map, and the values derived from Z
+    that a check reads more than once: the half Schouten square, computed on
+    first read, and L_Z of each form it has been applied to.  Both caches
+    live exactly as long as the context."""
 
-    __slots__ = ("chart", "Z", "half_schouten", "bivector", "_sharp_basis")
+    __slots__ = ("chart", "Z", "bivector", "_sharp_basis", "_half_schouten", "_lie")
 
     def __init__(self, Z: MultivectorField):
         if Z.degrees() - {2}:
             raise DegreeError("Z must be a bivector field")
         self.chart = Z.chart
         self.Z = Z
-        self.half_schouten = schouten(Z, Z).scale(Fraction(1, 2))
+        self._half_schouten = None
+        self._lie: dict[DifferentialForm, DifferentialForm] = {}
         self.bivector = field_to_bivector(Z)
         n = self.chart.dim
         self._sharp_basis = []
@@ -94,6 +98,13 @@ class KoszulContext:
                 if not c.is_zero():
                     col[(i + 1,)] = c
             self._sharp_basis.append(MultivectorField.make(self.chart, col))
+
+    @property
+    def half_schouten(self) -> MultivectorField:
+        """Half of [Z, Z]."""
+        if self._half_schouten is None:
+            self._half_schouten = schouten(self.Z, self.Z).scale(Fraction(1, 2))
+        return self._half_schouten
 
     def is_poisson(self) -> bool:
         return self.half_schouten.is_zero()
@@ -162,8 +173,11 @@ def bivector_to_field(W: Bivector, chart: Chart) -> MultivectorField:
 
 
 def lie_by_bivector(ctx: KoszulContext, alpha: DifferentialForm) -> DifferentialForm:
-    """L_Z = iota_Z d - d iota_Z."""
-    return lie_derivative(ctx.Z, alpha)
+    """L_Z = iota_Z d - d iota_Z, computed once per (context, form)."""
+    out = ctx._lie.get(alpha)
+    if out is None:
+        out = ctx._lie[alpha] = lie_derivative(ctx.Z, alpha)
+    return out
 
 
 def koszul_bracket(

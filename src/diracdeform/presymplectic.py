@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -102,6 +103,11 @@ class DistributionFrame:
                 for v in self.sections
             ]
         )
+
+    @cached_property
+    def annihilator(self) -> tuple[DifferentialForm, ...]:
+        """The generators of `annihilator_forms`, computed once per frame."""
+        return tuple(annihilator_forms(self))
 
 
 def frame_from_vectors(chart: Chart, rows: Sequence[Sequence[Scalar]],
@@ -311,6 +317,11 @@ class PreSymplecticData:
     ref_point: tuple[Fraction, ...]
 
     def context(self) -> KoszulContext:
+        """The Koszul context of Z, built once per instance."""
+        return self._context
+
+    @cached_property
+    def _context(self) -> KoszulContext:
         return KoszulContext(self.Z)
 
 
@@ -390,8 +401,7 @@ def horizontal_preservation_conditions(
     if K.chart != ctx.chart:
         raise ChartMismatchError("frame and context on different charts")
     involutive = frame_is_involutive(K)
-    ann = annihilator_forms(K)
-    embedded = [ctx.embed(xi) for xi in ann]
+    embedded = [ctx.embed(xi) for xi in K.annihilator]
     k_sections = [section(v, None) for v in K.sections]
     pairing_ok = True
     for a in range(len(embedded)):
@@ -421,7 +431,6 @@ def horizontality_witness_search(
     """
     chart = ctx.chart
     n = chart.dim
-    ann = annihilator_forms(K)
     monomials = [Scalar.one(n)]
     for d in range(1, max_monomial_degree + 1):
         for combo in itertools.combinations_with_replacement(range(1, n + 1), d):
@@ -429,7 +438,7 @@ def horizontality_witness_search(
             for i in combo:
                 s = s * Scalar.variable(i, n)
             monomials.append(s)
-    family = [xi.scale(m) for xi in ann for m in monomials]
+    family = [xi.scale(m) for xi in K.annihilator for m in monomials]
     for x in family:
         out = de_rham(x)
         if not is_horizontal(out, K):

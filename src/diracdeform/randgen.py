@@ -21,7 +21,7 @@ from .exterior import (
     function,
     wedge,
 )
-from .presymplectic import DistributionFrame, annihilator_forms
+from .presymplectic import DistributionFrame
 from .rational import Poly, Scalar, random_fraction, random_poly
 from . import linalg
 
@@ -197,9 +197,8 @@ def random_horizontal_form(
     chart = K.chart
     if degree == 0:
         return DifferentialForm.zero(chart)
-    gens = annihilator_forms(K)
     out = DifferentialForm.zero(chart)
-    for xi in gens:
+    for xi in K.annihilator:
         if rng.random() < 0.25 and not out.is_zero():
             continue
         if degree == 1:

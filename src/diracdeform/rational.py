@@ -1013,6 +1013,12 @@ def scalar_to_str(s: Scalar) -> str:
 # timer can interrupt it, so a larger one is a usage error.
 MAX_EXPONENT = 64
 
+# The most terms that `poly_from_str` accepts in one polynomial.  Counted
+# while the string is split into terms, before any arithmetic, so a hostile
+# payload is a usage error.  The payloads of the checks and of `generate`
+# have a few dozen terms at most.
+MAX_TERMS = 4096
+
 _FACTOR = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 _NUMBER = re.compile(r"^\d+(?:/\d+)?$")
 
@@ -1028,6 +1034,10 @@ def poly_from_str(text: str, nvars: int) -> Poly:
     for ch in s:
         if ch in "+-" and buf and not buf.endswith(("*", "^", "/")):
             tokens.append((sign, buf))
+            if len(tokens) == MAX_TERMS:  # and another term starts here
+                raise ValueError(
+                    f"more than {MAX_TERMS} terms in a polynomial string"
+                )
             sign = 1 if ch == "+" else -1
             buf = ""
         elif ch in "+-" and not buf:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from diracdeform.cli import generate_payload, main, run_instance_payload
 from diracdeform.exterior import MAX_CHART_DIM
-from diracdeform.rational import MAX_EXPONENT
+from diracdeform.rational import MAX_EXPONENT, MAX_TERMS, Poly, poly_from_str
 from diracdeform.report import SuiteConfig, assemble_report, comparable
 from diracdeform.suites import (
     CHECK_EXECUTORS,
@@ -322,6 +322,24 @@ def test_cli_run_huge_exponent(tmp_path, instance):
     )
     assert proc.returncode == 2
     assert f"exceeds {MAX_EXPONENT}" in proc.stderr
+
+
+@pytest.mark.parametrize("num", [
+    "+".join(["x1"] * (MAX_TERMS + 1)),
+    "x1+" * (MAX_TERMS + 1),
+])
+def test_cli_run_too_many_terms(tmp_path, num, capsys):
+    # refused while the string is split into terms, before any arithmetic
+    instance = {"chart": 2, "eta": {"chart": 2, "terms": [
+        {"degree": 2, "indices": [1, 2], "num": num, "den": "1"}]}}
+    p = tmp_path / "long.json"
+    p.write_text(json.dumps(instance))
+    assert main(["run", str(p)]) == 2
+    assert f"more than {MAX_TERMS} terms" in capsys.readouterr().err
+    # a polynomial of exactly MAX_TERMS terms is read
+    assert poly_from_str("+".join(["x1"] * MAX_TERMS), 1) == Poly.from_terms(
+        1, {(1,): MAX_TERMS}
+    )
 
 
 def test_cli_run_instance(tmp_path):

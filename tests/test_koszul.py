@@ -1,17 +1,21 @@
 """Koszul/trinary brackets, the L-infinity[1] structure, Maurer-Cartan,
 and the symbolic graph map."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from diracdeform import koszul
 from diracdeform.dirac import NotInIZError, SkewBilinear
 from diracdeform.exterior import (
+    Chart,
     DegreeError,
     DifferentialForm,
     MultivectorField,
     de_rham,
     dx,
+    lie_derivative,
     partial,
     schouten,
 )
@@ -55,6 +59,50 @@ def test_context_invariants(c4):
     assert not ctx.is_poisson()
     with pytest.raises(DegreeError):
         KoszulContext(partial(c4, 1))
+
+
+def test_koszul_memo_half_schouten_is_lazy(monkeypatch, c4):
+    Z = nonpoisson_ctx(c4).Z
+    want = schouten(Z, Z).scale(Fraction(1, 2))
+    calls = []
+    monkeypatch.setattr(
+        koszul, "schouten", lambda P, Q: calls.append(1) or schouten(P, Q)
+    )
+    ctx = nonpoisson_ctx(c4)
+    assert calls == []
+    assert not ctx.is_poisson()
+    assert len(calls) == 1
+    assert ctx.half_schouten == want and not ctx.is_poisson()
+    assert len(calls) == 1
+
+
+def test_koszul_memo_matches_uncached_lie_derivative(monkeypatch):
+    """L_Z read from the context's memo gives the brackets of an uncached L_Z.
+
+    One context serves every call of a case, so later calls read entries
+    that earlier calls stored."""
+    rng = random.Random(16)
+    cases = []
+    for n in (3, 4, 4):
+        chart = Chart(n)
+        Z = random_field(rng, chart, 2, 1, density=0.7)
+        forms = [random_form(rng, chart, d, 1, density=0.6) for d in (1, 2, 1, 2, 1)]
+        beta = random_form(rng, chart, 2, 1, density=0.6)
+        cases.append((Z, forms, beta))
+
+    def run(Z, forms, beta):
+        ctx = KoszulContext(Z)
+        out = [koszul_bracket(a, b, ctx) for a in forms for b in forms]
+        for arity in (3, 4, 5):
+            out.append(jacobi_residual([ShiftedForm(f) for f in forms[:arity]], ctx))
+        out.append(mc_residual(beta, ctx))
+        return out
+
+    memo = [run(*case) for case in cases]
+    monkeypatch.setattr(
+        koszul, "lie_by_bivector", lambda ctx, alpha: lie_derivative(ctx.Z, alpha)
+    )
+    assert [run(*case) for case in cases] == memo
 
 
 def test_conversion_roundtrips(rng, c4):

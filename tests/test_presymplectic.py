@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diracdeform import linalg
+from diracdeform import linalg, presymplectic
 from diracdeform.dirac import NonHorizontalError
 from diracdeform.exterior import (
     Chart,
@@ -53,7 +53,9 @@ from diracdeform.courant import graph_of_form_frame, is_dirac_frame
 from diracdeform.randgen import (
     random_horizontal_form,
     random_presymplectic_form,
+    random_presymplectic_instance,
 )
+from diracdeform.suites import family_f1, family_f2
 from diracdeform.rational import PoleError
 
 
@@ -149,6 +151,33 @@ def test_annihilator_and_ideal(rng, c4):
         h = random_horizontal_form(rng, K, rng.randint(1, 3))
         assert is_horizontal(h, K)
         assert is_horizontal(de_rham(h), K)
+
+
+def test_hoisted_annihilator_matches_per_call(monkeypatch):
+    """A frame computes its annihilator generators once.  Its draws and its
+    random stream are those of a fresh frame that computes them per call."""
+    real = presymplectic.annihilator_forms
+    calls = []
+    monkeypatch.setattr(
+        presymplectic, "annihilator_forms", lambda K: calls.append(K) or real(K)
+    )
+    sheared = random_presymplectic_instance(random.Random(3), Chart(4), 2, 2)
+    families = [instance_from_json(f()) for f in (family_f1, family_f2)]
+    for data in families + [sheared]:
+        K = data.K
+        for seed in range(3):
+            hoisted, per_call = random.Random(seed), random.Random(seed)
+            for degree in (1, 2, 3, 3, 2, 1):
+                fresh = DistributionFrame(K.chart, K.sections, K.ref_point)
+                h = random_horizontal_form(hoisted, K, degree)
+                assert h == random_horizontal_form(per_call, fresh, degree)
+                assert list(fresh.annihilator) == real(K)
+            assert hoisted.getstate() == per_call.getstate()
+        assert sum(c is K for c in calls) == 1
+    # the sheared frame's generators are not constant
+    assert any(
+        not c.is_constant() for xi in sheared.K.annihilator for c in xi.terms.values()
+    )
 
 
 def test_frame_guards(c4):
