@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .exterior import MAX_CHART_DIM
 from .rational import Scalar, scalar_from_str, scalar_to_str
 from . import linalg
 from .linalg import Matrix, Vector
@@ -692,8 +693,23 @@ def skew_to_json(S: _SkewSharp) -> dict:
     return {"n": S.n, "nvars": S.nvars, "rows": matrix_to_json(S.mat)}
 
 
+def _payload_matrix(rows, nvars, n: int) -> Matrix:
+    """The matrix of a payload over Q(x_1..x_nvars) for a size-n object.
+
+    nvars is refused outside 0..max(MAX_CHART_DIM, n) before any entry is
+    read: every key of the ring has 16 * nvars bits, so a huge nvars stalls
+    the first variable it meets.  Payloads of charts and of linear instances
+    (nvars = n) stay inside.
+    """
+    bound = max(MAX_CHART_DIM, n)
+    if not isinstance(nvars, int) or not 0 <= nvars <= bound:
+        raise ValueError(f"nvars {nvars!r} is outside 0..{bound}")
+    return matrix_from_json(rows, nvars)
+
+
 def skew_from_json(data: Mapping, cls: type = SkewBilinear) -> _SkewSharp:
-    return cls(matrix_from_json(data["rows"], data["nvars"]))
+    rows = data["rows"]
+    return cls(_payload_matrix(rows, data["nvars"], len(rows)))
 
 
 def subspace_to_json(S: Subspace) -> dict:
@@ -701,8 +717,11 @@ def subspace_to_json(S: Subspace) -> dict:
 
 
 def subspace_from_json(data: Mapping) -> Subspace:
+    ambient, rows = data["ambient"], data["rows"]
+    if any(len(v) != ambient for v in rows):  # so rows back the bound's ambient
+        raise DimensionMismatchError("spanning vector of wrong length")
     return Subspace.from_spanning(
-        data["ambient"], matrix_from_json(data["rows"], data["nvars"])
+        ambient, _payload_matrix(rows, data["nvars"], ambient)
     )
 
 

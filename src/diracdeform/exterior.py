@@ -24,8 +24,10 @@ from typing import Callable, Mapping, Sequence, Union
 
 from .rational import (
     PoleError,
+    Poly,
     Scalar,
     as_point,
+    poly_from_str,
     scalar_from_str,
     scalar_to_str,
 )
@@ -581,8 +583,6 @@ def to_json(elem: _GradedElement) -> dict:
 
 
 def _from_json(cls, data: Mapping) -> _GradedElement:
-    from .rational import poly_from_str
-
     try:
         n = int(data["chart"])
         chart = Chart(n)
@@ -597,7 +597,10 @@ def _from_json(cls, data: Mapping) -> _GradedElement:
             den = poly_from_str(item["den"], n)
             if den.is_zero():
                 raise ValueError(f"zero denominator {item['den']!r} at {idx}")
-            terms[idx] = Scalar(num, den)
+            if den == Poly.one(n):  # a unit denominator needs no cancelling
+                terms[idx] = Scalar.from_poly(num)
+            else:
+                terms[idx] = Scalar(num, den)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed element payload: {exc}") from exc
     return cls.make(chart, terms)

@@ -109,6 +109,21 @@ class DistributionFrame:
         """The generators of `annihilator_forms`, computed once per frame."""
         return tuple(annihilator_forms(self))
 
+    @cached_property
+    def _wedges(self) -> dict[int, tuple[MultivectorField, ...]]:
+        return {}
+
+    def wedges(self, p: int) -> tuple[MultivectorField, ...]:
+        """`wedge_all` of each p-subset of the sections, in `combinations`
+        order; computed once per frame and p."""
+        out = self._wedges.get(p)
+        if out is None:
+            out = self._wedges[p] = tuple(
+                wedge_all(list(combo))
+                for combo in itertools.combinations(self.sections, p)
+            )
+        return out
+
 
 def frame_from_vectors(chart: Chart, rows: Sequence[Sequence[Scalar]],
                        ref_point: Sequence[Fraction]) -> DistributionFrame:
@@ -262,8 +277,7 @@ def is_horizontal(alpha: DifferentialForm, K: DistributionFrame) -> bool:
             continue
         if p > K.rank:
             continue
-        for combo in itertools.combinations(K.sections, p):
-            W = wedge_all(list(combo))
+        for W in K.wedges(p):
             if not contract(W, part).is_zero():
                 return False
     return True

@@ -1019,67 +1019,98 @@ MAX_EXPONENT = 64
 # have a few dozen terms at most.
 MAX_TERMS = 4096
 
-_FACTOR = re.compile(r"^x(\d+)(?:\^(\d+))?$")
-_NUMBER = re.compile(r"^\d+(?:/\d+)?$")
+# The grammar, spaces removed: each term is a sign run and a body of factors
+# joined by `*`.  A `+` or `-` right after `*`, `^` or `/` stays in the body,
+# where its factor is refused.  Digits are ASCII and nothing matches a line
+# break, so `fullmatch` reads a factor or a literal exactly.
+_TERM = re.compile(r"([+-]*)((?:[^+\-]|(?<=[*^/])[+-])+)")
+_FACTOR = re.compile(r"x([0-9]+)(?:\^([0-9]+))?|([0-9]+)(?:/([0-9]+))?")
+_LITERAL = re.compile(r"([+-]*)([0-9]+)(?:/([0-9]+))?")
 
 
 def poly_from_str(text: str, nvars: int) -> Poly:
-    """Parse the fixed polynomial grammar into a Poly."""
+    """Parse the fixed polynomial grammar into a Poly.
+
+    Each term's packed key and int numerator and denominator are built
+    straight from the string, and one Fraction, the content, per polynomial.
+    """
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty polynomial string")
-    tokens: list[tuple[int, str]] = []
-    sign = 1
-    buf = ""
-    for ch in s:
-        if ch in "+-" and buf and not buf.endswith(("*", "^", "/")):
-            tokens.append((sign, buf))
-            if len(tokens) == MAX_TERMS:  # and another term starts here
-                raise ValueError(
-                    f"more than {MAX_TERMS} terms in a polynomial string"
-                )
-            sign = 1 if ch == "+" else -1
-            buf = ""
-        elif ch in "+-" and not buf:
-            sign = sign * (1 if ch == "+" else -1)
-        else:
-            buf += ch
-    if not buf:
+    m = _LITERAL.fullmatch(s)
+    if m:  # a signed rational literal, the bulk of a Q payload
+        signs, a, b = m.groups()
+        num, den = int(a), 1 if b is None else int(b)
+        if not den:
+            raise ValueError(
+                f"zero denominator in {s[len(signs):]!r} in polynomial {text!r}"
+            )
+        if signs.count("-") & 1:
+            num = -num
+        return Poly.const(nvars, Fraction(num, den))
+    terms = []
+    end = 0
+    for m in _TERM.finditer(s):
+        if len(terms) == MAX_TERMS:  # and another term starts here
+            raise ValueError(f"more than {MAX_TERMS} terms in a polynomial string")
+        terms.append(m.groups())
+        end = m.end()
+    if end < len(s):  # the string ends in a sign run
+        if len(terms) == MAX_TERMS:
+            raise ValueError(f"more than {MAX_TERMS} terms in a polynomial string")
         raise ValueError(f"trailing sign in polynomial string {text!r}")
-    tokens.append((sign, buf))
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for sgn, term in tokens:
-        coef = Fraction(sgn)
-        exps = [0] * nvars
-        for factor in term.split("*"):
-            m = _FACTOR.match(factor)
-            if m:
-                i = int(m.group(1))
+    degree = _SLOT * nvars  # the shift of the total-degree slot
+    top = 1 << degree
+    coefs: dict[int, tuple[int, int]] = {}
+    for signs, body in terms:
+        key, num, den = 0, -1 if signs.count("-") & 1 else 1, 1
+        for factor in body.split("*"):
+            m = _FACTOR.fullmatch(factor)
+            if m is None:
+                raise ValueError(f"bad factor {factor!r} in polynomial {text!r}")
+            var, exp, a, b = m.groups()
+            if var is not None:
+                i = int(var)
                 if not 1 <= i <= nvars:
                     raise ValueError(f"variable x{i} out of range in {text!r}")
-                exps[i - 1] += int(m.group(2) or 1)
-                if exps[i - 1] > MAX_EXPONENT:
+                shift = _SLOT * (nvars - i)
+                have = (key >> shift) & _MASK
+                e = have + (1 if exp is None else int(exp))
+                if e > MAX_EXPONENT:
                     raise ValueError(
-                        f"exponent {exps[i - 1]} of x{i} exceeds {MAX_EXPONENT} "
+                        f"exponent {e} of x{i} exceeds {MAX_EXPONENT} "
                         f"in polynomial {text!r}"
                     )
-            elif _NUMBER.match(factor):
-                try:
-                    coef *= Fraction(factor)
-                except ZeroDivisionError:
-                    raise ValueError(
-                        f"zero denominator in {factor!r} in polynomial {text!r}"
-                    ) from None
+                key += (e - have) * (top + (1 << shift))
             else:
-                raise ValueError(f"bad factor {factor!r} in polynomial {text!r}")
-        e = tuple(exps)
-        terms[e] = terms[e] + coef if e in terms else coef
-    return Poly.from_terms(nvars, terms)
+                num *= int(a)
+                if b is not None:
+                    d = int(b)
+                    if not d:
+                        raise ValueError(
+                            f"zero denominator in {factor!r} in polynomial {text!r}"
+                        )
+                    den *= d
+        old = coefs.get(key)
+        if old is not None:  # a repeated monomial: add over the lcm
+            n0, d0 = old
+            g = gcd(d0, den)
+            num, den = n0 * (den // g) + num * (d0 // g), d0 // g * den
+        coefs[key] = num, den
+    L = lcm(*[d for _, d in coefs.values()])
+    ints = {k: n * (L // d) for k, (n, d) in coefs.items() if n}
+    # MAX_EXPONENT in every variable passes MAX_DEGREE once nvars >= 512
+    if ints and max(ints) >> degree > MAX_DEGREE:
+        raise OverflowError(f"polynomial degree exceeds {MAX_DEGREE}")
+    return _primitive(nvars, ints, Fraction(1, L))
+
+
+_QUOTIENT = re.compile(r"\((?P<num>.*)\) */ *\((?P<den>.*)\)")
 
 
 def scalar_from_str(text: str, nvars: int) -> Scalar:
-    s = text.strip()
-    m = re.match(r"^\((?P<num>.*)\)\s*/\s*\((?P<den>.*)\)$", s)
+    s = text.strip(" ")
+    m = _QUOTIENT.fullmatch(s)
     if m:
         den = poly_from_str(m.group("den"), nvars)
         if den.is_zero():

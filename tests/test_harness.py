@@ -342,6 +342,53 @@ def test_cli_run_too_many_terms(tmp_path, num, capsys):
     )
 
 
+def _skew_payload(nvars, rows=(("0", "x1"), ("-x1", "0"))):
+    return {"n": len(rows), "nvars": nvars, "rows": [list(r) for r in rows]}
+
+
+@pytest.mark.parametrize("nvars", [3000000, -1, "2", 2.0])
+@pytest.mark.parametrize("replay", ["skew", "subspace"])
+def test_cli_run_refuses_payload_nvars(tmp_path, nvars, replay, capsys):
+    # refused before any entry is parsed: 16 * nvars bits a key would stall
+    if replay == "skew":
+        data = {"z": _skew_payload(nvars),
+                "beta": _skew_payload(nvars, (("0", "0"), ("0", "0")))}
+        name = "linalg.f_properties"
+    else:
+        data = {"eta": _skew_payload(2), "eps": _skew_payload(2),
+                "G": {"ambient": 2, "nvars": nvars, "rows": [["x1", "0"]]}}
+        name = "linalg.lagrangian_graph"
+    p = tmp_path / "replay.json"
+    p.write_text(json.dumps({"replay": name, "data": data}))
+    t0 = time.perf_counter()
+    assert main(["run", str(p)]) == 2
+    assert time.perf_counter() - t0 < 5
+    assert f"nvars {nvars!r} is outside 0..{MAX_CHART_DIM}" in capsys.readouterr().err
+
+
+def test_cli_run_linear_instance_above_chart_limit(tmp_path):
+    # a linear instance parses over n variables, so its battery has nvars = n
+    n = MAX_CHART_DIM + 2
+    eta = [["0"] * n for _ in range(n)]
+    for i in range(0, n - 2, 2):
+        eta[i][i + 1], eta[i + 1][i] = "-1", "1"
+    beta = [["0"] * n for _ in range(n)]
+    beta[n - 2][n - 1], beta[n - 1][n - 2] = "-1/3", "1/3"
+    p = tmp_path / "wide.json"
+    p.write_text(json.dumps({"n": n, "eta": eta, "beta": beta}))
+    assert main(["run", str(p), "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("entry", ["-x1\n", "\u0663", "1/\u0663", "(x1)\n/(2)"])
+def test_cli_run_refuses_line_breaks_and_non_ascii_digits(tmp_path, entry, capsys):
+    inst = {"n": 2, "eta": [["0", entry], ["1", "0"]],
+            "beta": [["0", "-1/3"], ["1/3", "0"]]}
+    p = tmp_path / "inst.json"
+    p.write_text(json.dumps(inst))
+    assert main(["run", str(p), "--quiet"]) == 2
+    assert "bad factor" in capsys.readouterr().err
+
+
 def test_cli_run_instance(tmp_path):
     inst = {
         "n": 2,

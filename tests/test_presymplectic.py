@@ -180,6 +180,38 @@ def test_hoisted_annihilator_matches_per_call(monkeypatch):
     )
 
 
+def test_frame_wedges_match_per_call(monkeypatch):
+    """`is_horizontal` wedges a frame's sections once per degree.  Its
+    answers and the wedges it keeps are those built fresh on each call."""
+    real = presymplectic.wedge_all
+    calls = []
+    monkeypatch.setattr(
+        presymplectic, "wedge_all", lambda fs: calls.append(fs) or real(fs)
+    )
+    sheared = random_presymplectic_instance(random.Random(3), Chart(4), 2, 2)
+    families = [instance_from_json(f()) for f in (family_f1, family_f2)]
+    for data in families + [sheared]:
+        K, chart = data.K, data.K.chart
+        rng = random.Random(0)
+        alphas = [random_horizontal_form(rng, K, d) for d in (1, 2, 3)]
+        alphas += [dx(chart, *idx) for p in (1, 2) for idx in
+                   itertools.combinations(range(1, chart.dim + 1), p)]
+        alphas += [dx(chart, 1) + dx(chart, 1, 2, 3), de_rham(alphas[0])]
+        answers = []
+        for alpha in alphas:
+            fresh = DistributionFrame(K.chart, K.sections, K.ref_point)
+            answers.append(is_horizontal(alpha, K))
+            assert answers[-1] == is_horizontal(alpha, fresh)
+        assert True in answers and False in answers
+        built = len(calls)
+        assert [is_horizontal(alpha, K) for alpha in alphas] == answers
+        assert len(calls) == built  # the frame kept its wedges
+        for p in range(1, K.rank + 1):
+            assert K.wedges(p) == tuple(
+                real(list(c)) for c in itertools.combinations(K.sections, p)
+            )
+
+
 def test_frame_guards(c4):
     with pytest.raises(FrameError):
         DistributionFrame(

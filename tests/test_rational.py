@@ -523,6 +523,145 @@ def test_parse_exponent_limit():
             poly_from_str(text, 2)
 
 
+# -- the one-pass parser -------------------------------------------------------
+
+
+@st.composite
+def _grammar_strings(draw):
+    """A string of the polynomial grammar and its variable count."""
+    nv = draw(st.integers(1, 4))
+    parts = []
+    for t in range(draw(st.integers(1, 5))):
+        # a sign run opens every term but the first, which may have none
+        runs = ["+", "-", "--", "+-", "-+-", "- ", " + "]
+        signs = draw(st.sampled_from(runs + [""] if t == 0 else runs))
+        factors = []
+        for _ in range(draw(st.integers(1, 4))):
+            if draw(st.booleans()):
+                a = draw(st.integers(0, 30))
+                b = draw(st.one_of(st.none(), st.integers(1, 12)))
+                factors.append(f"{a}" if b is None else f"{a} / {b}")
+            else:
+                i = draw(st.integers(1, nv))
+                e = draw(st.one_of(st.none(), st.integers(0, 6)))
+                factors.append(f"x{i}" if e is None else f"x{i}^{e}")
+        parts.append(signs + draw(st.sampled_from(["*", " * "])).join(factors))
+    return "".join(parts), nv
+
+
+@given(_grammar_strings())
+@settings(max_examples=300, deadline=None)
+def test_parse_matches_sympy(case):
+    text, nv = case
+    theirs = sympy.Poly(sympy.sympify(text.replace(" ", "").replace("^", "**")),
+                        *SYMS[:nv])
+    assert sympy.Poly(to_sympy(poly_from_str(text, nv)), *SYMS[:nv]) == theirs
+
+
+@pytest.mark.parametrize("literal, value", [
+    ("-0", 0), ("007", 7), ("3/6", Fraction(1, 2)), ("-3/4", Fraction(-3, 4)),
+    ("--3/4", Fraction(3, 4)), ("+ - 5", -5), ("1/0", None),
+])
+def test_literal_fast_path_matches_general_path(literal, value):
+    # a factor x1^0 keeps the same value off the fast path
+    general = literal + "*x1^0"
+    if value is None:
+        for text in (literal, general):
+            with pytest.raises(ValueError) as exc:
+                poly_from_str(text, 2)
+            assert str(exc.value) == f"zero denominator in '1/0' in polynomial {text!r}"
+        return
+    fast = poly_from_str(literal, 2)
+    assert fast == poly_from_str(general, 2) == Poly.const(2, value)
+    assert fast.is_constant() and fast.ip == poly_from_str(general, 2).ip
+
+
+# The messages of the parser, as the character-by-character tokenizer
+# before the one-pass parser gave them.
+_MALFORMED = [
+    ("", 2, "empty polynomial string"),
+    ("   ", 2, "empty polynomial string"),
+    ("+", 2, "trailing sign in polynomial string '+'"),
+    ("x1 -", 2, "trailing sign in polynomial string 'x1 -'"),
+    ("x1 + - ", 2, "trailing sign in polynomial string 'x1 + - '"),
+    ("y - x1 +", 2, "trailing sign in polynomial string 'y - x1 +'"),
+    ("x3", 2, "variable x3 out of range in 'x3'"),
+    ("x0", 2, "variable x0 out of range in 'x0'"),
+    ("x01 + x9", 2, "variable x9 out of range in 'x01 + x9'"),
+    ("2*x1", 0, "variable x1 out of range in '2*x1'"),
+    ("x1^", 2, "bad factor 'x1^' in polynomial 'x1^'"),
+    ("x1^x2", 2, "bad factor 'x1^x2' in polynomial 'x1^x2'"),
+    ("x1**x2", 2, "bad factor '' in polynomial 'x1**x2'"),
+    ("*x1", 2, "bad factor '' in polynomial '*x1'"),
+    ("x1*", 2, "bad factor '' in polynomial 'x1*'"),
+    ("x1*-x2 + 1", 2, "bad factor '-x2' in polynomial 'x1*-x2 + 1'"),
+    ("x1^-2", 2, "bad factor 'x1^-2' in polynomial 'x1^-2'"),
+    ("3/-4", 2, "bad factor '3/-4' in polynomial '3/-4'"),
+    ("-3/+4*x1", 2, "bad factor '3/+4' in polynomial '-3/+4*x1'"),
+    ("x1*+-2", 2, "bad factor '+' in polynomial 'x1*+-2'"),
+    ("y1", 2, "bad factor 'y1' in polynomial 'y1'"),
+    ("2x1", 2, "bad factor '2x1' in polynomial '2x1'"),
+    ("x1x2", 2, "bad factor 'x1x2' in polynomial 'x1x2'"),
+    ("1.5", 2, "bad factor '1.5' in polynomial '1.5'"),
+    ("1/2/3", 2, "bad factor '1/2/3' in polynomial '1/2/3'"),
+    ("(x1)", 2, "bad factor '(x1)' in polynomial '(x1)'"),
+    ("x1\t+1", 2, "bad factor 'x1\\t' in polynomial 'x1\\t+1'"),
+    ("1/0", 2, "zero denominator in '1/0' in polynomial '1/0'"),
+    (" - 1 / 0 ", 2, "zero denominator in '1/0' in polynomial ' - 1 / 0 '"),
+    ("x1*3/0", 2, "zero denominator in '3/0' in polynomial 'x1*3/0'"),
+    ("0/0*x9", 2, "zero denominator in '0/0' in polynomial '0/0*x9'"),
+    ("x9*0/0", 2, "variable x9 out of range in 'x9*0/0'"),
+    ("x1^65", 2, "exponent 65 of x1 exceeds 64 in polynomial 'x1^65'"),
+    ("x1^40*x1^25", 2, "exponent 65 of x1 exceeds 64 in polynomial 'x1^40*x1^25'"),
+    ("x2*x1^64*x1", 2, "exponent 65 of x1 exceeds 64 in polynomial 'x2*x1^64*x1'"),
+]
+
+
+@pytest.mark.parametrize("text, nv, message", _MALFORMED)
+def test_parse_malformed_messages(text, nv, message):
+    with pytest.raises(ValueError) as exc:
+        poly_from_str(text, nv)
+    assert str(exc.value) == message
+
+
+def test_parse_term_limit_edges():
+    limit = rational.MAX_TERMS
+    full = "+".join(["x1"] * limit)  # read, as test_cli_run_too_many_terms shows
+    # the sign after the last allowed term starts one more
+    for text in (full + " -", full + "+x1", "+".join(["y"] * limit) + "+"):
+        with pytest.raises(ValueError, match=f"^more than {limit} terms"):
+            poly_from_str(text, 1)
+    with pytest.raises(ValueError, match="^trailing sign"):
+        poly_from_str("x1+" * (limit - 1), 1)
+
+
+def test_parse_exponent_and_degree_edges():
+    limit = rational.MAX_EXPONENT
+    assert poly_from_str(f"x1^{limit // 2}*x2*x1^{limit // 2}", 2) == \
+        Poly.from_terms(2, {(limit, 1): 1})
+    # MAX_EXPONENT in each of 511 variables stays inside the degree slot
+    top = "*".join(f"x{i}^{limit}" for i in range(1, 512))
+    assert poly_from_str(f"{top} - 1", 511) == \
+        Poly.from_terms(511, {(limit,) * 511: 1, (0,) * 511: -1})
+    # one more variable would carry out of it
+    top = "*".join(f"x{i}^{limit}" for i in range(1, 513))
+    with pytest.raises(OverflowError, match=f"exceeds {rational.MAX_DEGREE}"):
+        poly_from_str(top, 512)
+    # unless its terms cancel before they are packed
+    assert poly_from_str(f"{top} - {top}", 512).is_zero()
+    assert poly_from_str(f"0*{top}", 512).is_zero()
+
+
+@pytest.mark.parametrize("text", [
+    "x1\n*x2", "-x1\n", "3\n", "x1 +\n 1", "\u0663*x1", "x\u0661", "1/\u0663",
+])
+def test_parse_grammar_is_ascii_without_line_breaks(text):
+    with pytest.raises(ValueError, match="bad factor"):
+        poly_from_str(text, 2)
+    with pytest.raises(ValueError, match="bad factor"):
+        scalar_from_str(text, 2)
+
+
 # -- the packed canonical form -----------------------------------------------------
 
 
