@@ -24,7 +24,6 @@ from typing import Callable, Mapping, Sequence, Union
 
 from .rational import (
     PoleError,
-    Poly,
     Scalar,
     as_point,
     poly_from_str,
@@ -597,10 +596,7 @@ def _from_json(cls, data: Mapping) -> _GradedElement:
             den = poly_from_str(item["den"], n)
             if den.is_zero():
                 raise ValueError(f"zero denominator {item['den']!r} at {idx}")
-            if den == Poly.one(n):  # a unit denominator needs no cancelling
-                terms[idx] = Scalar.from_poly(num)
-            else:
-                terms[idx] = Scalar(num, den)
+            terms[idx] = Scalar(num, den)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed element payload: {exc}") from exc
     return cls.make(chart, terms)

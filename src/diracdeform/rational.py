@@ -951,8 +951,8 @@ def _cancel(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         raise ZeroDivisionError("zero denominator")
     if num.is_zero():
         return num, Poly.one(num.nvars)
-    if num.is_constant() and den.is_constant():
-        return Poly.const(num.nvars, num.content / den.content), Poly.one(num.nvars)
+    if den.is_constant():  # a unit or constant denominator needs no gcd
+        return num.scale(1 / den.content), Poly.one(num.nvars)
     g = poly_gcd(num, den)
     if not g.is_constant():
         num = poly_divexact(num, g)
@@ -1050,7 +1050,9 @@ def poly_from_str(text: str, nvars: int) -> Poly:
         return Poly.const(nvars, Fraction(num, den))
     terms = []
     end = 0
-    for m in _TERM.finditer(s):
+    # Terms are contiguous, so each match is anchored where the last one
+    # ended: a trailing sign run is scanned once, not from each of its signs.
+    while (m := _TERM.match(s, end)) is not None:
         if len(terms) == MAX_TERMS:  # and another term starts here
             raise ValueError(f"more than {MAX_TERMS} terms in a polynomial string")
         terms.append(m.groups())
@@ -1105,7 +1107,9 @@ def poly_from_str(text: str, nvars: int) -> Poly:
     return _primitive(nvars, ints, Fraction(1, L))
 
 
-_QUOTIENT = re.compile(r"\((?P<num>.*)\) */ *\((?P<den>.*)\)")
+# The numerator stops at its first parenthesis, so a payload of many `)/(`
+# is split once, not tried at each of them.
+_QUOTIENT = re.compile(r"\((?P<num>[^()\n]*)\) */ *\((?P<den>.*)\)")
 
 
 def scalar_from_str(text: str, nvars: int) -> Scalar:

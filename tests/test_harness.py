@@ -366,6 +366,24 @@ def test_cli_run_refuses_payload_nvars(tmp_path, nvars, replay, capsys):
     assert f"nvars {nvars!r} is outside 0..{MAX_CHART_DIM}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry, message", [
+    ("x1" + "+" * 200000, "trailing sign"),
+    ("-" * 200000, "trailing sign"),
+    ("x1*" + "+" * 200000, "trailing sign"),
+    ("(" + ")/(" * 70000 + "x1", "bad factor"),
+])
+def test_cli_run_refuses_long_hostile_entries(tmp_path, entry, message, capsys):
+    # each is split in one scan, not rescanned from each of its signs or `)/(`
+    inst = {"n": 2, "eta": [["0", entry], ["1", "0"]],
+            "beta": [["0", "-1/3"], ["1/3", "0"]]}
+    p = tmp_path / "inst.json"
+    p.write_text(json.dumps(inst))
+    t0 = time.perf_counter()
+    assert main(["run", str(p), "--quiet"]) == 2
+    assert time.perf_counter() - t0 < 5
+    assert message in capsys.readouterr().err
+
+
 def test_cli_run_linear_instance_above_chart_limit(tmp_path):
     # a linear instance parses over n variables, so its battery has nvars = n
     n = MAX_CHART_DIM + 2
