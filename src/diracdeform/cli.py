@@ -130,12 +130,12 @@ def _cmd_verify(args) -> int:
     return exit_code(report)
 
 
-def _slowest_line(checks: list[dict], count: int = 3) -> str:
-    """The `count` slowest checks, each as #<1-based position> <name> <wall_ms>."""
+def _slowest_line(checks: list[dict]) -> str:
+    """The three slowest checks, each as #<1-based position> <name> <wall_ms>."""
     order = sorted(range(len(checks)), key=lambda i: -checks[i]["wall_ms"])
     return "slowest: " + ", ".join(
         f"#{i + 1} {checks[i]['name']} {checks[i]['wall_ms']:.1f} ms"
-        for i in order[:count]
+        for i in order[:3]
     )
 
 

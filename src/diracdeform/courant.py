@@ -67,15 +67,10 @@ class GeneralizedSection:
         )
 
 
-def section(X: MultivectorField | None, alpha: DifferentialForm | None,
-            chart: Chart | None = None) -> GeneralizedSection:
-    """Build a section, allowing either part to be omitted (= zero)."""
-    if X is None and alpha is None:
-        if chart is None:
-            raise ValueError("need a chart for the zero section")
-        X = MultivectorField.zero(chart)
-        alpha = DifferentialForm.zero(chart)
-    elif X is None:
+def section(X: MultivectorField | None,
+            alpha: DifferentialForm | None) -> GeneralizedSection:
+    """Build a section, allowing one part to be omitted (= zero)."""
+    if X is None:
         X = MultivectorField.zero(alpha.chart)
     elif alpha is None:
         alpha = DifferentialForm.zero(X.chart)
@@ -126,11 +121,10 @@ def in_frame_span(frame: Sequence[GeneralizedSection],
     )
 
 
-def is_dirac_frame(frame: Sequence[GeneralizedSection],
-                   ref_point: Sequence | None = None) -> bool:
+def is_dirac_frame(frame: Sequence[GeneralizedSection]) -> bool:
     """Dirac test for the subbundle spanned by a rank-n frame.
 
-    Checks pointwise rank n at the reference point, vanishing of all pairwise
+    Checks pointwise rank n at the origin, vanishing of all pairwise
     pairings, and closure of the frame under the Dorfman bracket (membership
     solved exactly over the rational-function field).
     """
@@ -140,9 +134,8 @@ def is_dirac_frame(frame: Sequence[GeneralizedSection],
     n = chart.dim
     if len(frame) != n:
         raise ValueError(f"a Dirac frame on R^{n} needs {n} sections")
-    point = ref_point if ref_point is not None else [0] * n
-    if frame_pointwise_rank(frame, point) != n:
-        raise ValueError("frame is not a subbundle: rank drops at the reference point")
+    if frame_pointwise_rank(frame, [0] * n) != n:
+        raise ValueError("frame is not a subbundle: rank drops at the origin")
     for i in range(n):
         for j in range(i, n):
             if not courant_pairing(frame[i], frame[j]).is_zero():

@@ -51,19 +51,12 @@ class Chart:
     """A coordinate chart on R^n with variables x1..xn."""
 
     dim: int
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not 1 <= self.dim <= MAX_CHART_DIM:
             raise ValueError(
                 f"chart dimension {self.dim} is outside 1..{MAX_CHART_DIM}"
             )
-        if not self.labels:
-            object.__setattr__(
-                self, "labels", tuple(f"x{i}" for i in range(1, self.dim + 1))
-            )
-        if len(self.labels) != self.dim or len(set(self.labels)) != self.dim:
-            raise ValueError("labels must be pairwise distinct, one per dimension")
 
     def scalar(self, value) -> Scalar:
         if isinstance(value, Scalar):
@@ -73,9 +66,6 @@ class Chart:
         if isinstance(value, str):
             return scalar_from_str(value, self.dim)
         return Scalar.const(self.dim, Fraction(value))
-
-    def x(self, i: int) -> Scalar:
-        return Scalar.variable(i, self.dim)
 
 
 Coefficient = Union[Scalar, Fraction, int, str]
@@ -592,8 +582,8 @@ def _from_json(cls, data: Mapping) -> _GradedElement:
                 raise ValueError(
                     f"degree {item['degree']} does not match indices {idx}"
                 )
-            num = poly_from_str(item["num"], n)
-            den = poly_from_str(item["den"], n)
+            num = poly_from_str(str(item["num"]), n)
+            den = poly_from_str(str(item["den"]), n)
             if den.is_zero():
                 raise ValueError(f"zero denominator {item['den']!r} at {idx}")
             terms[idx] = Scalar(num, den)

@@ -174,7 +174,7 @@ def rref(A: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     if all(a.is_polynomial() for row in A for a in row):
         rows = [list(row) for row in A]
     else:
-        rows = [[Scalar.from_poly(p) for p in row] for row in _clear_rows(A)[0]]
+        rows = [[Scalar.from_poly(p) for p in row] for row in clear_rows(A)[0]]
     for c in range(nc):
         pivot_row = None
         for i in range(r, nr):
@@ -302,7 +302,7 @@ def _int_rows(A: Matrix, nvars: int) -> tuple[list[list[int]], list[int]] | None
     return rows, lcms
 
 
-def _clear_rows(A: Matrix) -> tuple[list[list[Poly]], list[Poly]]:
+def clear_rows(A: Matrix) -> tuple[list[list[Poly]], list[Poly]]:
     """Scale each row by the lcm of its denominators; returns (poly rows, lcms)."""
     nvars = A[0][0].nvars
     rows: list[list[Poly]] = []
@@ -321,7 +321,7 @@ def _clear_rows(A: Matrix) -> tuple[list[list[Poly]], list[Poly]]:
 
 def _cleared(A: Matrix) -> tuple[list[list], list]:
     """Row-cleared A: int rows and lcms if A is constant, else polynomial ones."""
-    return _int_rows(A, A[0][0].nvars) or _clear_rows(A)
+    return _int_rows(A, A[0][0].nvars) or clear_rows(A)
 
 
 def _bareiss(rows: list[list], back: bool = False) -> tuple[tuple[int, ...], int]:
@@ -419,15 +419,9 @@ def clear_matrix(A: Matrix) -> tuple[list[list[Poly]], Poly]:
     computations, where a uniform polynomial matrix avoids fraction-field
     gcd churn: Pf_S(D*A) = D^{|S|/2} Pf_S(A).
     """
-    nvars = A[0][0].nvars
-    D = Poly.one(nvars)
-    for row in A:
-        for a in row:
-            D = poly_lcm(D, a.den)
-    rows = [
-        [a.num * poly_divexact(D, a.den) for a in row] for row in A
-    ]
-    return rows, D
+    width = len(A[0])
+    (flat,), (D,) = clear_rows([[a for row in A for a in row]])
+    return [flat[i:i + width] for i in range(0, len(flat), width)], D
 
 
 def pfaffian_poly(rows: Sequence[Sequence[Poly]],

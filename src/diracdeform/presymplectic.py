@@ -296,7 +296,7 @@ def annihilator_forms(K: DistributionFrame) -> list[DifferentialForm]:
     xi_rows = linalg.nullspace(K.coordinate_matrix())
     if not xi_rows:
         return []
-    cleared, _ = linalg._clear_rows(linalg.mat(xi_rows))
+    cleared, _ = linalg.clear_rows(linalg.mat(xi_rows))
     out = []
     for row in cleared:
         terms = {
@@ -435,7 +435,7 @@ def horizontal_preservation_conditions(
 
 
 def horizontality_witness_search(
-    K: DistributionFrame, ctx: KoszulContext, max_monomial_degree: int = 2
+    K: DistributionFrame, ctx: KoszulContext
 ) -> DifferentialForm | None:
     """Search a fixed family of horizontal inputs for one that some
     multibracket maps outside the horizontal complex.
@@ -446,7 +446,7 @@ def horizontality_witness_search(
     chart = ctx.chart
     n = chart.dim
     monomials = [Scalar.one(n)]
-    for d in range(1, max_monomial_degree + 1):
+    for d in (1, 2):
         for combo in itertools.combinations_with_replacement(range(1, n + 1), d):
             s = Scalar.one(n)
             for i in combo:

@@ -33,46 +33,47 @@ def random_point(rng: random.Random, n: int, bound: int = 12) -> tuple[Fraction,
 
 def random_scalar(
     rng: random.Random, nvars: int, max_degree: int,
-    terms: int = 2, bound: int = 9, polynomial: bool = True,
+    bound: int = 9, polynomial: bool = True,
 ) -> Scalar:
-    """Random polynomial Scalar (default) or quotient of such."""
-    num = random_poly(rng, nvars, max_degree, terms, bound)
+    """Random two-term polynomial Scalar (default) or quotient of such."""
+    num = random_poly(rng, nvars, max_degree, 2, bound)
     if polynomial:
         return Scalar.from_poly(num)
     den = Poly.zero(nvars)
     while den.is_zero():
-        den = random_poly(rng, nvars, max_degree, terms, bound)
+        den = random_poly(rng, nvars, max_degree, 2, bound)
     return Scalar(num, den)
+
+
+def _random_terms(cls, rng, chart, degree, max_coef_degree, density, bound):
+    """A random `cls` (form or field): each index set kept with `density`."""
+    terms = {}
+    for idx in itertools.combinations(range(1, chart.dim + 1), degree):
+        if rng.random() < density:
+            terms[idx] = random_scalar(rng, chart.dim, max_coef_degree, bound=bound)
+    return cls.make(chart, terms)
 
 
 def random_form(
     rng: random.Random, chart: Chart, degree: int,
     max_coef_degree: int = 2, density: float = 0.6, bound: int = 9,
 ) -> DifferentialForm:
-    terms = {}
-    for idx in itertools.combinations(range(1, chart.dim + 1), degree):
-        if rng.random() < density:
-            terms[idx] = random_scalar(rng, chart.dim, max_coef_degree, bound=bound)
-    return DifferentialForm.make(chart, terms)
+    return _random_terms(DifferentialForm, rng, chart, degree, max_coef_degree,
+                         density, bound)
 
 
 def random_field(
     rng: random.Random, chart: Chart, degree: int,
     max_coef_degree: int = 2, density: float = 0.6, bound: int = 9,
 ) -> MultivectorField:
-    terms = {}
-    for idx in itertools.combinations(range(1, chart.dim + 1), degree):
-        if rng.random() < density:
-            terms[idx] = random_scalar(rng, chart.dim, max_coef_degree, bound=bound)
-    return MultivectorField.make(chart, terms)
+    return _random_terms(MultivectorField, rng, chart, degree, max_coef_degree,
+                         density, bound)
 
 
-def random_bivector_field(
-    rng: random.Random, chart: Chart, max_coef_degree: int = 2,
-) -> MultivectorField:
+def random_bivector_field(rng: random.Random, chart: Chart) -> MultivectorField:
     """A nonzero bivector field with polynomial coefficients."""
     while True:
-        Z = random_field(rng, chart, 2, max_coef_degree, density=0.7, bound=6)
+        Z = random_field(rng, chart, 2, 2, density=0.7, bound=6)
         if not Z.is_zero():
             return Z
 
@@ -96,11 +97,11 @@ def random_skew(
     return cls.from_pairs(n, nvars, pairs)
 
 
-def random_invertible(rng: random.Random, n: int, bound: int = 4) -> linalg.Matrix:
-    """Random invertible rational matrix (rejection sampled)."""
+def random_invertible(rng: random.Random, n: int) -> linalg.Matrix:
+    """Random invertible integer matrix, entries in -4..4 (rejection sampled)."""
     while True:
         rows = [
-            [Scalar.const(0, Fraction(rng.randint(-bound, bound)))
+            [Scalar.const(0, Fraction(rng.randint(-4, 4)))
              for _ in range(n)]
             for _ in range(n)
         ]
@@ -148,9 +149,9 @@ def random_complement(
     return Subspace.from_spanning(eta.n, rows)
 
 
-def random_in_IZ(rng: random.Random, Z: Bivector, bound: int = 9) -> SkewBilinear:
+def random_in_IZ(rng: random.Random, Z: Bivector) -> SkewBilinear:
     """Random skew form in I_Z; shrinks toward the origin until inside."""
-    return shrink_into_IZ(Z, random_skew(rng, Z.n, Z.nvars, bound))
+    return shrink_into_IZ(Z, random_skew(rng, Z.n, Z.nvars))
 
 
 def shrink_into_IZ(
@@ -169,18 +170,18 @@ def shrink_into_IZ(
 
 
 def random_horizontal_skew(
-    rng: random.Random, K: Subspace, G: Subspace, bound: int = 9
+    rng: random.Random, K: Subspace, G: Subspace
 ) -> SkewBilinear:
     """Random horizontal form (vanishing Lambda^2 K* block) via (mu, sigma)."""
     nvars = K.nvars if K.basis else G.nvars
     mK, kG = K.dim, G.dim
     mu = linalg.mat(
         [
-            [Scalar.const(nvars, random_fraction(rng, bound)) for _ in range(kG)]
+            [Scalar.const(nvars, random_fraction(rng, 9)) for _ in range(kG)]
             for _ in range(mK)
         ]
     ) if mK else ()
-    sigma = random_skew(rng, kG, nvars, bound)
+    sigma = random_skew(rng, kG, nvars)
     return HorizontalDecomposition(K, G, mu, sigma).reassemble()
 
 
@@ -225,21 +226,20 @@ def presymplectic_normal_form(chart: Chart, k: int) -> DifferentialForm:
     return DifferentialForm.make(chart, terms)
 
 
-def coordinate_complement_frame(chart: Chart, k: int, ref_point=None):
+def coordinate_complement_frame(chart: Chart, k: int):
     """The constant frame (d_1 .. d_k): a complement of the kernel of any
     sheared normal form, with constant determinant against its kernel frame."""
     from .presymplectic import DistributionFrame
     from .exterior import partial
 
-    point = tuple(Fraction(x) for x in (ref_point or [0] * chart.dim))
+    point = (Fraction(0),) * chart.dim
     return DistributionFrame(
         chart, tuple(partial(chart, i) for i in range(1, k + 1)), point
     )
 
 
 def random_presymplectic_instance(
-    rng: random.Random, chart: Chart, k: int, shear_degree: int = 1,
-    bound: int = 4,
+    rng: random.Random, chart: Chart, k: int, shear_degree: int = 1
 ):
     """A certified instance: sheared normal form with the coordinate complement.
 
@@ -250,7 +250,7 @@ def random_presymplectic_instance(
     """
     from .presymplectic import build_presymplectic
 
-    eta = random_presymplectic_form(rng, chart, k, shear_degree, bound)
+    eta = random_presymplectic_form(rng, chart, k, shear_degree)
     return build_presymplectic(eta, coordinate_complement_frame(chart, k))
 
 

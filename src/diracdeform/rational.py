@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from math import gcd, lcm
 from operator import or_
 from typing import Sequence
@@ -488,12 +488,6 @@ def _dense_mod(a: dict[int, int]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=1024)
-def _int_powers(x: int, degree: int) -> tuple[int, ...]:
-    """(x^k for k = 0..degree), shared: the certificate's points are fixed."""
-    return tuple(_power_table(x, 1, degree))
-
-
 def _specialize_to_var(f: Poly, var: int, point: Sequence[int]) -> dict[int, int]:
     """The primitive part of f with every variable but x_var set to an
     integer: a univariate {exponent: int}.  The content is dropped, since a
@@ -505,7 +499,7 @@ def _specialize_to_var(f: Poly, var: int, point: Sequence[int]) -> dict[int, int
         s = _SLOT * (n - 1 - i)
         d = (bits >> s) & _MASK
         if d and i != var - 1:
-            tables.append((s, _int_powers(point[i], d)))
+            tables.append((s, _power_table(point[i], 1, d)))
     shift = _SLOT * (n - var)
     sums: dict[int, int] = {}
     for k, v in f.ip.items():
@@ -854,17 +848,7 @@ class Scalar:
     def __mul__(self, other: "Scalar") -> "Scalar":
         if _polynomial_pair(self, other):
             return Scalar(self.num * other.num, self.den, _canonical=True)
-        if self.nvars != other.nvars:
-            raise ValueError("variable-count mismatch")
-        if self.is_zero() or other.is_zero():
-            return Scalar.zero(self.nvars)
-        g1 = poly_gcd(self.num, other.den)
-        g2 = poly_gcd(other.num, self.den)
-        n1 = poly_divexact(self.num, g1)
-        d2 = poly_divexact(other.den, g1)
-        n2 = poly_divexact(other.num, g2)
-        d1 = poly_divexact(self.den, g2)
-        return Scalar(n1 * n2, d1 * d2)
+        return Scalar(self.num * other.num, self.den * other.den)
 
     def inverse(self) -> "Scalar":
         if self.is_zero():
@@ -1028,6 +1012,14 @@ _FACTOR = re.compile(r"x([0-9]+)(?:\^([0-9]+))?|([0-9]+)(?:/([0-9]+))?")
 _LITERAL = re.compile(r"([+-]*)([0-9]+)(?:/([0-9]+))?")
 
 
+def _quote(text: str) -> str:
+    """repr(text), or of its first 80 characters and its length, so that a
+    refused payload of any size gives a short message."""
+    if len(text) <= 80:
+        return repr(text)
+    return f"{text[:80]!r}... ({len(text)} characters)"
+
+
 def poly_from_str(text: str, nvars: int) -> Poly:
     """Parse the fixed polynomial grammar into a Poly.
 
@@ -1043,7 +1035,8 @@ def poly_from_str(text: str, nvars: int) -> Poly:
         num, den = int(a), 1 if b is None else int(b)
         if not den:
             raise ValueError(
-                f"zero denominator in {s[len(signs):]!r} in polynomial {text!r}"
+                f"zero denominator in {_quote(s[len(signs):])} "
+                f"in polynomial {_quote(text)}"
             )
         if signs.count("-") & 1:
             num = -num
@@ -1060,7 +1053,7 @@ def poly_from_str(text: str, nvars: int) -> Poly:
     if end < len(s):  # the string ends in a sign run
         if len(terms) == MAX_TERMS:
             raise ValueError(f"more than {MAX_TERMS} terms in a polynomial string")
-        raise ValueError(f"trailing sign in polynomial string {text!r}")
+        raise ValueError(f"trailing sign in polynomial string {_quote(text)}")
     degree = _SLOT * nvars  # the shift of the total-degree slot
     top = 1 << degree
     coefs: dict[int, tuple[int, int]] = {}
@@ -1069,19 +1062,21 @@ def poly_from_str(text: str, nvars: int) -> Poly:
         for factor in body.split("*"):
             m = _FACTOR.fullmatch(factor)
             if m is None:
-                raise ValueError(f"bad factor {factor!r} in polynomial {text!r}")
+                raise ValueError(
+                    f"bad factor {_quote(factor)} in polynomial {_quote(text)}"
+                )
             var, exp, a, b = m.groups()
             if var is not None:
                 i = int(var)
                 if not 1 <= i <= nvars:
-                    raise ValueError(f"variable x{i} out of range in {text!r}")
+                    raise ValueError(f"variable x{i} out of range in {_quote(text)}")
                 shift = _SLOT * (nvars - i)
                 have = (key >> shift) & _MASK
                 e = have + (1 if exp is None else int(exp))
                 if e > MAX_EXPONENT:
                     raise ValueError(
                         f"exponent {e} of x{i} exceeds {MAX_EXPONENT} "
-                        f"in polynomial {text!r}"
+                        f"in polynomial {_quote(text)}"
                     )
                 key += (e - have) * (top + (1 << shift))
             else:
@@ -1090,7 +1085,8 @@ def poly_from_str(text: str, nvars: int) -> Poly:
                     d = int(b)
                     if not d:
                         raise ValueError(
-                            f"zero denominator in {factor!r} in polynomial {text!r}"
+                            f"zero denominator in {_quote(factor)} "
+                            f"in polynomial {_quote(text)}"
                         )
                     den *= d
         old = coefs.get(key)
@@ -1118,7 +1114,7 @@ def scalar_from_str(text: str, nvars: int) -> Scalar:
     if m:
         den = poly_from_str(m.group("den"), nvars)
         if den.is_zero():
-            raise ValueError(f"zero denominator in {text!r}")
+            raise ValueError(f"zero denominator in {_quote(text)}")
         return Scalar(poly_from_str(m.group("num"), nvars), den)
     return Scalar.from_poly(poly_from_str(s, nvars))
 

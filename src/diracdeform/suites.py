@@ -1217,7 +1217,7 @@ def _gen_hor_subcomplex(rng, cfg):
 
 @executor("presym.hor_subcomplex")
 def _run_hor_subcomplex(payload):
-    data = instance_from_json(payload["instance"])
+    data = _certified_instance(payload["instance"])
     rng = random.Random(payload["seed"])
     for _ in range(6):
         deg = rng.choice([1, 2, 3])

@@ -357,5 +357,3 @@ def test_json_rejects_malformed():
 def test_chart_validation():
     with pytest.raises(ValueError):
         Chart(0)
-    with pytest.raises(ValueError):
-        Chart(2, ("x", "x"))

@@ -384,6 +384,41 @@ def test_cli_run_refuses_long_hostile_entries(tmp_path, entry, message, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_cli_run_refusal_quotes_a_bounded_prefix(tmp_path, capsys):
+    entry = "x1" + "+" * 200000
+    inst = {"n": 2, "eta": [["0", entry], ["1", "0"]],
+            "beta": [["0", "-1/3"], ["1/3", "0"]]}
+    p = tmp_path / "inst.json"
+    p.write_text(json.dumps(inst))
+    assert main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "trailing sign" in err and f"({len(entry)} characters)" in err
+    assert len(err.encode()) < 1024
+
+
+@pytest.mark.parametrize("num, code", [
+    ("1", 0), (1, 0), (1.5, 2), (None, 2), (True, 2),
+], ids=["string", "int", "float", "null", "bool"])
+def test_cli_run_chart_term_reads_entries_as_strings(tmp_path, num, code):
+    # a JSON number reads as its string twin; 1.5, null and true are refused
+    inst = {"chart": 2, "eta": {"chart": 2, "terms": [
+        {"degree": 2, "indices": [1, 2], "num": num, "den": "1"}]}}
+    p = tmp_path / "inst.json"
+    p.write_text(json.dumps(inst))
+    assert main(["run", str(p), "--quiet"]) == code
+
+
+@pytest.mark.parametrize("name", ["presym.hor_subcomplex", "presym.preservation"])
+def test_cli_run_uncertifiable_instance_replay_skips(tmp_path, name, capsys):
+    # eta = x1 dx1^dx2 has generic rank 2, but its Pfaffian x1 vanishes at 0
+    inst = {"chart": 4, "eta": {"chart": 4, "terms": [
+        {"degree": 2, "indices": [1, 2], "num": "x1", "den": "1"}]}}
+    p = tmp_path / "replay.json"
+    p.write_text(json.dumps({"replay": name, "data": {"instance": inst, "seed": 1}}))
+    assert main(["run", str(p), "--quiet"]) == 0
+    assert "0 pass, 0 fail, 1 skipped" in capsys.readouterr().out
+
+
 def test_cli_run_linear_instance_above_chart_limit(tmp_path):
     # a linear instance parses over n variables, so its battery has nvars = n
     n = MAX_CHART_DIM + 2

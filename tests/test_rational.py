@@ -228,6 +228,52 @@ def test_zero_product_skips_the_gcd_path(monkeypatch):
         assert product.is_zero() and product.is_polynomial()
 
 
+@st.composite
+def _cancelling_products(draw):
+    nv = draw(st.sampled_from([1, 2, 3]))
+    f, k = draw(_polys(nv)), draw(_polys(nv))
+    nonzero = _polys(nv).filter(lambda p: not p.is_zero())
+    g, m = draw(nonzero), draw(nonzero)
+    h = draw(_polys(nv).filter(lambda p: not p.is_constant()))
+    # h is a common factor of the product: the reducer must remove it
+    return (f * h, g), (k, h * m)
+
+
+def _counting_gcd(calls: list):
+    """poly_gcd that records the nesting depth of each call in `calls`."""
+    gcd, depth = rational.poly_gcd, [0]
+
+    def counting(f, g):
+        calls.append(depth[0])
+        depth[0] += 1
+        try:
+            return gcd(f, g)
+        finally:
+            depth[0] -= 1
+
+    return counting
+
+
+@given(_cancelling_products())
+@settings(max_examples=60, deadline=None)
+def test_product_reduces_once_to_sympy_cancel(case):
+    (an, ad), (bn, bd) = case
+    a, b = Scalar(an, ad), Scalar(bn, bd)
+    theirs_num, theirs_den = sympy.fraction(sympy.cancel(
+        (to_sympy(an) * to_sympy(bn)) / (to_sympy(ad) * to_sympy(bd))))
+    for left, right in ((a, b), (b, a)):
+        calls: list = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rational, "poly_gcd", _counting_gcd(calls))
+            got = left * right
+        assert calls.count(0) <= 1  # one top-level gcd: the single reducer
+        mine_num, mine_den = to_sympy(got.num), to_sympy(got.den)
+        # the same value, over a denominator proportional to sympy's
+        assert sympy.expand(mine_num * theirs_den - theirs_num * mine_den) == 0
+        assert sympy.cancel(mine_den / theirs_den).is_number
+        assert got.den.content == 1
+
+
 def test_divexact_and_lcm():
     f = (x(1, 2) + x(2, 2)) * (x(1, 2) - x(2, 2))
     g = x(1, 2) + x(2, 2)
