@@ -187,23 +187,17 @@ def run_instance_payload(payload: dict) -> tuple[str, list[CheckOutcome]]:
 
 
 def _run_linear_instance(payload: dict) -> tuple[str, list[CheckOutcome]]:
-    from .dirac import (
-        default_complement,
-        instance_from_json,
-        skew_to_json,
-        subspace_to_json,
-    )
     from .suites import INPUT_ERRORS, run_check
 
-    n, eta, G, beta = instance_from_json(payload)
-    if G is None:
-        G = default_complement(eta)
-    battery = {
-        "eta": skew_to_json(eta),
-        "G": subspace_to_json(G),
-        "beta": skew_to_json(beta),
-    }
-    check = run_check("linalg.lemma_battery", battery, INPUT_ERRORS)
+    try:
+        n = payload["n"]
+        battery = {name: {"n": n, "nvars": n, "rows": payload[name]}
+                   for name in ("eta", "beta")}
+        if payload.get("G") is not None:
+            battery["G"] = {"ambient": n, "nvars": n, "rows": payload["G"]}
+        check = run_check("linalg.lemma_battery", battery, INPUT_ERRORS)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed linear instance: {exc}") from exc
     return f"linear(n={n})", [check]
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .exterior import MAX_CHART_DIM
-from .rational import Scalar, scalar_from_str, scalar_to_str
+from .rational import Scalar, _quote, scalar_from_str, scalar_to_str
 from . import linalg
 from .linalg import Matrix, Vector
 
@@ -679,12 +679,6 @@ def matrix_to_json(A: Matrix) -> list[list[str]]:
     return [[scalar_to_str(a) for a in row] for row in A]
 
 
-def matrix_from_json(data: Sequence[Sequence[str]], nvars: int) -> Matrix:
-    return linalg.mat(
-        [[scalar_from_str(str(a), nvars) for a in row] for row in data]
-    )
-
-
 # Check payloads carry each matrix with its size and field of definition:
 #   skew maps {"n", "nvars", "rows"}, subspaces {"ambient", "nvars", "rows"}.
 
@@ -693,23 +687,37 @@ def skew_to_json(S: _SkewSharp) -> dict:
     return {"n": S.n, "nvars": S.nvars, "rows": matrix_to_json(S.mat)}
 
 
-def _payload_matrix(rows, nvars, n: int) -> Matrix:
-    """The matrix of a payload over Q(x_1..x_nvars) for a size-n object.
+def _shown(value) -> str:
+    """repr(value), cut to a bounded quote when it is long."""
+    text = repr(value)
+    return text if len(text) <= 80 else _quote(text)
 
-    nvars is refused outside 0..max(MAX_CHART_DIM, n) before any entry is
-    read: every key of the ring has 16 * nvars bits, so a huge nvars stalls
-    the first variable it meets.  Payloads of charts and of linear instances
-    (nvars = n) stay inside.
+
+def _payload_matrix(rows, nvars, count: int | None, width) -> Matrix:
+    """The matrix of a payload over Q(x_1..x_nvars): `count` rows (any number
+    if None) of `width` entries each.
+
+    The shape and then nvars are checked before any entry is parsed.  nvars
+    is refused outside 0..max(MAX_CHART_DIM, width): every key of the ring
+    has 16 * nvars bits, so a huge nvars stalls the first variable it meets.
+    Payloads of charts and of linear instances (nvars = n) stay inside.
     """
-    bound = max(MAX_CHART_DIM, n)
+    if not isinstance(width, int) or isinstance(width, bool) or width < 1:
+        raise ValueError(f"matrix size {_shown(width)} is not an integer >= 1")
+    if (count is not None and len(rows) != count) or any(len(r) != width for r in rows):
+        shape = f"{count}x{width}" if count is not None else f"rows of length {width}"
+        raise ValueError(f"malformed matrix payload: expected {shape}")
+    bound = max(MAX_CHART_DIM, width)
     if not isinstance(nvars, int) or not 0 <= nvars <= bound:
-        raise ValueError(f"nvars {nvars!r} is outside 0..{bound}")
-    return matrix_from_json(rows, nvars)
+        raise ValueError(f"nvars {_shown(nvars)} is outside 0..{bound}")
+    return linalg.mat(
+        [[scalar_from_str(str(a), nvars) for a in row] for row in rows]
+    )
 
 
 def skew_from_json(data: Mapping, cls: type = SkewBilinear) -> _SkewSharp:
-    rows = data["rows"]
-    return cls(_payload_matrix(rows, data["nvars"], len(rows)))
+    n = data["n"]
+    return cls(_payload_matrix(data["rows"], data["nvars"], n, n))
 
 
 def subspace_to_json(S: Subspace) -> dict:
@@ -717,52 +725,7 @@ def subspace_to_json(S: Subspace) -> dict:
 
 
 def subspace_from_json(data: Mapping) -> Subspace:
-    ambient, rows = data["ambient"], data["rows"]
-    if any(len(v) != ambient for v in rows):  # so rows back the bound's ambient
-        raise DimensionMismatchError("spanning vector of wrong length")
+    ambient = data["ambient"]
     return Subspace.from_spanning(
-        ambient, _payload_matrix(rows, data["nvars"], ambient)
+        ambient, _payload_matrix(data["rows"], data["nvars"], None, ambient)
     )
-
-
-def instance_to_json(
-    n: int, eta: SkewBilinear, beta: SkewBilinear, G: Subspace | None = None
-) -> dict:
-    out = {
-        "n": n,
-        "eta": matrix_to_json(eta.mat),
-        "beta": matrix_to_json(beta.mat),
-    }
-    if G is not None:
-        out["G"] = matrix_to_json(G.basis)
-    return out
-
-
-def _require_shape(name: str, rows, count: int | None, width: int) -> None:
-    """ValueError unless rows has `count` rows (any number if None) of `width` entries."""
-    if (count is not None and len(rows) != count) or any(len(r) != width for r in rows):
-        shape = f"{count}x{width}" if count is not None else f"rows of length {width}"
-        raise ValueError(f"malformed linear instance: {name} must be {shape}")
-
-
-def instance_from_json(data: Mapping, nvars: int | None = None) -> tuple:
-    """Parse {"n", "eta", "G"?, "beta"} into (n, eta, G or None, beta)."""
-    try:
-        n = int(data["n"])
-        if n < 1:
-            raise ValueError("linear instance dimension must be >= 1")
-        nv = n if nvars is None else nvars
-        _require_shape("eta", data["eta"], n, n)
-        _require_shape("beta", data["beta"], n, n)
-        if data.get("G") is not None:
-            _require_shape("G", data["G"], None, n)
-        eta = SkewBilinear(matrix_from_json(data["eta"], nv))
-        beta = SkewBilinear(matrix_from_json(data["beta"], nv))
-        G = None
-        if data.get("G") is not None:
-            G = Subspace.from_spanning(
-                n, matrix_from_json(data["G"], nv)
-            )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed linear instance: {exc}") from exc
-    return n, eta, G, beta

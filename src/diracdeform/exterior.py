@@ -25,6 +25,7 @@ from typing import Callable, Mapping, Sequence, Union
 from .rational import (
     PoleError,
     Scalar,
+    _quote,
     as_point,
     poly_from_str,
     scalar_from_str,
@@ -585,7 +586,7 @@ def _from_json(cls, data: Mapping) -> _GradedElement:
             num = poly_from_str(str(item["num"]), n)
             den = poly_from_str(str(item["den"]), n)
             if den.is_zero():
-                raise ValueError(f"zero denominator {item['den']!r} at {idx}")
+                raise ValueError(f"zero denominator {_quote(str(item['den']))} at {idx}")
             terms[idx] = Scalar(num, den)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed element payload: {exc}") from exc

@@ -29,6 +29,7 @@ from .dirac import (
     SkewBilinear,
     Subspace,
     decompose_horizontal,
+    default_complement,
     dirac_exp,
     graph_of_form,
     graph_of_bivector,
@@ -89,6 +90,7 @@ from .presymplectic import (
     horizontal_preservation_conditions,
     horizontality_witness_search,
     instance_from_json,
+    instance_to_json,
     is_horizontal,
     kernel_distribution,
     koszul_preserves_horizontal,
@@ -107,7 +109,7 @@ from .randgen import (
     random_skew,
     shrink_into_IZ,
 )
-from .rational import Scalar, rational_from_str, scalar_from_str
+from .rational import Scalar, _quote, rational_from_str, scalar_from_str
 from .report import DEFAULT_GRID, CheckOutcome, SuiteConfig
 
 
@@ -883,7 +885,7 @@ def _gen_lemma_battery(rng, cfg):
 @executor("linalg.lemma_battery")
 def _run_lemma_battery(payload):
     eta = skew_from_json(payload["eta"])
-    G = subspace_from_json(payload["G"])
+    G = subspace_from_json(payload["G"]) if "G" in payload else default_complement(eta)
     beta = skew_from_json(payload["beta"])
     results = verify_linear_lemmas(eta, G, beta)
     bad = [name for name, ok in results.items() if not ok]
@@ -1091,9 +1093,7 @@ def _gen_family_deform(rng, cfg):
     data = random_presymplectic_instance(
         rng, chart, k, shear_degree=rng.randint(0, 2)
     )
-    from .presymplectic import instance_to_json as _inst_json
-
-    instance = _inst_json(data)
+    instance = instance_to_json(data)
     ctx = data.context()
     for _ in range(24):
         beta = random_horizontal_form(rng, data.K, 2, max_coef_degree=1, bound=3)
@@ -1168,10 +1168,8 @@ def _gen_preservation(rng, cfg):
         n = max(_dim(cfg, 4), 3)
         chart = Chart(n)
         k = 2 * rng.randint(1, max(1, (n - 1) // 2))
-        from .presymplectic import instance_to_json as _inst_json
-
         data = random_presymplectic_instance(rng, chart, k, shear_degree=2)
-        inst = _inst_json(data)
+        inst = instance_to_json(data)
     return {"instance": inst, "seed": rng.randint(0, 2 ** 32)}
 
 
@@ -1474,8 +1472,8 @@ def run_suite(config: SuiteConfig, jobs: int = 1) -> list[CheckOutcome]:
 
 def run_replay(payload: dict) -> CheckOutcome:
     name = payload.get("replay")
-    if name not in CHECK_EXECUTORS:
-        raise ValueError(f"unknown check name {name!r}")
+    if not isinstance(name, str) or name not in CHECK_EXECUTORS:
+        raise ValueError(f"unknown check name {_quote(str(name))}")
     try:
         return run_check(name, payload.get("data", {}), INPUT_ERRORS)
     except (KeyError, TypeError) as exc:

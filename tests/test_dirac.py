@@ -24,14 +24,16 @@ from diracdeform.dirac import (
     graph_of_bivector,
     graph_of_form,
     in_I_Z,
-    instance_from_json,
-    instance_to_json,
     is_lagrangian,
     lagrangian_graph,
     pairing,
     phi_Z,
     rank_and_kernel,
+    skew_from_json,
+    skew_to_json,
     standard_basis_subspace,
+    subspace_from_json,
+    subspace_to_json,
     tau_bivector,
     tau_form,
     v_star_subspace,
@@ -334,13 +336,14 @@ def test_default_complement(rng):
 # -- JSON ---------------------------------------------------------------------------------
 
 
-def test_instance_json_roundtrip(rng):
+def test_payload_json_roundtrip(rng):
+    # one codec for every linear matrix: skew maps and subspaces
     eta = random_rank_k_skew(rng, 4, 2)
     G = random_complement(rng, eta)
     Z = Z_from_eta_G(eta, G)
     beta = random_in_IZ(rng, Z)
-    payload = instance_to_json(4, eta, beta, G)
-    n, eta2, G2, beta2 = instance_from_json(payload, nvars=0)
-    assert (n, eta2, G2, beta2) == (4, eta, G, beta)
-    with pytest.raises(ValueError):
-        instance_from_json({"n": 2}, nvars=0)
+    symbolic = SkewBilinear.from_pairs(4, 1, {(2, 0): Scalar.variable(1, 1)})
+    for S in (eta, beta, symbolic):
+        assert skew_from_json(skew_to_json(S)) == S
+    assert skew_from_json(skew_to_json(Z), cls=Bivector) == Z
+    assert subspace_from_json(subspace_to_json(G)) == G

@@ -121,6 +121,9 @@ def test_run_check_lets_interrupts_through(monkeypatch):
 def test_replay_unknown_check():
     with pytest.raises(ValueError):
         run_replay({"replay": "no.such.check", "data": {}})
+    # a name JSON cannot hash is unknown too, not a TypeError
+    with pytest.raises(ValueError, match="unknown check name"):
+        run_replay({"replay": ["linalg.f_properties"], "data": {}})
 
 
 def test_replay_malformed_data():
@@ -394,6 +397,48 @@ def test_cli_run_refusal_quotes_a_bounded_prefix(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "trailing sign" in err and f"({len(entry)} characters)" in err
     assert len(err.encode()) < 1024
+
+
+ZERO_2X2 = {"n": 2, "nvars": 0, "rows": [["0", "0"], ["0", "0"]]}
+
+
+@pytest.mark.parametrize("payload", [
+    {"replay": "linalg.f_properties", "data": {
+        "z": {"n": 2, "nvars": 0, "rows": [["0", "1"], ["-1"]]}, "beta": ZERO_2X2}},
+    {"replay": "linalg.f_properties", "data": {
+        "z": {"n": 3, "nvars": 0, "rows": [["0", "1"], ["-1", "0"]]}, "beta": ZERO_2X2}},
+    {"n": "2", "eta": [["0", "-1"], ["1", "0"]], "beta": [["0", "0"], ["0", "0"]]},
+    {"n": True, "eta": [["0"]], "beta": [["0"]]},
+    {"n": 2},
+    {"n": 2, "eta": [["0", "0"], ["0", "0"]]},
+], ids=["replay-ragged", "replay-n-disagrees", "linear-n-string", "linear-n-bool",
+        "linear-n-only", "linear-no-beta"])
+def test_cli_run_refuses_misshapen_matrix_payloads(tmp_path, payload, capsys):
+    # the shape of every matrix payload is checked before any entry is parsed
+    p = tmp_path / "inst.json"
+    p.write_text(json.dumps(payload))
+    assert main(["run", str(p), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+LONG_DEN = "x1-x1" + "+x1-x1" * 2000
+
+
+@pytest.mark.parametrize("payload", [
+    {"chart": 2, "eta": {"chart": 2, "terms": [
+        {"degree": 2, "indices": [1, 2], "num": "1", "den": LONG_DEN}]}},
+    {"replay": "a" * 50000},
+    {"replay": "linalg.f_properties", "data": {
+        "z": {"n": 2, "nvars": "1" * 50000, "rows": [["0", "1"], ["-1", "0"]]},
+        "beta": ZERO_2X2}},
+], ids=["zero-denominator", "replay-name", "nvars"])
+def test_cli_run_refusals_stay_short(tmp_path, payload, capsys):
+    p = tmp_path / "inst.json"
+    p.write_text(json.dumps(payload))
+    assert main(["run", str(p), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "characters)" in err and len(err.encode()) < 1024
 
 
 @pytest.mark.parametrize("num, code", [
