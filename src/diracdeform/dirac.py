@@ -4,11 +4,16 @@ gauge transforms, the graph map F, and the Dirac exponential.
 All operations work over Scalars with any number of variables, so the same
 code runs pointwise over Q (nvars=0) and symbolically over Q(x1..xn).
 
-Matrix conventions.  A SkewBilinear stores the matrix of the sharp map
-V -> V* in the standard basis (column action): column j is beta#(e_j), i.e.
+Matrix conventions.  Every matrix is a `linalg.Matrix`; vectors are tuples
+of Scalars.  A SkewBilinear stores the matrix of the sharp map V -> V* in
+the standard basis (column action): column j is beta#(e_j), i.e.
 mat[i][j] = beta(e_j, e_i).  A Bivector stores the sharp map V* -> V the same
-way.  Subspaces store their basis vectors as rows in reduced row echelon
-form, which is the canonical representative used for equality.
+way.  Subspaces store their basis vectors as the rows of a matrix in reduced
+row echelon form, which is the canonical representative used for equality.
+The builders of this module (graphs, gauge blocks, G + K*, Gram matrices,
+images of subspaces) work on whole matrices, by products, stacking and
+column slices, so a matrix of constants stays on the int rows of `linalg`
+from end to end and its entry Scalars are built only where an entry is read.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exterior import MAX_CHART_DIM
+from .exterior import MAX_CHART_DIM, MAX_LINEAR_DIM
 from .rational import Scalar, _quote, scalar_from_str, scalar_to_str
 from . import linalg
 from .linalg import Matrix, Vector
@@ -60,20 +65,21 @@ class _SkewSharp:
     __slots__ = ("mat",)
 
     def __init__(self, mat: Matrix, check: bool = True):
+        mat = linalg.mat(mat)
         n, m = linalg.dims(mat)
         if n != m:
             raise DimensionMismatchError("skew matrix must be square")
         if check and not linalg.is_skew(mat):
             raise NotSkewError(f"{type(self).__name__} matrix must be skew")
-        self.mat = linalg.mat(mat)
+        self.mat = mat
 
     @property
     def n(self) -> int:
-        return len(self.mat)
+        return self.mat.nrows
 
     @property
     def nvars(self) -> int:
-        return self.mat[0][0].nvars if self.mat else 0
+        return self.mat.nvars
 
     @classmethod
     def zero(cls, n: int, nvars: int):
@@ -93,7 +99,7 @@ class _SkewSharp:
             c = raw if isinstance(raw, Scalar) else Scalar.const(nvars, Fraction(raw))
             rows[j][i] = rows[j][i] + c
             rows[i][j] = rows[i][j] - c
-        return cls(linalg.mat(rows), check=False)
+        return cls(rows, check=False)
 
     @classmethod
     def from_values(cls, values: Matrix):
@@ -104,12 +110,18 @@ class _SkewSharp:
         """The bilinear value on basis vectors (0-based): beta(e_i, e_j)."""
         return self.mat[j][i]
 
-    def value_on(self, u: Sequence[Scalar], w: Sequence[Scalar]) -> Scalar:
-        """Bilinear value on arbitrary vectors: beta(u, w) = w . (mat u)."""
-        return linalg.dot(linalg.mat_vec(self.mat, u), w)
-
     def values(self) -> Matrix:
         return linalg.transpose(self.mat)
+
+    def gram(self, left: Matrix, right: Matrix) -> Matrix:
+        """The values beta(l_a, r_b) on the rows l_a of `left` and r_b of
+        `right`: left . values . right^T."""
+        left, right = linalg.mat(left), linalg.mat(right)
+        if not left or not right:
+            return linalg.zeros(len(left), len(right), self.nvars)
+        return linalg.mat_mul(
+            linalg.mat_mul(left, self.values()), linalg.transpose(right)
+        )
 
     def apply(self, v: Sequence[Scalar]) -> Vector:
         return linalg.mat_vec(self.mat, v)
@@ -162,16 +174,16 @@ class Subspace:
 
     def __init__(self, ambient: int, basis: Matrix):
         self.ambient = ambient
-        self.basis = basis
+        self.basis = linalg.mat(basis)
 
     @classmethod
-    def from_spanning(cls, ambient: int, vectors: Sequence[Sequence[Scalar]]):
+    def from_spanning(cls, ambient: int, vectors: Matrix | Sequence[Sequence[Scalar]]):
+        vectors = linalg.mat(vectors)
         if not vectors:
-            return cls(ambient, ())
-        for v in vectors:
-            if len(v) != ambient:
-                raise DimensionMismatchError("spanning vector of wrong length")
-        R, pivots = linalg.rref(linalg.mat(vectors))
+            return cls(ambient, vectors)
+        if vectors.ncols != ambient:
+            raise DimensionMismatchError("spanning vector of wrong length")
+        R, pivots = linalg.rref(vectors)
         return cls(ambient, R[: len(pivots)])
 
     @property
@@ -180,42 +192,35 @@ class Subspace:
 
     @property
     def nvars(self) -> int:
-        if self.basis:
-            return self.basis[0][0].nvars
-        return 0
+        return self.basis.nvars
 
     def contains(self, v: Sequence[Scalar]) -> bool:
         return linalg.in_span(self.basis, tuple(v))
 
     def transform(self, M: Matrix) -> "Subspace":
-        """Image under the linear map with column-action matrix M."""
-        rows = [linalg.mat_vec(M, v) for v in self.basis]
-        return Subspace.from_spanning(len(M), rows)
+        """Image under the linear map with column-action matrix M: the rows
+        M b of the basis rows b, i.e. basis . M^T."""
+        images = linalg.mat_mul(self.basis, linalg.transpose(M))
+        return Subspace.from_spanning(len(M), images)
 
     def intersection(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise DimensionMismatchError("ambient mismatch")
         if not self.basis or not other.basis:
             return Subspace(self.ambient, ())
-        # solve a c + b d = 0 on the stacked coefficient space
+        # solve a c + b d = 0 on the stacked coefficient space; each solution
+        # gives the vector sum_a c_a a_a
         stacked = linalg.transpose(
-            linalg.mat(list(self.basis) + [tuple(-x for x in v) for v in other.basis])
+            linalg.vstack(self.basis, linalg.mat_neg(other.basis))
         )
-        vecs = []
-        for sol in linalg.nullspace(stacked):
-            coeffs = sol[: self.dim]
-            v = [Scalar.zero(self.nvars) for _ in range(self.ambient)]
-            for c, row in zip(coeffs, self.basis):
-                if not c.is_zero():
-                    v = [a + c * b for a, b in zip(v, row)]
-            vecs.append(tuple(v))
-        return Subspace.from_spanning(self.ambient, vecs)
+        coeffs = linalg.columns(linalg.nullspace(stacked), 0, self.dim)
+        return Subspace.from_spanning(self.ambient, linalg.mat_mul(coeffs, self.basis))
 
     def sum_(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise DimensionMismatchError("ambient mismatch")
         return Subspace.from_spanning(
-            self.ambient, list(self.basis) + list(other.basis)
+            self.ambient, linalg.vstack(self.basis, other.basis)
         )
 
     def is_complement_of(self, other: "Subspace") -> bool:
@@ -252,12 +257,8 @@ class Subspace:
 
 def standard_basis_subspace(ambient: int, nvars: int, indices: Sequence[int]) -> Subspace:
     """Span of the listed standard basis vectors (0-based)."""
-    rows = []
-    for i in indices:
-        v = [Scalar.zero(nvars)] * ambient
-        v[i] = Scalar.one(nvars)
-        rows.append(tuple(v))
-    return Subspace.from_spanning(ambient, rows)
+    rows = linalg.identity(ambient, nvars)
+    return Subspace.from_spanning(ambient, linalg.vstack(*(rows[i:i + 1] for i in indices)))
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +285,13 @@ def is_lagrangian(W: Subspace) -> bool:
     n = W.ambient // 2
     if W.dim != n:
         return False
-    for i in range(W.dim):
-        for j in range(i, W.dim):
-            if not pairing(W.basis[i], W.basis[j]).is_zero():
-                return False
-    return True
+    # <b_i, b_j> = Q_ij + Q_ji for Q = (V* halves) . (V halves)^T, so the
+    # basis is isotropic iff Q is skew
+    B = W.basis
+    Q = linalg.mat_mul(
+        linalg.columns(B, n, 2 * n), linalg.transpose(linalg.columns(B, 0, n))
+    )
+    return linalg.is_skew(Q)
 
 
 def v_subspace(n: int, nvars: int) -> Subspace:
@@ -302,7 +305,7 @@ def v_star_subspace(n: int, nvars: int) -> Subspace:
 def _graph(top: Matrix, bottom: Matrix) -> Subspace:
     """The image {(top u, bottom u)} in V + V*: the rows top_i + bottom_i,
     with top_i, bottom_i the i-th columns of the two n x n matrices."""
-    rows = [a + b for a, b in zip(linalg.transpose(top), linalg.transpose(bottom))]
+    rows = linalg.hstack(linalg.transpose(top), linalg.transpose(bottom))
     return Subspace.from_spanning(2 * len(top), rows)
 
 
@@ -318,9 +321,7 @@ def graph_of_bivector(Z: Bivector) -> Subspace:
 
 def _blocks(A: Matrix, B: Matrix, C: Matrix, D: Matrix) -> Matrix:
     """The 2n x 2n matrix [[A, B], [C, D]] of four n x n blocks."""
-    return linalg.mat(
-        [a + b for a, b in zip(A, B)] + [c + d for c, d in zip(C, D)]
-    )
+    return linalg.vstack(linalg.hstack(A, B), linalg.hstack(C, D))
 
 
 def _gauge(M: Matrix, target):
@@ -380,11 +381,24 @@ def F(beta: SkewBilinear, Z: Bivector) -> SkewBilinear:
     matrices have the same determinant (Sylvester), so NotInIZError is
     raised exactly outside I_Z.
     """
+    return SkewBilinear(_push_through(beta, Z, linalg.solve))
+
+
+def F_and_det(beta: SkewBilinear, Z: Bivector) -> tuple[SkewBilinear, Scalar]:
+    """F(beta) and det(id + Z# beta#), both read from the one elimination
+    that solves (id + beta# Z#) X = beta#: by Sylvester's identity
+    det(id + beta# Z#) = det(id + Z# beta#)."""
+    X, det = _push_through(beta, Z, linalg.solve_det)
+    return SkewBilinear(X), det
+
+
+def _push_through(beta: SkewBilinear, Z: Bivector, solver):
+    """solver(id + beta# Z#, beta#), with a singular system as NotInIZError."""
     if beta.n != Z.n:
         raise DimensionMismatchError("dimension mismatch")
     M = _id_plus(beta.mat, Z.mat, beta.nvars)
     try:
-        return SkewBilinear(linalg.solve(M, beta.mat))
+        return solver(M, beta.mat)
     except ZeroDivisionError as exc:
         raise NotInIZError("id + Z# beta# is singular") from exc
 
@@ -408,13 +422,10 @@ def Z_from_frame(eta: SkewBilinear, frame: Matrix) -> Bivector:
     The frame is not checked against ker(eta); `Z_from_eta_G` checks it.
     An empty frame gives the zero bivector.
     """
-    k = len(frame)
-    if k == 0:
+    frame = linalg.mat(frame)
+    if not frame:
         return Bivector.zero(eta.n, eta.nvars)
-    images = [eta.apply(g) for g in frame]
-    Sg = linalg.mat(
-        [[linalg.dot(images[a], frame[b]) for b in range(k)] for a in range(k)]
-    )
+    Sg = eta.gram(frame, frame)
     try:
         W = linalg.mat_mul(linalg.transpose(frame), linalg.solve(Sg, frame))
     except ZeroDivisionError as exc:
@@ -470,25 +481,19 @@ class HorizontalDecomposition:
     sigma: SkewBilinear
 
     def reassemble(self) -> SkewBilinear:
-        n = self.K.ambient
-        mK, kG = self.K.dim, self.G.dim
+        mK = self.K.dim
         nvars = self.K.nvars if self.K.basis else self.G.nvars
-        zero = Scalar.zero(nvars)
-        frame_rows = list(self.K.basis) + list(self.G.basis)
-        P = linalg.transpose(linalg.mat(frame_rows))  # columns = frame
-        hat = [[zero for _ in range(n)] for _ in range(n)]
-        for a in range(mK):
-            for c in range(kG):
-                hat[a][mK + c] = self.mu[a][c]
-                hat[mK + c][a] = -self.mu[a][c]
-        sig = self.sigma.values()
-        for c in range(kG):
-            for d in range(kG):
-                hat[mK + c][mK + d] = sig[c][d]
+        P = linalg.transpose(linalg.vstack(self.K.basis, self.G.basis))  # columns = frame
+        # the values in the frame: [[0, mu], [-mu^T, sigma]]
+        hat = self.sigma.values()
+        if mK:
+            mu = linalg.mat(self.mu)
+            hat = linalg.vstack(
+                linalg.hstack(linalg.zeros(mK, mK, nvars), mu),
+                linalg.hstack(linalg.mat_neg(linalg.transpose(mu)), hat),
+            )
         Pinv = linalg.inverse(P)
-        vals = linalg.mat_mul(
-            linalg.transpose(Pinv), linalg.mat_mul(linalg.mat(hat), Pinv)
-        )
+        vals = linalg.mat_mul(linalg.transpose(Pinv), linalg.mat_mul(hat, Pinv))
         return SkewBilinear.from_values(vals)
 
 
@@ -501,27 +506,12 @@ def decompose_horizontal(
         raise DimensionMismatchError("frame ambient mismatch")
     if not K.is_complement_of(G):
         raise NotComplementaryError("K and G are not complementary")
-    mK, kG = K.dim, G.dim
-    k_images = [beta.apply(v) for v in K.basis]
-    g_images = [beta.apply(v) for v in G.basis]
-    for a in range(mK):
-        for b in range(a + 1, mK):
-            if not linalg.dot(k_images[a], K.basis[b]).is_zero():
-                raise NonHorizontalError(
-                    "Lambda^2 K* block of beta does not vanish"
-                )
-    mu = linalg.mat(
-        [
-            [linalg.dot(k_images[a], G.basis[c]) for c in range(kG)]
-            for a in range(mK)
-        ]
-    ) if mK else ()
-    sigma_vals = linalg.mat(
-        [
-            [linalg.dot(g_images[c], G.basis[d]) for d in range(kG)]
-            for c in range(kG)
-        ]
-    )
+    # beta is skew, so its K-block vanishes iff it is the zero matrix
+    k_block = beta.gram(K.basis, K.basis)
+    if k_block != linalg.zeros(K.dim, K.dim, beta.nvars):
+        raise NonHorizontalError("Lambda^2 K* block of beta does not vanish")
+    mu = beta.gram(K.basis, G.basis)
+    sigma_vals = beta.gram(G.basis, G.basis)
     return HorizontalDecomposition(K, G, mu, SkewBilinear.from_values(sigma_vals))
 
 
@@ -547,7 +537,9 @@ def lagrangian_graph(L: Subspace, R: Subspace, eps: Matrix) -> Subspace:
     # gram[b][a] = <r_a, l_b>, so column i of gram^-1 eps^T holds the
     # coefficients x of row i; <r, l> is l . (r with its V and V* halves
     # swapped).
-    swapped = tuple(r[n:] + r[:n] for r in R.basis)
+    swapped = linalg.hstack(
+        linalg.columns(R.basis, n, 2 * n), linalg.columns(R.basis, 0, n)
+    )
     gram = linalg.mat_mul(L.basis, linalg.transpose(swapped))
     try:
         X = linalg.transpose(linalg.solve(gram, linalg.transpose(eps)))
@@ -572,9 +564,8 @@ def annihilator_in_vstar(G: Subspace, nvars: int) -> Subspace:
     n = G.ambient
     if G.dim == 0:
         return standard_basis_subspace(2 * n, nvars, range(n, 2 * n))
-    xi_basis = linalg.nullspace(linalg.mat(G.basis))
-    zero = Scalar.zero(nvars)
-    rows = [(zero,) * n + tuple(xi) for xi in xi_basis]
+    xi_basis = linalg.nullspace(G.basis)
+    rows = linalg.hstack(linalg.zeros(len(xi_basis), n, nvars), xi_basis)
     return Subspace.from_spanning(2 * n, rows)
 
 
@@ -582,10 +573,9 @@ def g_plus_kstar(G: Subspace, K: Subspace) -> Subspace:
     """The complement G + K* of graph(eta), with K* = ann(G) inside V*."""
     n = G.ambient
     nvars = K.nvars if K.basis else G.nvars
-    zero = Scalar.zero(nvars)
-    g_rows = [tuple(v) + (zero,) * n for v in G.basis]
+    g_rows = linalg.hstack(G.basis, linalg.zeros(G.dim, n, nvars))
     kstar = annihilator_in_vstar(G, nvars)
-    return Subspace.from_spanning(2 * n, g_rows + list(kstar.basis))
+    return Subspace.from_spanning(2 * n, linalg.vstack(g_rows, kstar.basis))
 
 
 def verify_linear_lemmas(
@@ -620,7 +610,8 @@ def verify_linear_lemmas(
     V = v_subspace(n, nvars)
     annK = annihilator_in_vstar(K, nvars)
     rhs_dim = _relative_kernel(
-        [beta.apply(v) for v in K.basis], [v[n:] for v in annK.basis]
+        linalg.mat_mul(K.basis, linalg.transpose(beta.mat)),  # rows beta#(k)
+        linalg.columns(annK.basis, n, 2 * n),
     )
     results["rankgood"] = phi_gk.intersection(V).dim == rhs_dim
 
@@ -644,24 +635,20 @@ def verify_linear_lemmas(
     return results
 
 
-def _relative_kernel(images: list[Vector], span_rows: list[Vector]) -> int:
+def _relative_kernel(images: Matrix, span_rows: Matrix) -> int:
     """dim of {c : sum c_a images_a lies in span(span_rows)}."""
     if not images:
         return 0
-    cols = [list(img) for img in images] + [
-        [-x for x in row] for row in span_rows
-    ]
-    A = linalg.transpose(linalg.mat(cols))
-    sols = linalg.nullspace(A)
-    coeff_vecs = [s[: len(images)] for s in sols]
-    return Subspace.from_spanning(len(images), coeff_vecs).dim
+    A = linalg.transpose(linalg.vstack(images, linalg.mat_neg(span_rows)))
+    coeffs = linalg.columns(linalg.nullspace(A), 0, len(images))
+    return Subspace.from_spanning(len(images), coeffs).dim
 
 
 def _phi0_inverse_matches_F(phiz: Subspace, f_beta: SkewBilinear) -> bool:
     """Read Phi_Z(beta) as a graph over V and compare with F(beta)."""
     n = phiz.ambient // 2
-    top = linalg.mat([v[:n] for v in phiz.basis])
-    bottom = linalg.mat([v[n:] for v in phiz.basis])
+    top = linalg.columns(phiz.basis, 0, n)
+    bottom = linalg.columns(phiz.basis, n, 2 * n)
     # rows of the graph are (v, alpha# v): top alpha#^T = bottom
     try:
         alpha = SkewBilinear(linalg.transpose(linalg.solve(top, bottom)))
@@ -697,13 +684,16 @@ def _payload_matrix(rows, nvars, count: int | None, width) -> Matrix:
     """The matrix of a payload over Q(x_1..x_nvars): `count` rows (any number
     if None) of `width` entries each.
 
-    The shape and then nvars are checked before any entry is parsed.  nvars
-    is refused outside 0..max(MAX_CHART_DIM, width): every key of the ring
-    has 16 * nvars bits, so a huge nvars stalls the first variable it meets.
-    Payloads of charts and of linear instances (nvars = n) stay inside.
+    The size (at most MAX_LINEAR_DIM), the shape and then nvars are checked
+    before any entry is parsed.  nvars is refused outside
+    0..max(MAX_CHART_DIM, width): every key of the ring has 16 * nvars bits,
+    so a huge nvars stalls the first variable it meets.  Payloads of charts
+    and of linear instances (nvars = n) stay inside.
     """
     if not isinstance(width, int) or isinstance(width, bool) or width < 1:
         raise ValueError(f"matrix size {_shown(width)} is not an integer >= 1")
+    if width > MAX_LINEAR_DIM:
+        raise ValueError(f"matrix size {width} exceeds the limit {MAX_LINEAR_DIM}")
     if (count is not None and len(rows) != count) or any(len(r) != width for r in rows):
         shape = f"{count}x{width}" if count is not None else f"rows of length {width}"
         raise ValueError(f"malformed matrix payload: expected {shape}")

@@ -38,6 +38,12 @@ from .rational import (
 # file or `--dim` is a usage error rather than a run that never ends.
 MAX_CHART_DIM = 12
 
+# The largest matrix size of a linear payload: the `n` of a skew map and the
+# `ambient` of a subspace.  A linear instance parses over n variables and
+# its lemma battery eliminates matrices of size up to 2n x 4n, whose int
+# entries grow with n, so a larger size is refused before any entry is read.
+MAX_LINEAR_DIM = 24
+
 
 class ChartMismatchError(ValueError):
     """Operands live on different charts."""
@@ -581,7 +587,8 @@ def _from_json(cls, data: Mapping) -> _GradedElement:
             idx = tuple(int(i) for i in item["indices"])
             if int(item["degree"]) != len(idx):
                 raise ValueError(
-                    f"degree {item['degree']} does not match indices {idx}"
+                    f"degree {_quote(str(item['degree']))} does not match "
+                    f"indices {_quote(str(idx))}"
                 )
             num = poly_from_str(str(item["num"]), n)
             den = poly_from_str(str(item["den"]), n)

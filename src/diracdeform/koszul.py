@@ -431,12 +431,13 @@ def mc_equivalence_report(
     sides are compared at every grid point avoiding the determinant's zero
     set.  Returns a report dict with the verdict and the mode used.
     """
-    B = form_to_skew(beta)
-    det = i_z_determinant(B, ctx.bivector)
-    if det.is_zero():
-        raise NotInIZError("det(id + Z# beta#) is identically zero")
+    # det(id + Z# beta#) is read from the elimination that computes F
+    try:
+        f_beta, det = dirac.F_and_det(form_to_skew(beta), ctx.bivector)
+    except NotInIZError:
+        raise NotInIZError("det(id + Z# beta#) is identically zero") from None
     residual = mc_residual(beta, ctx)
-    df = de_rham(F_symbolic_form(beta, ctx))
+    df = de_rham(skew_to_form(f_beta, ctx.chart))
     report = {
         "det": det,
         "mc": residual.is_zero(),

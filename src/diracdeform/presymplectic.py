@@ -239,8 +239,8 @@ def kernel_distribution(
     return frame
 
 
-def _kernel_rows(form: DifferentialForm) -> list[linalg.Vector]:
-    """A basis of ker(form#)."""
+def _kernel_rows(form: DifferentialForm) -> linalg.Matrix:
+    """A basis of ker(form#), as the rows of a matrix."""
     return linalg.nullspace(form_to_skew(form).mat)
 
 
@@ -296,7 +296,7 @@ def annihilator_forms(K: DistributionFrame) -> list[DifferentialForm]:
     xi_rows = linalg.nullspace(K.coordinate_matrix())
     if not xi_rows:
         return []
-    cleared, _ = linalg.clear_rows(linalg.mat(xi_rows))
+    cleared, _ = linalg.clear_rows(xi_rows)
     out = []
     for row in cleared:
         terms = {
@@ -358,9 +358,7 @@ def build_presymplectic(
         G = _default_complement_frame(K, point)
     if K.rank + G.rank != n:
         raise FrameError(f"K rank {K.rank} + G rank {G.rank} != {n}")
-    combined = linalg.mat(
-        list(K.coordinate_matrix()) + list(G.coordinate_matrix())
-    ) if K.rank else G.coordinate_matrix()
+    combined = linalg.vstack(K.coordinate_matrix(), G.coordinate_matrix())
     d = linalg.det(combined)
     if not scalar_is_definite(d):
         raise FrameError(
@@ -600,7 +598,7 @@ def _kernel_transversality(
     kernel_rows = _kernel_rows(exp_form)
     if len(kernel_rows) != n - data.k:
         return {"transverse": False, "reason": "kernel of unexpected generic rank"}
-    combined = linalg.mat(list(kernel_rows) + list(data.G.coordinate_matrix()))
+    combined = linalg.vstack(kernel_rows, data.G.coordinate_matrix())
     d = linalg.det(combined)
     if d.is_zero():
         return {"transverse": False, "reason": "kernel meets G generically"}

@@ -87,25 +87,24 @@ def random_skew(
     rng: random.Random, n: int, nvars: int = 0, bound: int = 9,
     cls: type = SkewBilinear,
 ) -> SkewBilinear | Bivector:
-    """A random skew matrix as a `cls`: SkewBilinear (a form) or Bivector."""
-    pairs = {}
+    """A random skew matrix as a `cls`: SkewBilinear (a form) or Bivector.
+
+    The value on (e_i, e_j), i < j, is drawn in row order; the sharp matrix
+    holds it at [j][i] and its negative at [i][j], as in `from_pairs`.
+    """
+    rows = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             c = random_fraction(rng, bound)
-            if c:
-                pairs[(i, j)] = Scalar.const(nvars, c)
-    return cls.from_pairs(n, nvars, pairs)
+            rows[j][i], rows[i][j] = c, -c
+    return cls(linalg.from_fractions(rows, nvars), check=False)
 
 
 def random_invertible(rng: random.Random, n: int) -> linalg.Matrix:
     """Random invertible integer matrix, entries in -4..4 (rejection sampled)."""
     while True:
-        rows = [
-            [Scalar.const(0, Fraction(rng.randint(-4, 4)))
-             for _ in range(n)]
-            for _ in range(n)
-        ]
-        A = linalg.mat(rows)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        A = linalg.from_fractions(rows, 0)
         if not linalg.det(A).is_zero():
             return A
 
@@ -138,14 +137,11 @@ def random_complement(
     G0 = kernel_complement(K, eta.nvars)
     if K.dim == 0:
         return G0
-    rows = []
-    for g in G0.basis:
-        v = list(g)
-        for kv in K.basis:
-            c = Fraction(rng.randint(-3, 3))
-            if c:
-                v = [a + Scalar.const(eta.nvars, c) * b for a, b in zip(v, kv)]
-        rows.append(tuple(v))
+    # each row of G0 plus a mix of the K rows, its coefficients drawn in turn
+    mix = [[rng.randint(-3, 3) for _ in range(K.dim)] for _ in range(G0.dim)]
+    rows = linalg.mat_add(
+        G0.basis, linalg.mat_mul(linalg.from_fractions(mix, eta.nvars), K.basis)
+    )
     return Subspace.from_spanning(eta.n, rows)
 
 
@@ -175,12 +171,9 @@ def random_horizontal_skew(
     """Random horizontal form (vanishing Lambda^2 K* block) via (mu, sigma)."""
     nvars = K.nvars if K.basis else G.nvars
     mK, kG = K.dim, G.dim
-    mu = linalg.mat(
-        [
-            [Scalar.const(nvars, random_fraction(rng, 9)) for _ in range(kG)]
-            for _ in range(mK)
-        ]
-    ) if mK else ()
+    mu = linalg.from_fractions(
+        [[random_fraction(rng, 9) for _ in range(kG)] for _ in range(mK)], nvars
+    )
     sigma = random_skew(rng, kG, nvars)
     return HorizontalDecomposition(K, G, mu, sigma).reassemble()
 

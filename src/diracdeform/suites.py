@@ -831,23 +831,16 @@ def _run_theorem_rank(payload):
     expd = eta + dirac.F(beta, Z)
     r, ker = rank_and_kernel(expd)
     ok_rank = r == k
-    # kernel is the graph of Z# mu#: K -> G
-    rows = []
-    for kv in K.basis:
-        img = linalg.mat_vec(Z.mat, beta.apply(kv))
-        rows.append(tuple(a + b for a, b in zip(kv, img)))
-    ok_kernel = ker == Subspace.from_spanning(n, rows)
+    # kernel is the graph of Z# mu#: K -> G, the rows k + Z# beta# k
+    images = linalg.mat_mul(K.basis, linalg.transpose(linalg.mat_mul(Z.mat, beta.mat)))
+    ok_kernel = ker == Subspace.from_spanning(n, linalg.mat_add(K.basis, images))
     # restriction to G equals (eta + F(sigma))|_G
     dec = decompose_horizontal(beta, K, G)
     sigma_amb = dirac.HorizontalDecomposition(
-        K, G, linalg.zeros(K.dim, G.dim, eta.nvars) if K.dim else (), dec.sigma
+        K, G, linalg.zeros(K.dim, G.dim, eta.nvars), dec.sigma
     ).reassemble()
     expected = eta + dirac.F(sigma_amb, Z)
-    ok_restrict = all(
-        expd.value_on(ga, gb) == expected.value_on(ga, gb)
-        for ga in G.basis
-        for gb in G.basis
-    )
+    ok_restrict = expd.gram(G.basis, G.basis) == expected.gram(G.basis, G.basis)
     # kernel transverse to G
     ok_transverse = ker.sum_(G).dim == n
     # injectivity on samples

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracdeform.cli import generate_payload, main, run_instance_payload
-from diracdeform.exterior import MAX_CHART_DIM
+from diracdeform.exterior import MAX_CHART_DIM, MAX_LINEAR_DIM
 from diracdeform.rational import MAX_EXPONENT, MAX_TERMS, Poly, poly_from_str
 from diracdeform.report import SuiteConfig, assemble_report, comparable
 from diracdeform.suites import (
@@ -432,7 +432,11 @@ LONG_DEN = "x1-x1" + "+x1-x1" * 2000
     {"replay": "linalg.f_properties", "data": {
         "z": {"n": 2, "nvars": "1" * 50000, "rows": [["0", "1"], ["-1", "0"]]},
         "beta": ZERO_2X2}},
-], ids=["zero-denominator", "replay-name", "nvars"])
+    {"chart": 2, "eta": {"chart": 2, "terms": [
+        {"degree": 2, "indices": [1] * 50000, "num": "1", "den": "1"}]}},
+    {"chart": 2, "eta": {"chart": 2, "terms": [
+        {"degree": int("9" * 4000), "indices": [1, 2], "num": "1", "den": "1"}]}},
+], ids=["zero-denominator", "replay-name", "nvars", "degree-indices", "degree-digits"])
 def test_cli_run_refusals_stay_short(tmp_path, payload, capsys):
     p = tmp_path / "inst.json"
     p.write_text(json.dumps(payload))
@@ -462,6 +466,27 @@ def test_cli_run_uncertifiable_instance_replay_skips(tmp_path, name, capsys):
     p.write_text(json.dumps({"replay": name, "data": {"instance": inst, "seed": 1}}))
     assert main(["run", str(p), "--quiet"]) == 0
     assert "0 pass, 0 fail, 1 skipped" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("field", ["n", "G"])
+def test_cli_run_refuses_linear_instances_above_the_size_limit(tmp_path, field, capsys):
+    # the size is refused before any entry is parsed: the entry "x1^^" would
+    # be refused too, but the message names the size limit
+    n = MAX_LINEAR_DIM + 1
+    if field == "n":
+        rows = [["0"] * n for _ in range(n)]
+        rows[0][1] = "x1^^"
+        inst = {"n": n, "eta": rows, "beta": rows}
+    else:
+        G = {"ambient": n, "nvars": 0, "rows": [["x1^^"] + ["0"] * (n - 1)]}
+        inst = {"replay": "linalg.lemma_battery", "data": {
+            "eta": {"n": 2, "nvars": 0, "rows": [["0", "-1"], ["1", "0"]]},
+            "beta": ZERO_2X2, "G": G}}
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(inst))
+    assert main(["run", str(p), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"exceeds the limit {MAX_LINEAR_DIM}" in err and "Traceback" not in err
 
 
 def test_cli_run_linear_instance_above_chart_limit(tmp_path):

@@ -361,6 +361,8 @@ def test_mc_equivalence_randomized(rng, c4):
             continue
         rep = mc_equivalence_report(beta, ctx)
         assert rep["equivalent"]
+        # det is read from the elimination of F, and is the Bareiss one
+        assert rep["det"] == i_z_determinant(form_to_skew(beta), ctx.bivector)
         # F against its definition beta# (id + Z# beta#)^{-1}
         B, W = form_to_skew(beta).mat, ctx.bivector.mat
         M = mat_add(identity(4, 4), mat_mul(W, B))

@@ -127,6 +127,26 @@ def test_singular_over_rational_functions(rng):
         assert in_span([tuple(r0), tuple(r1)], r3) == det(B).is_zero()
 
 
+def test_solve_det_reads_det_from_the_solve(rng):
+    """solve_det gives solve and det of one elimination, over Q and Q(x)."""
+    cases = [rand_matrix(rng, n, n) for n in (1, 2, 3, 4) for _ in range(4)]
+    cases += [rand_matrix(rng, 3, 3, nvars=2, deg=1) for _ in range(3)]
+    cases += [mat([[rand_rational_function(rng, 2) for _ in range(2)]
+                   for _ in range(2)]) for _ in range(3)]
+    cases.append(from_fractions([[1, 2], [2, 4]], 0))
+    for A in cases:
+        n, nvars = len(A), A.nvars
+        B = rand_matrix(rng, n, 2, nvars=nvars)
+        d = det(A)
+        if d.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                linalg.solve_det(A, B)
+            continue
+        X, d2 = linalg.solve_det(A, B)
+        assert d2 == d and X == solve(A, B)
+        assert mat_mul(A, X) == B
+
+
 def test_empty_matrix():
     assert det(()) == Scalar.one(0)
     assert inverse(()) == ()
@@ -376,3 +396,105 @@ def test_forward_pivot_rank_matches_sympy(rows, nvars, skew):
     finally:
         linalg.rref = real_rref
     assert got == sympy.Matrix(rows).rank()
+
+
+# ---------------------------------------------------------------------------
+# The int rows of a constant Matrix against an entrywise Scalar reference.
+# ---------------------------------------------------------------------------
+
+
+def _scalar_rows(rows, nvars):
+    """The reference: a list of lists of Scalars, built entry by entry."""
+    return [[Scalar.const(nvars, v) for v in row] for row in rows]
+
+
+def _ref_eq(E, F) -> bool:
+    return len(E) == len(F) and all(
+        len(e) == len(f) and all(x == y for x, y in zip(e, f)) for e, f in zip(E, F)
+    )
+
+
+def _ref_is_skew(E) -> bool:
+    n = len(E)
+    return all(len(row) == n for row in E) and all(
+        E[i][j] == -E[j][i] for i in range(n) for j in range(n)
+    )
+
+
+def _as_tuples(E):
+    return tuple(tuple(row) for row in E)
+
+
+@st.composite
+def _constant_pair(draw):
+    """Two constant matrices of one shape over one ring, often related: equal
+    values built another way, a rescaled copy (same ints, other denominators),
+    the negated transpose (skew when A is) or an independent draw."""
+    rows = draw(_fraction_rows(max_n=4, max_m=4))
+    n, m = len(rows), len(rows[0])
+    nvars = draw(st.integers(0, 2))
+    if n == m and draw(st.booleans()):
+        # symmetric or skew: the upper triangle mirrored with a sign
+        s = draw(st.sampled_from([1, -1]))
+        for i in range(n):
+            for j in range(i, n):
+                rows[j][i] = s * rows[i][j] if i != j else (rows[i][i] if s > 0 else 0)
+    how = draw(st.sampled_from(["same", "scaled", "neg-transpose", "other"]))
+    if how == "same":
+        other = [list(r) for r in rows]
+    elif how == "scaled":
+        c = draw(st.sampled_from([Fraction(2), Fraction(1, 3), Fraction(-1)]))
+        other = [[c * v for v in r] for r in rows]
+    elif how == "neg-transpose" and n == m:
+        other = [[-rows[j][i] for j in range(n)] for i in range(n)]
+    else:
+        other = draw(st.lists(
+            st.lists(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+                     min_size=m, max_size=m), min_size=n, max_size=n))
+    return rows, other, nvars
+
+
+@given(_constant_pair(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_constant_matrix_ops_match_entrywise_scalars(pair, data):
+    """Every int-side operation of a constant Matrix equals the same operation
+    done entry by entry on Scalars: lazy entry reads, ==, is_skew, transpose,
+    row and column slicing, stacking, mat_add, mat_neg and mat_mul."""
+    rows, other, nvars = pair
+    A = from_fractions(rows, nvars)
+    B = mat(_scalar_rows(other, nvars))  # the other constructor, from Scalars
+    EA, EB = _scalar_rows(rows, nvars), _scalar_rows(other, nvars)
+    assert A.is_constant() and B.is_constant()
+    n, m = len(EA), len(EA[0])
+    # lazy entry reads, by row index, by iteration and through a row slice
+    assert [A[i][j] for i in range(n) for j in range(m)] == [x for r in EA for x in r]
+    assert _as_tuples(EA) == tuple(A) and A == _as_tuples(EA)
+    # == against the reference, both ways round, and hash consistent with it
+    assert (A == B) == _ref_eq(EA, EB) == (B == A)
+    assert (A != B) != _ref_eq(EA, EB)
+    if A == B:
+        assert hash(A) == hash(B) == hash(_as_tuples(EB))
+    assert linalg.is_skew(A) == _ref_is_skew(EA)
+    assert linalg.is_skew(B) == _ref_is_skew(EB)
+    T = linalg.transpose(A)
+    assert T == _as_tuples(list(zip(*EA)))
+    assert linalg.transpose(T) == A
+    a = data.draw(st.integers(0, n))
+    b = data.draw(st.integers(a, n))
+    assert A[a:b] == _as_tuples(EA[a:b])
+    c = data.draw(st.integers(0, m))
+    d = data.draw(st.integers(c, m))
+    if n:
+        cols = linalg.columns(A, c, d)
+        assert cols == _as_tuples([r[c:d] for r in EA])
+        assert linalg.hstack(linalg.columns(A, 0, c), linalg.columns(A, c, m)) == A
+    assert linalg.hstack(A, B) == _as_tuples([ea + eb for ea, eb in zip(EA, EB)])
+    assert linalg.vstack(A, B) == _as_tuples(EA + EB)
+    assert linalg.vstack(A[:a], A[a:]) == A
+    assert linalg.mat_add(A, B) == _as_tuples(
+        [[x + y for x, y in zip(ea, eb)] for ea, eb in zip(EA, EB)])
+    assert linalg.mat_neg(A) == _as_tuples([[-x for x in r] for r in EA])
+    assert mat_mul(A, transpose(B)) == _as_tuples(
+        [[linalg.dot(ea, eb) for eb in EB] for ea in EA])
+    for M in (T, A[a:b], linalg.hstack(A, B), linalg.mat_add(A, B), linalg.mat_neg(A)):
+        assert M.is_constant() and M.nvars == (nvars if len(M) else 0)
