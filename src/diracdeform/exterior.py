@@ -72,7 +72,7 @@ class Chart:
             return value
         if isinstance(value, str):
             return scalar_from_str(value, self.dim)
-        return Scalar.const(self.dim, Fraction(value))
+        return Scalar.const(self.dim, value)
 
 
 Coefficient = Union[Scalar, Fraction, int, str]

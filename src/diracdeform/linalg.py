@@ -548,20 +548,19 @@ def _int_rows(A: Sequence[Sequence[Scalar]], nvars: int) -> tuple[list[list[int]
     numerator has a term of nonzero exponent.
     """
     unit = Poly.one(nvars)
-    values = []
-    for row in A:
-        row_values = []
-        for a in row:
-            ip = a.num.ip
-            if a.den is not unit or len(ip) > 1 or (ip and 0 not in ip):
-                return None
-            row_values.append(a.num.content if ip else 0)
-        values.append(row_values)
     rows: list[list[int]] = []
     lcms: list[int] = []
-    for row_values in values:
-        ints, m = _clear_fractions(row_values)
-        rows.append(ints)
+    for row in A:
+        nums, dens = [], []
+        for a in row:
+            p = a.num
+            ip = p.ip
+            if a.den is not unit or len(ip) > 1 or (ip and 0 not in ip):
+                return None
+            nums.append(p.cn if ip else 0)
+            dens.append(p.cd)
+        m = math.lcm(*dens)
+        rows.append([c if d == m else c * (m // d) for c, d in zip(nums, dens)])
         lcms.append(m)
     return rows, lcms
 
@@ -571,13 +570,19 @@ def clear_rows(A: Sequence[Sequence[Scalar]]) -> tuple[list[list[Poly]], list[Po
     nvars = A[0][0].nvars
     rows: list[list[Poly]] = []
     lcms: list[Poly] = []
+    unit = Poly.one(nvars)
     for row in A:
-        m = Poly.one(nvars)
+        # a canonical denominator is the shared unit or not constant, and
+        # the lcm of the unit and d is d
+        m = unit
         for a in row:
-            m = poly_lcm(m, a.den)
-        cleared = []
-        for a in row:
-            cleared.append(a.num * poly_divexact(m, a.den))
+            if a.den is not unit:
+                m = a.den if m is unit else poly_lcm(m, a.den)
+        if m is unit:
+            cleared = [a.num for a in row]
+        else:
+            cleared = [a.num * (m if a.den is unit else poly_divexact(m, a.den))
+                       for a in row]
         rows.append(cleared)
         lcms.append(m)
     return rows, lcms

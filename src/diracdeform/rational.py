@@ -31,7 +31,6 @@ class PoleError(ZeroDivisionError):
 
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # The denominator of every polynomial Scalar: `Poly.one`, and so the
 # constructors, the fast path and `_cancel`, all return it, so recognising a
@@ -52,18 +51,21 @@ _CONST = {0: 1}  # the primitive part of every constant
 
 
 class Poly:
-    """Sparse multivariate polynomial over Q: content * sum(v x^k in ip).
+    """Sparse multivariate polynomial over Q: cn/cd * sum(v x^k in ip).
 
     ip maps packed exponent keys to coprime ints, the leading (largest-key)
-    one positive; content is a nonzero Fraction, 1 for zero (no terms).
-    Instances and their dicts are immutable by convention and may be shared.
+    one positive.  The content cn/cd is a nonzero rational held as two
+    coprime ints with cd > 0; the zero polynomial has no terms and content
+    1/1.  Instances and their dicts are immutable by convention and may be
+    shared.
     """
 
-    __slots__ = ("nvars", "content", "ip", "_hash")
+    __slots__ = ("nvars", "cn", "cd", "ip", "_hash")
 
-    def __init__(self, nvars: int, content: Fraction, ip: dict[int, int]):
+    def __init__(self, nvars: int, cn: int, cd: int, ip: dict[int, int]):
         self.nvars = nvars
-        self.content = content
+        self.cn = cn
+        self.cd = cd
         self.ip = ip
         self._hash: int | None = None
 
@@ -71,22 +73,23 @@ class Poly:
 
     @staticmethod
     def zero(nvars: int) -> "Poly":
-        return Poly(nvars, _ONE, {})
+        return Poly(nvars, 1, 1, {})
 
     @staticmethod
     def const(nvars: int, c) -> "Poly":
-        if type(c) is not Fraction:
-            c = Fraction(c)
-        if c == 0:
-            return Poly.zero(nvars)
-        return Poly(nvars, c, _CONST)
+        if type(c) is not int:
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            if c:  # a Fraction is in lowest terms already
+                return Poly(nvars, c.numerator, c.denominator, _CONST)
+        return Poly(nvars, c, 1, _CONST) if c else Poly.zero(nvars)
 
     @staticmethod
     def one(nvars: int) -> "Poly":
         """The unit polynomial; one shared instance per variable count."""
         unit = _UNITS.get(nvars)
         if unit is None:
-            unit = _UNITS[nvars] = Poly(nvars, _ONE, _CONST)
+            unit = _UNITS[nvars] = Poly(nvars, 1, 1, _CONST)
         return unit
 
     @staticmethod
@@ -94,7 +97,7 @@ class Poly:
         """The variable x_i, 1-based."""
         if not 1 <= i <= nvars:
             raise ValueError(f"variable index {i} out of range 1..{nvars}")
-        return Poly(nvars, _ONE, {_step(i, nvars): 1})
+        return Poly(nvars, 1, 1, {_step(i, nvars): 1})
 
     @staticmethod
     def from_terms(nvars: int, terms: dict[tuple[int, ...], Fraction]) -> "Poly":
@@ -102,9 +105,14 @@ class Poly:
         coefs = {_pack(e): c for e, c in terms.items() if c}
         den = lcm(*[c.denominator for c in coefs.values()])
         ints = {k: c.numerator * (den // c.denominator) for k, c in coefs.items()}
-        return _primitive(nvars, ints, Fraction(1, den))
+        return _primitive(nvars, ints, 1, den)
 
     # -- predicates and views ------------------------------------------------
+
+    @property
+    def content(self) -> Fraction:
+        """The content cn/cd as a Fraction, built on each read."""
+        return Fraction(self.cn, self.cd)
 
     def is_zero(self) -> bool:
         return not self.ip
@@ -126,33 +134,40 @@ class Poly:
 
     def coefficient(self, exponents: tuple[int, ...]) -> Fraction:
         v = self.ip.get(_pack(exponents))
-        return self.content * v if v else _ZERO
+        return Fraction(self.cn * v, self.cd) if v else _ZERO
 
     def items(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """(exponent tuple, coefficient) per term, in decreasing graded-lex order."""
-        n, c = self.nvars, self.content
-        return [(_exponents(k, n), c * self.ip[k])
+        n, cn, cd = self.nvars, self.cn, self.cd
+        return [(_exponents(k, n), Fraction(cn * self.ip[k], cd))
                 for k in sorted(self.ip, reverse=True)]
 
     # -- ring operations -----------------------------------------------------
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, -self.content, self.ip) if self.ip else self
+        return Poly(self.nvars, -self.cn, self.cd, self.ip) if self.ip else self
 
     def __add__(self, other: "Poly") -> "Poly":
-        if self.nvars != other.nvars:
+        n = self.nvars
+        if n != other.nvars:
             raise ValueError("variable-count mismatch")
         if not other.ip:
             return self
         if not self.ip:
             return other
+        an, ad, bn, bd = self.cn, self.cd, other.cn, other.cd
         if self.ip is _CONST and other.ip is _CONST:
-            return Poly.const(self.nvars, self.content + other.content)
-        # num/den * (a * self.ip + b * other.ip), all on ints
-        a, b = self.content, other.content
-        den = lcm(a.denominator, b.denominator)
-        a = a.numerator * (den // a.denominator)
-        b = b.numerator * (den // b.denominator)
+            if ad == bd:
+                return _const(n, an + bn, ad)
+            return _const(n, an * bd + bn * ad, ad * bd)
+        # num/den * (a * self.ip + b * other.ip), all on ints; num is coprime
+        # to den, since every prime power of den divides ad or bd exactly
+        if ad == bd:
+            den, a, b = ad, an, bn
+        else:
+            den = lcm(ad, bd)
+            a = an * (den // ad)
+            b = bn * (den // bd)
         num = gcd(a, b)
         a //= num
         b //= num
@@ -164,7 +179,7 @@ class Poly:
                 out[k] = s
             else:
                 del out[k]
-        return _primitive(self.nvars, out, Fraction(num, den))
+        return _primitive(n, out, num, den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -185,11 +200,12 @@ class Poly:
         kb = max(b)
         if (max(a) + kb) >> (_SLOT * n) > MAX_DEGREE:
             raise OverflowError(f"polynomial degree exceeds {MAX_DEGREE}")
-        content = self.content
-        if other.content != 1:
-            content = other.content if content == 1 else content * other.content
+        if self.cd == 1 and other.cd == 1:
+            cn, cd = self.cn * other.cn, 1
+        else:
+            cn, cd = _qmul(self.cn, self.cd, other.cn, other.cd)
         if len(b) == 1:  # a monomial: its coefficient is 1
-            return Poly(n, content, a if kb == 0 else {k + kb: v for k, v in a.items()})
+            return Poly(n, cn, cd, a if kb == 0 else {k + kb: v for k, v in a.items()})
         out: dict[int, int] = {}
         get = out.get
         for k2, v2 in b.items():
@@ -198,14 +214,14 @@ class Poly:
                 out[k] = get(k, 0) + v1 * v2
         if 0 in out.values():
             out = {k: v for k, v in out.items() if v}
-        return Poly(n, content, out)
+        return Poly(n, cn, cd, out)
 
     def scale(self, c) -> "Poly":
         if type(c) is not Fraction:
             c = Fraction(c)
         if c == 0 or not self.ip:
             return Poly.zero(self.nvars)
-        return Poly(self.nvars, self.content * c, self.ip)
+        return Poly(self.nvars, *_qmul(self.cn, self.cd, c.numerator, c.denominator), self.ip)
 
     def pow(self, k: int) -> "Poly":
         if k < 0:
@@ -227,22 +243,21 @@ class Poly:
             e = (k >> shift) & _MASK
             if e:
                 out[k - step] = e * v
-        return _primitive(n, out, self.content)
+        return _primitive(n, out, self.cn, self.cd)
 
     def evaluate(self, point: Point | Sequence) -> Fraction:
         """The exact value at a rational point (ints, Fractions or strings)."""
         s, d = self._sum_at(as_point(point))
-        c = self.content
         if s == d:  # a constant, or any value that is the content itself
-            return c
-        return Fraction(s * c.numerator, d * c.denominator)
+            return self.content
+        return Fraction(s * self.cn, d * self.cd)
 
     def vanishes_at(self, point: Point | Sequence) -> bool:
         """Is the value at the point zero?  Read from the integer sum alone."""
         return not self._sum_at(as_point(point))[0]
 
     def _sum_at(self, point: Point) -> tuple[int, int]:
-        """(s, d) with the value at the point equal to content * s / d.
+        """(s, d) with the value at the point equal to cn/cd * s / d.
 
         With x_i = p_i/q_i and D_i a bound on the degree in x_i, s is
         sum v_e prod p_i^e_i q_i^(D_i - e_i) and d is prod q_i^D_i, both
@@ -280,13 +295,14 @@ class Poly:
         return (
             isinstance(other, Poly)
             and self.nvars == other.nvars
-            and self.content == other.content
+            and self.cn == other.cn
+            and self.cd == other.cd
             and self.ip == other.ip
         )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.nvars, self.content, frozenset(self.ip.items())))
+            self._hash = hash((self.nvars, self.cn, self.cd, frozenset(self.ip.items())))
         return self._hash
 
     def __repr__(self) -> str:
@@ -311,17 +327,50 @@ def _exponents(key: int, nvars: int) -> tuple[int, ...]:
     return tuple((key >> (_SLOT * (nvars - i))) & _MASK for i in range(1, nvars + 1))
 
 
-def _primitive(nvars: int, ints: dict[int, int], content: Fraction = _ONE) -> Poly:
-    """The Poly content * sum(v x^k for k, v in ints), for nonzero int values."""
+def _primitive(nvars: int, ints: dict[int, int], cn: int = 1, cd: int = 1) -> Poly:
+    """The Poly cn/cd * sum(v x^k for k, v in ints), for nonzero int values
+    and coprime cn, cd with cd > 0."""
     if not ints:
         return Poly.zero(nvars)
     g = gcd(*ints.values())
     if ints[max(ints)] < 0:
         g = -g
     if g != 1:
-        content = Fraction(content.numerator * g, content.denominator)
         ints = {k: v // g for k, v in ints.items()}
-    return Poly(nvars, content, _CONST if ints == _CONST else ints)
+        if cd != 1:
+            h = gcd(g, cd)
+            g //= h
+            cd //= h
+        cn *= g
+    return Poly(nvars, cn, cd, _CONST if ints == _CONST else ints)
+
+
+def _const(nvars: int, n: int, d: int) -> Poly:
+    """The constant n/d, for ints n and d > 0."""
+    if not n:
+        return Poly.zero(nvars)
+    if d != 1:
+        g = gcd(n, d)
+        if g != 1:
+            n //= g
+            d //= g
+    return Poly(nvars, n, d, _CONST)
+
+
+def _qmul(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    """(an/ad) * (bn/bd) in lowest terms, for two fractions in lowest terms
+    with positive denominators.  The cross gcds leave only coprime factors
+    to multiply (Knuth, TAOCP vol. 2, 4.5.1)."""
+    g1 = gcd(an, bd)
+    g2 = gcd(bn, ad)
+    return (an // g1) * (bn // g2), (ad // g2) * (bd // g1)
+
+
+def _qdiv(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    """(an/ad) / (bn/bd) in lowest terms, for bn != 0; as `_qmul`."""
+    if bn < 0:
+        an, bn = -an, -bn
+    return _qmul(an, ad, bd, bn)
 
 
 def _power_table(p: int, q: int, degree: int) -> list[int]:
@@ -389,8 +438,9 @@ def poly_divexact(f: Poly, g: Poly) -> Poly:
     if f.is_zero():
         return Poly.zero(f.nvars)
     if g.is_constant():
-        c = g.content
-        return f if c == 1 else f.scale(1 / c)
+        if g.cn == 1 and g.cd == 1:
+            return f
+        return Poly(f.nvars, *_qdiv(f.cn, f.cd, g.cn, g.cd), f.ip)
     # the top bit of every slot
     high = ((1 << (_SLOT * (f.nvars + 1))) - 1) // _MASK << (_SLOT - 1)
     gi = g.ip
@@ -412,7 +462,7 @@ def poly_divexact(f: Poly, g: Poly) -> Poly:
                 rem[k] = s
             else:
                 del rem[k]
-    return Poly(f.nvars, f.content / g.content, q)
+    return Poly(f.nvars, *_qdiv(f.cn, f.cd, g.cn, g.cd), q)
 
 
 def _poly_content_wrt(f: Poly, var: int) -> Poly:
@@ -434,7 +484,7 @@ def _coeffs_wrt(f: Poly, var: int) -> dict[int, Poly]:
     for k, v in f.ip.items():
         e = (k >> shift) & _MASK
         out.setdefault(e, {})[k - e * step] = v
-    return {e: _primitive(n, t, f.content) for e, t in out.items()}
+    return {e: _primitive(n, t, f.cn, f.cd) for e, t in out.items()}
 
 
 def _pseudo_rem(f: Poly, g: Poly, var: int) -> Poly:
@@ -519,18 +569,17 @@ def _gcd_certainly_trivial(f: Poly, g: Poly) -> bool:
     coefficient in x divides the probe's.  If the probe keeps its degree in
     x and p does not divide its leading coefficient, H keeps its degree in x
     mod p and divides both images, so deg_x(H) is at most the degree of
-    their gcd mod p.  If every variable bound is zero the gcd is a unit.
-    Returning False just means "unknown".
+    their gcd mod p.  A variable absent from either operand is bounded
+    without a probe, since the gcd divides that operand.  If every variable
+    bound is zero the gcd is a unit.  Returning False just means "unknown".
     """
     nv = f.nvars
     for var in range(1, nv + 1):
         df = f.degree_in(var)
         dg = g.degree_in(var)
-        if df == 0 and dg == 0:
+        if df == 0 or dg == 0:  # the gcd divides both, so it is free of x
             continue
-        probe, dprobe = (f, df) if df and (df <= dg or dg == 0) else (g, dg)
-        if dprobe == 0:
-            probe, dprobe = (f, df) if df else (g, dg)
+        probe, dprobe = (f, df) if df <= dg else (g, dg)
         bounded = False
         for attempt in range(4):
             point = [2 + attempt + 3 * i for i in range(nv)]
@@ -612,7 +661,7 @@ def _eval_main_var(f: Poly, var: int, xi: int) -> Poly:
         e = (k >> shift) & _MASK
         k -= e * step
         out[k] = out.get(k, 0) + v * xi**e
-    return _primitive(n, {k: v for k, v in out.items() if v}, f.content)
+    return _primitive(n, {k: v for k, v in out.items() if v}, f.cn, f.cd)
 
 
 def _smod(a: int, m: int) -> int:
@@ -624,7 +673,8 @@ def _heuristic_gcd_raw(f: Poly, g: Poly, depth: int) -> Poly | None:
     """Gcd of primitive integer polynomials by evaluation/reconstruction.
 
     Returns a verified common divisor h with coprime cofactors certified by
-    the caller, or None when the heuristic gives up.
+    the caller, or None when the heuristic gives up.  A give-up at any depth
+    gives up at every level above it.
     """
     if f.is_zero():
         return g
@@ -645,17 +695,16 @@ def _heuristic_gcd_raw(f: Poly, g: Poly, depth: int) -> Poly | None:
             xi = _next_xi(xi)
             continue
         if fe.is_constant() and ge.is_constant():
-            h_eval = Poly.const(
-                f.nvars, gcd(int(abs(fe.constant_value())),
-                             int(abs(ge.constant_value())))
-            )
+            # both have integer coefficients, so cd == 1
+            h_eval = Poly.const(f.nvars, gcd(fe.cn, ge.cn))
         else:
             h_eval = _heuristic_gcd_raw(
                 _normalize_primitive(fe), _normalize_primitive(ge), depth + 1
             )
             if h_eval is None:
-                xi = _next_xi(xi)
-                continue
+                # a retry here would rerun the whole give-up below, so the
+                # work would grow like 6^depth: leave it to the PRS fallback
+                return None
             # the gcd of the evaluations also carries the integer gcd of
             # the evaluated contents
             h_eval = _scale_to_eval_gcd(h_eval, fe, ge)
@@ -679,8 +728,8 @@ def _scale_to_eval_gcd(h_eval: Poly, fe: Poly, ge: Poly) -> Poly:
     fe, ge and h_eval have integer coefficients, so each content is an
     integer: plus or minus the gcd of the coefficients.
     """
-    extra = gcd(fe.content.numerator, ge.content.numerator)
-    ch = abs(h_eval.content.numerator)
+    extra = gcd(fe.cn, ge.cn)
+    ch = abs(h_eval.cn)
     return h_eval if extra == ch else h_eval.scale(Fraction(extra, ch))
 
 
@@ -691,12 +740,12 @@ def _next_xi(xi: int) -> int:
 def _reconstruct(gamma: Poly, var: int, xi: int, limit: int) -> Poly | None:
     """Rebuild a polynomial of degree at most `limit` in x_var from its
     base-xi digit expansion; gamma has integer coefficients and no x_var."""
-    c = gamma.content
-    if c.denominator != 1:
+    if gamma.cd != 1:
         return None
     n = gamma.nvars
     step = _step(var, n)
-    rest = {k: v * c.numerator for k, v in gamma.ip.items()}
+    c = gamma.cn
+    rest = {k: v * c for k, v in gamma.ip.items()}
     out: dict[int, int] = {}
     e = 0
     while rest:
@@ -756,9 +805,9 @@ def _main_variable(f: Poly, g: Poly) -> int:
 
 
 def _normalize_primitive(f: Poly) -> Poly:
-    if f.is_zero() or f.content == 1:
+    if f.is_zero() or (f.cn == 1 and f.cd == 1):
         return f
-    return Poly(f.nvars, _ONE, f.ip)
+    return Poly(f.nvars, 1, 1, f.ip)
 
 
 def poly_lcm(f: Poly, g: Poly) -> Poly:
@@ -935,19 +984,16 @@ def _cancel(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         raise ZeroDivisionError("zero denominator")
     if num.is_zero():
         return num, Poly.one(num.nvars)
-    if den.is_constant():  # a unit or constant denominator needs no gcd
-        return num.scale(1 / den.content), Poly.one(num.nvars)
-    g = poly_gcd(num, den)
-    if not g.is_constant():
-        num = poly_divexact(num, g)
-        den = poly_divexact(den, g)
-    c = den.content
-    if c != 1:
-        num = num.scale(1 / c)
-        den = _normalize_primitive(den)
+    if not den.is_constant():  # a unit or constant denominator needs no gcd
+        g = poly_gcd(num, den)
+        if not g.is_constant():
+            num = poly_divexact(num, g)
+            den = poly_divexact(den, g)
+    if den.cn != 1 or den.cd != 1:
+        num = Poly(num.nvars, *_qdiv(num.cn, num.cd, den.cn, den.cd), num.ip)
     if den.is_constant():
         return num, Poly.one(num.nvars)
-    return num, den
+    return num, _normalize_primitive(den)
 
 
 # ---------------------------------------------------------------------------
@@ -960,7 +1006,7 @@ def poly_to_str(p: Poly) -> str:
     if p.is_zero():
         return "0"
     n = p.nvars
-    num, den = p.content.numerator, p.content.denominator
+    num, den = p.cn, p.cd
     parts: list[str] = []
     # key order is graded-lex order
     for k in sorted(p.ip, reverse=True):
@@ -1024,7 +1070,7 @@ def poly_from_str(text: str, nvars: int) -> Poly:
     """Parse the fixed polynomial grammar into a Poly.
 
     Each term's packed key and int numerator and denominator are built
-    straight from the string, and one Fraction, the content, per polynomial.
+    straight from the string, and the content from their lcm, all on ints.
     """
     s = text.replace(" ", "")
     if not s:
@@ -1040,7 +1086,7 @@ def poly_from_str(text: str, nvars: int) -> Poly:
             )
         if signs.count("-") & 1:
             num = -num
-        return Poly.const(nvars, Fraction(num, den))
+        return _const(nvars, num, den)
     terms = []
     end = 0
     # Terms are contiguous, so each match is anchored where the last one
@@ -1100,7 +1146,7 @@ def poly_from_str(text: str, nvars: int) -> Poly:
     # MAX_EXPONENT in every variable passes MAX_DEGREE once nvars >= 512
     if ints and max(ints) >> degree > MAX_DEGREE:
         raise OverflowError(f"polynomial degree exceeds {MAX_DEGREE}")
-    return _primitive(nvars, ints, Fraction(1, L))
+    return _primitive(nvars, ints, 1, L)
 
 
 # The numerator stops at its first parenthesis, so a payload of many `)/(`
@@ -1142,7 +1188,7 @@ def is_positive_pattern(p: Poly) -> bool:
     # integer value are, and every exponent is even when no key has the low
     # bit of an exponent slot set
     odd = sum(1 << (_SLOT * i) for i in range(p.nvars))
-    return p.content > 0 and 0 in p.ip and all(
+    return p.cn > 0 and 0 in p.ip and all(
         v > 0 and not k & odd for k, v in p.ip.items())
 
 

@@ -472,13 +472,10 @@ def _run_lambda_sym(payload):
     d = [x.shifted_degree for x in xs]
     s01 = (-1) ** (d[0] * d[1])
     ok2 = lam(2, [xs[0], xs[1]], ctx).form == lam(2, [xs[1], xs[0]], ctx).form.scale(s01)
-    ok3a = lam(3, xs, ctx).form == lam(
-        3, [xs[1], xs[0], xs[2]], ctx
-    ).form.scale(s01)
+    l3 = lam(3, xs, ctx).form
+    ok3a = l3 == lam(3, [xs[1], xs[0], xs[2]], ctx).form.scale(s01)
     s12 = (-1) ** (d[1] * d[2])
-    ok3b = lam(3, xs, ctx).form == lam(
-        3, [xs[0], xs[2], xs[1]], ctx
-    ).form.scale(s12)
+    ok3b = l3 == lam(3, [xs[0], xs[2], xs[1]], ctx).form.scale(s12)
     return ok2 and ok3a and ok3b, "lambda_2, lambda_3 graded-symmetric in shifted degrees"
 
 

@@ -5,7 +5,9 @@ package itself never imports it.
 """
 
 import random
+import time
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -948,6 +950,101 @@ def test_gcd_heuristic_stacked_factors():
         poly_divexact(d, h_prim)
         qf, qg = poly_divexact(f, d), poly_divexact(g, d)
         assert poly_gcd(qf, qg).is_constant()
+
+
+
+@pytest.mark.parametrize("k", [10, 11, 12])
+def test_gcd_over_many_variables_returns_promptly(k):
+    """gcd(x2*..*xk + x3*..*x(k+1), x2^2*x4^2*..) is the product of the even
+    variables from x4.  The heuristic gcd gives up deep in its recursion
+    here; when each level retried such a give-up, the work grew like
+    6^depth and k = 10 ran past 20 s.  A give-up now falls back to PRS."""
+    nv = k + 1
+    f_text = "*".join(f"x{i}" for i in range(2, k + 1)) + " + " + "*".join(
+        f"x{i}" for i in range(3, k + 2))
+    g_text = "*".join(f"x{i}^2" for i in range(2, k + 1, 2))
+    t0 = time.perf_counter()
+    mine = poly_gcd(poly_from_str(f_text, nv), poly_from_str(g_text, nv))
+    assert time.perf_counter() - t0 < 5
+    gens = sympy.symbols(f"x1:{nv + 1}")
+
+    def sp(text):
+        return sympy.Poly(sympy.sympify(text.replace("^", "**")), *gens)
+
+    theirs = sympy.gcd(sp(f_text), sp(g_text))
+    assert sp(poly_to_str(mine)).monic() == theirs.monic()
+    assert poly_to_str(mine) == "*".join(f"x{i}" for i in range(4, k + 1, 2))
+
+
+def _reference_content(terms: dict) -> Fraction:
+    """The content of {exponent tuple: Fraction} terms, from the terms alone:
+    the primitive integer part has coprime values and a positive leading
+    one under graded-lex order; 1 for no terms."""
+    if not terms:
+        return Fraction(1)
+    den = lcm(*[c.denominator for c in terms.values()])
+    num = gcd(*[c.numerator * (den // c.denominator) for c in terms.values()])
+    lead = terms[max(terms, key=lambda e: (sum(e), e))]
+    return Fraction(num if lead > 0 else -num, den)
+
+
+def _terms_product(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(i + j for i, j in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _terms_sum(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _assert_content_invariant(p: Poly, terms: dict):
+    """cn/cd coprime with cd > 0, zero is 1/1, and the content and terms
+    agree with a Fraction reference and with `from_terms`, hash included."""
+    assert type(p.cn) is int and type(p.cd) is int
+    assert p.cd > 0 and gcd(p.cn, p.cd) == 1
+    if p.is_zero():
+        assert (p.cn, p.cd) == (1, 1)
+    assert p.content == _reference_content(terms)
+    assert dict(p.items()) == terms
+    built = Poly.from_terms(p.nvars, terms)
+    assert p == built and hash(p) == hash(built)
+
+
+@given(st.sampled_from([1, 2, 3]).flatmap(
+    lambda nv: st.tuples(st.just(nv), _polys(nv), _polys(nv),
+                         FRACTIONS, st.integers(1, nv))))
+@settings(max_examples=200, deadline=None)
+def test_content_stays_two_coprime_ints(case):
+    nv, pa, pb, c, var = case
+    ta, tb = dict(pa.items()), dict(pb.items())
+    for p, t in ((pa, ta), (pb, tb)):
+        _assert_content_invariant(p, t)
+        _assert_content_invariant(-p, {e: -v for e, v in t.items()})
+        _assert_content_invariant(p.scale(c), {e: v * c for e, v in t.items() if v * c})
+        unit = tuple(int(i == var - 1) for i in range(nv))
+        _assert_content_invariant(p.derivative(var), {
+            tuple(i - j for i, j in zip(e, unit)): v * e[var - 1]
+            for e, v in t.items() if e[var - 1]})
+        _assert_content_invariant(poly_from_str(poly_to_str(p), nv), t)
+    product = _terms_product(ta, tb)
+    _assert_content_invariant(pa * pb, product)
+    _assert_content_invariant(pb * pa, product)
+    _assert_content_invariant(pa + pb, _terms_sum(ta, tb))
+    _assert_content_invariant(pa - pb, _terms_sum(ta, tb, -1))
+    if not pb.is_zero():
+        _assert_content_invariant(poly_divexact(pa * pb, pb), ta)
+    _assert_content_invariant(Poly.const(nv, c), {(0,) * nv: c} if c else {})
+    # one value built two ways: one form and one hash
+    for p, q in ((pa * pb, pb * pa), (pa + pb, pb + pa),
+                 ((pa + pb) * pb, pa * pb + pb * pb), (pa.scale(c), Poly.const(nv, c) * pa)):
+        assert p == q and hash(p) == hash(q)
 
 
 def test_derivative_shared_denominator_factors():
