@@ -505,108 +505,15 @@ def _pseudo_rem(f: Poly, g: Poly, var: int) -> Poly:
     return rem
 
 
-# The certificate's univariate gcds run modulo this Mersenne prime.
-_PRIME = (1 << 61) - 1
-
-
-def _univariate_gcd_degree(a: dict[int, int], b: dict[int, int]) -> int:
-    """Degree of gcd(a mod p, b mod p) in (Z/p)[x], p = _PRIME, for integer
-    polynomials given as exponent->coef; -1 when both vanish mod p."""
-    fa, fb = _dense_mod(a), _dense_mod(b)
-    while fb:
-        db = len(fb) - 1
-        inv = pow(fb[-1], -1, _PRIME)
-        while len(fa) > db:
-            c = fa[-1] * inv % _PRIME
-            off = len(fa) - 1 - db
-            for j in range(db):  # the top term cancels exactly
-                fa[off + j] = (fa[off + j] - c * fb[j]) % _PRIME
-            fa.pop()
-            while fa and not fa[-1]:
-                fa.pop()
-        fa, fb = fb, fa
-    return len(fa) - 1
-
-
-def _dense_mod(a: dict[int, int]) -> list[int]:
-    """Coefficients mod p by ascending exponent, without leading zeros."""
-    out = [0] * (max(a, default=-1) + 1)
-    for e, v in a.items():
-        out[e] = v % _PRIME
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _specialize_to_var(f: Poly, var: int, point: Sequence[int]) -> dict[int, int]:
-    """The primitive part of f with every variable but x_var set to an
-    integer: a univariate {exponent: int}.  The content is dropped, since a
-    nonzero scale changes no gcd degree."""
-    n = f.nvars
-    bits = reduce(or_, f.ip, 0)  # bounds each exponent, as in evaluate
-    tables = []
-    for i in range(n):
-        s = _SLOT * (n - 1 - i)
-        d = (bits >> s) & _MASK
-        if d and i != var - 1:
-            tables.append((s, _power_table(point[i], 1, d)))
-    shift = _SLOT * (n - var)
-    sums: dict[int, int] = {}
-    for k, v in f.ip.items():
-        for s, table in tables:
-            v *= table[(k >> s) & _MASK]
-        e = (k >> shift) & _MASK
-        sums[e] = sums.get(e, 0) + v
-    return {e: v for e, v in sums.items() if v}
-
-
-def _gcd_certainly_trivial(f: Poly, g: Poly) -> bool:
-    """Sound fast test that gcd(f, g) is constant.
-
-    For each variable x, specialize the other variables at integers and
-    reduce mod the prime p (Brown's modular degree bound).  The primitive
-    gcd H over Z divides the probe, so after specialization its leading
-    coefficient in x divides the probe's.  If the probe keeps its degree in
-    x and p does not divide its leading coefficient, H keeps its degree in x
-    mod p and divides both images, so deg_x(H) is at most the degree of
-    their gcd mod p.  A variable absent from either operand is bounded
-    without a probe, since the gcd divides that operand.  If every variable
-    bound is zero the gcd is a unit.  Returning False just means "unknown".
-    """
-    nv = f.nvars
-    for var in range(1, nv + 1):
-        df = f.degree_in(var)
-        dg = g.degree_in(var)
-        if df == 0 or dg == 0:  # the gcd divides both, so it is free of x
-            continue
-        probe, dprobe = (f, df) if df <= dg else (g, dg)
-        bounded = False
-        for attempt in range(4):
-            point = [2 + attempt + 3 * i for i in range(nv)]
-            a = _specialize_to_var(probe, var, point)
-            if not a or max(a) != dprobe or not a[dprobe] % _PRIME:
-                continue  # leading coefficient vanished (mod p); bound invalid
-            other = g if probe is f else f
-            b = _specialize_to_var(other, var, point)
-            if not b:
-                continue
-            if _univariate_gcd_degree(a, b) == 0:
-                bounded = True
-                break
-        if not bounded:
-            return False
-    return True
-
-
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Gcd in Q[x1..xn], normalized primitive with positive leading coefficient.
 
-    Strategy: a sound univariate-specialization test dispatches the common
-    coprime case; the integer-evaluation heuristic (digit reconstruction at a
-    large point, verified by exact division and by cofactor coprimality)
-    handles most nontrivial gcds; primitive PRS on a minimal-degree main
-    variable is the unconditional fallback.  Nonzero constants are units, so
-    gcd(f, const) = 1.
+    Nonzero constants are units, so gcd(f, const) = 1.  Otherwise the
+    heuristic gcd runs on the primitive parts, and the primitive PRS on a
+    minimal-degree main variable is the fallback when it gives up.  A
+    heuristic answer needs no further check: it divides both operands, and
+    by the theorem cited at `_heuristic_gcd_raw` such a divisor is the gcd,
+    so its cofactors are coprime.
     """
     if f.nvars != g.nvars:
         raise ValueError("variable-count mismatch")
@@ -616,12 +523,10 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         return _normalize_primitive(f)
     if f.is_constant() or g.is_constant():
         return Poly.one(f.nvars)
-    if _gcd_certainly_trivial(f, g):
-        return Poly.one(f.nvars)
-    heuristic = _heuristic_gcd(f, g)
-    if heuristic is not None:
-        return heuristic
-    return _prs_gcd(f, g)
+    h = _heuristic_gcd_raw(_normalize_primitive(f), _normalize_primitive(g), 0)
+    if h is None:
+        return _prs_gcd(f, g)
+    return _normalize_primitive(h)
 
 
 def _prs_gcd(f: Poly, g: Poly) -> Poly:
@@ -670,11 +575,18 @@ def _smod(a: int, m: int) -> int:
 
 
 def _heuristic_gcd_raw(f: Poly, g: Poly, depth: int) -> Poly | None:
-    """Gcd of primitive integer polynomials by evaluation/reconstruction.
+    """Gcd of primitive integer polynomials by evaluation/reconstruction
+    (GCDHEU), or None when the heuristic gives up.
 
-    Returns a verified common divisor h with coprime cofactors certified by
-    the caller, or None when the heuristic gives up.  A give-up at any depth
-    gives up at every level above it.
+    Each level substitutes an integer xi for one variable, takes the gcd of
+    the two images one level down (an integer gcd once no variable is
+    left), rebuilds a candidate from its symmetric base-xi digits and keeps
+    it only if it divides both operands.  Since xi >= 2 * min(|f|_inf,
+    |g|_inf) + 2, such a candidate is the gcd (Char, Geddes & Gonnet,
+    J. Symb. Comp. 7, 1989, Thm. 1; Geddes, Czapor & Labahn 1992,
+    Thm. 7.7), so the two trial divisions are the whole check.  The first
+    xi is 2 * min + 29 and `_next_xi` only raises it.  Each level gives up
+    after 6 points, past depth 8, or as soon as a call below it gives up.
     """
     if f.is_zero():
         return g
@@ -763,34 +675,6 @@ def _reconstruct(gamma: Poly, var: int, xi: int, limit: int) -> Poly | None:
     return _primitive(n, out)
 
 
-def _heuristic_gcd(f: Poly, g: Poly) -> Poly | None:
-    """Full heuristic pipeline with rigorous confirmation.
-
-    Accumulates verified common divisors until the cofactors are *provably*
-    coprime (via the specialization bound test); anything unresolved falls
-    back to the caller's PRS path on the reduced cofactors.
-    """
-    a = _normalize_primitive(f)
-    b = _normalize_primitive(g)
-    acc = Poly.one(f.nvars)
-    for _ in range(4):
-        h = _heuristic_gcd_raw(a, b, 0)
-        if h is None:
-            if acc.is_constant():
-                return None
-            return _normalize_primitive(acc * _prs_gcd(a, b))
-        acc = acc * h
-        if h.is_constant():
-            return _normalize_primitive(acc)
-        a = poly_divexact(a, h)
-        b = poly_divexact(b, h)
-        if a.is_constant() or b.is_constant():
-            return _normalize_primitive(acc)
-        if _gcd_certainly_trivial(a, b):
-            return _normalize_primitive(acc)
-    return _normalize_primitive(acc * _prs_gcd(a, b))
-
-
 def _main_variable(f: Poly, g: Poly) -> int:
     """The variable of smallest positive joint degree (tames PRS growth)."""
     best = None
@@ -824,7 +708,7 @@ def poly_lcm(f: Poly, g: Poly) -> Poly:
 class Scalar:
     """Reduced fraction of polynomials; canonical and hashable.
 
-    Use `Scalar.const`, `Scalar.variable`, or `Scalar.parse` to build values;
+    Use `Scalar.const`, `Scalar.variable`, or `scalar_from_str` to build values;
     the constructor assumes already-canonical input when ``_canonical=True``.
     """
 

@@ -11,7 +11,7 @@ from math import gcd, lcm
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diracdeform import rational
@@ -32,7 +32,7 @@ from diracdeform.rational import (
     scalar_to_str,
 )
 
-SYMS = sympy.symbols("x1 x2 x3 x4 x5")
+SYMS = sympy.symbols("x1:13")
 
 
 def to_sympy(p: Poly):
@@ -354,24 +354,6 @@ def _fraction_evaluate(p: Poly, point) -> Fraction:
     return total
 
 
-def _fraction_specialize(f: Poly, var: int, point) -> dict:
-    """The Fraction loop `_specialize_to_var` ran before the integer form."""
-    out = {}
-    j = var - 1
-    for e, c in f.items():
-        v = c
-        for i, k in enumerate(e):
-            if i != j and k:
-                v *= Fraction(point[i]) ** k
-        if v:
-            s = out.get(e[j], Fraction(0)) + v
-            if s:
-                out[e[j]] = s
-            else:
-                out.pop(e[j], None)
-    return out
-
-
 BIG_COEFS = st.one_of(
     st.fractions(-20, 20, max_denominator=12),
     st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**40)),
@@ -423,97 +405,65 @@ def test_integer_evaluate_matches_fraction_reference(case):
             Scalar(Poly.one(nv), Poly.variable(1, nv) - a).evaluate(points[0])
 
 
-@st.composite
-def _certificate_cases(draw):
-    nv = draw(st.integers(1, 3))
-    monos = st.tuples(*[st.integers(0, 3)] * nv)
-    coefs = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=5),
-                      BIG_COEFS).filter(bool)
-    f, g, h = (Poly.from_terms(nv, draw(st.dictionaries(monos, coefs, min_size=1, max_size=4)))
-               for _ in range(3))
-    if draw(st.booleans()):
-        # an engineered common factor (a constant h leaves f and g as drawn)
-        f, g = f * h, g * h
-    return nv, f, g
-
-
-@given(_certificate_cases(), st.integers(0, 3))
-@settings(max_examples=200, deadline=None)
-def test_gcd_certificate_reads_the_integer_form(case, attempt):
-    nv, f, g = case
-    point = [2 + attempt + 3 * i for i in range(nv)]
-    for p in (f, g):
-        for var in range(1, nv + 1):
-            assert p.degree_in(var) == max(e[var - 1] for e, _ in p.items())
-            got = rational._specialize_to_var(p, var, point)
-            assert all(type(v) is int for v in got.values())
-            # the content is dropped: the integer sums of the primitive part
-            assert got == {e: v / p.content
-                           for e, v in _fraction_specialize(p, var, point).items()}
-    if rational._gcd_certainly_trivial(f, g):
-        theirs = sympy.gcd(
-            sympy.Poly(to_sympy(f), *SYMS[:nv]), sympy.Poly(to_sympy(g), *SYMS[:nv])
-        )
-        assert theirs.total_degree() == 0
-
-
 P61 = (1 << 61) - 1
 
 
-def _recording_gcd_degree(monkeypatch) -> list:
-    calls = []
-    real = rational._univariate_gcd_degree
+@st.composite
+def _gcd_pairs(draw):
+    """(nvars, f, g) over 1-6 variables, or over 10-12 variables with
+    exponents 0 or 1 in each drawn term.  Half the pairs are f, f + c,
+    coprime for every nonzero constant c.  The others may share a planted
+    common factor, and each may carry a planted monomial factor; over
+    10-12 variables each always does."""
+    wide = draw(st.booleans())
+    nv = draw(st.integers(10, 12) if wide else st.integers(1, 6))
+    monos = st.tuples(*[st.integers(0, 1 if wide else 3)] * nv)
+    coefs = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=5),
+                      BIG_COEFS).filter(bool)
 
-    def record(a, b):
-        calls.append((dict(a), dict(b)))
-        return real(a, b)
+    def poly(max_size):
+        terms = draw(st.dictionaries(monos, coefs, min_size=1, max_size=max_size))
+        return Poly.from_terms(nv, terms)
 
-    monkeypatch.setattr(rational, "_univariate_gcd_degree", record)
-    return calls
-
-
-def test_certificate_skips_a_probe_lead_divisible_by_p(monkeypatch):
-    calls = _recording_gcd_degree(monkeypatch)
-    x1, x2 = x(1, 2), x(2, 2)
-    # in x1 the probe's leading coefficient x2 + p - 5 is p at attempt 0
-    # (x2 = 5) and p + 1 at attempt 1 (x2 = 6)
-    f = (x2 + Poly.const(2, P61 - 5)) * x1 + Poly.one(2)
-    assert rational._gcd_certainly_trivial(f, x1)
-    assert calls[0][0] == {1: P61 + 1, 0: 1}
-    # univariate: the leading coefficient p survives every attempt
-    calls.clear()
-    f = x(1, 1).scale(P61) + Poly.one(1)
-    assert not rational._gcd_certainly_trivial(f, x(1, 1))
-    assert calls == []
-    assert poly_gcd(f, x(1, 1)) == Poly.one(1)
-
-
-def test_certificate_is_unknown_when_images_mod_p_agree():
-    f = x(1, 2) * x(2, 2) + Poly.one(2)
-    g = f - Poly.const(2, P61)  # coprime over Q, equal mod p
-    assert not rational._gcd_certainly_trivial(f, g)
-    assert poly_gcd(f, g) == Poly.one(2)
+    f = poly(4)
+    if draw(st.booleans()):
+        return nv, f, f + Poly.const(nv, draw(coefs))
+    g = poly(4)
+    if draw(st.booleans()):
+        h = poly(2 if wide else 3)
+        f, g = f * h, g * h
+    if wide or draw(st.booleans()):
+        exponents = st.tuples(*[st.integers(0, 3)] * nv)
+        f = f * Poly.from_terms(nv, {draw(exponents): 1})
+        g = g * Poly.from_terms(nv, {draw(exponents): 1})
+    return nv, f, g
 
 
-@given(st.lists(st.integers(-9, 9), min_size=1, max_size=5),
-       st.lists(st.integers(-9, 9), min_size=1, max_size=5),
-       st.lists(st.integers(-9, 9), min_size=1, max_size=4))
-@settings(max_examples=150, deadline=None)
-def test_univariate_gcd_degree_matches_sympy(a, b, h):
-    t = sympy.Symbol("t")
-
-    def expr(coefs):
-        return sum(c * t**e for e, c in enumerate(coefs))
-
-    A, B = sympy.expand(expr(a) * expr(h)), sympy.expand(expr(b) * expr(h))
-    if A == 0:
-        return
-
-    def ints(e):
-        return {k: int(c) for (k,), c in sympy.Poly(e, t).terms() if c} if e != 0 else {}
-
-    want = sympy.degree(sympy.gcd(A, B), t)
-    assert rational._univariate_gcd_degree(ints(A), ints(B)) == want
+@given(_gcd_pairs())
+@example((2, (x(2, 2) + Poly.const(2, P61 - 5)) * x(1, 2) + Poly.one(2), x(1, 2)))
+@example((1, x(1, 1).scale(P61) + Poly.one(1), x(1, 1)))
+@example((2, x(1, 2) * x(2, 2) + Poly.one(2), x(1, 2) * x(2, 2) + Poly.const(2, 1 - P61)))
+@settings(max_examples=100, deadline=None)
+def test_gcd_matches_sympy_and_is_normalized(case):
+    """poly_gcd equals sympy's gcd up to a unit, is normalized, and leaves
+    coprime cofactors.  The examples are coprime pairs whose coefficients
+    sit at p = 2^61 - 1."""
+    nv, f, g = case
+    for p in (f, g):
+        for var in range(1, nv + 1):
+            # degree_in reads its slot of each packed key
+            assert p.degree_in(var) == max((e[var - 1] for e, _ in p.items()), default=0)
+    mine = poly_gcd(f, g)
+    gens = SYMS[:nv]
+    theirs = sympy.gcd(sympy.Poly(to_sympy(f), *gens), sympy.Poly(to_sympy(g), *gens))
+    assert sympy.Poly(to_sympy(mine), *gens).monic() == theirs.monic()
+    # coprime integer coefficients, the graded-lex leading one positive
+    terms = dict(mine.items())
+    assert all(c.denominator == 1 for c in terms.values())
+    assert gcd(*[c.numerator for c in terms.values()]) == 1
+    assert terms[max(terms, key=lambda e: (sum(e), e))] > 0
+    cofactors = poly_divexact(f, mine), poly_divexact(g, mine)
+    assert poly_gcd(*cofactors) == Poly.one(nv)
 
 
 @st.composite
