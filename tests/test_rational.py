@@ -11,7 +11,7 @@ from math import gcd, lcm
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracdeform import rational
@@ -439,20 +439,9 @@ def _gcd_pairs(draw):
     return nv, f, g
 
 
-@given(_gcd_pairs())
-@example((2, (x(2, 2) + Poly.const(2, P61 - 5)) * x(1, 2) + Poly.one(2), x(1, 2)))
-@example((1, x(1, 1).scale(P61) + Poly.one(1), x(1, 1)))
-@example((2, x(1, 2) * x(2, 2) + Poly.one(2), x(1, 2) * x(2, 2) + Poly.const(2, 1 - P61)))
-@settings(max_examples=100, deadline=None)
-def test_gcd_matches_sympy_and_is_normalized(case):
+def _assert_gcd_matches_sympy(nv, f, g):
     """poly_gcd equals sympy's gcd up to a unit, is normalized, and leaves
-    coprime cofactors.  The examples are coprime pairs whose coefficients
-    sit at p = 2^61 - 1."""
-    nv, f, g = case
-    for p in (f, g):
-        for var in range(1, nv + 1):
-            # degree_in reads its slot of each packed key
-            assert p.degree_in(var) == max((e[var - 1] for e, _ in p.items()), default=0)
+    coprime cofactors."""
     mine = poly_gcd(f, g)
     gens = SYMS[:nv]
     theirs = sympy.gcd(sympy.Poly(to_sympy(f), *gens), sympy.Poly(to_sympy(g), *gens))
@@ -464,6 +453,47 @@ def test_gcd_matches_sympy_and_is_normalized(case):
     assert terms[max(terms, key=lambda e: (sum(e), e))] > 0
     cofactors = poly_divexact(f, mine), poly_divexact(g, mine)
     assert poly_gcd(*cofactors) == Poly.one(nv)
+    return mine, theirs
+
+
+@given(_gcd_pairs())
+@settings(max_examples=100, deadline=None)
+def test_gcd_matches_sympy_and_is_normalized(case):
+    _assert_gcd_matches_sympy(*case)
+
+
+@given(_gcd_pairs())
+@settings(max_examples=50, deadline=None)
+def test_gcd_certificate_reads_the_integer_form(case):
+    """degree_in reads its slot of each packed key, for the operands and
+    for their gcd, whose degrees match sympy's in every variable."""
+    nv, f, g = case
+    mine, theirs = _assert_gcd_matches_sympy(nv, f, g)
+    for p in (f, g, mine):
+        for var in range(1, nv + 1):
+            assert p.degree_in(var) == max((e[var - 1] for e, _ in p.items()), default=0)
+    for var, sym in enumerate(SYMS[:nv], start=1):
+        assert mine.degree_in(var) == max(theirs.degree(sym), 0)
+
+
+def test_certificate_skips_a_probe_lead_divisible_by_p():
+    """Coprime pairs whose leading coefficient in x1 is divisible by
+    p = 2^61 - 1 at some integer point (x2 = 5), or at every point."""
+    x1, x2 = x(1, 2), x(2, 2)
+    f = (x2 + Poly.const(2, P61 - 5)) * x1 + Poly.one(2)
+    assert poly_gcd(f, x1) == Poly.one(2)
+    _assert_gcd_matches_sympy(2, f, x1)
+    f = x(1, 1).scale(P61) + Poly.one(1)
+    assert poly_gcd(f, x(1, 1)) == Poly.one(1)
+    _assert_gcd_matches_sympy(1, f, x(1, 1))
+
+
+def test_certificate_is_unknown_when_images_mod_p_agree():
+    """A pair coprime over Q whose images mod p = 2^61 - 1 are equal."""
+    f = x(1, 2) * x(2, 2) + Poly.one(2)
+    g = f - Poly.const(2, P61)
+    assert poly_gcd(f, g) == Poly.one(2)
+    _assert_gcd_matches_sympy(2, f, g)
 
 
 @st.composite
