@@ -5,9 +5,10 @@ Layers:
   rational       exact scalars: Q and Q(x1..xn) with canonical fractions
   exterior       Grassmann calculus on a chart (wedge, d, contractions,
                  Schouten bracket, multi-sharp)
-  linalg         exact linear algebra: field RREF (kernels, inverses),
-                 fraction-free Bareiss (determinants, span tests, ranks of
-                 constant matrices), Pfaffians
+  linalg         exact linear algebra: RREF on primitive int rows or over
+                 the field (kernels, inverses), fraction-free Bareiss
+                 (determinants, span tests, ranks of constant matrices),
+                 Pfaffians
   dirac          Dirac linear algebra: V + V*, Lagrangians, tau, F, exp_eta
   courant        generalized sections and the Dorfman bracket
   koszul         Koszul/trinary brackets, the L-infinity[1] structure,

@@ -20,10 +20,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Sequence
 
 from .exterior import MAX_CHART_DIM, MAX_LINEAR_DIM
-from .rational import Scalar, _quote, scalar_from_str, scalar_to_str
+from .rational import (
+    Scalar,
+    _shown,
+    literal_from_str,
+    scalar_from_str,
+    scalar_to_str,
+)
 from . import linalg
 from .linalg import Matrix, Vector
 
@@ -663,7 +670,21 @@ def _phi0_inverse_matches_F(phiz: Subspace, f_beta: SkewBilinear) -> bool:
 
 
 def matrix_to_json(A: Matrix) -> list[list[str]]:
-    return [[scalar_to_str(a) for a in row] for row in A]
+    """The entries as `scalar_to_str` writes them; a constant matrix is
+    written from its int rows, with one gcd per entry over a denominator."""
+    cleared = linalg.int_rows(A)
+    if cleared is None:
+        return [[scalar_to_str(a) for a in row] for row in A]
+    return [
+        [str(a) if d == 1 else _ratio_str(a, d) for a in row]
+        for row, d in zip(*cleared)
+    ]
+
+
+def _ratio_str(a: int, d: int) -> str:
+    """a/d in lowest terms, as `scalar_to_str` writes that constant."""
+    g = gcd(a, d)
+    return str(a // g) if g == d else f"{a // g}/{d // g}"
 
 
 # Check payloads carry each matrix with its size and field of definition:
@@ -674,12 +695,6 @@ def skew_to_json(S: _SkewSharp) -> dict:
     return {"n": S.n, "nvars": S.nvars, "rows": matrix_to_json(S.mat)}
 
 
-def _shown(value) -> str:
-    """repr(value), cut to a bounded quote when it is long."""
-    text = repr(value)
-    return text if len(text) <= 80 else _quote(text)
-
-
 def _payload_matrix(rows, nvars, count: int | None, width) -> Matrix:
     """The matrix of a payload over Q(x_1..x_nvars): `count` rows (any number
     if None) of `width` entries each.
@@ -688,7 +703,9 @@ def _payload_matrix(rows, nvars, count: int | None, width) -> Matrix:
     before any entry is parsed.  nvars is refused outside
     0..max(MAX_CHART_DIM, width): every key of the ring has 16 * nvars bits,
     so a huge nvars stalls the first variable it meets.  Payloads of charts
-    and of linear instances (nvars = n) stay inside.
+    and of linear instances (nvars = n) stay inside.  A payload of signed
+    literals is read straight into int rows; any other is read entry by
+    entry through `scalar_from_str`.
     """
     if not isinstance(width, int) or isinstance(width, bool) or width < 1:
         raise ValueError(f"matrix size {_shown(width)} is not an integer >= 1")
@@ -698,11 +715,30 @@ def _payload_matrix(rows, nvars, count: int | None, width) -> Matrix:
         shape = f"{count}x{width}" if count is not None else f"rows of length {width}"
         raise ValueError(f"malformed matrix payload: expected {shape}")
     bound = max(MAX_CHART_DIM, width)
-    if not isinstance(nvars, int) or not 0 <= nvars <= bound:
+    if not isinstance(nvars, int) or isinstance(nvars, bool) or not 0 <= nvars <= bound:
         raise ValueError(f"nvars {_shown(nvars)} is outside 0..{bound}")
+    literals = _literal_rows(rows)
+    if literals is not None:
+        return linalg.from_ratios(literals, nvars)
     return linalg.mat(
         [[scalar_from_str(str(a), nvars) for a in row] for row in rows]
     )
+
+
+def _literal_rows(rows) -> list[list[tuple[int, int]]] | None:
+    """Each entry as the (numerator, denominator) of its signed literal, or
+    None once an entry is not one literal: that matrix is read through
+    `scalar_from_str`, which raises the same errors in the same order."""
+    out = []
+    for row in rows:
+        pairs = []
+        for a in row:
+            pair = literal_from_str(str(a))
+            if pair is None:
+                return None
+            pairs.append(pair)
+        out.append(pairs)
+    return out
 
 
 def skew_from_json(data: Mapping, cls: type = SkewBilinear) -> _SkewSharp:

@@ -26,6 +26,7 @@ from .rational import (
     PoleError,
     Scalar,
     _quote,
+    _shown,
     as_point,
     poly_from_str,
     scalar_from_str,
@@ -62,7 +63,7 @@ class Chart:
     def __post_init__(self):
         if not 1 <= self.dim <= MAX_CHART_DIM:
             raise ValueError(
-                f"chart dimension {self.dim} is outside 1..{MAX_CHART_DIM}"
+                f"chart dimension {_shown(self.dim)} is outside 1..{MAX_CHART_DIM}"
             )
 
     def scalar(self, value) -> Scalar:
@@ -131,7 +132,7 @@ class _GradedElement:
                 continue
             for i in idx:
                 if not 1 <= i <= chart.dim:
-                    raise ValueError(f"index {i} out of range 1..{chart.dim}")
+                    raise ValueError(f"index {_shown(i)} out of range 1..{chart.dim}")
             c = chart.scalar(value)
             _add_term(terms, idx, c if sign > 0 else -c)
         return cls(chart, terms)
@@ -578,14 +579,21 @@ def to_json(elem: _GradedElement) -> dict:
     return {"chart": elem.chart.dim, "terms": items}
 
 
+def _json_int(value, field: str) -> int:
+    """An integer field of a payload; a bool, float or string is refused."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{field} {_shown(value)} is not an integer")
+    return value
+
+
 def _from_json(cls, data: Mapping) -> _GradedElement:
     try:
-        n = int(data["chart"])
+        n = _json_int(data["chart"], "chart")
         chart = Chart(n)
         terms = {}
         for item in data["terms"]:
-            idx = tuple(int(i) for i in item["indices"])
-            if int(item["degree"]) != len(idx):
+            idx = tuple(_json_int(i, "index") for i in item["indices"])
+            if _json_int(item["degree"], "degree") != len(idx):
                 raise ValueError(
                     f"degree {_quote(str(item['degree']))} does not match "
                     f"indices {_quote(str(idx))}"

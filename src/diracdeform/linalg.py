@@ -16,17 +16,20 @@ its entries by `mat`, the one constructor from Scalars:
 
 Vectors stay tuples of Scalars.
 
-There are two elimination loops.  `_bareiss` runs fraction-free on cleared
-rows, of ints for a constant matrix and of polynomials otherwise, dividing
-exactly and taking no gcd; determinants, span membership and the rank of a
-constant matrix are read from it, and on ints it also does the Gauss-Jordan
-back-elimination that `rref` reads.  `rref` of a matrix with a non-constant
-entry scales each row by the lcm of its denominators and then runs over the
-field with gcd-reduced entries at every step.  Kernels, linear solves
-(`solve(A, B)` is the right block of rref([A | B]), and `solve_det` reads
-det(A) from the same elimination) and the ranks of non-constant matrices
-are read from `rref`.  On polynomial rows the fraction-free Gauss-Jordan
-loop is slower than the field loop, so it is not used there.
+There are three elimination loops.  `_bareiss` runs forward only and
+fraction-free on cleared rows, of ints for a constant matrix and of
+polynomials otherwise, dividing exactly and taking no gcd; determinants,
+span membership and the rank of a constant matrix are read from it.  `rref`
+of a constant matrix is Gauss-Jordan on primitive int rows (`_int_rref`):
+each pivot step changes only the rows with a nonzero entry in its column,
+and divides each of them by its content.  `rref` of a matrix with a
+non-constant entry scales each row by the lcm of its denominators and then
+runs over the field with gcd-reduced entries at every step.  Kernels,
+linear solves (`solve(A, B)` is the right block of rref([A | B]), and
+`solve_det` reads det(A) from the same elimination) and the ranks of
+non-constant matrices are read from `rref`.  On polynomial rows a
+fraction-free Gauss-Jordan loop is slower than the field loop, so it is not
+used there.
 """
 
 from __future__ import annotations
@@ -165,12 +168,6 @@ def _reduced(ints: list[list[int]], dens: list[int], nvars: int, ncols: int) -> 
         out_ints.append(row)
         out_dens.append(d)
     return Matrix(len(ints), ncols, nvars, out_ints, out_dens)
-
-
-def _clear_fractions(values: Sequence) -> tuple[list[int], int]:
-    """Rational values times the lcm of their denominators, and that lcm."""
-    m = math.lcm(*[c.denominator for c in values])
-    return [c.numerator * (m // c.denominator) for c in values], m
 
 
 def zeros(nrows: int, ncols: int, nvars: int) -> Matrix:
@@ -358,9 +355,9 @@ def is_skew(A: Matrix) -> bool:
 def rref(A: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns, exact over the field.
 
-    A constant matrix is reduced by fraction-free Gauss-Jordan on ints, which
-    leaves each pivot row as its last pivot p times the reduced row, so each
-    row is that int row over p.  RREF is unique, so both routes agree.
+    A constant matrix is reduced by Gauss-Jordan on primitive int rows, so
+    each pivot row is that int row over its pivot.  RREF is unique, so both
+    routes agree.
     Otherwise the field loop runs; a matrix with real denominators first has
     each row scaled by their lcm, which leaves the RREF unchanged and keeps
     a denominator shared by a whole row out of every gcd.
@@ -373,9 +370,9 @@ def _rref(A: Matrix) -> tuple[Matrix, tuple[int, ...], Callable[[], Scalar]]:
     """rref(A), and a function giving the determinant of the leading square
     block of A when the columns of that block are all pivots.
 
-    On ints that determinant is the signed last Bareiss pivot over the
-    product of the row denominators; in the field loop it is the signed
-    product of the pivots, over the product of the row lcms.
+    On ints it is read from the pivots and the row scalings of `_int_rref`;
+    in the field loop it is the signed product of the pivots, over the
+    product of the row lcms.
     """
     nvars = A.nvars
     if not A.nrows or not A.ncols:
@@ -435,31 +432,76 @@ def _rref(A: Matrix) -> tuple[Matrix, tuple[int, ...], Callable[[], Scalar]]:
 
 
 def _int_rref(A: Matrix) -> tuple[Matrix, tuple[int, ...], Callable[[], Scalar]]:
-    """`_rref` of a constant matrix, on a copy of its int rows."""
-    rows = [list(row) for row in A._ints]
-    pivots, sign = _bareiss(rows, back=True)
+    """`_rref` of a constant matrix: Gauss-Jordan on primitive int rows.
+
+    Each row is first divided by its content.  At a pivot p in column c only
+    the rows with a nonzero entry f there change: row <- (p/g) row - (f/g)
+    pivot_row with g = gcd(p, f), and the row is divided by its content h.
+    Every row stays primitive, so a pivot row over its pivot is its reduced
+    row.  Each update scales the determinant by (p/g) / h, so the leading
+    determinant is the signed product of the diagonal times the contents
+    over the scales, over the product of the row denominators.
+    """
+    rows, contents, scales = [], [], []
+    for row in A._ints:
+        h = math.gcd(*row)
+        if h > 1:
+            row = [a // h for a in row]
+            contents.append(h)
+        rows.append(row)
+    nr, nc = A.nrows, A.ncols
+    pivots: list[int] = []
+    sign = 1
+    r = 0
+    for c in range(nc):
+        below = [i for i in range(r, nr) if rows[i][c]]
+        if not below:
+            continue
+        pivot = below[0]
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            sign = -sign
+        row_r = rows[r]
+        p = row_r[c]
+        # the old row r, now at `pivot`, is zero in column c
+        for i in [i for i in range(r) if rows[i][c]] + below[1:]:
+            row = rows[i]
+            g = math.gcd(p, row[c])
+            s, t = p // g, row[c] // g
+            row = [s * a - t * b for a, b in zip(row, row_r)]
+            h = math.gcd(*row)
+            if h > 1:
+                row = [a // h for a in row]
+                contents.append(h)
+            if s != 1:
+                scales.append(s)
+            rows[i] = row
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    diagonal = [row[c] for row, c in zip(rows, pivots)]
     ints, dens = [], []
-    for row, c in zip(rows, pivots):
-        p = row[c]
+    for row, p in zip(rows, diagonal):
         if p < 0:
             row, p = [-a for a in row], -p
         ints.append(row)
         dens.append(p)
-    for _ in range(A.nrows - len(pivots)):
-        ints.append([0] * A.ncols)
-        dens.append(1)
-    last = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
-    nvars, scales = A.nvars, A._dens
-    return (
-        _reduced(ints, dens, nvars, A.ncols),
-        pivots,
-        lambda: Scalar.const(nvars, Fraction(sign * last, math.prod(scales))),
-    )
+    # the rows below the last pivot are zero
+    ints.extend(rows[r:])
+    dens.extend([1] * (nr - r))
+    nvars, row_dens = A.nvars, A._dens
+
+    def leading_det() -> Scalar:
+        num = sign * math.prod(diagonal) * math.prod(contents)
+        return Scalar.const(nvars, Fraction(num, math.prod(scales) * math.prod(row_dens)))
+
+    return Matrix(nr, nc, nvars, ints, dens), tuple(pivots), leading_det
 
 
 def rank(A: Matrix) -> int:
     """The rank; for a constant matrix, the pivot count of one forward
-    Bareiss pass on its int rows (no back-elimination, no RREF)."""
+    Bareiss pass on its int rows (no RREF)."""
     A = mat(A)
     if A._ints is not None:
         return len(_bareiss(_cleared(A)[0])[0]) if A.nrows and A.ncols else 0
@@ -599,16 +641,14 @@ def _cleared(A: Matrix) -> tuple[list[list], list]:
     return [list(row) for row in rows], lcms
 
 
-def _bareiss(rows: list[list], back: bool = False) -> tuple[tuple[int, ...], int]:
-    """Fraction-free elimination, in place, on rows of ints or of polynomials.
+def _bareiss(rows: list[list]) -> tuple[tuple[int, ...], int]:
+    """Fraction-free forward elimination, in place, on rows of ints or of
+    polynomials.
 
     Returns (pivot columns, sign of the row swaps); the rank over the fraction
     field is the number of pivots.  Each update is (piv*a - f*b) / prev with
     prev the previous pivot, and every division is exact, so no gcd is
     taken.  For a square matrix of full rank the last pivot is sign * det.
-    With `back`, the rows above each pivot take the same update
-    (Gauss-Jordan), so every pivot row ends as the last pivot times its
-    reduced row.
     """
     n, m = len(rows), len(rows[0])
     if isinstance(rows[0][0], Poly):
@@ -628,13 +668,10 @@ def _bareiss(rows: list[list], back: bool = False) -> tuple[tuple[int, ...], int
             sign = -sign
         row_r = rows[r]
         piv = row_r[c]
-        for i in range(n) if back else range(r + 1, n):
-            if i == r:
-                continue
+        for i in range(r + 1, n):
             row_i = rows[i]
             f = row_i[c]
-            # above the pivot row, columns before c hold reduced entries
-            for j in range(c + 1 if i > r else 0, m):
+            for j in range(c + 1, m):
                 row_i[j] = div(piv * row_i[j] - f * row_r[j], prev)
             row_i[c] = zero
         prev = piv
@@ -752,11 +789,27 @@ def evaluate_matrix(A: Matrix, point: Sequence[Fraction]) -> Matrix:
         raise PoleError.at(point) from None
 
 
-def from_fractions(rows: Sequence[Sequence], nvars: int) -> Matrix:
-    """The constant matrix over nvars variables with these rational entries."""
+def from_ratios(rows: Sequence[Sequence[tuple[int, int]]], nvars: int) -> Matrix:
+    """The constant matrix over nvars variables with entries n / d, given as
+    int pairs (n, d) with d > 0 and not necessarily in lowest terms."""
     ints, dens = [], []
     for row in rows:
-        cleared, m = _clear_fractions([Fraction(v) for v in row])
-        ints.append(cleared)
-        dens.append(m)
-    return Matrix(len(ints), len(ints[0]) if ints else 0, nvars, ints, dens)
+        L = math.lcm(*[d for _, d in row])
+        ints.append([n if d == L else n * (L // d) for n, d in row])
+        dens.append(L)
+    return _reduced(ints, dens, nvars, len(ints[0]) if ints else 0)
+
+
+def int_rows(A: Matrix) -> tuple[list[list[int]], list[int]] | None:
+    """The int rows and row denominators of a constant matrix, entry (i, j)
+    being ints[i][j] / dens[i] with each row reduced (not to be mutated);
+    None for a matrix with a non-constant entry."""
+    A = mat(A)
+    return None if A._ints is None else (A._ints, A._dens)
+
+
+def from_fractions(rows: Sequence[Sequence], nvars: int) -> Matrix:
+    """The constant matrix over nvars variables with these rational entries."""
+    return from_ratios(
+        [[(v.numerator, v.denominator) for v in map(Fraction, row)] for row in rows], nvars
+    )

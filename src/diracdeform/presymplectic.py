@@ -20,6 +20,7 @@ from .exterior import (
     DegreeError,
     DifferentialForm,
     MultivectorField,
+    _json_int,
     contract,
     de_rham,
     field_from_json,
@@ -631,7 +632,7 @@ def instance_to_json(data: PreSymplecticData) -> dict:
 
 def instance_from_json(payload: Mapping) -> PreSymplecticData:
     try:
-        n = int(payload["chart"])
+        n = _json_int(payload["chart"], "chart")
         chart = Chart(n)
         eta = form_from_json(payload["eta"])
         if eta.chart != chart:

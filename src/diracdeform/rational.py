@@ -950,6 +950,40 @@ def _quote(text: str) -> str:
     return f"{text[:80]!r}... ({len(text)} characters)"
 
 
+def _literal(s: str, text: str) -> tuple[int, int] | None:
+    """The signed rational literal `s` (spaces removed from `text`) as an
+    int numerator and a positive denominator, not reduced; None if `s` is
+    not one literal.  A zero denominator raises ValueError quoting `text`."""
+    m = _LITERAL.fullmatch(s)
+    if m is None:
+        return None
+    signs, a, b = m.groups()
+    num, den = int(a), 1 if b is None else int(b)
+    if not den:
+        raise ValueError(
+            f"zero denominator in {_quote(s[len(signs):])} "
+            f"in polynomial {_quote(text)}"
+        )
+    return (-num if signs.count("-") & 1 else num), den
+
+
+def literal_from_str(text: str) -> tuple[int, int] | None:
+    """The constant that `scalar_from_str(text, nvars)` reads when `text` is
+    one signed rational literal such as ``- -4/6``, as (int numerator,
+    positive int denominator), not reduced; None for any other string.
+
+    A zero denominator raises the ValueError of `scalar_from_str`.
+    """
+    s = text.strip(" ")
+    return _literal(s.replace(" ", ""), s)
+
+
+def _shown(value) -> str:
+    """repr(value), cut to a bounded quote when it is long."""
+    text = repr(value)
+    return text if len(text) <= 80 else _quote(text)
+
+
 def poly_from_str(text: str, nvars: int) -> Poly:
     """Parse the fixed polynomial grammar into a Poly.
 
@@ -959,18 +993,9 @@ def poly_from_str(text: str, nvars: int) -> Poly:
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty polynomial string")
-    m = _LITERAL.fullmatch(s)
-    if m:  # a signed rational literal, the bulk of a Q payload
-        signs, a, b = m.groups()
-        num, den = int(a), 1 if b is None else int(b)
-        if not den:
-            raise ValueError(
-                f"zero denominator in {_quote(s[len(signs):])} "
-                f"in polynomial {_quote(text)}"
-            )
-        if signs.count("-") & 1:
-            num = -num
-        return _const(nvars, num, den)
+    literal = _literal(s, text)
+    if literal is not None:  # a signed rational literal, the bulk of a Q payload
+        return _const(nvars, *literal)
     terms = []
     end = 0
     # Terms are contiguous, so each match is anchored where the last one

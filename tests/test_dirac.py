@@ -4,8 +4,10 @@ machinery, and the transverse-complement lemma battery."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diracdeform import linalg
+from diracdeform import dirac, linalg
 from diracdeform.dirac import (
     Bivector,
     DegenerateRestrictionError,
@@ -26,6 +28,7 @@ from diracdeform.dirac import (
     in_I_Z,
     is_lagrangian,
     lagrangian_graph,
+    matrix_to_json,
     pairing,
     phi_Z,
     rank_and_kernel,
@@ -41,7 +44,7 @@ from diracdeform.dirac import (
     verify_linear_lemmas,
     Z_from_eta_G,
 )
-from diracdeform.rational import Scalar
+from diracdeform.rational import Scalar, scalar_from_str, scalar_to_str
 from diracdeform.randgen import (
     random_complement,
     random_horizontal_skew,
@@ -347,3 +350,89 @@ def test_payload_json_roundtrip(rng):
         assert skew_from_json(skew_to_json(S)) == S
     assert skew_from_json(skew_to_json(Z), cls=Bivector) == Z
     assert subspace_from_json(subspace_to_json(G)) == G
+
+
+@st.composite
+def _constant_entry(draw):
+    """A constant payload entry and its value: a JSON int, or a literal with
+    a sign run, a fraction not in lowest terms and spaces anywhere."""
+    a = draw(st.one_of(st.integers(0, 12), st.integers(0, 10**30)))
+    if draw(st.integers(0, 4)) == 0:
+        value = draw(st.sampled_from([a, -a]))
+        return value, Fraction(value)
+    d = draw(st.one_of(st.none(), st.integers(1, 12)))
+    signs = draw(st.text("+-", max_size=4))
+    text = signs + str(a) + ("" if d is None else f"/{d}")
+    for i in draw(st.lists(st.integers(0, len(text)), max_size=3)):
+        text = text[:i] + " " + text[i:]
+    return text, Fraction(-a if signs.count("-") % 2 else a, d or 1)
+
+
+@st.composite
+def _constant_payload(draw):
+    """k rows of n constant entries (some rows zero), over 0 or n variables,
+    with the value of each entry."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 8))
+    nvars = draw(st.sampled_from([0, n]))
+    zero = st.sampled_from([(0, Fraction(0)), ("0", Fraction(0)),
+                            ("-0/5", Fraction(0)), (" 0 ", Fraction(0))])
+    rows = []
+    for _ in range(k):
+        entry = zero if draw(st.integers(0, 5)) == 0 else _constant_entry()
+        rows.append(draw(st.lists(entry, min_size=n, max_size=n)))
+    entries = [[e for e, _ in row] for row in rows]
+    values = [[v for _, v in row] for row in rows]
+    return entries, values, nvars, n
+
+
+def _scalar_read(rows, nvars):
+    """A payload matrix read entry by entry through scalar_from_str."""
+    return linalg.mat([[scalar_from_str(str(a), nvars) for a in row] for row in rows])
+
+
+def _outcome(read):
+    try:
+        return read()
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+
+
+@given(_constant_payload())
+@settings(max_examples=200, deadline=None)
+def test_int_codec_matches_scalar_codec(payload):
+    # a constant payload is read into int rows and written from them; both
+    # sides equal the scalar_from_str / scalar_to_str route and the values
+    rows, values, nvars, n = payload
+    M = dirac._payload_matrix(rows, nvars, None, n)
+    ref = _scalar_read(rows, nvars)
+    assert M.is_constant() and (M.nrows, M.ncols, M.nvars) == (ref.nrows, ref.ncols, ref.nvars)
+    assert linalg.int_rows(M) == linalg.int_rows(ref)
+    assert M == ref and tuple(M) == tuple(ref)
+    assert [[a.constant_value() for a in row] for row in M] == values
+    products = linalg.mat_mul(M, linalg.transpose(linalg.mat_scale(M, Scalar.const(nvars, Fraction(2, 3)))))
+    for A in (M, products):
+        written = matrix_to_json(A)
+        assert written == [[scalar_to_str(a) for a in row] for row in A]
+        assert dirac._payload_matrix(written, nvars, None, A.ncols) == A
+
+
+MALFORMED = ["1/0", "- -3/0", "0.5", True, None, ["0"], "1" * 5001, "x1", "", "--",
+             "3/-4", "(1)/(0)"]
+
+
+@given(_constant_payload(), st.sampled_from(MALFORMED), st.data())
+@settings(max_examples=200, deadline=None)
+def test_int_codec_refuses_like_the_scalar_codec(payload, bad, data):
+    # one entry that is not a literal, anywhere: the payload is read as the
+    # scalar route reads it, with the same value or the same error.  "x1" is
+    # a symbolic entry over n variables and out of range over none.
+    rows, _, nvars, n = payload
+    i = data.draw(st.integers(0, len(rows) - 1))
+    j = data.draw(st.integers(0, n - 1))
+    rows[i][j] = bad
+    got = _outcome(lambda: dirac._payload_matrix(rows, nvars, None, n))
+    want = _outcome(lambda: _scalar_read(rows, nvars))
+    assert got == want
+    if isinstance(want, linalg.Matrix):
+        assert got.is_constant() == want.is_constant()

@@ -411,8 +411,11 @@ ZERO_2X2 = {"n": 2, "nvars": 0, "rows": [["0", "0"], ["0", "0"]]}
     {"n": True, "eta": [["0"]], "beta": [["0"]]},
     {"n": 2},
     {"n": 2, "eta": [["0", "0"], ["0", "0"]]},
+    {"replay": "linalg.f_properties", "data": {
+        "z": {"n": 2, "nvars": True, "rows": [["0", "x1"], ["-x1", "0"]]},
+        "beta": {"n": 2, "nvars": True, "rows": [["0", "0"], ["0", "0"]]}}},
 ], ids=["replay-ragged", "replay-n-disagrees", "linear-n-string", "linear-n-bool",
-        "linear-n-only", "linear-no-beta"])
+        "linear-n-only", "linear-no-beta", "replay-nvars-bool"])
 def test_cli_run_refuses_misshapen_matrix_payloads(tmp_path, payload, capsys):
     # the shape of every matrix payload is checked before any entry is parsed
     p = tmp_path / "inst.json"
@@ -436,7 +439,12 @@ LONG_DEN = "x1-x1" + "+x1-x1" * 2000
         {"degree": 2, "indices": [1] * 50000, "num": "1", "den": "1"}]}},
     {"chart": 2, "eta": {"chart": 2, "terms": [
         {"degree": int("9" * 4000), "indices": [1, 2], "num": "1", "den": "1"}]}},
-], ids=["zero-denominator", "replay-name", "nvars", "degree-indices", "degree-digits"])
+    {"chart": int("9" * 4000), "eta": {"chart": 2, "terms": [
+        {"degree": 2, "indices": [1, 2], "num": "1", "den": "1"}]}},
+    {"chart": 2, "eta": {"chart": 2, "terms": [
+        {"degree": 2, "indices": [1, int("9" * 4000)], "num": "1", "den": "1"}]}},
+], ids=["zero-denominator", "replay-name", "nvars", "degree-indices", "degree-digits",
+        "chart-digits", "index-digits"])
 def test_cli_run_refusals_stay_short(tmp_path, payload, capsys):
     p = tmp_path / "inst.json"
     p.write_text(json.dumps(payload))
@@ -455,6 +463,37 @@ def test_cli_run_chart_term_reads_entries_as_strings(tmp_path, num, code):
     p = tmp_path / "inst.json"
     p.write_text(json.dumps(inst))
     assert main(["run", str(p), "--quiet"]) == code
+
+
+def _d_squared(chart, degree=1, indices=(1,)):
+    return {"replay": "exterior.d_squared", "data": {"form": {"chart": chart, "terms": [
+        {"degree": degree, "indices": list(indices), "num": "x1", "den": "1"}]}}}
+
+
+ETA_2 = {"chart": 2, "terms": [{"degree": 2, "indices": [1, 2], "num": "1", "den": "1"}]}
+
+
+@pytest.mark.parametrize("payload", [
+    _d_squared(True),
+    _d_squared(2.0),
+    _d_squared("2"),
+    _d_squared(3, 2, [1.9, 2.7]),
+    _d_squared(3, 2, ["1", "2"]),
+    _d_squared(2, True),
+    _d_squared(2, "1"),
+    _d_squared("2" * 100),
+    {"chart": "2", "eta": ETA_2},
+], ids=["chart-bool", "chart-float", "chart-string", "indices-float", "indices-string",
+        "degree-bool", "degree-string", "chart-long-string", "instance-chart-string"])
+def test_cli_run_refuses_form_payload_fields_that_are_not_integers(tmp_path, payload, capsys):
+    # chart, degree and indices are JSON integers: a bool, float or string
+    # is refused with a short message, not read through int()
+    p = tmp_path / "inst.json"
+    p.write_text(json.dumps(payload))
+    assert main(["run", str(p), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "is not an integer" in err
+    assert len(err.encode()) < 200
 
 
 @pytest.mark.parametrize("name", ["presym.hor_subcomplex", "presym.preservation"])

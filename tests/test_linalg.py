@@ -498,3 +498,68 @@ def test_constant_matrix_ops_match_entrywise_scalars(pair, data):
         [[linalg.dot(ea, eb) for eb in EB] for ea in EA])
     for M in (T, A[a:b], linalg.hstack(A, B), linalg.mat_add(A, B), linalg.mat_neg(A)):
         assert M.is_constant() and M.nvars == (nvars if len(M) else 0)
+
+
+def _rational_rows(S):
+    """The rows of a sympy matrix of rationals, as Fractions."""
+    return [[Fraction(int(x.p), int(x.q)) for x in S.row(i)] for i in range(S.rows)]
+
+
+def _values(A):
+    return [[a.constant_value() for a in row] for row in A]
+
+
+@st.composite
+def _elimination_case(draw):
+    """A constant matrix for the int Gauss-Jordan loop: graph rows [I | B]
+    (already reduced), a rank-deficient matrix, one with zero rows, or one
+    with 200-digit entries; over 0 or 2 variables."""
+    kind = draw(st.sampled_from(["graph", "deficient", "zero-rows", "digits"]))
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 7))
+    if kind == "digits":
+        big = st.integers(10**199, 10**200 - 1)
+        num = st.one_of(st.just(0), big, big.map(lambda a: -a), st.integers(-9, 9))
+        den = st.one_of(st.integers(1, 6), big)
+    else:
+        num, den = st.integers(-9, 9), st.integers(1, 6)
+    entry = st.builds(Fraction, num, den)
+    rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
+    if kind == "graph":
+        rows = [[Fraction(int(i == j)) for j in range(n)] + row for i, row in enumerate(rows)]
+    elif kind == "deficient" and n >= 2:
+        k = draw(st.integers(1, n - 1))
+        for i in range(k, n):
+            c = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+            rows[i] = [sum(ci * rows[r][j] for r, ci in enumerate(c)) for j in range(m)]
+    elif kind == "zero-rows":
+        for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)):
+            rows[i] = [Fraction(0)] * m
+    return rows, draw(st.sampled_from([0, 2]))
+
+
+@given(_elimination_case())
+@settings(max_examples=150, deadline=None)
+def test_int_gauss_jordan_matches_sympy(case):
+    # rref and its pivots, nullspace, rank, and solve_det with its
+    # determinant, against sympy on the same rational matrix
+    rows, nvars = case
+    A = from_fractions(rows, nvars)
+    S = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in rows])
+    R, pivots = rref(A)
+    SR, spivots = S.rref()
+    assert pivots == spivots and _values(R) == _rational_rows(SR)
+    assert R.is_constant() and R.nvars == nvars
+    assert rank(A) == len(spivots)
+    kernel = nullspace(A)
+    assert _values(kernel) == [row for v in S.nullspace() for row in _rational_rows(v.T)]
+    k = min(len(rows), len(rows[0]))
+    Q, SQ = linalg.columns(A[:k], 0, k), S[:k, :k]
+    B, SB = A[:k], S[:k, :]
+    if SQ.det() == 0:
+        with pytest.raises(ZeroDivisionError):
+            linalg.solve_det(Q, B)
+    else:
+        X, d = linalg.solve_det(Q, B)
+        assert d.nvars == nvars and d.constant_value() == Fraction(str(SQ.det()))
+        assert _values(X) == _rational_rows(SQ.LUsolve(SB))
