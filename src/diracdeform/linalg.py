@@ -16,20 +16,15 @@ its entries by `mat`, the one constructor from Scalars:
 
 Vectors stay tuples of Scalars.
 
-There are three elimination loops.  `_bareiss` runs forward only and
-fraction-free on cleared rows, of ints for a constant matrix and of
-polynomials otherwise, dividing exactly and taking no gcd; determinants,
-span membership and the rank of a constant matrix are read from it.  `rref`
-of a constant matrix is Gauss-Jordan on primitive int rows (`_int_rref`):
-each pivot step changes only the rows with a nonzero entry in its column,
-and divides each of them by its content.  `rref` of a matrix with a
-non-constant entry scales each row by the lcm of its denominators and then
-runs over the field with gcd-reduced entries at every step.  Kernels,
-linear solves (`solve(A, B)` is the right block of rref([A | B]), and
-`solve_det` reads det(A) from the same elimination) and the ranks of
-non-constant matrices are read from `rref`.  On polynomial rows a
-fraction-free Gauss-Jordan loop is slower than the field loop, so it is not
-used there.
+There are two elimination loops, and each runs on both rings: on the
+cleared rows, of ints for a constant matrix and of polynomials otherwise.
+`_bareiss` runs forward only and fraction-free, dividing exactly and taking
+no gcd; determinants, span membership and ranks are read from it.  `_rref`
+is Gauss-Jordan on primitive rows: each pivot step changes only the rows
+with a nonzero entry in its column, and divides each of them by its
+content.  `rref`, kernels and linear solves are read from it (`solve(A, B)`
+is the right block of rref([A | B]), and `solve_det` reads det(A) from the
+same elimination).
 """
 
 from __future__ import annotations
@@ -45,6 +40,7 @@ from .rational import (
     Scalar,
     as_point,
     poly_divexact,
+    poly_gcd,
     poly_lcm,
 )
 
@@ -355,12 +351,10 @@ def is_skew(A: Matrix) -> bool:
 def rref(A: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns, exact over the field.
 
-    A constant matrix is reduced by Gauss-Jordan on primitive int rows, so
-    each pivot row is that int row over its pivot.  RREF is unique, so both
-    routes agree.
-    Otherwise the field loop runs; a matrix with real denominators first has
-    each row scaled by their lcm, which leaves the RREF unchanged and keeps
-    a denominator shared by a whole row out of every gcd.
+    Gauss-Jordan on primitive cleared rows (`_rref`), of ints for a constant
+    matrix and of polynomials otherwise: each pivot row over its pivot is
+    its reduced row.  Clearing scales each row by the lcm of its
+    denominators, which leaves the RREF unchanged.
     """
     R, pivots, _ = _rref(mat(A))
     return R, pivots
@@ -370,85 +364,34 @@ def _rref(A: Matrix) -> tuple[Matrix, tuple[int, ...], Callable[[], Scalar]]:
     """rref(A), and a function giving the determinant of the leading square
     block of A when the columns of that block are all pivots.
 
-    On ints it is read from the pivots and the row scalings of `_int_rref`;
-    in the field loop it is the signed product of the pivots, over the
-    product of the row lcms.
+    The cleared rows, of ints or of polynomials, are each divided by their
+    content.  At a pivot p in column c only the rows with a nonzero entry f
+    there change: row <- (p/g) row - (f/g) pivot_row with g = gcd(p, f), and
+    the row is divided by its content h.  Every row stays primitive, so a
+    pivot row over its pivot is its reduced row.  Each update scales the
+    determinant by (p/g) / h, so the leading determinant is the signed
+    product of the diagonal times the contents, divided exactly by the
+    scales, over the product of the row scales of the clearing.  The ring
+    picks the gcd (`math.gcd` or `poly_gcd`), the row content (a polynomial
+    row's stops at its first constant gcd) and the output entries (int rows
+    over positive pivots, or `Scalar(a, p)`); the loop is the same.
     """
     nvars = A.nvars
     if not A.nrows or not A.ncols:
         return A, (), lambda: Scalar.one(nvars)
-    if A._ints is not None:
-        return _int_rref(A)
-    nr, nc = A.nrows, A.ncols
-    zero = Scalar.zero(nvars)
-    pivots: list[int] = []
-    values: list[Scalar] = []
-    sign = 1
-    r = 0
-    if all(a.is_polynomial() for row in A._rows for a in row):
-        rows = [list(row) for row in A._rows]
-        lcms = []
+    ints = A._ints is not None
+    if ints:
+        gcd = content = math.gcd
+        one = 1
     else:
-        cleared, lcms = _cleared(A)
-        rows = [[Scalar.from_poly(p) for p in row] for row in cleared]
-    for c in range(nc):
-        pivot_row = None
-        for i in range(r, nr):
-            if not rows[i][c].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            sign = -sign
-        values.append(rows[r][c])
-        inv = rows[r][c].inverse()
-        rows[r] = [zero if j < c else inv * rows[r][j] for j in range(nc)]
-        for i in range(nr):
-            if i == r or rows[i][c].is_zero():
-                continue
-            f = rows[i][c]
-            rows[i] = [
-                rows[i][j] - f * rows[r][j] for j in range(nc)
-            ]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-
-    def leading_det() -> Scalar:
-        total = Scalar.one(nvars)
-        for v in values:
-            total = total * v
-        scale = Poly.one(nvars)
-        for m in lcms:
-            scale = scale * m
-        if scale != Poly.one(nvars):
-            total = Scalar(total.num, total.den * scale)
-        return -total if sign < 0 else total
-
-    return mat(rows), tuple(pivots), leading_det
-
-
-def _int_rref(A: Matrix) -> tuple[Matrix, tuple[int, ...], Callable[[], Scalar]]:
-    """`_rref` of a constant matrix: Gauss-Jordan on primitive int rows.
-
-    Each row is first divided by its content.  At a pivot p in column c only
-    the rows with a nonzero entry f there change: row <- (p/g) row - (f/g)
-    pivot_row with g = gcd(p, f), and the row is divided by its content h.
-    Every row stays primitive, so a pivot row over its pivot is its reduced
-    row.  Each update scales the determinant by (p/g) / h, so the leading
-    determinant is the signed product of the diagonal times the contents
-    over the scales, over the product of the row denominators.
-    """
-    rows, contents, scales = [], [], []
-    for row in A._ints:
-        h = math.gcd(*row)
-        if h > 1:
-            row = [a // h for a in row]
+        gcd, content, one = poly_gcd, _poly_content, Poly.one(nvars)
+    rows, row_scales = _cleared(A)
+    contents, scales = [], []
+    for i, row in enumerate(rows):
+        h = content(*row)
+        if h and h != one:
+            rows[i] = [a // h for a in row]
             contents.append(h)
-        rows.append(row)
     nr, nc = A.nrows, A.ncols
     pivots: list[int] = []
     sign = 1
@@ -466,14 +409,14 @@ def _int_rref(A: Matrix) -> tuple[Matrix, tuple[int, ...], Callable[[], Scalar]]
         # the old row r, now at `pivot`, is zero in column c
         for i in [i for i in range(r) if rows[i][c]] + below[1:]:
             row = rows[i]
-            g = math.gcd(p, row[c])
+            g = gcd(p, row[c])
             s, t = p // g, row[c] // g
             row = [s * a - t * b for a, b in zip(row, row_r)]
-            h = math.gcd(*row)
-            if h > 1:
+            h = content(*row)
+            if h and h != one:
                 row = [a // h for a in row]
                 contents.append(h)
-            if s != 1:
+            if s != one:
                 scales.append(s)
             rows[i] = row
         pivots.append(c)
@@ -481,31 +424,53 @@ def _int_rref(A: Matrix) -> tuple[Matrix, tuple[int, ...], Callable[[], Scalar]]
         if r == nr:
             break
     diagonal = [row[c] for row, c in zip(rows, pivots)]
-    ints, dens = [], []
-    for row, p in zip(rows, diagonal):
-        if p < 0:
-            row, p = [-a for a in row], -p
-        ints.append(row)
-        dens.append(p)
-    # the rows below the last pivot are zero
-    ints.extend(rows[r:])
-    dens.extend([1] * (nr - r))
-    nvars, row_dens = A.nvars, A._dens
+    if ints:
+        out_ints, dens = [], []
+        for row, p in zip(rows, diagonal):
+            if p < 0:
+                row, p = [-a for a in row], -p
+            out_ints.append(row)
+            dens.append(p)
+        # the rows below the last pivot are zero
+        out_ints.extend(rows[r:])
+        dens.extend([1] * (nr - r))
+        R = Matrix(nr, nc, nvars, out_ints, dens)
+    else:
+        zero, unit = Scalar.zero(nvars), Scalar.one(nvars)
+        R = mat([
+            [zero if not a else unit if a is p else Scalar(a, p) for a in row]
+            for row, p in zip(rows, diagonal)
+        ] + [[zero] * nc] * (nr - r))
 
     def leading_det() -> Scalar:
-        num = sign * math.prod(diagonal) * math.prod(contents)
-        return Scalar.const(nvars, Fraction(num, math.prod(scales) * math.prod(row_dens)))
+        num = math.prod(diagonal + contents, start=one)
+        for s in scales:
+            num //= s
+        if sign < 0:
+            num = -num
+        den = math.prod(row_scales, start=one)
+        return Scalar.const(nvars, Fraction(num, den)) if ints else Scalar(num, den)
 
-    return Matrix(nr, nc, nvars, ints, dens), tuple(pivots), leading_det
+    return R, tuple(pivots), leading_det
+
+
+def _poly_content(*row: Poly) -> Poly:
+    """The gcd of a polynomial row, zero for a zero row; it stops at the
+    first constant gcd, the unit."""
+    h = Poly.zero(row[0].nvars)
+    for a in row:
+        if a:
+            h = poly_gcd(h, a)
+            if h.is_constant():
+                break
+    return h
 
 
 def rank(A: Matrix) -> int:
-    """The rank; for a constant matrix, the pivot count of one forward
-    Bareiss pass on its int rows (no RREF)."""
+    """The rank: the pivot count of one forward Bareiss pass on the cleared
+    rows (no RREF)."""
     A = mat(A)
-    if A._ints is not None:
-        return len(_bareiss(_cleared(A)[0])[0]) if A.nrows and A.ncols else 0
-    return len(rref(A)[1])
+    return len(_bareiss(_cleared(A)[0])[0]) if A.nrows and A.ncols else 0
 
 
 def nullspace(A: Matrix) -> Matrix:
@@ -653,9 +618,9 @@ def _bareiss(rows: list[list]) -> tuple[tuple[int, ...], int]:
     n, m = len(rows), len(rows[0])
     if isinstance(rows[0][0], Poly):
         nvars = rows[0][0].nvars
-        zero, prev, div = Poly.zero(nvars), Poly.one(nvars), poly_divexact
+        zero, prev = Poly.zero(nvars), Poly.one(nvars)
     else:
-        zero, prev, div = 0, 1, operator.floordiv
+        zero, prev = 0, 1
     pivots: list[int] = []
     sign = 1
     r = 0
@@ -672,7 +637,7 @@ def _bareiss(rows: list[list]) -> tuple[tuple[int, ...], int]:
             row_i = rows[i]
             f = row_i[c]
             for j in range(c + 1, m):
-                row_i[j] = div(piv * row_i[j] - f * row_r[j], prev)
+                row_i[j] = (piv * row_i[j] - f * row_r[j]) // prev
             row_i[c] = zero
         prev = piv
         pivots.append(c)

@@ -117,6 +117,9 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.ip
 
+    def __bool__(self) -> bool:
+        return bool(self.ip)
+
     def is_constant(self) -> bool:
         return not self.ip or (len(self.ip) == 1 and 0 in self.ip)
 
@@ -183,6 +186,10 @@ class Poly:
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
+
+    def __floordiv__(self, other: "Poly") -> "Poly":
+        """Exact division, as `poly_divexact`: ValueError if it is not exact."""
+        return poly_divexact(self, other)
 
     def __mul__(self, other: "Poly") -> "Poly":
         """Content times content, and an integer convolution of the primitive

@@ -372,10 +372,16 @@ def test_one_nonconstant_entry_takes_the_field_route(rows, nvars, data):
     _check_against_sympy(A)
 
 
-@given(_fraction_rows(max_n=6, max_m=6), st.integers(0, 2), st.booleans())
+@given(_fraction_rows(max_n=6, max_m=6), st.integers(0, 2), st.booleans(),
+       st.sampled_from(["constant", "scaled", "entry"]))
 @settings(max_examples=150, deadline=None)
-def test_forward_pivot_rank_matches_sympy(rows, nvars, skew):
-    """The rank of a constant matrix, skew or not, from forward pivots alone."""
+def test_forward_pivot_rank_matches_sympy(rows, nvars, skew, ring):
+    """The rank, skew or not, over Q or Q(x), from forward pivots alone.
+
+    Over 1 or 2 variables, "scaled" is D A D with D = diag(x + i), which
+    keeps the rank and the skewness with every nonzero entry non-constant,
+    and "entry" adds x to one entry, which may change the rank.
+    """
     if skew:
         # the drawn entries, read in turn, fill the strict upper triangle
         flat = [v for row in rows for v in row]
@@ -385,17 +391,28 @@ def test_forward_pivot_rank_matches_sympy(rows, nvars, skew):
             rows[i][j] = flat[t % len(flat)]
             rows[j][i] = -rows[i][j]
     A = from_fractions(rows, nvars)
+    if nvars and ring != "constant":
+        x = Scalar.variable(nvars, nvars)
+        entries = [list(row) for row in A]
+        if ring == "scaled":
+            d = [x + Scalar.const(nvars, i) for i in range(max(len(rows), len(rows[0])))]
+            entries = [[d[i] * a * d[j] for j, a in enumerate(row)]
+                       for i, row in enumerate(entries)]
+        else:
+            entries[0][-1] = entries[0][-1] + x
+        A = mat(entries)
+        assert not A.is_constant() or not any(map(any, rows))
 
     def no_rref(*_):
-        raise AssertionError("a constant rank reads no RREF")
+        raise AssertionError("a rank reads no RREF")
 
-    real_rref = linalg.rref
-    linalg.rref = no_rref
+    real = linalg.rref, linalg._rref
+    linalg.rref = linalg._rref = no_rref
     try:
         got = rank(A)
     finally:
-        linalg.rref = real_rref
-    assert got == sympy.Matrix(rows).rank()
+        linalg.rref, linalg._rref = real
+    assert got == _sympy_matrix(A).rank(simplify=True)
 
 
 # ---------------------------------------------------------------------------
@@ -500,21 +517,47 @@ def test_constant_matrix_ops_match_entrywise_scalars(pair, data):
         assert M.is_constant() and M.nvars == (nvars if len(M) else 0)
 
 
-def _rational_rows(S):
-    """The rows of a sympy matrix of rationals, as Fractions."""
-    return [[Fraction(int(x.p), int(x.q)) for x in S.row(i)] for i in range(S.rows)]
-
-
-def _values(A):
-    return [[a.constant_value() for a in row] for row in A]
+_POLY = st.builds(
+    lambda terms: Poly.from_terms(2, terms),
+    st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-4, 4),
+                    max_size=3),
+)
+_FACTOR = _POLY.filter(lambda p: not p.is_constant())
 
 
 @st.composite
 def _elimination_case(draw):
-    """A constant matrix for the int Gauss-Jordan loop: graph rows [I | B]
-    (already reduced), a rank-deficient matrix, one with zero rows, or one
-    with 200-digit entries; over 0 or 2 variables."""
-    kind = draw(st.sampled_from(["graph", "deficient", "zero-rows", "digits"]))
+    """A matrix for the Gauss-Jordan loop.  Constant kinds, over 0 or 2
+    variables: graph rows [I | B] (already reduced), a rank-deficient
+    matrix, one with zero rows, or one with 200-digit entries.  Q(x) kinds,
+    over 2 variables: polynomial rows with a row times a common non-constant
+    factor (so a row content is divided out), rank-deficient rows with
+    polynomial coefficients, zero rows, or a rational-function entry (so the
+    rows are cleared first)."""
+    kind = draw(st.sampled_from(["graph", "deficient", "zero-rows", "digits",
+                                 "poly-factor", "poly-deficient", "poly-zero-rows",
+                                 "poly-rational"]))
+    if kind.startswith("poly"):
+        n, m = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+        rows = draw(st.lists(st.lists(_POLY, min_size=m, max_size=m), min_size=n, max_size=n))
+        if kind == "poly-factor":
+            q = draw(_FACTOR)
+            i = draw(st.integers(0, n - 1))
+            rows[i] = [q * a for a in rows[i]]
+        elif kind == "poly-deficient" and n >= 2:
+            k = draw(st.integers(1, n - 1))
+            for i in range(k, n):
+                c = draw(st.lists(_POLY, min_size=k, max_size=k))
+                rows[i] = [sum((ci * rows[r][j] for r, ci in enumerate(c)), Poly.zero(2))
+                           for j in range(m)]
+        elif kind == "poly-zero-rows":
+            for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)):
+                rows[i] = [Poly.zero(2)] * m
+        entries = [[Scalar.from_poly(a) for a in row] for row in rows]
+        if kind == "poly-rational":
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))
+            entries[i][j] = Scalar(draw(_POLY), draw(_FACTOR))
+        return mat(entries)
     n = draw(st.integers(1, 6))
     m = draw(st.integers(1, 7))
     if kind == "digits":
@@ -535,31 +578,32 @@ def _elimination_case(draw):
     elif kind == "zero-rows":
         for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)):
             rows[i] = [Fraction(0)] * m
-    return rows, draw(st.sampled_from([0, 2]))
+    return from_fractions(rows, draw(st.sampled_from([0, 2])))
 
 
 @given(_elimination_case())
 @settings(max_examples=150, deadline=None)
-def test_int_gauss_jordan_matches_sympy(case):
+def test_int_gauss_jordan_matches_sympy(A):
     # rref and its pivots, nullspace, rank, and solve_det with its
-    # determinant, against sympy on the same rational matrix
-    rows, nvars = case
-    A = from_fractions(rows, nvars)
-    S = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in rows])
+    # determinant, against sympy on the same matrix over Q or Q(x)
+    S = _sympy_matrix(A)
     R, pivots = rref(A)
-    SR, spivots = S.rref()
-    assert pivots == spivots and _values(R) == _rational_rows(SR)
-    assert R.is_constant() and R.nvars == nvars
+    SR, spivots = S.rref(simplify=sympy.cancel)
+    assert pivots == spivots and _same(R, SR)
+    assert R.nvars == A.nvars and (R.is_constant() or not A.is_constant())
     assert rank(A) == len(spivots)
     kernel = nullspace(A)
-    assert _values(kernel) == [row for v in S.nullspace() for row in _rational_rows(v.T)]
-    k = min(len(rows), len(rows[0]))
+    skernel = S.nullspace(simplify=sympy.cancel)
+    assert len(kernel) == len(skernel)
+    assert all(_same(mat([v]), sv.T) for v, sv in zip(kernel, skernel))
+    k = min(A.nrows, A.ncols)
     Q, SQ = linalg.columns(A[:k], 0, k), S[:k, :k]
     B, SB = A[:k], S[:k, :]
-    if SQ.det() == 0:
+    sdet = sympy.cancel(SQ.det())
+    if sdet == 0:
         with pytest.raises(ZeroDivisionError):
             linalg.solve_det(Q, B)
     else:
         X, d = linalg.solve_det(Q, B)
-        assert d.nvars == nvars and d.constant_value() == Fraction(str(SQ.det()))
-        assert _values(X) == _rational_rows(SQ.LUsolve(SB))
+        assert d.nvars == A.nvars and sympy.cancel(_to_sympy(d) - sdet) == 0
+        assert _same(X, SQ.adjugate() * SB / sdet)
