@@ -278,7 +278,8 @@ def _square(rows):
 
 
 def _check_against_sympy(A):
-    """Every int-route operation on A agrees with sympy on the same matrix."""
+    """Every linalg operation on A, over int or polynomial rows, agrees with
+    sympy on the same matrix."""
     S = _sympy_matrix(A)
     R, pivots = rref(A)
     SR, spivots = S.rref(simplify=True)
@@ -358,7 +359,9 @@ def test_constant_qx_matrices_match_q(rows, nvars):
 @given(_fraction_rows(max_n=4, max_m=4), st.integers(1, 2), st.data())
 @settings(max_examples=30, deadline=None)
 def test_one_nonconstant_entry_takes_the_field_route(rows, nvars, data):
-    """A single polynomial or rational-function entry leaves the int route."""
+    """A single polynomial or rational-function entry: the matrix has no int
+    rows, so `_rref` and `_bareiss` run on its rows cleared to polynomials,
+    and every operation agrees with sympy."""
     A = [list(row) for row in from_fractions(rows, nvars)]
     i = data.draw(st.integers(0, len(rows) - 1))
     j = data.draw(st.integers(0, len(rows[0]) - 1))
