@@ -53,9 +53,6 @@ class GeneralizedSection:
     def __sub__(self, other: "GeneralizedSection") -> "GeneralizedSection":
         return self + (-other)
 
-    def scale(self, c) -> "GeneralizedSection":
-        return GeneralizedSection(self.X.scale(c), self.alpha.scale(c))
-
     def is_zero(self) -> bool:
         return self.X.is_zero() and self.alpha.is_zero()
 

@@ -672,12 +672,12 @@ def _phi0_inverse_matches_F(phiz: Subspace, f_beta: SkewBilinear) -> bool:
 def matrix_to_json(A: Matrix) -> list[list[str]]:
     """The entries as `scalar_to_str` writes them; a constant matrix is
     written from its int rows, with one gcd per entry over a denominator."""
-    cleared = linalg.int_rows(A)
-    if cleared is None:
+    A = linalg.mat(A)
+    if not A.is_constant():
         return [[scalar_to_str(a) for a in row] for row in A]
     return [
         [str(a) if d == 1 else _ratio_str(a, d) for a in row]
-        for row, d in zip(*cleared)
+        for row, d in zip(*linalg.cleared_rows(A))
     ]
 
 

@@ -60,14 +60,8 @@ class ShiftedForm:
     def shifted_degree(self) -> int:
         return self.form.degree() - 2
 
-    def __add__(self, other: "ShiftedForm") -> "ShiftedForm":
-        return ShiftedForm(self.form + other.form)
-
     def __neg__(self) -> "ShiftedForm":
         return ShiftedForm(-self.form)
-
-    def scale(self, c) -> "ShiftedForm":
-        return ShiftedForm(self.form.scale(c))
 
     def is_zero(self) -> bool:
         return self.form.is_zero()

@@ -1,30 +1,35 @@
 """Exact linear algebra over the Scalar field (rationals or rational functions).
 
-A `Matrix` is immutable and holds one of two representations, chosen from
-its entries by `mat`, the one constructor from Scalars:
+A `Matrix` is immutable and holds one representation, its cleared rows: row
+i is a list of ring elements over one row denominator d_i, entry (i, j)
+being rows[i][j] / d_i.  Each row is kept reduced: the gcd of d_i and the
+row's content is a unit, so d_i is the lcm of the denominators of the row's
+entries.  The ring is `int` when every entry is a constant (d_i > 0), and
+`Poly` otherwise (d_i primitive with a positive leading coefficient, the
+shared unit for a polynomial row; the rational contents stay on the
+entries).  Each operation is written once over that ring and takes its gcd,
+lcm, zero and one from `is_constant()` (`_ring`); an operation on a
+constant and a non-constant matrix reads the constant one's int rows as
+constants over the unit.  Two invariants:
 
-- A constant matrix (every entry a constant, over any number of variables)
-  holds int rows with one positive int denominator per row: entry (i, j) is
-  ints[i][j] / dens[i].  Each row is kept reduced, so its denominator is the
-  lcm of its entries' denominators.  Its entry Scalars are built only when a
-  caller reads an entry, and only once.  Every operation on constant
-  matrices stays on these ints from end to end: products, sums, transposes,
-  stacking and column slicing rescale rows by lcms, and `==` and `is_skew`
-  compare by cross-multiplication, a_ij * d'_i == a'_ij * d_i.
-- Any other matrix holds its Scalar rows and clears them (`clear_rows`: each
-  row times the lcm of its denominators) at most once, on first use.
+- A matrix whose entries are all constants is on int rows, whatever
+  operation made it.  Reduced rows make this exact: constant entries force
+  a reduced row's denominator to be a unit.
+- A reduced row is unique, so `==` compares rows and denominators as they
+  are, and each entry, read as a Scalar, is canonical.  The entry Scalars
+  are built only when a caller reads an entry, and only once; the Scalars
+  passed to `mat` are kept.
 
 Vectors stay tuples of Scalars.
 
-There are two elimination loops, and each runs on both rings: on the
-cleared rows, of ints for a constant matrix and of polynomials otherwise.
-`_bareiss` runs forward only and fraction-free, dividing exactly and taking
-no gcd; determinants, span membership and ranks are read from it.  `_rref`
-is Gauss-Jordan on primitive rows: each pivot step changes only the rows
-with a nonzero entry in its column, and divides each of them by its
-content.  `rref`, kernels and linear solves are read from it (`solve(A, B)`
-is the right block of rref([A | B]), and `solve_det` reads det(A) from the
-same elimination).
+There are two elimination loops, and each runs on the cleared rows of both
+rings.  `_bareiss` runs forward only and fraction-free, dividing exactly
+and taking no gcd; determinants, span membership and ranks are read from
+it.  `_rref` is Gauss-Jordan on primitive rows: each pivot step changes
+only the rows with a nonzero entry in its column, and divides each of them
+by its content.  `rref`, kernels and linear solves are read from it
+(`solve(A, B)` is the right block of rref([A | B]), and `solve_det` reads
+det(A) from the same elimination).
 """
 
 from __future__ import annotations
@@ -34,15 +39,7 @@ import operator
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .rational import (
-    PoleError,
-    Poly,
-    Scalar,
-    as_point,
-    poly_divexact,
-    poly_gcd,
-    poly_lcm,
-)
+from .rational import PoleError, Poly, Scalar, as_point, poly_gcd, poly_lcm
 
 Vector = tuple[Scalar, ...]
 
@@ -57,36 +54,45 @@ class Matrix:
     variables, as an empty tuple would be read.
     """
 
-    __slots__ = ("nrows", "ncols", "nvars", "_ints", "_dens", "_rows", "_clear", "_hash")
+    __slots__ = ("nrows", "ncols", "nvars", "_nums", "_dens", "_rows", "_hash")
 
-    def __init__(self, nrows: int, ncols: int, nvars: int, ints=None, dens=None, rows=None):
+    def __init__(self, nrows: int, ncols: int, nvars: int, nums: list, dens: list, rows=None):
         self.nrows = nrows
         self.ncols = ncols if nrows else 0
         self.nvars = nvars if nrows else 0
-        # a constant matrix: int rows (never mutated) and row denominators
-        self._ints: list[list[int]] | None = ints
-        self._dens: list[int] | None = dens
-        # the Scalar rows: always set for a non-constant matrix
+        # the cleared rows (never mutated) and their denominators, of ints
+        # or of polynomials
+        self._nums: list[list] = nums
+        self._dens: list = dens
+        # the entry Scalars, built on first read
         self._rows: tuple[Vector, ...] | None = rows
-        self._clear: tuple[list[list[Poly]], list[Poly]] | None = None
         self._hash: int | None = None
 
     def is_constant(self) -> bool:
-        return self._ints is not None
+        return not self._dens or type(self._dens[0]) is int
 
     def _scalars(self) -> tuple[Vector, ...]:
         rows = self._rows
         if rows is None:
             nvars = self.nvars
-            zero, one = Scalar.zero(nvars), Scalar.one(nvars)
-            rows = self._rows = tuple(
-                tuple(
-                    zero if not a else one if a == d
-                    else Scalar.const(nvars, Fraction(a, d))
-                    for a in row
+            zero = Scalar.zero(nvars)
+            if self.is_constant():
+                one = Scalar.one(nvars)
+                rows = tuple(
+                    tuple(
+                        zero if not a else one if a == d
+                        else Scalar.const(nvars, Fraction(a, d))
+                        for a in row
+                    )
+                    for row, d in zip(self._nums, self._dens)
                 )
-                for row, d in zip(self._ints, self._dens)
-            )
+            else:
+                unit = Poly.one(nvars)
+                rows = tuple(
+                    tuple(zero if not a else Scalar(a, d, _canonical=d is unit) for a in row)
+                    for row, d in zip(self._nums, self._dens)
+                )
+            self._rows = rows
         return rows
 
     def __len__(self) -> int:
@@ -98,24 +104,22 @@ class Matrix:
     def __getitem__(self, index):
         if not isinstance(index, slice):
             return self._scalars()[index]
-        if self._ints is None:
-            return mat(self._rows[index])
-        ints = self._ints[index]
         rows = self._rows[index] if self._rows is not None else None
-        return Matrix(len(ints), self.ncols, self.nvars, ints, self._dens[index], rows)
+        nums, dens = self._nums[index], self._dens[index]
+        if self.is_constant():
+            return Matrix(len(nums), self.ncols, self.nvars, nums, dens, rows)
+        # the rows of a non-constant matrix may have only constant entries
+        return _reduced(nums, dens, self.nvars, self.ncols, False, rows)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, tuple):
             return self._scalars() == other
         if not isinstance(other, Matrix):
             return NotImplemented
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            return False
-        if self._ints is None or other._ints is None or self.nvars != other.nvars:
-            return self._scalars() == other._scalars()
-        return all(
-            a == b if d == e else all(x * e == y * d for x, y in zip(a, b))
-            for a, d, b, e in zip(self._ints, self._dens, other._ints, other._dens)
+        return (
+            (self.nrows, self.ncols, self.nvars) == (other.nrows, other.ncols, other.nvars)
+            and self._dens == other._dens
+            and self._nums == other._nums
         )
 
     def __hash__(self) -> int:
@@ -127,11 +131,67 @@ class Matrix:
         return f"Matrix({self._scalars()!r})"
 
 
+def _ring(constant: bool, nvars: int) -> tuple[Callable, Callable, object, object]:
+    """(gcd, lcm, zero, one) of the cleared rows: ints for a constant matrix,
+    polynomials over nvars variables otherwise.  gcd and lcm take any
+    number of arguments."""
+    if constant:
+        return _INT_RING
+    return _poly_gcd, _poly_lcm, Poly.zero(nvars), Poly.one(nvars)
+
+
+_INT_RING = (math.gcd, math.lcm, 0, 1)
+
+
+def _poly_gcd(*row: Poly) -> Poly:
+    """A gcd of the polynomials up to a constant factor, zero for zeros: a
+    lone nonzero one is its own gcd, and the fold stops at the first
+    constant gcd, a unit."""
+    h = Poly.zero(row[0].nvars)
+    for a in row:
+        if a:
+            h = poly_gcd(h, a) if h else a
+            if h.is_constant():
+                break
+    return h
+
+
+def _poly_lcm(*dens: Poly) -> Poly:
+    """The lcm of normalised denominators: each is the unit or primitive
+    with a positive leading coefficient, and so is the lcm."""
+    L = dens[0]
+    for d in dens[1:]:
+        if L.is_constant():
+            L = d
+        elif not d.is_constant() and d != L:
+            L = poly_lcm(L, d)
+    return L
+
+
+def _rescaled(nums: list[list], dens: list, L) -> list[list]:
+    """The rows over the common denominator L, a multiple of each of dens."""
+    return [row if d == L else [a * (L // d) for a in row] for row, d in zip(nums, dens)]
+
+
+def _clear(fractions: list[list[tuple]], constant: bool, nvars: int) -> tuple[list[list], list]:
+    """The rows of (numerator, denominator) pairs of ring elements, each
+    over the lcm of its denominators.  A row of entries in lowest terms with
+    normalised denominators comes out reduced."""
+    _, lcm, _, one = _ring(constant, nvars)
+    nums, dens = [], []
+    for row in fractions:
+        L = lcm(one, *[e for _, e in row])
+        nums.append([n if e == L else n * (L // e) for n, e in row])
+        dens.append(L)
+    return nums, dens
+
+
 def mat(rows: Matrix | Sequence[Sequence[Scalar]]) -> Matrix:
     """The matrix with these Scalar rows; a Matrix is returned unchanged.
 
-    A matrix whose entries are all constants is cleared to int rows here,
-    and only here.
+    The rows are cleared here, once: over the ints when every entry is a
+    constant, and over the polynomials otherwise.  The Scalars are kept as
+    the matrix's entries.
     """
     if isinstance(rows, Matrix):
         return rows
@@ -141,29 +201,100 @@ def mat(rows: Matrix | Sequence[Sequence[Scalar]]) -> Matrix:
     if len(set(map(len, rows))) > 1:
         raise ValueError("rows of different lengths")
     nvars = rows[0][0].nvars if rows[0] else 0
-    cleared = _int_rows(rows, nvars)
-    if cleared is None:
-        return _general(rows, nvars)
-    return Matrix(len(rows), len(rows[0]), nvars, cleared[0], cleared[1], rows)
+    unit = Poly.one(nvars)
+    if all(a.den is unit and a.num.is_constant() for row in rows for a in row):
+        nums, dens = _clear([[_ratio(a.num) for a in row] for row in rows], True, nvars)
+    else:
+        nums, dens = _clear([[(a.num, a.den) for a in row] for row in rows], False, nvars)
+    return Matrix(len(rows), len(rows[0]), nvars, nums, dens, rows)
 
 
-def _general(rows: tuple[Vector, ...], nvars: int) -> Matrix:
-    """A matrix with a non-constant entry, from its Scalar rows."""
-    return Matrix(len(rows), len(rows[0]), nvars, rows=rows)
+def _ratio(p: Poly) -> tuple[int, int]:
+    """A constant polynomial as (numerator, denominator) in lowest terms."""
+    return (p.cn, p.cd) if p else (0, 1)
 
 
-def _reduced(ints: list[list[int]], dens: list[int], nvars: int, ncols: int) -> Matrix:
-    """The constant matrix with entries ints[i][j] / dens[i] (dens positive),
-    each row divided by the gcd of its ints and its denominator."""
-    out_ints, out_dens = [], []
-    for row, d in zip(ints, dens):
-        g = math.gcd(d, *row)
-        if g != 1:
-            row = [a // g for a in row]
-            d //= g
-        out_ints.append(row)
+def _reduced(nums: list[list], dens: list, nvars: int, ncols: int, reduce: bool = True,
+             rows: tuple[Vector, ...] | None = None) -> Matrix:
+    """The matrix with entries nums[i][j] / dens[i], in either ring, with its
+    rows (the entry Scalars, if known) kept.
+
+    Each denominator is normalised: made positive, or, over the
+    polynomials, primitive with a positive leading coefficient and the unit
+    when constant, its content moved onto the row.  With `reduce`, each row
+    is first divided by the gcd of its denominator and its content.  A
+    polynomial result whose entries are all constants goes on int rows.
+    """
+    if not dens or type(dens[0]) is int:
+        out_nums, out_dens = [], []
+        for row, d in zip(nums, dens):
+            g = math.gcd(d, *row) if reduce else 1
+            if d < 0:
+                g = -g
+            if g != 1:
+                row = [a // g for a in row]
+                d //= g
+            out_nums.append(row)
+            out_dens.append(d)
+        return Matrix(len(nums), ncols, nvars, out_nums, out_dens, rows)
+    unit = Poly.one(nvars)
+    out_nums, out_dens = [], []
+    for row, d in zip(nums, dens):
+        if d is not unit:
+            if reduce and not d.is_constant():
+                g = _poly_gcd(d, *row)
+                if not g.is_constant():
+                    row = [a // g for a in row]
+                    d = d // g
+            if d.is_constant() or d.cn != 1 or d.cd != 1:
+                c = d if d.is_constant() else Poly.const(nvars, d.content)
+                row = [a // c for a in row]
+                d = unit if d.is_constant() else d // c
+        out_nums.append(row)
         out_dens.append(d)
-    return Matrix(len(ints), ncols, nvars, out_ints, out_dens)
+    if all(d is unit for d in out_dens) and all(
+        a.is_constant() for row in out_nums for a in row
+    ):
+        out_nums, out_dens = _clear(
+            [[_ratio(a) for a in row] for row in out_nums], True, nvars
+        )
+    return Matrix(len(nums), ncols, nvars, out_nums, out_dens, rows)
+
+
+def _operands(*blocks: Matrix) -> tuple[tuple, int, list[tuple[list[list], list]]]:
+    """The ring (`_ring`) of an operation on these matrices, their variable
+    count, and each one's cleared rows over that ring: ints when all are
+    constant, else polynomials, a constant block's int rows read as
+    constants over the unit.  The first block has rows, and every block
+    with rows has its variable count."""
+    nvars = blocks[0].nvars
+    constant = True
+    for b in blocks:
+        if b.nrows and b.nvars != nvars:
+            raise ValueError("variable-count mismatch")
+        constant = constant and b.is_constant()
+    if constant:
+        return _INT_RING, nvars, [(b._nums, b._dens) for b in blocks]
+    return _ring(False, nvars), nvars, [_poly_rows(b) for b in blocks]
+
+
+def _poly_rows(A: Matrix) -> tuple[list[list[Poly]], list[Poly]]:
+    """A's cleared rows over the polynomials: a constant matrix's int rows
+    are read as constants over the unit."""
+    if not A.is_constant():
+        return A._nums, A._dens
+    nvars = A.nvars
+    nums = [[Poly.const(nvars, a if d == 1 else Fraction(a, d)) for a in row]
+            for row, d in zip(A._nums, A._dens)]
+    return nums, [Poly.one(nvars)] * A.nrows
+
+
+def cleared_rows(A: Matrix) -> tuple[list[list], list]:
+    """The cleared rows of A and their denominators, entry (i, j) being
+    rows[i][j] / dens[i] with each row reduced: ints when A.is_constant(),
+    polynomials otherwise (not to be mutated)."""
+    A = mat(A)
+    return A._nums, A._dens
 
 
 def zeros(nrows: int, ncols: int, nvars: int) -> Matrix:
@@ -182,45 +313,35 @@ def dims(A: Matrix) -> tuple[int, int]:
     return A.nrows, A.ncols
 
 
-def _lcm_rows(ints: list[list[int]], dens: list[int]) -> tuple[list[list[int]], int]:
-    """Rows rescaled to the lcm L of their denominators, and L."""
-    L = math.lcm(*dens)
-    return [row if d == L else [a * (L // d) for a in row] for row, d in zip(ints, dens)], L
-
-
 def transpose(A: Matrix) -> Matrix:
+    """A's columns, each over the lcm L of A's row denominators."""
     A = mat(A)
-    if A._ints is None:
-        return _general(tuple(zip(*A._rows)), A.nvars)
-    rows, L = _lcm_rows(A._ints, A._dens)
-    cols = [list(col) for col in zip(*rows)]
+    _, lcm, _, one = _ring(A.is_constant(), A.nvars)
+    L = lcm(one, *A._dens)
+    cols = [list(col) for col in zip(*_rescaled(A._nums, A._dens, L))]
     return _reduced(cols, [L] * len(cols), A.nvars, A.nrows)
 
 
 def hstack(*blocks: Matrix) -> Matrix:
-    """The blocks side by side; all have the same number of rows."""
+    """The blocks side by side; all have the same number of rows.  Row i is
+    over the lcm of the blocks' denominators of row i, which keeps it
+    reduced."""
     blocks = [mat(b) for b in blocks]
     n = blocks[0].nrows
     if any(b.nrows != n for b in blocks):
         raise ValueError("hstack of blocks with different row counts")
     if not n:
         return mat(())
-    nvars = blocks[0].nvars
-    ncols = sum(b.ncols for b in blocks)
-    if any(b._ints is None or b.nvars != nvars for b in blocks):
-        rows = tuple(sum(rows, ()) for rows in zip(*blocks))
-        # a block with a non-constant entry makes the whole matrix non-constant
-        return _general(rows, nvars) if any(b._ints is None for b in blocks) else mat(rows)
-    ints, dens = [], []
+    (_, lcm, _, one), nvars, parts = _operands(*blocks)
+    nums, dens = [], []
     for i in range(n):
-        L = math.lcm(*[b._dens[i] for b in blocks])
+        L = lcm(one, *[d[i] for _, d in parts])
         row = []
-        for b in blocks:
-            d = b._dens[i]
-            row.extend(b._ints[i] if d == L else [a * (L // d) for a in b._ints[i]])
-        ints.append(row)
+        for b, d in parts:
+            row.extend(b[i] if d[i] == L else [a * (L // d[i]) for a in b[i]])
+        nums.append(row)
         dens.append(L)
-    return Matrix(n, ncols, nvars, ints, dens)
+    return Matrix(n, sum(b.ncols for b in blocks), nvars, nums, dens)
 
 
 def vstack(*blocks: Matrix) -> Matrix:
@@ -229,54 +350,48 @@ def vstack(*blocks: Matrix) -> Matrix:
     blocks = [b for b in map(mat, blocks) if b.nrows]
     if len(blocks) < 2:
         return blocks[0] if blocks else mat(())
-    nvars, ncols = blocks[0].nvars, blocks[0].ncols
+    ncols = blocks[0].ncols
     if any(b.ncols != ncols for b in blocks):
         raise ValueError("vstack of blocks with different column counts")
-    if any(b._ints is None or b.nvars != nvars for b in blocks):
-        rows = tuple(row for b in blocks for row in b)
-        return _general(rows, nvars) if any(b._ints is None for b in blocks) else mat(rows)
-    ints = [row for b in blocks for row in b._ints]
-    return Matrix(len(ints), ncols, nvars, ints, [d for b in blocks for d in b._dens])
+    _, nvars, parts = _operands(*blocks)
+    nums = [row for b, _ in parts for row in b]
+    return Matrix(len(nums), ncols, nvars, nums, [d for _, ds in parts for d in ds])
 
 
 def columns(A: Matrix, start: int, stop: int) -> Matrix:
     """The matrix of columns start..stop-1 of A."""
     A = mat(A)
-    if A._ints is None:
-        return mat([row[start:stop] for row in A._rows])
     ncols = len(range(A.ncols)[start:stop])
-    return _reduced([row[start:stop] for row in A._ints], A._dens, A.nvars, ncols)
+    return _reduced([row[start:stop] for row in A._nums], A._dens, A.nvars, ncols)
 
 
 def mat_add(A: Matrix, B: Matrix) -> Matrix:
     A, B = mat(A), mat(B)
     if dims(A) != dims(B):
         raise ValueError(f"shape mismatch {dims(A)} + {dims(B)}")
-    if A._ints is None or B._ints is None or A.nvars != B.nvars:
-        return mat([tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B)])
-    ints, dens = [], []
-    for a, d, b, e in zip(A._ints, A._dens, B._ints, B._dens):
+    (_, lcm, _, _), nvars, ((an, ad), (bn, bd)) = _operands(A, B)
+    nums, dens = [], []
+    for a, d, b, e in zip(an, ad, bn, bd):
         if d == e:
-            ints.append([x + y for x, y in zip(a, b)])
+            nums.append([x + y for x, y in zip(a, b)])
             dens.append(d)
         else:
-            L = math.lcm(d, e)
+            L = lcm(d, e)
             s, t = L // d, L // e
-            ints.append([x * s + y * t for x, y in zip(a, b)])
+            nums.append([x * s + y * t for x, y in zip(a, b)])
             dens.append(L)
-    return _reduced(ints, dens, A.nvars, A.ncols)
+    return _reduced(nums, dens, nvars, A.ncols)
 
 
 def mat_neg(A: Matrix) -> Matrix:
     A = mat(A)
-    if A._ints is None:
-        return _general(tuple(tuple(-a for a in row) for row in A._rows), A.nvars)
-    ints = [[-a for a in row] for row in A._ints]
-    return Matrix(A.nrows, A.ncols, A.nvars, ints, A._dens)
+    return Matrix(A.nrows, A.ncols, A.nvars, [[-a for a in row] for row in A._nums], A._dens)
 
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    """A @ B.  A matrix without rows gives the empty product."""
+    """A @ B.  A matrix without rows gives the empty product.  The rows of B
+    are rescaled to the lcm L of their denominators, so row i of the
+    product is a row of dot products over d_i * L."""
     A, B = mat(A), mat(B)
     n, k = dims(A)
     k2, m = dims(B)
@@ -284,63 +399,38 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
         return A
     if k != k2:
         raise ValueError(f"shape mismatch {n}x{k} @ {k2}x{m}")
-    if A._ints is not None and B._ints is not None and A.nvars == B.nvars:
-        return _int_product(A, B)
-    Bt = transpose(B)
-    return mat([tuple(dot(row, col) for col in Bt) for row in A])
-
-
-def _int_product(A: Matrix, B: Matrix) -> Matrix:
-    """A @ B for constant A and B: the rows of B are rescaled to the lcm L of
-    their denominators, so entry (i, j) is an int dot product over d_i * L."""
-    rows_b, L = _lcm_rows(B._ints, B._dens)
-    cols = list(zip(*rows_b))
-    ints, dens = [], []
-    for row, d in zip(A._ints, A._dens):
-        ints.append([sum(map(operator.mul, row, col)) for col in cols])
-        dens.append(d * L)
-    return _reduced(ints, dens, A.nvars, B.ncols)
-
-
-def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
-    total = Scalar.zero(u[0].nvars)
-    for a, b in zip(u, v):
-        if not (a.is_zero() or b.is_zero()):
-            total = total + a * b
-    return total
+    (_, lcm, zero, one), nvars, ((an, ad), (bn, bd)) = _operands(A, B)
+    L = lcm(one, *bd)
+    cols = list(zip(*_rescaled(bn, bd, L)))
+    nums = [[sum(map(operator.mul, row, col), zero) for col in cols] for row in an]
+    return _reduced(nums, [d * L for d in ad], nvars, m)
 
 
 def mat_vec(A: Matrix, v: Sequence[Scalar]) -> Vector:
     A = mat(A)
     if not A.nrows:
         return ()
-    row = mat([v])
-    if A._ints is None or row._ints is None:
-        return tuple(dot(r, v) for r in A)
-    return mat_mul(row, transpose(A))[0]
+    return tuple(row[0] for row in mat_mul(A, transpose(mat([v]))))
 
 
 def mat_scale(A: Matrix, c: Scalar) -> Matrix:
+    """c A: the rows times c's cleared numerator s, over their denominators
+    times its denominator t."""
     A = mat(A)
-    if A._ints is None or not c.is_constant() or c.nvars != A.nvars:
-        return mat([tuple(c * a for a in row) for row in A])
-    q = c.constant_value()
-    ints = [[a * q.numerator for a in row] for row in A._ints]
-    return _reduced(ints, [d * q.denominator for d in A._dens], A.nvars, A.ncols)
+    if not A.nrows:
+        return A
+    _, nvars, ((nums, dens), ([[s]], [t])) = _operands(A, mat([[c]]))
+    return _reduced([[a * s for a in row] for row in nums], [d * t for d in dens], nvars, A.ncols)
 
 
 def is_skew(A: Matrix) -> bool:
+    """a_ij / d_i == -a_ji / d_j, compared as a_ij * d_j == -a_ji * d_i."""
     A = mat(A)
     n, m = dims(A)
     if n != m:
         return False
-    if A._ints is not None:
-        a, d = A._ints, A._dens
-        return all(
-            a[i][j] * d[j] == -a[j][i] * d[i] for i in range(n) for j in range(i, n)
-        )
-    rows = A._rows
-    return all(rows[i][j] == -rows[j][i] for i in range(n) for j in range(i, n))
+    a, d = A._nums, A._dens
+    return all(a[i][j] * d[j] == -a[j][i] * d[i] for i in range(n) for j in range(i, n))
 
 
 # ---------------------------------------------------------------------------
@@ -371,24 +461,19 @@ def _rref(A: Matrix) -> tuple[Matrix, tuple[int, ...], Callable[[], Scalar]]:
     pivot row over its pivot is its reduced row.  Each update scales the
     determinant by (p/g) / h, so the leading determinant is the signed
     product of the diagonal times the contents, divided exactly by the
-    scales, over the product of the row scales of the clearing.  The ring
-    picks the gcd (`math.gcd` or `poly_gcd`), the row content (a polynomial
-    row's stops at its first constant gcd) and the output entries (int rows
-    over positive pivots, or `Scalar(a, p)`); the loop is the same.
+    scales, over the product of the row denominators of A.  The ring
+    (`_ring`) gives the gcd, which for a polynomial row stops at its first
+    constant gcd; the loop is the same.
     """
     nvars = A.nvars
     if not A.nrows or not A.ncols:
         return A, (), lambda: Scalar.one(nvars)
-    ints = A._ints is not None
-    if ints:
-        gcd = content = math.gcd
-        one = 1
-    else:
-        gcd, content, one = poly_gcd, _poly_content, Poly.one(nvars)
-    rows, row_scales = _cleared(A)
+    ints = A.is_constant()
+    gcd, _, _, one = _ring(ints, nvars)
+    rows = [list(row) for row in A._nums]
     contents, scales = [], []
     for i, row in enumerate(rows):
-        h = content(*row)
+        h = gcd(*row)
         if h and h != one:
             rows[i] = [a // h for a in row]
             contents.append(h)
@@ -412,7 +497,7 @@ def _rref(A: Matrix) -> tuple[Matrix, tuple[int, ...], Callable[[], Scalar]]:
             g = gcd(p, row[c])
             s, t = p // g, row[c] // g
             row = [s * a - t * b for a, b in zip(row, row_r)]
-            h = content(*row)
+            h = gcd(*row)
             if h and h != one:
                 row = [a // h for a in row]
                 contents.append(h)
@@ -424,23 +509,10 @@ def _rref(A: Matrix) -> tuple[Matrix, tuple[int, ...], Callable[[], Scalar]]:
         if r == nr:
             break
     diagonal = [row[c] for row, c in zip(rows, pivots)]
-    if ints:
-        out_ints, dens = [], []
-        for row, p in zip(rows, diagonal):
-            if p < 0:
-                row, p = [-a for a in row], -p
-            out_ints.append(row)
-            dens.append(p)
-        # the rows below the last pivot are zero
-        out_ints.extend(rows[r:])
-        dens.extend([1] * (nr - r))
-        R = Matrix(nr, nc, nvars, out_ints, dens)
-    else:
-        zero, unit = Scalar.zero(nvars), Scalar.one(nvars)
-        R = mat([
-            [zero if not a else unit if a is p else Scalar(a, p) for a in row]
-            for row, p in zip(rows, diagonal)
-        ] + [[zero] * nc] * (nr - r))
+    # each row is primitive, so over its pivot (or over one, for the zero
+    # rows below the last pivot) it is reduced; `_reduced` only normalises
+    # the pivots
+    R = _reduced(rows, diagonal + [one] * (nr - r), nvars, nc, False)
 
     def leading_det() -> Scalar:
         num = math.prod(diagonal + contents, start=one)
@@ -448,34 +520,24 @@ def _rref(A: Matrix) -> tuple[Matrix, tuple[int, ...], Callable[[], Scalar]]:
             num //= s
         if sign < 0:
             num = -num
-        den = math.prod(row_scales, start=one)
+        den = math.prod(A._dens, start=one)
         return Scalar.const(nvars, Fraction(num, den)) if ints else Scalar(num, den)
 
     return R, tuple(pivots), leading_det
-
-
-def _poly_content(*row: Poly) -> Poly:
-    """The gcd of a polynomial row, zero for a zero row; it stops at the
-    first constant gcd, the unit."""
-    h = Poly.zero(row[0].nvars)
-    for a in row:
-        if a:
-            h = poly_gcd(h, a)
-            if h.is_constant():
-                break
-    return h
 
 
 def rank(A: Matrix) -> int:
     """The rank: the pivot count of one forward Bareiss pass on the cleared
     rows (no RREF)."""
     A = mat(A)
-    return len(_bareiss(_cleared(A)[0])[0]) if A.nrows and A.ncols else 0
+    return len(_bareiss(A)[1]) if A.nrows and A.ncols else 0
 
 
 def nullspace(A: Matrix) -> Matrix:
     """A basis of the right kernel, as the rows of a matrix, derived from the
-    RREF (one row per free column)."""
+    RREF (one row per free column): with L the lcm of the pivot rows'
+    denominators, the row of free column f is L at f and minus L times
+    column f of the RREF at the pivots."""
     A = mat(A)
     if not A.nrows:
         return A
@@ -483,27 +545,18 @@ def nullspace(A: Matrix) -> Matrix:
     nc = A.ncols
     pivot_set = set(pivots)
     free = [f for f in range(nc) if f not in pivot_set]
-    if R._ints is not None:
-        L = math.lcm(*R._dens[: len(pivots)])
-        scales = [L // d for d in R._dens]
-        ints = []
-        for f in free:
-            v = [0] * nc
-            v[f] = L
-            for r, pc in enumerate(pivots):
-                v[pc] = -R._ints[r][f] * scales[r]
-            ints.append(v)
-        return _reduced(ints, [L] * len(ints), A.nvars, nc)
-    zero = Scalar.zero(A.nvars)
-    one = Scalar.one(A.nvars)
-    basis = []
+    _, lcm, zero, one = _ring(R.is_constant(), A.nvars)
+    dens = R._dens[: len(pivots)]
+    L = lcm(one, *dens)
+    scales = [L // d for d in dens]
+    nums = []
     for f in free:
         v = [zero] * nc
-        v[f] = one
+        v[f] = L
         for r, pc in enumerate(pivots):
-            v[pc] = -R[r][f]
-        basis.append(tuple(v))
-    return mat(basis)
+            v[pc] = -R._nums[r][f] * scales[r]
+        nums.append(v)
+    return _reduced(nums, [L] * len(nums), A.nvars, nc)
 
 
 def solve(A: Matrix, B: Matrix) -> Matrix:
@@ -547,80 +600,18 @@ def inverse(A: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-def _int_rows(A: Sequence[Sequence[Scalar]], nvars: int) -> tuple[list[list[int]], list[int]] | None:
-    """Each row of a constant matrix times the lcm of its denominators.
+def _bareiss(A: Matrix) -> tuple[list[list], tuple[int, ...], int]:
+    """Fraction-free forward elimination on a copy of A's cleared rows.
 
-    Returns (int rows, row lcms), or None if some entry is not a constant over
-    `nvars` variables: its denominator is not the shared unit, or its
-    numerator has a term of nonzero exponent.
+    Returns (the eliminated rows, pivot columns, sign of the row swaps); the
+    rank over the fraction field is the number of pivots.  Each update is
+    (piv*a - f*b) / prev with prev the previous pivot, and every division is
+    exact, so no gcd is taken.  For a square matrix of full rank the last
+    pivot is sign * det.
     """
-    unit = Poly.one(nvars)
-    rows: list[list[int]] = []
-    lcms: list[int] = []
-    for row in A:
-        nums, dens = [], []
-        for a in row:
-            p = a.num
-            ip = p.ip
-            if a.den is not unit or len(ip) > 1 or (ip and 0 not in ip):
-                return None
-            nums.append(p.cn if ip else 0)
-            dens.append(p.cd)
-        m = math.lcm(*dens)
-        rows.append([c if d == m else c * (m // d) for c, d in zip(nums, dens)])
-        lcms.append(m)
-    return rows, lcms
-
-
-def clear_rows(A: Sequence[Sequence[Scalar]]) -> tuple[list[list[Poly]], list[Poly]]:
-    """Scale each row by the lcm of its denominators; returns (poly rows, lcms)."""
-    nvars = A[0][0].nvars
-    rows: list[list[Poly]] = []
-    lcms: list[Poly] = []
-    unit = Poly.one(nvars)
-    for row in A:
-        # a canonical denominator is the shared unit or not constant, and
-        # the lcm of the unit and d is d
-        m = unit
-        for a in row:
-            if a.den is not unit:
-                m = a.den if m is unit else poly_lcm(m, a.den)
-        if m is unit:
-            cleared = [a.num for a in row]
-        else:
-            cleared = [a.num * (m if a.den is unit else poly_divexact(m, a.den))
-                       for a in row]
-        rows.append(cleared)
-        lcms.append(m)
-    return rows, lcms
-
-
-def _cleared(A: Matrix) -> tuple[list[list], list]:
-    """Fresh copies of A's cleared rows, with the row scales: the int rows and
-    denominators of a constant A, else `clear_rows(A)`, computed once."""
-    if A._ints is not None:
-        return [list(row) for row in A._ints], A._dens
-    if A._clear is None:
-        A._clear = clear_rows(A._rows)
-    rows, lcms = A._clear
-    return [list(row) for row in rows], lcms
-
-
-def _bareiss(rows: list[list]) -> tuple[tuple[int, ...], int]:
-    """Fraction-free forward elimination, in place, on rows of ints or of
-    polynomials.
-
-    Returns (pivot columns, sign of the row swaps); the rank over the fraction
-    field is the number of pivots.  Each update is (piv*a - f*b) / prev with
-    prev the previous pivot, and every division is exact, so no gcd is
-    taken.  For a square matrix of full rank the last pivot is sign * det.
-    """
-    n, m = len(rows), len(rows[0])
-    if isinstance(rows[0][0], Poly):
-        nvars = rows[0][0].nvars
-        zero, prev = Poly.zero(nvars), Poly.one(nvars)
-    else:
-        zero, prev = 0, 1
+    rows = [list(row) for row in A._nums]
+    n, m = A.nrows, A.ncols
+    _, _, zero, prev = _ring(A.is_constant(), A.nvars)
     pivots: list[int] = []
     sign = 1
     r = 0
@@ -644,7 +635,7 @@ def _bareiss(rows: list[list]) -> tuple[tuple[int, ...], int]:
         r += 1
         if r == n:
             break
-    return tuple(pivots), sign
+    return rows, tuple(pivots), sign
 
 
 def det(A: Matrix) -> Scalar:
@@ -656,17 +647,13 @@ def det(A: Matrix) -> Scalar:
     if n == 0:
         return Scalar.one(0)
     nvars = A.nvars
-    rows, lcms = _cleared(A)
-    pivots, sign = _bareiss(rows)
+    rows, pivots, sign = _bareiss(A)
     if len(pivots) < n:
         return Scalar.zero(nvars)
     last = rows[n - 1][n - 1]
-    if isinstance(last, int):
-        return Scalar.const(nvars, Fraction(sign * last, math.prod(lcms)))
-    denom = Poly.one(nvars)
-    for m_ in lcms:
-        denom = denom * m_
-    result = Scalar(last, denom)
+    if A.is_constant():
+        return Scalar.const(nvars, Fraction(sign * last, math.prod(A._dens)))
+    result = Scalar(last, math.prod(A._dens, start=Poly.one(nvars)))
     return -result if sign < 0 else result
 
 
@@ -681,9 +668,7 @@ def in_span(vectors: Matrix | Sequence[Vector], w: Vector) -> bool:
     A = mat(vectors)
     if not A.nrows:
         return False
-    before = _bareiss(_cleared(A)[0])[0]
-    after = _bareiss(_cleared(vstack(A, mat([w])))[0])[0]
-    return len(before) == len(after)
+    return len(_bareiss(A)[1]) == len(_bareiss(vstack(A, mat([w])))[1])
 
 
 # ---------------------------------------------------------------------------
@@ -694,14 +679,16 @@ def in_span(vectors: Matrix | Sequence[Vector], w: Vector) -> bool:
 def clear_matrix(A: Matrix) -> tuple[list[list[Poly]], Poly]:
     """Scale the whole matrix by the lcm D of all denominators.
 
-    Returns (polynomial entries of D*A, D).  Useful for Pfaffian
+    Returns (polynomial entries of D*A, D): the cleared rows over the
+    polynomials (a constant matrix's read as constants over the unit),
+    rescaled to the lcm of their denominators.  Useful for Pfaffian
     computations, where a uniform polynomial matrix avoids fraction-field
     gcd churn: Pf_S(D*A) = D^{|S|/2} Pf_S(A).
     """
     A = mat(A)
-    width = A.ncols
-    (flat,), (D,) = clear_rows([[a for row in A for a in row]])
-    return [flat[i:i + width] for i in range(0, len(flat), width)], D
+    nums, dens = _poly_rows(A)
+    D = _poly_lcm(Poly.one(A.nvars), *dens)
+    return _rescaled(nums, dens, D), D
 
 
 def pfaffian_poly(rows: Sequence[Sequence[Poly]],
@@ -742,35 +729,33 @@ def _pf_poly(rows, idx: tuple[int, ...], nvars: int) -> Poly:
 def evaluate_matrix(A: Matrix, point: Sequence[Fraction]) -> Matrix:
     """Evaluate all entries at a rational point (a matrix over zero variables).
 
-    The entries share one `Point`; a pole raises PoleError naming `point`.
+    The entries share one `Point`.  A row whose denominator does not vanish
+    there is its numerators' values over the denominator's; a row whose
+    denominator does is evaluated entry by entry, so a pole raises
+    PoleError naming `point` exactly when some entry has one.
     """
     A = mat(A)
-    if A._ints is not None:
-        return Matrix(A.nrows, A.ncols, 0, A._ints, A._dens)
+    if A.is_constant():
+        return Matrix(A.nrows, A.ncols, 0, A._nums, A._dens)
     pt = as_point(point)
+    values = []
     try:
-        return from_fractions([[a.evaluate(pt) for a in row] for row in A._rows], 0)
+        for i, (row, d) in enumerate(zip(A._nums, A._dens)):
+            dv = d.evaluate(pt)
+            if dv:
+                values.append([a.evaluate(pt) / dv for a in row])
+            else:
+                values.append([a.evaluate(pt) for a in A[i]])
     except PoleError:
         raise PoleError.at(point) from None
+    return from_fractions(values, 0)
 
 
 def from_ratios(rows: Sequence[Sequence[tuple[int, int]]], nvars: int) -> Matrix:
     """The constant matrix over nvars variables with entries n / d, given as
     int pairs (n, d) with d > 0 and not necessarily in lowest terms."""
-    ints, dens = [], []
-    for row in rows:
-        L = math.lcm(*[d for _, d in row])
-        ints.append([n if d == L else n * (L // d) for n, d in row])
-        dens.append(L)
-    return _reduced(ints, dens, nvars, len(ints[0]) if ints else 0)
-
-
-def int_rows(A: Matrix) -> tuple[list[list[int]], list[int]] | None:
-    """The int rows and row denominators of a constant matrix, entry (i, j)
-    being ints[i][j] / dens[i] with each row reduced (not to be mutated);
-    None for a matrix with a non-constant entry."""
-    A = mat(A)
-    return None if A._ints is None else (A._ints, A._dens)
+    nums, dens = _clear(rows, True, nvars)
+    return _reduced(nums, dens, nvars, len(nums[0]) if nums else 0)
 
 
 def from_fractions(rows: Sequence[Sequence], nvars: int) -> Matrix:

@@ -297,7 +297,10 @@ def annihilator_forms(K: DistributionFrame) -> list[DifferentialForm]:
     xi_rows = linalg.nullspace(K.coordinate_matrix())
     if not xi_rows:
         return []
-    cleared, _ = linalg.clear_rows(xi_rows)
+    # the cleared rows over Q[x], where constants are units: a constant row
+    # is its own generator
+    cleared = ([[a.num for a in row] for row in xi_rows] if xi_rows.is_constant()
+               else linalg.cleared_rows(xi_rows)[0])
     out = []
     for row in cleared:
         terms = {

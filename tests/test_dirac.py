@@ -407,7 +407,7 @@ def test_int_codec_matches_scalar_codec(payload):
     M = dirac._payload_matrix(rows, nvars, None, n)
     ref = _scalar_read(rows, nvars)
     assert M.is_constant() and (M.nrows, M.ncols, M.nvars) == (ref.nrows, ref.ncols, ref.nvars)
-    assert linalg.int_rows(M) == linalg.int_rows(ref)
+    assert linalg.cleared_rows(M) == linalg.cleared_rows(ref)
     assert M == ref and tuple(M) == tuple(ref)
     assert [[a.constant_value() for a in row] for row in M] == values
     products = linalg.mat_mul(M, linalg.transpose(linalg.mat_scale(M, Scalar.const(nvars, Fraction(2, 3)))))

@@ -43,6 +43,14 @@ def rand_matrix(rng, n, m, nvars=0, deg=0):
     return mat(rows)
 
 
+def _dot(u, v):
+    """The reference dot product, entry by entry on Scalars."""
+    total = Scalar.zero(u[0].nvars)
+    for a, b in zip(u, v):
+        total = total + a * b
+    return total
+
+
 def det_permanent_oracle(A):
     """Determinant by signed permutation expansion (independent oracle)."""
     n = len(A)
@@ -171,7 +179,7 @@ def test_rref_and_nullspace(rng):
         R, pivots = rref(A)
         assert rank(A) == len(pivots)
         for v in nullspace(A):
-            image = [linalg.dot(row, v) for row in A]
+            image = [_dot(row, v) for row in A]
             assert all(x.is_zero() for x in image)
         assert rank(A) + len(nullspace(A)) == m
 
@@ -314,7 +322,7 @@ def _check_against_sympy(A):
 @settings(max_examples=120, deadline=None)
 def test_int_route_matches_sympy_over_q(rows):
     A = from_fractions(rows, 0)
-    assert linalg._int_rows(A, 0) is not None
+    assert A.is_constant()
     _check_against_sympy(A)
 
 
@@ -339,7 +347,7 @@ def test_constant_qx_matrices_match_q(rows, nvars):
     Aq = from_fractions(rows, 0)
     Ax = from_fractions(rows, nvars)
     Qq, Qx = mat(_square(Aq)), mat(_square(Ax))
-    assert linalg._int_rows(Ax, nvars) is not None
+    assert Ax.is_constant()
 
     def results(A, Q):
         out = [rref(A)[0], tuple(nullspace(A)), mat_mul(A, transpose(A)),
@@ -372,7 +380,7 @@ def test_one_nonconstant_entry_takes_the_field_route(rows, nvars, data):
         Scalar.from_poly(x), Scalar(Poly.one(nvars), x),
     ]))
     A = mat(A)
-    assert linalg._int_rows(A, nvars) is None
+    assert not A.is_constant()
     _check_against_sympy(A)
 
 
@@ -420,7 +428,8 @@ def test_forward_pivot_rank_matches_sympy(rows, nvars, skew, ring):
 
 
 # ---------------------------------------------------------------------------
-# The int rows of a constant Matrix against an entrywise Scalar reference.
+# The cleared rows of a Matrix, of ints or of polynomials, against an
+# entrywise Scalar reference.
 # ---------------------------------------------------------------------------
 
 
@@ -442,50 +451,129 @@ def _ref_is_skew(E) -> bool:
     )
 
 
+def _ref_is_constant(E) -> bool:
+    return all(x.is_constant() for row in E for x in row)
+
+
 def _as_tuples(E):
     return tuple(tuple(row) for row in E)
 
 
+def _ref_nullspace(A):
+    """The kernel basis read entry by entry off rref(A): one row per free
+    column f, one at f and minus column f of the RREF at the pivots."""
+    R, pivots = rref(A)
+    zero, one = Scalar.zero(A.nvars), Scalar.one(A.nvars)
+    basis = []
+    for f in range(A.ncols):
+        if f not in pivots:
+            v = [zero] * A.ncols
+            v[f] = one
+            for r, pc in enumerate(pivots):
+                v[pc] = -R[r][f]
+            basis.append(v)
+    return basis
+
+
+def _values_or_pole(evaluate):
+    try:
+        return evaluate()
+    except PoleError as exc:
+        return str(exc)
+
+
+_POLY = st.builds(
+    lambda terms: Poly.from_terms(2, terms),
+    st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-4, 4),
+                    max_size=3),
+)
+_FACTOR = _POLY.filter(lambda p: not p.is_constant())
+_QX_ENTRY = st.one_of(
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)).map(lambda v: Scalar.const(2, v)),
+    _POLY.map(Scalar.from_poly),
+    st.builds(Scalar, _POLY, _FACTOR),
+)
+
+
 @st.composite
-def _constant_pair(draw):
-    """Two constant matrices of one shape over one ring, often related: equal
-    values built another way, a rescaled copy (same ints, other denominators),
-    the negated transpose (skew when A is) or an independent draw."""
-    rows = draw(_fraction_rows(max_n=4, max_m=4))
-    n, m = len(rows), len(rows[0])
-    nvars = draw(st.integers(0, 2))
+def _matrix_pair(draw):
+    """Two matrices of one shape over one ring, with their entrywise
+    references, the ring's variable count and a point of it.
+
+    Constant pairs, over 0-2 variables, are often related: equal values
+    built another way, a rescaled copy (same ints, other denominators), the
+    negated transpose (skew when A is) or an independent draw.  Q(x) pairs,
+    over 2 variables, hold polynomials, constants and entries with non-unit
+    denominators; B may also be a constant matrix minus A, so that A + B is
+    constant.  A Q(x) A may carry an entry with a pole at the point, and it
+    is built by two transposes, so its entries are read from its cleared
+    rows."""
+    if draw(st.booleans()):
+        rows = draw(_fraction_rows(max_n=4, max_m=4))
+        nvars = draw(st.integers(0, 2))
+        EA = _scalar_rows(rows, nvars)
+        entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)).map(
+            lambda v: Scalar.const(nvars, v))
+        scales = [Fraction(2), Fraction(1, 3), Fraction(-1)]
+    else:
+        nvars = 2
+        n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        entry = _QX_ENTRY
+        EA = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
+        x1, x2 = Poly.variable(1, 2), Poly.variable(2, 2)
+        scales = [Fraction(2), Scalar.from_poly(x1), Scalar(Poly.one(2), x2 + Poly.one(2))]
+    scales = [Scalar.const(nvars, c) if isinstance(c, Fraction) else c for c in scales]
+    n, m = len(EA), len(EA[0])
+    zero = Scalar.zero(nvars)
     if n == m and draw(st.booleans()):
         # symmetric or skew: the upper triangle mirrored with a sign
         s = draw(st.sampled_from([1, -1]))
         for i in range(n):
             for j in range(i, n):
-                rows[j][i] = s * rows[i][j] if i != j else (rows[i][i] if s > 0 else 0)
-    how = draw(st.sampled_from(["same", "scaled", "neg-transpose", "other"]))
+                EA[j][i] = (EA[i][j] if s > 0 else -EA[i][j]) if i != j else (
+                    EA[i][i] if s > 0 else zero)
+    point = [Fraction(draw(st.integers(-3, 3))) for _ in range(nvars)]
+    if nvars == 2 and draw(st.booleans()):
+        # (q (x1 - a) + 1) / (x1 - a) has a pole at x1 = a
+        a = Poly.const(2, point[0])
+        d = Poly.variable(1, 2) - a
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))
+        EA[i][j] = Scalar(draw(_POLY) * d + Poly.one(2), d)
+    how = draw(st.sampled_from(["same", "scaled", "neg-transpose", "complement", "other"]))
     if how == "same":
-        other = [list(r) for r in rows]
+        EB = [list(r) for r in EA]
     elif how == "scaled":
-        c = draw(st.sampled_from([Fraction(2), Fraction(1, 3), Fraction(-1)]))
-        other = [[c * v for v in r] for r in rows]
+        c = draw(st.sampled_from(scales))
+        EB = [[c * v for v in r] for r in EA]
     elif how == "neg-transpose" and n == m:
-        other = [[-rows[j][i] for j in range(n)] for i in range(n)]
+        EB = [[-EA[j][i] for j in range(n)] for i in range(n)]
+    elif how == "complement":
+        C = draw(st.lists(st.lists(entry.filter(Scalar.is_constant), min_size=m, max_size=m),
+                          min_size=n, max_size=n))
+        EB = [[c - v for c, v in zip(cr, r)] for cr, r in zip(C, EA)]
     else:
-        other = draw(st.lists(
-            st.lists(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
-                     min_size=m, max_size=m), min_size=n, max_size=n))
-    return rows, other, nvars
+        EB = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
+    if nvars == 2 and not _ref_is_constant(EA):
+        A = transpose(mat(list(zip(*EA))))
+    elif _ref_is_constant(EA):
+        A = from_fractions([[x.constant_value() for x in r] for r in EA], nvars)
+    else:
+        A = mat(EA)
+    return A, mat(EB), EA, EB, nvars, point, scales
 
 
-@given(_constant_pair(), st.data())
+@given(_matrix_pair(), st.data())
 @settings(max_examples=300, deadline=None)
 def test_constant_matrix_ops_match_entrywise_scalars(pair, data):
-    """Every int-side operation of a constant Matrix equals the same operation
-    done entry by entry on Scalars: lazy entry reads, ==, is_skew, transpose,
-    row and column slicing, stacking, mat_add, mat_neg and mat_mul."""
-    rows, other, nvars = pair
-    A = from_fractions(rows, nvars)
-    B = mat(_scalar_rows(other, nvars))  # the other constructor, from Scalars
-    EA, EB = _scalar_rows(rows, nvars), _scalar_rows(other, nvars)
-    assert A.is_constant() and B.is_constant()
+    """Every operation on the cleared rows of a Matrix, of ints for a
+    constant matrix and of polynomials otherwise, equals the same operation
+    done entry by entry on Scalars: lazy entry reads, ==, is_skew,
+    transpose, row and column slicing, stacking, mat_add, mat_neg, mat_mul,
+    mat_scale, nullspace and evaluate_matrix.  Each result also equals the
+    Matrix that `mat` builds from its reference, row for row (so its rows
+    are reduced), and is constant exactly when the reference is."""
+    A, B, EA, EB, nvars, point, scales = pair
+    assert A.is_constant() == _ref_is_constant(EA) and B.is_constant() == _ref_is_constant(EB)
     n, m = len(EA), len(EA[0])
     # lazy entry reads, by row index, by iteration and through a row slice
     assert [A[i][j] for i in range(n) for j in range(m)] == [x for r in EA for x in r]
@@ -516,17 +604,31 @@ def test_constant_matrix_ops_match_entrywise_scalars(pair, data):
         [[x + y for x, y in zip(ea, eb)] for ea, eb in zip(EA, EB)])
     assert linalg.mat_neg(A) == _as_tuples([[-x for x in r] for r in EA])
     assert mat_mul(A, transpose(B)) == _as_tuples(
-        [[linalg.dot(ea, eb) for eb in EB] for ea in EA])
-    for M in (T, A[a:b], linalg.hstack(A, B), linalg.mat_add(A, B), linalg.mat_neg(A)):
-        assert M.is_constant() and M.nvars == (nvars if len(M) else 0)
-
-
-_POLY = st.builds(
-    lambda terms: Poly.from_terms(2, terms),
-    st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-4, 4),
-                    max_size=3),
-)
-_FACTOR = _POLY.filter(lambda p: not p.is_constant())
+        [[_dot(ea, eb) for eb in EB] for ea in EA])
+    s = data.draw(st.sampled_from(scales + [Scalar.zero(nvars)]))
+    results = [
+        (T, list(zip(*EA))),
+        (A[a:b], EA[a:b]),
+        (linalg.columns(A, c, d), [r[c:d] for r in EA]),
+        (linalg.hstack(A, B), [ea + eb for ea, eb in zip(EA, EB)]),
+        (linalg.vstack(A, B), EA + EB),
+        (linalg.mat_add(A, B), [[x + y for x, y in zip(ea, eb)] for ea, eb in zip(EA, EB)]),
+        (linalg.mat_neg(A), [[-x for x in r] for r in EA]),
+        (mat_mul(A, transpose(B)), [[_dot(ea, eb) for eb in EB] for ea in EA]),
+        (linalg.mat_scale(A, s), [[s * x for x in r] for r in EA]),
+        (nullspace(A), _ref_nullspace(A)),
+    ]
+    for M, E in results:
+        assert M == _as_tuples(E)
+        assert M.is_constant() == _ref_is_constant(E) and M.nvars == (nvars if len(M) else 0)
+        if E and E[0]:
+            assert M == mat(E)
+    # the values at a point, or the same PoleError
+    got = _values_or_pole(lambda: [[x.constant_value() for x in row]
+                                   for row in evaluate_matrix(A, point)])
+    assert got == _values_or_pole(lambda: [[x.evaluate(point) for x in row] for row in EA])
+    if not isinstance(got, str):
+        assert evaluate_matrix(A, point).is_constant() and evaluate_matrix(A, point).nvars == 0
 
 
 @st.composite
