@@ -12,8 +12,9 @@ way.  Subspaces store their basis vectors as the rows of a matrix in reduced
 row echelon form, which is the canonical representative used for equality.
 The builders of this module (graphs, gauge blocks, G + K*, Gram matrices,
 images of subspaces) work on whole matrices, by products, stacking and
-column slices, so a matrix of constants stays on the int rows of `linalg`
-from end to end and its entry Scalars are built only where an entry is read.
+column slices, so a matrix stays on the cleared rows of `linalg` (of ints
+for a matrix of constants) from end to end and its entry Scalars are built
+only where an entry is read.
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ import operator
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .rational import PoleError, Poly, Scalar, as_point, poly_gcd, poly_lcm
+from .rational import PoleError, Poly, Scalar, as_point, poly_divexact, poly_gcd, poly_lcm
 
 Vector = tuple[Scalar, ...]
 
@@ -54,9 +54,10 @@ class Matrix:
     variables, as an empty tuple would be read.
     """
 
-    __slots__ = ("nrows", "ncols", "nvars", "_nums", "_dens", "_rows", "_hash")
+    __slots__ = ("nrows", "ncols", "nvars", "_nums", "_dens", "_entries", "_hash")
 
-    def __init__(self, nrows: int, ncols: int, nvars: int, nums: list, dens: list, rows=None):
+    def __init__(self, nrows: int, ncols: int, nvars: int, nums: list, dens: list,
+                 entries: tuple[Vector, ...] | None = None):
         self.nrows = nrows
         self.ncols = ncols if nrows else 0
         self.nvars = nvars if nrows else 0
@@ -65,14 +66,14 @@ class Matrix:
         self._nums: list[list] = nums
         self._dens: list = dens
         # the entry Scalars, built on first read
-        self._rows: tuple[Vector, ...] | None = rows
+        self._entries = entries
         self._hash: int | None = None
 
     def is_constant(self) -> bool:
         return not self._dens or type(self._dens[0]) is int
 
     def _scalars(self) -> tuple[Vector, ...]:
-        rows = self._rows
+        rows = self._entries
         if rows is None:
             nvars = self.nvars
             zero = Scalar.zero(nvars)
@@ -92,7 +93,7 @@ class Matrix:
                     tuple(zero if not a else Scalar(a, d, _canonical=d is unit) for a in row)
                     for row, d in zip(self._nums, self._dens)
                 )
-            self._rows = rows
+            self._entries = rows
         return rows
 
     def __len__(self) -> int:
@@ -104,12 +105,12 @@ class Matrix:
     def __getitem__(self, index):
         if not isinstance(index, slice):
             return self._scalars()[index]
-        rows = self._rows[index] if self._rows is not None else None
+        entries = self._entries[index] if self._entries is not None else None
         nums, dens = self._nums[index], self._dens[index]
         if self.is_constant():
-            return Matrix(len(nums), self.ncols, self.nvars, nums, dens, rows)
+            return Matrix(len(nums), self.ncols, self.nvars, nums, dens, entries)
         # the rows of a non-constant matrix may have only constant entries
-        return _reduced(nums, dens, self.nvars, self.ncols, False, rows)
+        return _reduced(nums, dens, self.nvars, self.ncols, False, entries)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, tuple):
@@ -131,6 +132,9 @@ class Matrix:
         return f"Matrix({self._scalars()!r})"
 
 
+_INT_RING = (math.gcd, math.lcm, 0, 1)
+
+
 def _ring(constant: bool, nvars: int) -> tuple[Callable, Callable, object, object]:
     """(gcd, lcm, zero, one) of the cleared rows: ints for a constant matrix,
     polynomials over nvars variables otherwise.  gcd and lcm take any
@@ -140,19 +144,16 @@ def _ring(constant: bool, nvars: int) -> tuple[Callable, Callable, object, objec
     return _poly_gcd, _poly_lcm, Poly.zero(nvars), Poly.one(nvars)
 
 
-_INT_RING = (math.gcd, math.lcm, 0, 1)
-
-
 def _poly_gcd(*row: Poly) -> Poly:
     """A gcd of the polynomials up to a constant factor, zero for zeros: a
     lone nonzero one is its own gcd, and the fold stops at the first
-    constant gcd, a unit."""
+    constant gcd with the unit."""
     h = Poly.zero(row[0].nvars)
     for a in row:
         if a:
             h = poly_gcd(h, a) if h else a
             if h.is_constant():
-                break
+                return Poly.one(h.nvars)
     return h
 
 
@@ -201,12 +202,28 @@ def mat(rows: Matrix | Sequence[Sequence[Scalar]]) -> Matrix:
     if len(set(map(len, rows))) > 1:
         raise ValueError("rows of different lengths")
     nvars = rows[0][0].nvars if rows[0] else 0
-    unit = Poly.one(nvars)
-    if all(a.den is unit and a.num.is_constant() for row in rows for a in row):
-        nums, dens = _clear([[_ratio(a.num) for a in row] for row in rows], True, nvars)
+    fractions = _constant_fractions(rows, Poly.one(nvars))
+    if fractions is not None:
+        nums, dens = _clear(fractions, True, nvars)
     else:
         nums, dens = _clear([[(a.num, a.den) for a in row] for row in rows], False, nvars)
     return Matrix(len(rows), len(rows[0]), nvars, nums, dens, rows)
+
+
+def _constant_fractions(rows: tuple[Vector, ...], unit: Poly) -> list[list[tuple[int, int]]] | None:
+    """Each entry as (numerator, denominator) in lowest terms, or None once
+    an entry is not a constant: its denominator is not the shared unit, or
+    its numerator has a term of nonzero exponent."""
+    out = []
+    for row in rows:
+        pairs = []
+        for a in row:
+            ip = a.num.ip
+            if a.den is not unit or len(ip) > 1 or (ip and 0 not in ip):
+                return None
+            pairs.append((a.num.cn, a.num.cd) if ip else (0, 1))
+        out.append(pairs)
+    return out
 
 
 def _ratio(p: Poly) -> tuple[int, int]:
@@ -215,9 +232,9 @@ def _ratio(p: Poly) -> tuple[int, int]:
 
 
 def _reduced(nums: list[list], dens: list, nvars: int, ncols: int, reduce: bool = True,
-             rows: tuple[Vector, ...] | None = None) -> Matrix:
+             entries: tuple[Vector, ...] | None = None) -> Matrix:
     """The matrix with entries nums[i][j] / dens[i], in either ring, with its
-    rows (the entry Scalars, if known) kept.
+    entry Scalars kept if they are known.
 
     Each denominator is normalised: made positive, or, over the
     polynomials, primitive with a positive leading coefficient and the unit
@@ -226,6 +243,8 @@ def _reduced(nums: list[list], dens: list, nvars: int, ncols: int, reduce: bool 
     polynomial result whose entries are all constants goes on int rows.
     """
     if not dens or type(dens[0]) is int:
+        if not reduce and min(dens, default=1) > 0:
+            return Matrix(len(nums), ncols, nvars, nums, dens, entries)
         out_nums, out_dens = [], []
         for row, d in zip(nums, dens):
             g = math.gcd(d, *row) if reduce else 1
@@ -236,7 +255,7 @@ def _reduced(nums: list[list], dens: list, nvars: int, ncols: int, reduce: bool 
                 d //= g
             out_nums.append(row)
             out_dens.append(d)
-        return Matrix(len(nums), ncols, nvars, out_nums, out_dens, rows)
+        return Matrix(len(nums), ncols, nvars, out_nums, out_dens, entries)
     unit = Poly.one(nvars)
     out_nums, out_dens = [], []
     for row, d in zip(nums, dens):
@@ -244,12 +263,12 @@ def _reduced(nums: list[list], dens: list, nvars: int, ncols: int, reduce: bool 
             if reduce and not d.is_constant():
                 g = _poly_gcd(d, *row)
                 if not g.is_constant():
-                    row = [a // g for a in row]
-                    d = d // g
+                    row = [poly_divexact(a, g) for a in row]
+                    d = poly_divexact(d, g)
             if d.is_constant() or d.cn != 1 or d.cd != 1:
                 c = d if d.is_constant() else Poly.const(nvars, d.content)
-                row = [a // c for a in row]
-                d = unit if d.is_constant() else d // c
+                row = [poly_divexact(a, c) for a in row]
+                d = unit if d.is_constant() else poly_divexact(d, c)
         out_nums.append(row)
         out_dens.append(d)
     if all(d is unit for d in out_dens) and all(
@@ -258,7 +277,7 @@ def _reduced(nums: list[list], dens: list, nvars: int, ncols: int, reduce: bool 
         out_nums, out_dens = _clear(
             [[_ratio(a) for a in row] for row in out_nums], True, nvars
         )
-    return Matrix(len(nums), ncols, nvars, out_nums, out_dens, rows)
+    return Matrix(len(nums), ncols, nvars, out_nums, out_dens, entries)
 
 
 def _operands(*blocks: Matrix) -> tuple[tuple, int, list[tuple[list[list], list]]]:
@@ -424,13 +443,17 @@ def mat_scale(A: Matrix, c: Scalar) -> Matrix:
 
 
 def is_skew(A: Matrix) -> bool:
-    """a_ij / d_i == -a_ji / d_j, compared as a_ij * d_j == -a_ji * d_i."""
+    """a_ij / d_i == -a_ji / d_j, compared as a_ij * d_j == -a_ji * d_i (or
+    without the denominators where they are equal)."""
     A = mat(A)
     n, m = dims(A)
     if n != m:
         return False
     a, d = A._nums, A._dens
-    return all(a[i][j] * d[j] == -a[j][i] * d[i] for i in range(n) for j in range(i, n))
+    return all(
+        a[i][j] == -a[j][i] if d[i] == d[j] else a[i][j] * d[j] == -a[j][i] * d[i]
+        for i in range(n) for j in range(i, n)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +765,9 @@ def evaluate_matrix(A: Matrix, point: Sequence[Fraction]) -> Matrix:
     try:
         for i, (row, d) in enumerate(zip(A._nums, A._dens)):
             dv = d.evaluate(pt)
-            if dv:
+            if dv == 1:
+                values.append([a.evaluate(pt) for a in row])
+            elif dv:
                 values.append([a.evaluate(pt) / dv for a in row])
             else:
                 values.append([a.evaluate(pt) for a in A[i]])
