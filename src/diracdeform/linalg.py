@@ -39,7 +39,9 @@ import operator
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .rational import PoleError, Poly, Scalar, as_point, poly_divexact, poly_gcd, poly_lcm
+from .rational import (
+    PoleError, Poly, Scalar, _const, as_point, poly_divexact, poly_gcd, poly_lcm,
+)
 
 Vector = tuple[Scalar, ...]
 
@@ -266,7 +268,7 @@ def _reduced(nums: list[list], dens: list, nvars: int, ncols: int, reduce: bool 
                     row = [poly_divexact(a, g) for a in row]
                     d = poly_divexact(d, g)
             if d.is_constant() or d.cn != 1 or d.cd != 1:
-                c = d if d.is_constant() else Poly.const(nvars, d.content)
+                c = d if d.is_constant() else _const(nvars, d.cn, d.cd)
                 row = [poly_divexact(a, c) for a in row]
                 d = unit if d.is_constant() else poly_divexact(d, c)
         out_nums.append(row)
@@ -303,8 +305,7 @@ def _poly_rows(A: Matrix) -> tuple[list[list[Poly]], list[Poly]]:
     if not A.is_constant():
         return A._nums, A._dens
     nvars = A.nvars
-    nums = [[Poly.const(nvars, a if d == 1 else Fraction(a, d)) for a in row]
-            for row, d in zip(A._nums, A._dens)]
+    nums = [[_const(nvars, a, d) for a in row] for row, d in zip(A._nums, A._dens)]
     return nums, [Poly.one(nvars)] * A.nrows
 
 
@@ -338,7 +339,8 @@ def transpose(A: Matrix) -> Matrix:
     _, lcm, _, one = _ring(A.is_constant(), A.nvars)
     L = lcm(one, *A._dens)
     cols = [list(col) for col in zip(*_rescaled(A._nums, A._dens, L))]
-    return _reduced(cols, [L] * len(cols), A.nvars, A.nrows)
+    entries = tuple(zip(*A._entries)) if A._entries is not None else None
+    return _reduced(cols, [L] * len(cols), A.nvars, A.nrows, True, entries)
 
 
 def hstack(*blocks: Matrix) -> Matrix:
@@ -381,7 +383,8 @@ def columns(A: Matrix, start: int, stop: int) -> Matrix:
     """The matrix of columns start..stop-1 of A."""
     A = mat(A)
     ncols = len(range(A.ncols)[start:stop])
-    return _reduced([row[start:stop] for row in A._nums], A._dens, A.nvars, ncols)
+    entries = tuple(row[start:stop] for row in A._entries) if A._entries is not None else None
+    return _reduced([row[start:stop] for row in A._nums], A._dens, A.nvars, ncols, True, entries)
 
 
 def mat_add(A: Matrix, B: Matrix) -> Matrix:
