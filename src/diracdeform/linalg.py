@@ -56,7 +56,7 @@ class Matrix:
     variables, as an empty tuple would be read.
     """
 
-    __slots__ = ("nrows", "ncols", "nvars", "_nums", "_dens", "_entries", "_hash")
+    __slots__ = ("nrows", "ncols", "nvars", "_nums", "_dens", "_constant", "_entries", "_hash")
 
     def __init__(self, nrows: int, ncols: int, nvars: int, nums: list, dens: list,
                  entries: tuple[Vector, ...] | None = None):
@@ -67,19 +67,20 @@ class Matrix:
         # or of polynomials
         self._nums: list[list] = nums
         self._dens: list = dens
+        self._constant = not dens or type(dens[0]) is int
         # the entry Scalars, built on first read
         self._entries = entries
         self._hash: int | None = None
 
     def is_constant(self) -> bool:
-        return not self._dens or type(self._dens[0]) is int
+        return self._constant
 
     def _scalars(self) -> tuple[Vector, ...]:
         rows = self._entries
         if rows is None:
             nvars = self.nvars
             zero = Scalar.zero(nvars)
-            if self.is_constant():
+            if self._constant:
                 one = Scalar.one(nvars)
                 rows = tuple(
                     tuple(
@@ -109,7 +110,7 @@ class Matrix:
             return self._scalars()[index]
         entries = self._entries[index] if self._entries is not None else None
         nums, dens = self._nums[index], self._dens[index]
-        if self.is_constant():
+        if self._constant:
             return Matrix(len(nums), self.ncols, self.nvars, nums, dens, entries)
         # the rows of a non-constant matrix may have only constant entries
         return _reduced(nums, dens, self.nvars, self.ncols, False, entries)
@@ -293,7 +294,7 @@ def _operands(*blocks: Matrix) -> tuple[tuple, int, list[tuple[list[list], list]
     for b in blocks:
         if b.nrows and b.nvars != nvars:
             raise ValueError("variable-count mismatch")
-        constant = constant and b.is_constant()
+        constant = constant and b._constant
     if constant:
         return _INT_RING, nvars, [(b._nums, b._dens) for b in blocks]
     return _ring(False, nvars), nvars, [_poly_rows(b) for b in blocks]
@@ -302,7 +303,7 @@ def _operands(*blocks: Matrix) -> tuple[tuple, int, list[tuple[list[list], list]
 def _poly_rows(A: Matrix) -> tuple[list[list[Poly]], list[Poly]]:
     """A's cleared rows over the polynomials: a constant matrix's int rows
     are read as constants over the unit."""
-    if not A.is_constant():
+    if not A._constant:
         return A._nums, A._dens
     nvars = A.nvars
     nums = [[_const(nvars, a, d) for a in row] for row, d in zip(A._nums, A._dens)]
@@ -336,7 +337,7 @@ def dims(A: Matrix) -> tuple[int, int]:
 def transpose(A: Matrix) -> Matrix:
     """A's columns, each over the lcm L of A's row denominators."""
     A = mat(A)
-    _, lcm, _, one = _ring(A.is_constant(), A.nvars)
+    _, lcm, _, one = _ring(A._constant, A.nvars)
     L = lcm(one, *A._dens)
     cols = [list(col) for col in zip(*_rescaled(A._nums, A._dens, L))]
     entries = tuple(zip(*A._entries)) if A._entries is not None else None
@@ -389,7 +390,7 @@ def columns(A: Matrix, start: int, stop: int) -> Matrix:
 
 def mat_add(A: Matrix, B: Matrix) -> Matrix:
     A, B = mat(A), mat(B)
-    if dims(A) != dims(B):
+    if (A.nrows, A.ncols) != (B.nrows, B.ncols):
         raise ValueError(f"shape mismatch {dims(A)} + {dims(B)}")
     (_, lcm, _, _), nvars, ((an, ad), (bn, bd)) = _operands(A, B)
     nums, dens = [], []
@@ -415,8 +416,7 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     are rescaled to the lcm L of their denominators, so row i of the
     product is a row of dot products over d_i * L."""
     A, B = mat(A), mat(B)
-    n, k = dims(A)
-    k2, m = dims(B)
+    n, k, k2, m = A.nrows, A.ncols, B.nrows, B.ncols
     if not n:
         return A
     if k != k2:
@@ -494,7 +494,7 @@ def _rref(A: Matrix) -> tuple[Matrix, tuple[int, ...], Callable[[], Scalar]]:
     nvars = A.nvars
     if not A.nrows or not A.ncols:
         return A, (), lambda: Scalar.one(nvars)
-    ints = A.is_constant()
+    ints = A._constant
     gcd, _, _, one = _ring(ints, nvars)
     rows = [list(row) for row in A._nums]
     contents, scales = [], []
@@ -571,7 +571,7 @@ def nullspace(A: Matrix) -> Matrix:
     nc = A.ncols
     pivot_set = set(pivots)
     free = [f for f in range(nc) if f not in pivot_set]
-    _, lcm, zero, one = _ring(R.is_constant(), A.nvars)
+    _, lcm, zero, one = _ring(R._constant, A.nvars)
     dens = R._dens[: len(pivots)]
     L = lcm(one, *dens)
     scales = [L // d for d in dens]
@@ -637,7 +637,7 @@ def _bareiss(A: Matrix) -> tuple[list[list], tuple[int, ...], int]:
     """
     rows = [list(row) for row in A._nums]
     n, m = A.nrows, A.ncols
-    _, _, zero, prev = _ring(A.is_constant(), A.nvars)
+    _, _, zero, prev = _ring(A._constant, A.nvars)
     pivots: list[int] = []
     sign = 1
     r = 0
@@ -677,7 +677,7 @@ def det(A: Matrix) -> Scalar:
     if len(pivots) < n:
         return Scalar.zero(nvars)
     last = rows[n - 1][n - 1]
-    if A.is_constant():
+    if A._constant:
         return Scalar.const(nvars, Fraction(sign * last, math.prod(A._dens)))
     result = Scalar(last, math.prod(A._dens, start=Poly.one(nvars)))
     return -result if sign < 0 else result
@@ -761,7 +761,7 @@ def evaluate_matrix(A: Matrix, point: Sequence[Fraction]) -> Matrix:
     PoleError naming `point` exactly when some entry has one.
     """
     A = mat(A)
-    if A.is_constant():
+    if A._constant:
         return Matrix(A.nrows, A.ncols, 0, A._nums, A._dens)
     pt = as_point(point)
     values = []
