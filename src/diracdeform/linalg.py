@@ -39,9 +39,7 @@ import operator
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .rational import (
-    PoleError, Poly, Scalar, _const, as_point, poly_divexact, poly_gcd, poly_lcm,
-)
+from .rational import PoleError, Poly, Scalar, _const, as_point, poly_divexact, poly_gcd, poly_lcm
 
 Vector = tuple[Scalar, ...]
 
@@ -63,8 +61,7 @@ class Matrix:
         self.nrows = nrows
         self.ncols = ncols if nrows else 0
         self.nvars = nvars if nrows else 0
-        # the cleared rows (never mutated) and their denominators, of ints
-        # or of polynomials
+        # the cleared rows (never mutated) over their denominators
         self._nums: list[list] = nums
         self._dens: list = dens
         self._constant = not dens or type(dens[0]) is int
@@ -148,9 +145,8 @@ def _ring(constant: bool, nvars: int) -> tuple[Callable, Callable, object, objec
 
 
 def _poly_gcd(*row: Poly) -> Poly:
-    """A gcd of the polynomials up to a constant factor, zero for zeros: a
-    lone nonzero one is its own gcd, and the fold stops at the first
-    constant gcd with the unit."""
+    """A gcd of the polynomials up to a constant factor (zero for zeros); the
+    fold stops at the first constant gcd with the unit."""
     h = Poly.zero(row[0].nvars)
     for a in row:
         if a:
@@ -229,11 +225,6 @@ def _constant_fractions(rows: tuple[Vector, ...], unit: Poly) -> list[list[tuple
     return out
 
 
-def _ratio(p: Poly) -> tuple[int, int]:
-    """A constant polynomial as (numerator, denominator) in lowest terms."""
-    return (p.cn, p.cd) if p else (0, 1)
-
-
 def _reduced(nums: list[list], dens: list, nvars: int, ncols: int, reduce: bool = True,
              entries: tuple[Vector, ...] | None = None) -> Matrix:
     """The matrix with entries nums[i][j] / dens[i], in either ring, with its
@@ -278,8 +269,7 @@ def _reduced(nums: list[list], dens: list, nvars: int, ncols: int, reduce: bool 
         a.is_constant() for row in out_nums for a in row
     ):
         out_nums, out_dens = _clear(
-            [[_ratio(a) for a in row] for row in out_nums], True, nvars
-        )
+            [[(a.cn, a.cd) if a else (0, 1) for a in row] for row in out_nums], True, nvars)
     return Matrix(len(nums), ncols, nvars, out_nums, out_dens, entries)
 
 
@@ -446,17 +436,13 @@ def mat_scale(A: Matrix, c: Scalar) -> Matrix:
 
 
 def is_skew(A: Matrix) -> bool:
-    """a_ij / d_i == -a_ji / d_j, compared as a_ij * d_j == -a_ji * d_i (or
-    without the denominators where they are equal)."""
+    """a_ij / d_i == -a_ji / d_j, compared as a_ij * d_j == -a_ji * d_i."""
     A = mat(A)
     n, m = dims(A)
     if n != m:
         return False
     a, d = A._nums, A._dens
-    return all(
-        a[i][j] == -a[j][i] if d[i] == d[j] else a[i][j] * d[j] == -a[j][i] * d[i]
-        for i in range(n) for j in range(i, n)
-    )
+    return all(a[i][j] * d[j] == -a[j][i] * d[i] for i in range(n) for j in range(i, n))
 
 
 # ---------------------------------------------------------------------------
@@ -768,9 +754,7 @@ def evaluate_matrix(A: Matrix, point: Sequence[Fraction]) -> Matrix:
     try:
         for i, (row, d) in enumerate(zip(A._nums, A._dens)):
             dv = d.evaluate(pt)
-            if dv == 1:
-                values.append([a.evaluate(pt) for a in row])
-            elif dv:
+            if dv:
                 values.append([a.evaluate(pt) / dv for a in row])
             else:
                 values.append([a.evaluate(pt) for a in A[i]])
