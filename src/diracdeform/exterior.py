@@ -23,7 +23,6 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence, Union
 
 from .rational import (
-    PoleError,
     Scalar,
     _quote,
     _shown,
@@ -401,6 +400,8 @@ def multi_sharp(
             raise ChartMismatchError("operands live on different charts")
     if W.degrees() - {k}:
         raise DegreeError(f"multivector degree {sorted(W.degrees())} != arity {k}")
+    if k == 0:  # the empty wedge is 1: W's function as a 0-form
+        return DifferentialForm(chart, dict(W.terms))
     result = DifferentialForm.zero(chart)
     # iota_{d_j} forms[slot] depends only on (j, slot), not on the term of W
     # or the permutation that needs it
@@ -524,8 +525,10 @@ def evaluate(elem: _GradedElement, point: Sequence) -> _GradedElement:
 
     Raises PoleError when some denominator vanishes at the point.
     """
-    pt = _chart_point(elem, point)
+    pt = as_point(point)
     n = elem.chart.dim
+    if len(pt) != n:
+        raise ValueError("point dimension mismatch")
 
     def ev(c: Scalar) -> Scalar:
         return Scalar.const(n, c.evaluate(pt))
@@ -533,26 +536,25 @@ def evaluate(elem: _GradedElement, point: Sequence) -> _GradedElement:
     return elem.map_coefficients(ev)
 
 
-def vanishes_at(elem: _GradedElement, point: Sequence) -> bool:
-    """Is `evaluate(elem, point)` zero?
+def grid_zeros(elem: _GradedElement, coords: Sequence) -> list[bool | None]:
+    """Is `evaluate(elem, point)` zero, at each point of coords^n in the
+    order of `itertools.product`?
 
-    Raises PoleError where `evaluate` does, when some coefficient's
-    denominator vanishes at the point; otherwise tests the numerators on
-    their integer sums, building no Fraction.
+    None marks a point where some coefficient's denominator vanishes, at
+    which `evaluate` raises PoleError.  Each numerator and each distinct
+    denominator is tested on the whole grid by `Poly.grid_zeros`.
     """
-    pt = _chart_point(elem, point)
     coefficients = elem.terms.values()
+    zeros = [True] * len(coords) ** elem.chart.dim
+    for c in coefficients:
+        if not any(zeros):
+            break
+        zeros = [a and b for a, b in zip(zeros, c.num.grid_zeros(coords))]
     # coefficients often share a denominator; each distinct one is tested once
-    if any(den.vanishes_at(pt) for den in {c.den for c in coefficients}):
-        raise PoleError.at(pt)
-    return all(c.num.vanishes_at(pt) for c in coefficients)
-
-
-def _chart_point(elem: _GradedElement, point: Sequence):
-    pt = as_point(point)
-    if len(pt) != elem.chart.dim:
-        raise ValueError("point dimension mismatch")
-    return pt
+    for den in {c.den for c in coefficients}:
+        if not den.is_constant():
+            zeros = [None if pole else z for z, pole in zip(zeros, den.grid_zeros(coords))]
+    return zeros
 
 
 # ---------------------------------------------------------------------------

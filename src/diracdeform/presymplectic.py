@@ -545,9 +545,13 @@ def constant_rank_report(
     # does not vanish (its denominator divides a power of the poles' lcm).
     checked = 0
     poles = {c.den for c in form.terms.values()}
-    for point, pt in grid_points(form.chart.dim, grid_coords, poles):
+    n = form.chart.dim
+    drops = [True] * len(grid_coords) ** n
+    for pf in pfs.values():
+        drops = [a and b for a, b in zip(drops, pf.num.grid_zeros(grid_coords))]
+    for point, index in grid_points(n, grid_coords, poles):
         checked += 1
-        if all(pf.num.vanishes_at(pt) for pf in pfs.values()):
+        if drops[index]:
             return {
                 "rank_k": False,
                 "mode": "grid",
@@ -609,8 +613,9 @@ def _kernel_transversality(
     if scalar_is_definite(d):
         return {"transverse": True, "mode": "exact"}
     checked = 0
-    for point, pt in grid_points(n, grid_coords, (d.den,)):
-        if d.num.vanishes_at(pt):
+    zeros = d.num.grid_zeros(grid_coords)
+    for point, index in grid_points(n, grid_coords, (d.den,)):
+        if zeros[index]:
             return {"transverse": False, "reason": f"kernel meets G at {point}"}
         checked += 1
     return {"transverse": True, "mode": "grid", "points": checked}

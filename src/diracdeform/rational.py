@@ -259,9 +259,65 @@ class Poly:
             return self.content
         return Fraction(s * self.cn, d * self.cd)
 
-    def vanishes_at(self, point: Point | Sequence) -> bool:
-        """Is the value at the point zero?  Read from the integer sum alone."""
-        return not self._sum_at(as_point(point))[0]
+    def grid_zeros(self, coords: Sequence) -> list[bool]:
+        """Is the value zero at each point of coords^n, in the order of
+        `itertools.product(coords, repeat=n)`?
+
+        The variables are specialised one at a time, depth first: x_1 at a
+        coordinate, then x_2 in the result, and so on (Knuth, TAOCP vol. 2,
+        4.6.4), so a term is carried once per specialised prefix, not once
+        per point.  As in `_sum_at`, x_i = a/b enters as a^e b^(D_i - e),
+        with D_i read from the bitwise or of the keys, so every sum is an
+        int that is zero exactly where the value is.  Stripping x_i from a
+        key subtracts e * _step(i, n), clearing its exponent and its share
+        of the degree slot together.  A variable that does not occur is
+        not specialised: its block repeats the first coordinate's.  Only
+        one partial polynomial per open variable is held.
+        """
+        n = self.nvars
+        coords = [x if type(x) is Fraction else Fraction(x) for x in coords]
+        m = len(coords)
+        ip = self.ip
+        bits = reduce(or_, ip, 0)
+        if not bits:  # a constant
+            return [not ip] * m ** n
+        top = _SLOT * n
+        # (shift, step, power tables or None, points per coordinate) of x_1..x_n
+        levels = []
+        for i in range(1, n + 1):
+            shift = top - _SLOT * i
+            d = (bits >> shift) & _MASK
+            tables = [_power_table(x.numerator, x.denominator, d) for x in coords] if d else None
+            levels.append((shift, _step(i, n), tables, m ** (n - i)))
+        last = max(i for i, level in enumerate(levels) if level[2])
+        mask = _MASK
+        out: list[bool] = []
+
+        def walk(i: int, terms: dict[int, int]) -> None:
+            shift, step, tables, block = levels[i]
+            if tables is None:
+                start = len(out)
+                walk(i + 1, terms)
+                out.extend(out[start:] * (m - 1))
+            elif i == last:
+                # every other exponent is stripped, so the degree slot holds x_i's
+                pairs = [(k >> top, v) for k, v in terms.items()]
+                for table in tables:
+                    out.extend([not sum([v * table[e] for e, v in pairs])] * block)
+            else:
+                # (key with x_i stripped, exponent of x_i, value) of each term
+                stripped = []
+                for k, v in terms.items():
+                    e = (k >> shift) & mask
+                    stripped.append((k - e * step, e, v))
+                for table in tables:
+                    partial: dict[int, int] = {}
+                    for k, e, v in stripped:
+                        partial[k] = partial.get(k, 0) + v * table[e]
+                    walk(i + 1, partial)
+
+        walk(0, ip)
+        return out
 
     def _sum_at(self, point: Point) -> tuple[int, int]:
         """(s, d) with the value at the point equal to cn/cd * s / d.

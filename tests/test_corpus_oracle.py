@@ -9,13 +9,14 @@ trial) and checks every k-th recorded call against sympy.
 
 Recording reuses the benchmark tracer's patcher (`bench/tracing.py`), which
 reaches every `from .x import y` copy of a traced function; `Poly.derivative`
-and `Poly.vanishes_at` (the grid's zero test) are not traced there, so they
-are patched on the class.  Operands are read
-through `poly_to_str` and parsed here, so the oracle depends on no internal
-representation.
+and `Poly.grid_zeros` (the zero tests of the grid checks, one call per
+polynomial and grid) are not traced there, so they are patched on the class.
+Operands are read through `poly_to_str` and parsed here, so the oracle
+depends on no internal representation.
 """
 
 import functools
+import itertools
 import re
 import sys
 from fractions import Fraction
@@ -42,7 +43,7 @@ STRIDE = {
     "linalg.rref": 1,
     "linalg.det": 1,
     "derivative": 2,
-    "vanishes_at": 5,
+    "grid_zeros": 1,
 }
 SUITES = ("mc", "presymplectic", "dirac")
 MAX_VARS = 12
@@ -81,7 +82,7 @@ def _recording(fn, log):
 def recorded():
     recorder = _Recorder()
     mp = pytest.MonkeyPatch()
-    for name in ("derivative", "vanishes_at"):
+    for name in ("derivative", "grid_zeros"):
         mp.setattr(Poly, name, _recording(getattr(Poly, name), recorder.log[name]))
     try:
         with recorder:
@@ -180,14 +181,15 @@ def test_substitutions_match_sympy(recorded):
 
 
 def test_zero_tests_match_sympy(recorded):
-    # The reduced pass meets no zero value at a grid point (a vanishing
-    # residual has no coefficients to test); the hypothesis tests in
+    # Every point of each recorded grid, in `itertools.product` order.  The
+    # reduced pass meets no zero value on its grids; the hypothesis tests in
     # test_rational.py and test_exterior.py reach zeros and poles.
-    for (p, point), vanishes, _ in _kept(recorded["vanishes_at"], "vanishes_at"):
-        subs = {GENS[i]: sympy.Rational(str(Fraction(c)))
-                for i, c in enumerate(point)}
-        value = _sym(p).as_expr().subs(subs) if p.nvars else _sym(p).as_expr()
-        assert vanishes == (value == 0)
+    for (p, coords), zeros, _ in _kept(recorded["grid_zeros"], "grid_zeros"):
+        expr = _sym(p).as_expr()
+        values = [sympy.Rational(str(Fraction(c))) for c in coords]
+        want = [expr.subs(dict(zip(GENS, point))) == 0
+                for point in itertools.product(values, repeat=p.nvars)]
+        assert zeros == want
 
 
 def test_rref_matches_sympy(recorded):

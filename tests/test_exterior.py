@@ -20,6 +20,7 @@ from diracdeform.exterior import (
     field_from_json,
     form_from_json,
     function,
+    grid_zeros,
     lie_cartan,
     lie_derivative,
     multi_sharp,
@@ -27,7 +28,6 @@ from diracdeform.exterior import (
     partial,
     schouten,
     to_json,
-    vanishes_at,
     vf_commutator,
     wedge,
     wedge_all,
@@ -176,6 +176,15 @@ def test_multi_sharp_worked(c2, c3):
     ).is_zero()
 
 
+def test_multi_sharp_of_no_forms(c3):
+    # deg W == 0 forms: the empty wedge is 1, so the value is W's function
+    W = MultivectorField.make(c3, {(): "x1 + 1/2"})
+    assert multi_sharp([], W) == function(c3, "x1 + 1/2")
+    assert multi_sharp([], MultivectorField.zero(c3)).is_zero()
+    with pytest.raises(DegreeError):
+        multi_sharp([], partial(c3, 1))
+
+
 def test_multi_sharp_arity_guard(c3):
     with pytest.raises(DegreeError):
         multi_sharp([dx(c3, 1)], partial(c3, 1, 2))
@@ -273,21 +282,28 @@ def _coefficient(draw):
 
 @given(st.dictionaries(st.sampled_from([(1,), (2,), (3,), (1, 2), (2, 3)]),
                        _coefficient(), max_size=4),
-       st.lists(st.sampled_from(_GRID), min_size=3, max_size=3))
+       st.lists(st.sampled_from(_GRID).map(Fraction), min_size=1, max_size=3))
 @settings(max_examples=200, deadline=None)
-def test_vanishes_at_matches_evaluate(terms, point):
+def test_grid_zeros_matches_evaluate(terms, coords):
     c3 = Chart(3)
     elem = DifferentialForm.make(c3, terms)
-    try:
-        want = evaluate(elem, point).is_zero()
-    except PoleError as exc:
-        with pytest.raises(PoleError) as got:
-            vanishes_at(elem, point)
-        assert str(got.value) == str(exc)
-    else:
-        assert vanishes_at(elem, point) == want
-    with pytest.raises(ValueError):
-        vanishes_at(elem, point[:2])
+    table = grid_zeros(elem, coords)
+    points = list(itertools.product(coords, repeat=3))
+    assert len(table) == len(points)
+    first_pole = None
+    for point, zero in zip(points, table):
+        try:
+            want = evaluate(elem, point).is_zero()
+        except PoleError as exc:
+            assert zero is None
+            first_pole = first_pole or (point, str(exc))
+        else:
+            assert zero is want
+    if first_pole is not None:
+        # the grid loops raise PoleError.at(point) at the first None: the
+        # error `evaluate` raises there
+        point, message = first_pole
+        assert str(PoleError.at(point)) == message
 
 
 # -- canonical form: sorted in-range indices, no stored zero ---------------------

@@ -4,6 +4,7 @@ sympy is used only as an independent oracle (gcd, differentiation); the
 package itself never imports it.
 """
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -519,7 +520,6 @@ def test_shared_point_matches_fresh_evaluation(case):
             for p in order:
                 want = _fraction_evaluate(p, coords)
                 assert p.evaluate(pt) == p.evaluate(coords) == want
-                assert p.vanishes_at(pt) == p.vanishes_at(coords) == (want == 0)
         pt = rational.Point(coords)
         scalars = [Scalar(p, q) for p, q in zip(polys, polys[1:] + polys[:1])
                    if not q.is_zero()]
@@ -541,6 +541,42 @@ def test_shared_point_matches_fresh_evaluation(case):
                     f"denominator vanishes at point {tuple(fractions)}"
                 assert str(fresh.value) == \
                     f"denominator vanishes at point {tuple(coords)}"
+
+
+# 0, ints, negative fractions, spelled as int, Fraction and str; a drawn
+# grid may repeat a coordinate
+_GRID_COORDINATES = st.sampled_from(
+    [0, 1, -2, 3, Fraction(1, 2), Fraction(-1, 3), "-5/7", Fraction(-4, 3)])
+
+
+@st.composite
+def _grid_cases(draw):
+    """(nvars, p, coords): the zero polynomial, a constant, a sparse
+    polynomial, or one times factors x_i - c with c on the grid, which
+    vanish on part of it."""
+    nv = draw(st.integers(1, 5))
+    coords = draw(st.lists(_GRID_COORDINATES, min_size=1, max_size=4))
+    kind = draw(st.sampled_from(["zero", "constant", "sparse", "roots"]))
+    if kind == "zero":
+        return nv, Poly.zero(nv), coords
+    if kind == "constant":
+        return nv, Poly.const(nv, draw(BIG_COEFS)), coords
+    monos = st.tuples(*[st.integers(0, 3)] * nv)
+    p = Poly.from_terms(nv, draw(st.dictionaries(monos, BIG_COEFS, min_size=1, max_size=5)))
+    if kind == "roots":
+        roots = st.tuples(st.integers(1, nv), st.sampled_from(coords))
+        for i, c in draw(st.lists(roots, min_size=1, max_size=3)):
+            p = p * (x(i, nv) - Poly.const(nv, Fraction(c)))
+    return nv, p, coords
+
+
+@given(_grid_cases())
+@settings(max_examples=200, deadline=None)
+def test_grid_zeros_matches_pointwise_evaluate(case):
+    """The grid kernel against `evaluate` at each point, in product order."""
+    nv, p, coords = case
+    want = [p.evaluate(point) == 0 for point in itertools.product(coords, repeat=nv)]
+    assert p.grid_zeros(coords) == want
 
 
 def test_parse_exponent_limit():
