@@ -85,13 +85,16 @@ def courant_pairing(s1: GeneralizedSection, s2: GeneralizedSection) -> Scalar:
 
 def dorfman(s1: GeneralizedSection, s2: GeneralizedSection) -> GeneralizedSection:
     """The Dorfman bracket ([X, Y], L_X b - iota_Y da)."""
+    alpha = dorfman_form(s1, s2)  # checks the charts first
+    return GeneralizedSection(vf_commutator(s1.X, s2.X), alpha)
+
+
+def dorfman_form(s1: GeneralizedSection, s2: GeneralizedSection) -> DifferentialForm:
+    """The form part L_X b - iota_Y da of the Dorfman bracket, without its
+    vector part [X, Y]."""
     if s1.chart != s2.chart:
         raise ChartMismatchError("sections live on different charts")
-    X, a = s1.X, s1.alpha
-    Y, b = s2.X, s2.alpha
-    return GeneralizedSection(
-        vf_commutator(X, Y), lie_cartan(X, b) - contract(Y, de_rham(a))
-    )
+    return lie_cartan(s1.X, s2.alpha) - contract(s2.X, de_rham(s1.alpha))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ Sign conventions (fixed here once, used consistently everywhere):
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence, Union
@@ -305,17 +304,21 @@ def wedge_all(factors: Sequence[_GradedElement]) -> _GradedElement:
 
 
 def de_rham(alpha: DifferentialForm) -> DifferentialForm:
-    """Exterior derivative; coefficients differentiate by the quotient rule."""
+    """Exterior derivative; coefficients differentiate by the quotient rule.
+
+    A coefficient is differentiated only along the variables that occur in
+    it and are not in its term's index: every other dx_i term is zero.
+    """
     chart = alpha.chart
     out: dict[IndexTuple, Scalar] = {}
     for idx, c in alpha.terms.items():
-        for i in range(1, chart.dim + 1):
+        for i in c.variables():
+            if i in idx:
+                continue
             dc = c.derivative(i)
             if dc.is_zero():
                 continue
             merged, sign = _sorted_with_sign((i,) + idx)
-            if sign == 0:
-                continue
             _add_term(out, merged, dc if sign > 0 else -dc)
     return DifferentialForm(chart, out)
 
@@ -392,6 +395,13 @@ def multi_sharp(
     On a decomposable k-vector v1 ^ ... ^ vk the value is
     sum over permutations s of (-1)^s  (iota_{v_{s(1)}} a1) ^ ... ^ (iota_{v_{s(k)}} ak),
     extended Scalar-linearly in W.  Requires deg W == number of forms.
+
+    The sum is a determinant whose products keep slot order, so it expands
+    along the first slot (Laplace).  The minor of an index tuple S fills
+    slots k-|S| .. k-1:
+        minor(S) = sum_t (-1)^t (iota_{d_{S[t]}} a_{k-|S|}) ^ minor(S without S[t]),
+    and the value on g d_J is g minor(J).  A minor depends on S alone, so
+    every term of W that contains S shares it.
     """
     k = len(forms)
     chart = W.chart
@@ -402,35 +412,42 @@ def multi_sharp(
         raise DegreeError(f"multivector degree {sorted(W.degrees())} != arity {k}")
     if k == 0:  # the empty wedge is 1: W's function as a 0-form
         return DifferentialForm(chart, dict(W.terms))
-    result = DifferentialForm.zero(chart)
-    # iota_{d_j} forms[slot] depends only on (j, slot), not on the term of W
-    # or the permutation that needs it
+    # iota_{d_j} forms[slot] depends only on (j, slot), and a minor only on S
     pieces: dict[tuple[int, int], DifferentialForm] = {}
+    minors: dict[IndexTuple, DifferentialForm] = {}
+
+    def piece(j: int, slot: int) -> DifferentialForm:
+        p = pieces.get((j, slot))
+        if p is None:
+            p = pieces[j, slot] = contract(partial(chart, j), forms[slot])
+        return p
+
+    def minor(S: IndexTuple) -> DifferentialForm:
+        m = minors.get(S)
+        if m is not None:
+            return m
+        slot = k - len(S)
+        if len(S) == 1:
+            m = minors[S] = piece(S[0], slot)
+            return m
+        terms: dict[IndexTuple, Scalar] = {}
+        for t, j in enumerate(S):
+            head = piece(j, slot)
+            if head.is_zero():
+                continue
+            rest = minor(S[:t] + S[t + 1:])
+            if rest.is_zero():
+                continue
+            for idx, c in wedge(head, rest).terms.items():
+                _add_term(terms, idx, -c if t % 2 else c)
+        m = minors[S] = DifferentialForm(chart, terms)
+        return m
+
+    out: dict[IndexTuple, Scalar] = {}
     for J, g in W.terms.items():
-        for perm in itertools.permutations(range(k)):
-            factors = []
-            for slot in range(k):
-                j = J[perm[slot]]
-                piece = pieces.get((j, slot))
-                if piece is None:
-                    piece = pieces[j, slot] = contract(partial(chart, j), forms[slot])
-                if piece.is_zero():
-                    break
-                factors.append(piece)
-            else:
-                term = wedge_all(factors).scale(g)
-                sign = _permutation_sign(perm)
-                result = result + (term if sign > 0 else -term)
-    return result
-
-
-def _permutation_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                sign = -sign
-    return sign
+        for idx, c in minor(J).terms.items():
+            _add_term(out, idx, g * c)
+    return DifferentialForm(chart, out)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +479,12 @@ def _schouten_term(
     terms: dict[IndexTuple, Scalar],
     I: IndexTuple, f: Scalar, J: IndexTuple, g: Scalar,
 ) -> None:
-    """Add [f d_I, g d_J] into terms."""
+    """Add [f d_I, g d_J] into terms.
+
+    Each summand is c (d_v h) d_K for a coefficient h, a variable v and an
+    index tuple K; it is skipped before any derivative or product when K
+    repeats an index or v does not occur in h.
+    """
     p, q = len(I), len(J)
     if p == 0 and q == 0:
         return
@@ -473,11 +495,19 @@ def _schouten_term(
         # graded symmetry with p = 0: [f, Q] = -(-1)^(q-1) [Q, f]
         _bracket_with_function(terms, J, g, f, (-1) ** q)
         return
+    f_vars, g_vars = f.variables(), g.variables()
 
-    def add(indices: IndexTuple, c: Scalar, sign: int):
+    def add(indices: IndexTuple, c: Scalar, h: Scalar, h_vars: list[int], v: int, sign: int):
+        """terms += sign * c (d_v h) d_indices"""
+        if v not in h_vars:
+            return
         idx, s = _sorted_with_sign(indices)
-        if s and not c.is_zero():
-            _add_term(terms, idx, c if s * sign > 0 else -c)
+        if not s:
+            return
+        dh = h.derivative(v)
+        if not dh.is_zero():
+            dh = c * dh
+            _add_term(terms, idx, dh if s * sign > 0 else -dh)
 
     for a in range(1, p + 1):
         for b in range(1, q + 1):
@@ -485,25 +515,29 @@ def _schouten_term(
             base = (-1) ** (a + b)
             if a == 1 and b == 1:
                 # [f d_{i1}, g d_{j1}] = f (d_{i1} g) d_{j1} - g (d_{j1} f) d_{i1}
-                add((J[0],) + rest, f * g.derivative(I[0]), base)
-                add((I[0],) + rest, g * f.derivative(J[0]), -base)
+                add((J[0],) + rest, f, g, g_vars, I[0], base)
+                add((I[0],) + rest, g, f, f_vars, J[0], -base)
             elif a == 1:
                 # [f d_{i1}, d_{jb}] = -(d_{jb} f) d_{i1}
-                add((I[0],) + rest, g * f.derivative(J[b - 1]), -base)
+                add((I[0],) + rest, g, f, f_vars, J[b - 1], -base)
             elif b == 1:
                 # [d_{ia}, g d_{j1}] = (d_{ia} g) d_{j1}
-                add((J[0],) + rest, f * g.derivative(I[a - 1]), base)
+                add((J[0],) + rest, f, g, g_vars, I[a - 1], base)
 
 
 def _bracket_with_function(
     terms: dict[IndexTuple, Scalar], I: IndexTuple, f: Scalar, g: Scalar, sign: int
 ) -> None:
     """Add sign * [f d_I, g] = sign * sum_a (-1)^(p-a) f (d_{ia} g) d_{I minus ia}
-    into terms."""
+    into terms; only the variables of I that occur in g contribute."""
     p = len(I)
+    g_vars = g.variables()
     for a in range(1, p + 1):
-        c = f * g.derivative(I[a - 1])
+        if I[a - 1] not in g_vars:
+            continue
+        c = g.derivative(I[a - 1])
         if not c.is_zero():
+            c = f * c
             _add_term(terms, I[:a - 1] + I[a:], c if sign * (-1) ** (p - a) > 0 else -c)
 
 

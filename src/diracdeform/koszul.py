@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .courant import GeneralizedSection, dorfman
+from .courant import GeneralizedSection, dorfman, dorfman_form
 from . import dirac
 from .dirac import Bivector, SkewBilinear, NotInIZError, i_z_determinant
 from .exterior import (
@@ -290,7 +290,7 @@ def _lstar_term(chart, ctx, I, f, J, g) -> DifferentialForm:
     if p == 1 and q == 1:
         s1 = ctx.embed(DifferentialForm.make(chart, {(I[0],): f}))
         s2 = ctx.embed(DifferentialForm.make(chart, {(J[0],): g}))
-        return dorfman(s1, s2).alpha
+        return dorfman_form(s1, s2)
     if p == 1 and q == 0:
         xi = DifferentialForm.make(chart, {(I[0],): f})
         anchor = ctx.sharp(xi)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import reduce
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import or_
 from typing import Sequence
@@ -494,7 +495,9 @@ def poly_divexact(f: Poly, g: Poly) -> Poly:
     The classic loop runs on the primitive parts.  If g divides f, Gauss's
     lemma makes the quotient primitive over Z, so each step divides two ints
     exactly and subtracts two keys without a borrow; the first step that
-    does not proves g does not divide f.
+    does not proves g does not divide f.  The leading remainder key comes
+    from a max-heap of negated keys: a key enters it when it enters the
+    remainder, and an entry whose key has since cancelled is skipped.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -510,9 +513,13 @@ def poly_divexact(f: Poly, g: Poly) -> Poly:
     g_lk = max(gi)
     g_lc = gi[g_lk]
     rem = dict(f.ip)
+    heap = [-k for k in rem]
+    heapify(heap)
     q: dict[int, int] = {}
     while rem:
-        lk = max(rem)
+        lk = -heappop(heap)
+        if lk not in rem:  # stale: the key cancelled after it was pushed
+            continue
         d = lk - g_lk
         c, r = divmod(rem[lk], g_lc)
         if d < 0 or d & high or r:
@@ -520,7 +527,12 @@ def poly_divexact(f: Poly, g: Poly) -> Poly:
         q[d] = c
         for k, v in gi.items():
             k += d
-            s = rem.get(k, 0) - c * v
+            prev = rem.get(k)
+            if prev is None:
+                rem[k] = -c * v
+                heappush(heap, -k)
+                continue
+            s = prev - c * v
             if s:
                 rem[k] = s
             else:
@@ -820,6 +832,13 @@ class Scalar:
 
     def is_polynomial(self) -> bool:
         return self.den is _UNITS.get(self.den.nvars)
+
+    def variables(self) -> list[int]:
+        """The variables x_i (1-based, ascending) that occur in the numerator
+        or the denominator, read from the bitwise or of their packed keys."""
+        n = self.num.nvars
+        bits = reduce(or_, self.den.ip, reduce(or_, self.num.ip, 0))
+        return [i for i in range(1, n + 1) if (bits >> (_SLOT * (n - i))) & _MASK]
 
     def constant_value(self) -> Fraction:
         return self.num.constant_value() / self.den.constant_value()

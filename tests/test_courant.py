@@ -6,6 +6,7 @@ from diracdeform.courant import (
     GeneralizedSection,
     courant_pairing,
     dorfman,
+    dorfman_form,
     graph_of_form_frame,
     in_frame_span,
     is_dirac_frame,
@@ -21,7 +22,8 @@ from diracdeform.exterior import (
     dx,
     partial,
 )
-from diracdeform.randgen import random_field, random_form
+from diracdeform.koszul import KoszulContext
+from diracdeform.randgen import random_bivector_field, random_field, random_form
 
 
 def test_section_validation(c2, c3):
@@ -70,6 +72,44 @@ def test_dorfman_leibniz_identity(rng, c3):
         lhs = dorfman(s1, dorfman(s2, s3))
         rhs = dorfman(dorfman(s1, s2), s3) + dorfman(s2, dorfman(s1, s3))
         assert (lhs - rhs).is_zero()
+
+
+def _dorfman_form_reference(s1, s2):
+    """L_X b - iota_Y da in coordinates:
+    sum_i X_i d_i b_j + b_i d_j X_i - Y_i (d_i a_j - d_j a_i) at dx_j."""
+    chart = s1.chart
+    n = chart.dim
+    X, a = s1.X.coefficient, s1.alpha.coefficient
+    Y, b = s2.X.coefficient, s2.alpha.coefficient
+    out = {}
+    for j in range(1, n + 1):
+        total = DifferentialForm.zero(chart).scalar_part()
+        for i in range(1, n + 1):
+            total = total + X((i,)) * b((j,)).derivative(i)
+            total = total + b((i,)) * X((i,)).derivative(j)
+            total = total - Y((i,)) * (a((j,)).derivative(i) - a((i,)).derivative(j))
+        out[(j,)] = total
+    return DifferentialForm.make(chart, out)
+
+
+def test_dorfman_form_is_the_form_part(rng, c3, c4):
+    for chart in (c3, c4):
+        for _ in range(4):
+            secs = [
+                section(random_field(rng, chart, 1, 1, density=0.6, bound=4),
+                        random_form(rng, chart, 1, 1, density=0.6, bound=4))
+                for _ in range(2)
+            ]
+            # sections of graph(Z): (Z# xi, xi), as the Koszul brackets embed them
+            ctx = KoszulContext(random_bivector_field(rng, chart))
+            embedded = [ctx.embed(random_form(rng, chart, 1, 1, density=0.6, bound=4))
+                        for _ in range(2)]
+            for s1, s2 in (secs, embedded):
+                got = dorfman_form(s1, s2)
+                assert got == dorfman(s1, s2).alpha
+                assert got == _dorfman_form_reference(s1, s2)
+    with pytest.raises(ChartMismatchError):
+        dorfman_form(section(partial(c3, 1), None), section(partial(c4, 1), None))
 
 
 def test_is_dirac_worked(c2, c3, c4):

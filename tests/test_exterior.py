@@ -163,6 +163,110 @@ def test_schouten_operator_identity_oracle(rng, c4):
         assert lhs == rhs
 
 
+# -- the skips of d and the Schouten bracket against loops over every variable ------
+
+
+def _de_rham_reference(alpha):
+    """d alpha differentiating along every variable, the sign tested after."""
+    chart = alpha.chart
+    out = DifferentialForm.zero(chart)
+    for idx, c in alpha.terms.items():
+        for i in range(1, chart.dim + 1):
+            out = out + DifferentialForm.make(chart, {(i,) + idx: c.derivative(i)})
+    return out
+
+
+def _schouten_reference(P, Q):
+    """The termwise Schouten bracket: every derivative and product is taken,
+    and `make` drops repeated indices and zeros afterwards."""
+    chart = P.chart
+    out = MultivectorField.zero(chart)
+
+    def add(indices, c, sign):
+        nonlocal out
+        out = out + MultivectorField.make(chart, {indices: c if sign > 0 else -c})
+
+    def with_function(I, f, g, sign):  # sign * [f d_I, g]
+        p = len(I)
+        for a in range(1, p + 1):
+            add(I[:a - 1] + I[a:], f * g.derivative(I[a - 1]), sign * (-1) ** (p - a))
+
+    for I, f in P.terms.items():
+        for J, g in Q.terms.items():
+            p, q = len(I), len(J)
+            if q == 0:
+                with_function(I, f, g, 1)
+            elif p == 0:
+                with_function(J, g, f, (-1) ** q)
+            for a in range(1, p + 1):
+                for b in range(1, q + 1):
+                    rest = I[:a - 1] + I[a:] + J[:b - 1] + J[b:]
+                    base = (-1) ** (a + b)
+                    if a == 1:
+                        add((I[0],) + rest, g * f.derivative(J[b - 1]), -base)
+                    if b == 1:
+                        add((J[0],) + rest, f * g.derivative(I[a - 1]), base)
+    return out
+
+
+@st.composite
+def _split_calculus_case(draw):
+    """(chart, form, field, field) at dims 3-5 whose coefficients are
+    quotients of linear factors drawn apart for numerator and denominator,
+    so that a variable often occurs in a denominator alone."""
+    n = draw(st.integers(3, 5))
+    chart = Chart(n)
+    factors = st.sampled_from(
+        [f"x{i} + {c}" for i in range(1, n + 1) for c in (1, -2)]
+        + [f"x{i}*x{j} - 1" for i in range(1, n) for j in range(i + 1, n + 1)]
+    )
+
+    def product(texts):
+        out = Scalar.one(n)
+        for t in texts:
+            out = out * Scalar.from_poly(poly_from_str(t, n))
+        return out
+
+    def element(cls):
+        degree = draw(st.integers(0, 3))
+        indices = st.lists(st.integers(1, n), min_size=degree, max_size=degree,
+                           unique=True).map(lambda t: tuple(sorted(t)))
+        terms = {}
+        for idx in draw(st.lists(indices, min_size=1, max_size=4, unique=True)):
+            num = product(draw(st.lists(factors, min_size=1, max_size=2)))
+            den = product(draw(st.lists(factors, min_size=0, max_size=2)))
+            terms[idx] = num / den
+        return cls.make(chart, terms)
+
+    return chart, element(DifferentialForm), element(MultivectorField), element(MultivectorField)
+
+
+def test_skips_see_denominators_and_repeated_indices(c3):
+    # x2 and x3 occur only in denominators, and x1 only in the index
+    alpha = DifferentialForm.make(c3, {(1,): "(x1)/(x2 + 1)", (2,): "(1)/(x3 - 2)"})
+    assert de_rham(alpha) == _de_rham_reference(alpha)
+    assert not de_rham(alpha).is_zero()
+    X = MultivectorField.make(c3, {(1,): "(1)/(x2 + 1)"})
+    Y = MultivectorField.make(c3, {(2,): "(1)/(x3 - 2)", (3,): "(x1)/(x1 + 1)"})
+    assert vf_commutator(X, Y) == _schouten_reference(X, Y)
+    assert not vf_commutator(X, Y).is_zero()
+    # [f d_1, g d_1^d_2] has summands at d_1^d_1, which the skip drops
+    P = MultivectorField.make(c3, {(1,): "(x2)/(x3 + 1)", (3,): "x1"})
+    Q = MultivectorField.make(c3, {(1, 2): "(x1)/(x2 - 2)"})
+    assert schouten(P, Q) == _schouten_reference(P, Q)
+    assert not schouten(P, Q).is_zero()
+
+
+@given(_split_calculus_case())
+@settings(max_examples=80, deadline=None)
+def test_de_rham_and_schouten_match_every_variable_references(case):
+    chart, alpha, P, Q = case
+    assert de_rham(alpha) == _de_rham_reference(alpha)
+    assert schouten(P, Q) == _schouten_reference(P, Q)
+    X, Y = P.part(1), Q.part(1)
+    assert vf_commutator(X, Y) == _schouten_reference(X, Y)
+
+
 # -- multi-sharp --------------------------------------------------------------------
 
 
@@ -222,14 +326,24 @@ def _multi_sharp_reference(forms, W):
     return out
 
 
-def test_multi_sharp_matches_uncached_reference(rng, c4):
-    for k in (2, 3):
+def _slot_form(rng, chart):
+    """A form of degree 0-3, sometimes the sum of two degrees."""
+    form = random_form(rng, chart, rng.randint(0, 3), max_coef_degree=1)
+    if rng.random() < 0.3:
+        form = form + random_form(rng, chart, rng.randint(0, 3), max_coef_degree=1)
+    return form
+
+
+def test_multi_sharp_matches_uncached_reference(rng):
+    for chart, k in itertools.product((Chart(4), Chart(5)), (1, 2, 3)):
         for _ in range(4):
-            W = random_field(rng, c4, k, max_coef_degree=1)
-            forms = [
-                random_form(rng, c4, rng.randint(1, 2), max_coef_degree=1)
-                for _ in range(k)
-            ]
+            # a term on nearly every index tuple: the terms share their subsets
+            W = random_field(rng, chart, k, max_coef_degree=1, density=0.9)
+            forms = [_slot_form(rng, chart) for _ in range(k)]
+            assert multi_sharp(forms, W) == _multi_sharp_reference(forms, W)
+            # dense forms of degree 1-3 in every slot, so few pieces vanish
+            forms = [random_form(rng, chart, rng.randint(1, 3), max_coef_degree=1, density=0.9)
+                     for _ in range(k)]
             assert multi_sharp(forms, W) == _multi_sharp_reference(forms, W)
 
 

@@ -772,6 +772,38 @@ def test_packed_poly_matches_sympy(case):
             assert poly_gcd(f * h, g * h).content == 1
 
 
+@st.composite
+def _cancelling_division_cases(draw):
+    """(nv, f, g, h): dense operands with coefficients +-1 and +-2, so the
+    remainder's terms often cancel and reappear while f * g is divided by g;
+    h is f * g with one perturbed term, which g may or may not divide."""
+    nv = draw(st.integers(1, 3))
+    monos = st.tuples(*[st.integers(0, 3)] * nv)
+    coefs = st.sampled_from([1, -1, 2, -2])
+    f, g = (Poly.from_terms(nv, draw(st.dictionaries(monos, coefs, min_size=2, max_size=8)))
+            for _ in range(2))
+    h = f * g + Poly.from_terms(nv, {draw(monos): draw(coefs)})
+    return nv, f, g, h
+
+
+@given(_cancelling_division_cases())
+@settings(max_examples=150, deadline=None)
+def test_divexact_matches_sympy_div_through_cancellations(case):
+    nv, f, g, h = case
+    gens = SYMS[:nv]
+
+    def sp(p):
+        return sympy.Poly(to_sympy(p), *gens, domain=sympy.QQ)
+
+    assert poly_divexact(f * g, g) == f
+    quotient, rem = sympy.div(sp(h), sp(g))
+    if rem.is_zero:
+        assert sp(poly_divexact(h, g)) == quotient
+    else:
+        with pytest.raises(ValueError, match="inexact"):
+            poly_divexact(h, g)
+
+
 @pytest.mark.parametrize("f, g, nv", [
     ("x1", "x2", 2),
     ("x1^2*x3", "x2*x3", 3),
