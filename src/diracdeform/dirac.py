@@ -393,9 +393,9 @@ def F(beta: SkewBilinear, Z: Bivector) -> SkewBilinear:
 
 
 def F_and_det(beta: SkewBilinear, Z: Bivector) -> tuple[SkewBilinear, Scalar]:
-    """F(beta) and det(id + Z# beta#), both read from the one elimination
-    that solves (id + beta# Z#) X = beta#: by Sylvester's identity
-    det(id + beta# Z#) = det(id + Z# beta#)."""
+    """F(beta) and det(id + Z# beta#): the solve of (id + beta# Z#) X = beta#
+    and one forward Bareiss pass on id + beta# Z#, whose determinant is the
+    same by Sylvester's identity det(id + beta# Z#) = det(id + Z# beta#)."""
     X, det = _push_through(beta, Z, linalg.solve_det)
     return SkewBilinear(X), det
 

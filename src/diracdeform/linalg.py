@@ -28,8 +28,7 @@ and taking no gcd; determinants, span membership and ranks are read from
 it.  `_rref` is Gauss-Jordan on primitive rows: each pivot step changes
 only the rows with a nonzero entry in its column, and divides each of them
 by its content.  `rref`, kernels and linear solves are read from it
-(`solve(A, B)` is the right block of rref([A | B]), and `solve_det` reads
-det(A) from the same elimination).
+(`solve(A, B)` is the right block of rref([A | B])).
 """
 
 from __future__ import annotations
@@ -458,40 +457,31 @@ def rref(A: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     its reduced row.  Clearing scales each row by the lcm of its
     denominators, which leaves the RREF unchanged.
     """
-    R, pivots, _ = _rref(mat(A))
-    return R, pivots
+    return _rref(mat(A))
 
 
-def _rref(A: Matrix) -> tuple[Matrix, tuple[int, ...], Callable[[], Scalar]]:
-    """rref(A), and a function giving the determinant of the leading square
-    block of A when the columns of that block are all pivots.
+def _rref(A: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """rref(A) of a Matrix.
 
     The cleared rows, of ints or of polynomials, are each divided by their
     content.  At a pivot p in column c only the rows with a nonzero entry f
     there change: row <- (p/g) row - (f/g) pivot_row with g = gcd(p, f), and
-    the row is divided by its content h.  Every row stays primitive, so a
-    pivot row over its pivot is its reduced row.  Each update scales the
-    determinant by (p/g) / h, so the leading determinant is the signed
-    product of the diagonal times the contents, divided exactly by the
-    scales, over the product of the row denominators of A.  The ring
-    (`_ring`) gives the gcd, which for a polynomial row stops at its first
-    constant gcd; the loop is the same.
+    the row is divided by its content.  Every row stays primitive, so a
+    pivot row over its pivot is its reduced row.  The ring (`_ring`) gives
+    the gcd, which for a polynomial row stops at its first constant gcd; the
+    loop is the same.
     """
     nvars = A.nvars
     if not A.nrows or not A.ncols:
-        return A, (), lambda: Scalar.one(nvars)
-    ints = A._constant
-    gcd, _, _, one = _ring(ints, nvars)
+        return A, ()
+    gcd, _, _, one = _ring(A._constant, nvars)
     rows = [list(row) for row in A._nums]
-    contents, scales = [], []
     for i, row in enumerate(rows):
         h = gcd(*row)
         if h and h != one:
             rows[i] = [a // h for a in row]
-            contents.append(h)
     nr, nc = A.nrows, A.ncols
     pivots: list[int] = []
-    sign = 1
     r = 0
     for c in range(nc):
         below = [i for i in range(r, nr) if rows[i][c]]
@@ -500,7 +490,6 @@ def _rref(A: Matrix) -> tuple[Matrix, tuple[int, ...], Callable[[], Scalar]]:
         pivot = below[0]
         if pivot != r:
             rows[r], rows[pivot] = rows[pivot], rows[r]
-            sign = -sign
         row_r = rows[r]
         p = row_r[c]
         # the old row r, now at `pivot`, is zero in column c
@@ -512,9 +501,6 @@ def _rref(A: Matrix) -> tuple[Matrix, tuple[int, ...], Callable[[], Scalar]]:
             h = gcd(*row)
             if h and h != one:
                 row = [a // h for a in row]
-                contents.append(h)
-            if s != one:
-                scales.append(s)
             rows[i] = row
         pivots.append(c)
         r += 1
@@ -525,17 +511,7 @@ def _rref(A: Matrix) -> tuple[Matrix, tuple[int, ...], Callable[[], Scalar]]:
     # rows below the last pivot) it is reduced; `_reduced` only normalises
     # the pivots
     R = _reduced(rows, diagonal + [one] * (nr - r), nvars, nc, False)
-
-    def leading_det() -> Scalar:
-        num = math.prod(diagonal + contents, start=one)
-        for s in scales:
-            num //= s
-        if sign < 0:
-            num = -num
-        den = math.prod(A._dens, start=one)
-        return Scalar.const(nvars, Fraction(num, den)) if ints else Scalar(num, den)
-
-    return R, tuple(pivots), leading_det
+    return R, tuple(pivots)
 
 
 def rank(A: Matrix) -> int:
@@ -577,16 +553,6 @@ def solve(A: Matrix, B: Matrix) -> Matrix:
     A singular A raises ZeroDivisionError; a non-square A, or a B whose row
     count differs from A's, raises ValueError.
     """
-    return _solve(A, B)[0]
-
-
-def solve_det(A: Matrix, B: Matrix) -> tuple[Matrix, Scalar]:
-    """solve(A, B) and det(A), both read from the one elimination of [A | B]."""
-    X, leading_det = _solve(A, B)
-    return X, leading_det()
-
-
-def _solve(A: Matrix, B: Matrix) -> tuple[Matrix, Callable[[], Scalar]]:
     A, B = mat(A), mat(B)
     n, m = dims(A)
     if n != m:
@@ -594,11 +560,17 @@ def _solve(A: Matrix, B: Matrix) -> tuple[Matrix, Callable[[], Scalar]]:
     if B.nrows != n:
         raise ValueError(f"shape mismatch: {n}x{n} system with {B.nrows} right-hand rows")
     if n == 0:
-        return A, lambda: Scalar.one(0)
-    R, pivots, leading_det = _rref(hstack(A, B))
+        return A
+    R, pivots = _rref(hstack(A, B))
     if pivots[:n] != tuple(range(n)):
         raise ZeroDivisionError("matrix is singular")
-    return columns(R, n, R.ncols), leading_det
+    return columns(R, n, R.ncols)
+
+
+def solve_det(A: Matrix, B: Matrix) -> tuple[Matrix, Scalar]:
+    """solve(A, B) and det(A), the determinant from one forward Bareiss pass
+    (`det`), whose exact divisions keep every entry at the size of a minor."""
+    return solve(A, B), det(A)
 
 
 def inverse(A: Matrix) -> Matrix:

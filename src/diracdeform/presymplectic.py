@@ -96,7 +96,12 @@ class DistributionFrame:
         return len(self.sections)
 
     def coordinate_matrix(self) -> linalg.Matrix:
-        """Rows are the coordinate vectors of the sections."""
+        """Rows are the coordinate vectors of the sections; built once per
+        frame."""
+        return self._coordinate_matrix
+
+    @cached_property
+    def _coordinate_matrix(self) -> linalg.Matrix:
         n = self.chart.dim
         return linalg.mat(
             [

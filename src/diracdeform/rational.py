@@ -849,13 +849,30 @@ class Scalar:
         return Scalar(-self.num, self.den, _canonical=True)
 
     def __add__(self, other: "Scalar") -> "Scalar":
+        """Henrici's sum (Knuth, TAOCP vol. 2, 4.5.1).  With g = gcd(d1, d2),
+        d1 = u g and d2 = v g, the sum is t / (u g v) for t = n1 v + n2 u,
+        and t is coprime to u and to v, so only gcd(t, g) can cancel.  When
+        g is a unit, which every polynomial operand gives, nothing does."""
         if _polynomial_pair(self, other):
             return Scalar(self.num + other.num, self.den, _canonical=True)
-        if self.den == other.den:
-            return Scalar(self.num + other.num, self.den)
-        return Scalar(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if n1.nvars != n2.nvars:
+            raise ValueError("variable-count mismatch")
+        if not n2.ip:
+            return self
+        if not n1.ip:
+            return other
+        if d1 == d2:
+            return Scalar(n1 + n2, d1)
+        g = poly_gcd(d1, d2)
+        if g.is_constant():
+            return Scalar(n1 * d2 + n2 * d1, d1 * d2, _canonical=True)
+        u, v = poly_divexact(d1, g), poly_divexact(d2, g)
+        t = n1 * v + n2 * u
+        h = poly_gcd(t, g)
+        if not h.is_constant():
+            t, g = poly_divexact(t, h), poly_divexact(g, h)
+        return Scalar(t, u * g * v, _canonical=True)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)

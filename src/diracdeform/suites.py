@@ -9,7 +9,10 @@ a counterexample; feeding that payload back through `run_replay` (or the CLI
 
 from __future__ import annotations
 
+import contextvars
+import dataclasses
 import functools
+import json
 import random
 import time
 from fractions import Fraction
@@ -1097,8 +1100,31 @@ def _gen_family_deform(rng, cfg):
     )
 
 
+# The instances certified so far in one serial `run_suite`, keyed by the
+# canonical JSON text of their payload; None outside such a run.  The scope
+# is one run: a process that repeats a run certifies its instances again.
+_CERTIFIED: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "certified", default=None
+)
+
+
 def _certified_instance(payload):
-    """The chart instance of `payload`; an uncertifiable rank skips the check."""
+    """The chart instance of `payload`; an uncertifiable rank skips the check.
+
+    Inside a serial suite run each distinct payload is certified once, and
+    each check gets its own copy of the instance, so its Koszul context is
+    its own; the frames, whose caches are deterministic, are shared.
+    """
+    memo = _CERTIFIED.get()
+    if memo is None:
+        return _certify(payload)
+    key = json.dumps(payload, sort_keys=True)
+    if key not in memo:
+        memo[key] = _certify(payload)
+    return dataclasses.replace(memo[key])
+
+
+def _certify(payload):
     try:
         return instance_from_json(payload)
     except CannotCertifyError as exc:
@@ -1135,7 +1161,7 @@ def _run_family_deform(payload):
 @executor("presym.lambda3_active")
 def _run_lambda3_active(payload):
     c5 = Chart(5)
-    data = instance_from_json(family_f2())
+    data = _certified_instance(family_f2())
     ctx = data.context()
     beta = DifferentialForm.make(c5, {(1, 2): 1, (3, 5): 1, (2, 4): 1}).scale(
         Fraction(1, 2)
@@ -1427,7 +1453,9 @@ def _suite_workload(config: SuiteConfig):
 
 def run_suite(config: SuiteConfig, jobs: int = 1) -> list[CheckOutcome]:
     """Run a suite; trials are independent, so jobs > 1 executes them in a
-    process pool.  Reports are identical for serial and parallel runs."""
+    process pool.  Reports are identical for serial and parallel runs; only
+    the serial loop certifies each distinct instance once
+    (`_certified_instance`)."""
     if config.suite not in SUITES:
         raise ValueError(
             f"unknown suite {config.suite!r}; available: {sorted(SUITES)}"
@@ -1444,9 +1472,13 @@ def run_suite(config: SuiteConfig, jobs: int = 1) -> list[CheckOutcome]:
         else:
             pending.append(i)
     if jobs <= 1 or len(pending) <= 1:
-        for i in pending:
-            name, payload = work[i]
-            outcomes[i] = run_check(name, payload)
+        token = _CERTIFIED.set({})
+        try:
+            for i in pending:
+                name, payload = work[i]
+                outcomes[i] = run_check(name, payload)
+        finally:
+            _CERTIFIED.reset(token)
     else:
         import concurrent.futures
 

@@ -15,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diracdeform import suites
 from diracdeform.cli import generate_payload, main, run_instance_payload
-from diracdeform.exterior import MAX_CHART_DIM, MAX_LINEAR_DIM
+from diracdeform.exterior import MAX_CHART_DIM, MAX_LINEAR_DIM, Chart, DifferentialForm, to_json
+from diracdeform.presymplectic import PreSymplecticData
 from diracdeform.rational import MAX_EXPONENT, MAX_TERMS, Poly, poly_from_str
 from diracdeform.report import SuiteConfig, assemble_report, comparable
 from diracdeform.suites import (
@@ -25,6 +27,7 @@ from diracdeform.suites import (
     SUITES,
     _suite_workload,
     derive_rng,
+    family_f1,
     run_check,
     run_replay,
     run_suite,
@@ -795,9 +798,74 @@ SNAPSHOT_SKEW_N4_SEED1 = [
 
 
 def test_parallel_trials_identical_report():
-    from diracdeform.suites import run_suite as _run
+    # on presymplectic the serial loop certifies each instance once, and the
+    # pool on every check
+    for suite in ("dirac", "presymplectic"):
+        cfg = SuiteConfig(suite=suite, trials=3, seed=99)
+        serial = assemble_report("suite", suite, cfg.to_json(), run_suite(cfg, jobs=1))
+        parallel = assemble_report("suite", suite, cfg.to_json(), run_suite(cfg, jobs=2))
+        assert comparable(serial) == comparable(parallel)
 
-    cfg = SuiteConfig(suite="dirac", trials=3, seed=99)
-    serial = assemble_report("suite", "dirac", cfg.to_json(), _run(cfg, jobs=1))
-    parallel = assemble_report("suite", "dirac", cfg.to_json(), _run(cfg, jobs=2))
-    assert comparable(serial) == comparable(parallel)
+
+def _count_decodes(monkeypatch) -> Counter:
+    """Count `instance_from_json` calls of the suites by canonical payload."""
+    decoded = Counter()
+    real = suites.instance_from_json
+
+    def counting(payload):
+        decoded[json.dumps(payload, sort_keys=True)] += 1
+        return real(payload)
+
+    monkeypatch.setattr(suites, "instance_from_json", counting)
+    return decoded
+
+
+def test_suite_run_certifies_each_instance_once(monkeypatch):
+    """A serial suite run decodes each distinct instance payload once, and
+    still hands each check an instance, and a Koszul context, of its own."""
+    decoded = _count_decodes(monkeypatch)
+    handed = []
+    real_certified = suites._certified_instance
+    monkeypatch.setattr(
+        suites, "_certified_instance",
+        lambda payload: handed.append(real_certified(payload)) or handed[-1],
+    )
+    contexts = []
+    real_context = PreSymplecticData.context
+    monkeypatch.setattr(
+        PreSymplecticData, "context",
+        lambda data: contexts.append((data, real_context(data))) or contexts[-1][1],
+    )
+    for seed in range(4):
+        decoded.clear()
+        handed.clear()
+        outcomes = run_suite(SuiteConfig(suite="presymplectic", trials=4, seed=seed))
+        assert all(o.status != "fail" for o in outcomes)
+        assert decoded and set(decoded.values()) == {1}
+        assert len(handed) > len(decoded)
+        assert len({id(data) for data in handed}) == len(handed)
+        assert len({id(ctx) for _, ctx in contexts}) == len({id(data) for data, _ in contexts})
+    assert suites._CERTIFIED.get() is None
+
+
+def test_replay_and_uncertifiable_instances_certify_every_time(monkeypatch):
+    decoded = _count_decodes(monkeypatch)
+    family = {"replay": "presym.build", "data": family_f1()}
+    for _ in range(2):
+        assert run_replay(family).status == "pass"
+    assert list(decoded.values()) == [2]
+    # x1 dx1^dx2 has no certifiable constant rank: skipped on every call,
+    # inside a suite run's memo too, and never stored
+    decoded.clear()
+    eta = DifferentialForm.make(Chart(3), {(1, 2): "x1"})
+    bad = {"chart": 3, "eta": to_json(eta)}
+    token = suites._CERTIFIED.set({})
+    try:
+        for _ in range(2):
+            outcome = run_check("presym.build", bad)
+            assert outcome.status == "skipped"
+            assert outcome.detail.startswith("cannot-certify")
+        assert suites._CERTIFIED.get() == {}
+    finally:
+        suites._CERTIFIED.reset(token)
+    assert list(decoded.values()) == [2]

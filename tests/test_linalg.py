@@ -136,8 +136,8 @@ def test_singular_over_rational_functions(rng):
         assert in_span([tuple(r0), tuple(r1)], r3) == det(B).is_zero()
 
 
-def test_solve_det_reads_det_from_the_solve(rng):
-    """solve_det gives solve and det of one elimination, over Q and Q(x)."""
+def test_solve_det_gives_solve_and_bareiss_det(rng):
+    """solve_det gives solve(A, B) and the Bareiss det(A), over Q and Q(x)."""
     cases = [rand_matrix(rng, n, n) for n in (1, 2, 3, 4) for _ in range(4)]
     cases += [rand_matrix(rng, 3, 3, nvars=2, deg=1) for _ in range(3)]
     cases += [mat([[rand_rational_function(rng, 2) for _ in range(2)]

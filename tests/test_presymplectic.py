@@ -154,8 +154,9 @@ def test_annihilator_and_ideal(rng, c4):
 
 
 def test_hoisted_annihilator_matches_per_call(monkeypatch):
-    """A frame computes its annihilator generators once.  Its draws and its
-    random stream are those of a fresh frame that computes them per call."""
+    """A frame computes its annihilator generators and its coordinate matrix
+    once.  Its draws and its random stream are those of a fresh frame that
+    computes them per call, and its matrix equals a fresh frame's."""
     real = presymplectic.annihilator_forms
     calls = []
     monkeypatch.setattr(
@@ -172,6 +173,8 @@ def test_hoisted_annihilator_matches_per_call(monkeypatch):
                 h = random_horizontal_form(hoisted, K, degree)
                 assert h == random_horizontal_form(per_call, fresh, degree)
                 assert list(fresh.annihilator) == real(K)
+                assert K.coordinate_matrix() is K.coordinate_matrix()
+                assert K.coordinate_matrix() == fresh.coordinate_matrix()
             assert hoisted.getstate() == per_call.getstate()
         assert sum(c is K for c in calls) == 1
     # the sheared frame's generators are not constant

@@ -186,6 +186,77 @@ def test_polynomial_fast_path_matches_general_path(operands):
                 op(s, t)
 
 
+# irreducible factors of the denominators a sum meets
+_DEN_FACTORS = ("x1 + 2", "x2^2 + 1", "x1 - x2 + 3", "3*x1*x2 - 1")
+
+
+@st.composite
+def _sum_operands(draw):
+    """Two operands over Q(x1, x2): zeros, polynomials, and fractions whose
+    denominators share all, part or none of their factors, some built so
+    that the sum cancels a factor of the denominators' gcd."""
+    nv = 2
+    f = [poly_from_str(t, nv) for t in _DEN_FACTORS]
+
+    def product(exps):
+        out = Poly.one(nv)
+        for p, e in zip(f, exps):
+            out = out * p.pow(e)
+        return out
+
+    exps = st.lists(st.integers(0, 2), min_size=len(f), max_size=len(f))
+    kind = draw(st.sampled_from(["zero", "poly", "fraction", "fraction", "cancelling"]))
+    if kind == "cancelling":
+        # (u s + p w1)/(u p^e) + (p w2 - v s)/(v p^e) = (w1 v + w2 u)/(u v p^(e-1))
+        i = draw(st.integers(0, len(f) - 1))
+        p, e = f[i], draw(st.integers(1, 2))
+        u = product([0 if j == i else x for j, x in enumerate(draw(exps))])
+        v = product([0 if j == i else x for j, x in enumerate(draw(exps))])
+        s, w1, w2 = draw(_polys(nv)), draw(_polys(nv)), draw(_polys(nv))
+        return (Scalar(u * s + p * w1, u * p.pow(e)),
+                Scalar(p * w2 - v * s, v * p.pow(e)))
+
+    def operand(kind):
+        if kind == "zero":
+            return Scalar.zero(nv)
+        if kind == "poly":
+            return Scalar.from_poly(draw(_polys(nv)))
+        return Scalar(draw(_polys(nv)).scale(draw(FRACTIONS.filter(bool))), product(draw(exps)))
+
+    a = operand(kind)
+    if kind == "fraction" and draw(st.booleans()):
+        return a, Scalar(draw(_polys(nv)), a.den)  # one shared denominator
+    return a, operand(draw(st.sampled_from(["zero", "poly", "fraction"])))
+
+
+def _sym_scalar(s: Scalar):
+    return to_sympy(s.num) / to_sympy(s.den)
+
+
+@given(_sum_operands())
+@settings(max_examples=100, deadline=None)
+def test_sum_matches_sympy_cancel(operands):
+    """Henrici's sum is the reduced form of n1/d1 + n2/d2: sympy's `cancel`
+    of the unreduced fraction (n1 d2 + n2 d1) / (d1 d2), up to a constant,
+    and in the canonical form of the general gcd path."""
+    a, b = operands
+    num, den = a.num * b.den + b.num * a.den, a.den * b.den
+    p, q = sympy.fraction(sympy.cancel(to_sympy(num) / to_sympy(den)))
+    for got in (a + b, b + a):
+        # reduced: the denominator is sympy's up to a nonzero constant
+        ratio = sympy.cancel(to_sympy(got.den) / q)
+        assert ratio.is_number and ratio != 0
+        assert sympy.expand(to_sympy(got.num) * q - p * to_sympy(got.den)) == 0
+        assert _structure(got) == _structure(_forced(num, den))
+        assert got.is_polynomial() == q.is_number
+    assert _structure(a - b) == _structure(a + (-b))
+    # operands over different rings still raise
+    for other in (Scalar.zero(3), Scalar.variable(1, 3), Scalar(Poly.one(3), poly_from_str("x3 + 1", 3))):
+        for s, t in ((a, other), (other, a)):
+            with pytest.raises(ValueError, match="variable-count mismatch"):
+                s + t
+
+
 @st.composite
 def _scalar_operands(draw):
     nv = draw(st.sampled_from([1, 2]))
