@@ -202,23 +202,26 @@ def _run_linear_instance(payload: dict) -> tuple[str, list[CheckOutcome]]:
 
 
 def _run_chart_instance(payload: dict) -> tuple[str, list[CheckOutcome]]:
-    from .suites import INPUT_ERRORS, run_check
+    """Build the instance, then check graph closedness and, given a beta,
+    the deformation; the instance is certified once for both."""
+    from .suites import INPUT_ERRORS, certified_once, run_check
 
     label = f"presymplectic(n={payload.get('chart')})"
-    build = run_check("presym.build", payload, INPUT_ERRORS)
-    if build.status == "skipped":
-        return label, [build]
-    outcomes = [
-        build,
-        run_check("dirac.graph_closedness", {"eta": payload["eta"]},
-                  INPUT_ERRORS),
-    ]
-    if payload.get("beta") is not None:
-        instance = {k: payload[k] for k in ("chart", "eta", "G", "ref_point")
-                    if k in payload}
-        outcomes.append(run_check("presym.family_deform", {
-            "instance": instance, "beta": payload["beta"], "expect_mc": None,
-        }, INPUT_ERRORS))
+    instance = {k: payload[k] for k in ("chart", "eta", "G", "ref_point")
+                if k in payload}
+    with certified_once():
+        build = run_check("presym.build", instance, INPUT_ERRORS)
+        if build.status == "skipped":
+            return label, [build]
+        outcomes = [
+            build,
+            run_check("dirac.graph_closedness", {"eta": payload["eta"]},
+                      INPUT_ERRORS),
+        ]
+        if payload.get("beta") is not None:
+            outcomes.append(run_check("presym.family_deform", {
+                "instance": instance, "beta": payload["beta"], "expect_mc": None,
+            }, INPUT_ERRORS))
     return label, outcomes
 
 

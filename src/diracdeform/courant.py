@@ -107,26 +107,13 @@ def frame_matrix(frame: Sequence[GeneralizedSection]) -> linalg.Matrix:
     return linalg.mat([s.coordinates() for s in frame])
 
 
-def frame_pointwise_rank(frame: Sequence[GeneralizedSection],
-                         point: Sequence) -> int:
-    M = frame_matrix(frame)
-    return linalg.rank(linalg.evaluate_matrix(M, [f for f in point]))
-
-
-def in_frame_span(frame: Sequence[GeneralizedSection],
-                  s: GeneralizedSection) -> bool:
-    """Is s a Scalar-combination of the frame sections (over the function field)?"""
-    return linalg.in_span(
-        [sec.coordinates() for sec in frame], s.coordinates()
-    )
-
-
 def is_dirac_frame(frame: Sequence[GeneralizedSection]) -> bool:
     """Dirac test for the subbundle spanned by a rank-n frame.
 
     Checks pointwise rank n at the origin, vanishing of all pairwise
     pairings, and closure of the frame under the Dorfman bracket (membership
-    solved exactly over the rational-function field).
+    in the span of the frame's coordinate rows, solved exactly over the
+    rational-function field).  The frame's matrix is built once.
     """
     if not frame:
         raise ValueError("empty frame")
@@ -134,7 +121,8 @@ def is_dirac_frame(frame: Sequence[GeneralizedSection]) -> bool:
     n = chart.dim
     if len(frame) != n:
         raise ValueError(f"a Dirac frame on R^{n} needs {n} sections")
-    if frame_pointwise_rank(frame, [0] * n) != n:
+    M = frame_matrix(frame)
+    if linalg.rank(linalg.evaluate_matrix(M, [0] * n)) != n:
         raise ValueError("frame is not a subbundle: rank drops at the origin")
     for i in range(n):
         for j in range(i, n):
@@ -142,7 +130,7 @@ def is_dirac_frame(frame: Sequence[GeneralizedSection]) -> bool:
                 return False
     for i in range(n):
         for j in range(i + 1, n):
-            if not in_frame_span(frame, dorfman(frame[i], frame[j])):
+            if not linalg.in_span(M, dorfman(frame[i], frame[j]).coordinates()):
                 return False
     return True
 
@@ -157,13 +145,3 @@ def graph_of_form_frame(eta: DifferentialForm) -> list[GeneralizedSection]:
         di = partial(chart, i)
         out.append(GeneralizedSection(di, contract(di, eta)))
     return out
-
-
-def tangent_frame(chart: Chart) -> list[GeneralizedSection]:
-    """The frame (d_i, 0) of TM."""
-    from .exterior import partial
-
-    return [
-        GeneralizedSection(partial(chart, i), DifferentialForm.zero(chart))
-        for i in range(1, chart.dim + 1)
-    ]

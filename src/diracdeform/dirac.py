@@ -33,7 +33,7 @@ from .rational import (
     scalar_to_str,
 )
 from . import linalg
-from .linalg import Matrix, Vector
+from .linalg import Matrix
 
 
 class DimensionMismatchError(ValueError):
@@ -74,8 +74,7 @@ class _SkewSharp:
 
     def __init__(self, mat: Matrix, check: bool = True):
         mat = linalg.mat(mat)
-        n, m = linalg.dims(mat)
-        if n != m:
+        if mat.nrows != mat.ncols:
             raise DimensionMismatchError("skew matrix must be square")
         if check and not linalg.is_skew(mat):
             raise NotSkewError(f"{type(self).__name__} matrix must be skew")
@@ -124,15 +123,11 @@ class _SkewSharp:
     def gram(self, left: Matrix, right: Matrix) -> Matrix:
         """The values beta(l_a, r_b) on the rows l_a of `left` and r_b of
         `right`: left . values . right^T."""
-        left, right = linalg.mat(left), linalg.mat(right)
         if not left or not right:
             return linalg.zeros(len(left), len(right), self.nvars)
         return linalg.mat_mul(
             linalg.mat_mul(left, self.values()), linalg.transpose(right)
         )
-
-    def apply(self, v: Sequence[Scalar]) -> Vector:
-        return linalg.mat_vec(self.mat, v)
 
     def __add__(self, other):
         if type(self) is not type(other):
@@ -142,14 +137,8 @@ class _SkewSharp:
     def __neg__(self):
         return type(self)(linalg.mat_neg(self.mat), check=False)
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __eq__(self, other):
         return type(self) is type(other) and self.mat == other.mat
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.mat))
 
     def __repr__(self):
         rows = "; ".join(
@@ -202,9 +191,6 @@ class Subspace:
     def nvars(self) -> int:
         return self.basis.nvars
 
-    def contains(self, v: Sequence[Scalar]) -> bool:
-        return linalg.in_span(self.basis, tuple(v))
-
     def transform(self, M: Matrix) -> "Subspace":
         """Image under the linear map with column-action matrix M: the rows
         M b of the basis rows b, i.e. basis . M^T."""
@@ -243,7 +229,7 @@ class Subspace:
         if not self.basis:
             raise ValueError("orthogonal complement needs a nonzero subspace")
         return Subspace.from_spanning(
-            self.ambient, linalg.nullspace(linalg.mat(self.basis))
+            self.ambient, linalg.nullspace(self.basis)
         )
 
     def __eq__(self, other):
@@ -252,9 +238,6 @@ class Subspace:
             and self.ambient == other.ambient
             and self.basis == other.basis
         )
-
-    def __hash__(self):
-        return hash((self.ambient, self.basis))
 
     def __repr__(self):
         rows = "; ".join(
@@ -389,24 +372,25 @@ def F(beta: SkewBilinear, Z: Bivector) -> SkewBilinear:
     matrices have the same determinant (Sylvester), so NotInIZError is
     raised exactly outside I_Z.
     """
-    return SkewBilinear(_push_through(beta, Z, linalg.solve))
+    return SkewBilinear(_push_through(beta, Z)[1])
 
 
 def F_and_det(beta: SkewBilinear, Z: Bivector) -> tuple[SkewBilinear, Scalar]:
     """F(beta) and det(id + Z# beta#): the solve of (id + beta# Z#) X = beta#
     and one forward Bareiss pass on id + beta# Z#, whose determinant is the
     same by Sylvester's identity det(id + beta# Z#) = det(id + Z# beta#)."""
-    X, det = _push_through(beta, Z, linalg.solve_det)
-    return SkewBilinear(X), det
+    M, X = _push_through(beta, Z)
+    return SkewBilinear(X), linalg.det(M)
 
 
-def _push_through(beta: SkewBilinear, Z: Bivector, solver):
-    """solver(id + beta# Z#, beta#), with a singular system as NotInIZError."""
+def _push_through(beta: SkewBilinear, Z: Bivector) -> tuple[Matrix, Matrix]:
+    """M = id + beta# Z# and the solution X of M X = beta#, with a singular
+    system as NotInIZError."""
     if beta.n != Z.n:
         raise DimensionMismatchError("dimension mismatch")
     M = _id_plus(beta.mat, Z.mat, beta.nvars)
     try:
-        return solver(M, beta.mat)
+        return M, linalg.solve(M, beta.mat)
     except ZeroDivisionError as exc:
         raise NotInIZError("id + Z# beta# is singular") from exc
 
@@ -430,7 +414,6 @@ def Z_from_frame(eta: SkewBilinear, frame: Matrix) -> Bivector:
     The frame is not checked against ker(eta); `Z_from_eta_G` checks it.
     An empty frame gives the zero bivector.
     """
-    frame = linalg.mat(frame)
     if not frame:
         return Bivector.zero(eta.n, eta.nvars)
     Sg = eta.gram(frame, frame)
@@ -495,10 +478,9 @@ class HorizontalDecomposition:
         # the values in the frame: [[0, mu], [-mu^T, sigma]]
         hat = self.sigma.values()
         if mK:
-            mu = linalg.mat(self.mu)
             hat = linalg.vstack(
-                linalg.hstack(linalg.zeros(mK, mK, nvars), mu),
-                linalg.hstack(linalg.mat_neg(linalg.transpose(mu)), hat),
+                linalg.hstack(linalg.zeros(mK, mK, nvars), self.mu),
+                linalg.hstack(linalg.mat_neg(linalg.transpose(self.mu)), hat),
             )
         Pinv = linalg.inverse(P)
         vals = linalg.mat_mul(linalg.transpose(Pinv), linalg.mat_mul(hat, Pinv))
@@ -673,7 +655,6 @@ def _phi0_inverse_matches_F(phiz: Subspace, f_beta: SkewBilinear) -> bool:
 def matrix_to_json(A: Matrix) -> list[list[str]]:
     """The entries as `scalar_to_str` writes them; a constant matrix is
     written from its int rows, with one gcd per entry over a denominator."""
-    A = linalg.mat(A)
     if not A.is_constant():
         return [[scalar_to_str(a) for a in row] for row in A]
     return [

@@ -22,13 +22,17 @@ constants over the unit.  Two invariants:
 
 Vectors stay tuples of Scalars.
 
+`mat` is the one place where rows of Scalars become a Matrix; every other
+function of this module takes and returns Matrix values, and a Matrix is
+not a tuple.
+
 There are two elimination loops, and each runs on the cleared rows of both
 rings.  `_bareiss` runs forward only and fraction-free, dividing exactly
 and taking no gcd; determinants, span membership and ranks are read from
-it.  `_rref` is Gauss-Jordan on primitive rows: each pivot step changes
+it.  `rref` is Gauss-Jordan on primitive rows: each pivot step changes
 only the rows with a nonzero entry in its column, and divides each of them
-by its content.  `rref`, kernels and linear solves are read from it
-(`solve(A, B)` is the right block of rref([A | B])).
+by its content.  Kernels and linear solves are read from it (`solve(A, B)`
+is the right block of rref([A | B])).
 """
 
 from __future__ import annotations
@@ -47,13 +51,13 @@ class Matrix:
     """An immutable matrix over the Scalar field; build one with `mat`.
 
     It has a length (its row count), row indexing (a row is a tuple of
-    Scalars), row slicing (a Matrix) and iteration over its rows.  It equals
-    a Matrix or a tuple of tuples with the same entries and hashes like that
-    tuple.  A matrix without rows has no columns either and is over zero
-    variables, as an empty tuple would be read.
+    Scalars), row slicing (a Matrix) and iteration over its rows.  It is not
+    a tuple: it equals only a Matrix with the same entries, and it is not
+    hashable; `tuple(A)` gives its rows as tuples of Scalars.  A matrix
+    without rows has no columns either and is over zero variables.
     """
 
-    __slots__ = ("nrows", "ncols", "nvars", "_nums", "_dens", "_constant", "_entries", "_hash")
+    __slots__ = ("nrows", "ncols", "nvars", "_nums", "_dens", "_constant", "_entries")
 
     def __init__(self, nrows: int, ncols: int, nvars: int, nums: list, dens: list,
                  entries: tuple[Vector, ...] | None = None):
@@ -66,7 +70,6 @@ class Matrix:
         self._constant = not dens or type(dens[0]) is int
         # the entry Scalars, built on first read
         self._entries = entries
-        self._hash: int | None = None
 
     def is_constant(self) -> bool:
         return self._constant
@@ -112,8 +115,6 @@ class Matrix:
         return _reduced(nums, dens, self.nvars, self.ncols, False, entries)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, tuple):
-            return self._scalars() == other
         if not isinstance(other, Matrix):
             return NotImplemented
         return (
@@ -121,11 +122,6 @@ class Matrix:
             and self._dens == other._dens
             and self._nums == other._nums
         )
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self._scalars())
-        return self._hash
 
     def __repr__(self) -> str:
         return f"Matrix({self._scalars()!r})"
@@ -303,7 +299,6 @@ def cleared_rows(A: Matrix) -> tuple[list[list], list]:
     """The cleared rows of A and their denominators, entry (i, j) being
     rows[i][j] / dens[i] with each row reduced: ints when A.is_constant(),
     polynomials otherwise (not to be mutated)."""
-    A = mat(A)
     return A._nums, A._dens
 
 
@@ -318,14 +313,8 @@ def identity(n: int, nvars: int) -> Matrix:
     return Matrix(n, n, nvars, ints, [1] * n)
 
 
-def dims(A: Matrix) -> tuple[int, int]:
-    A = mat(A)
-    return A.nrows, A.ncols
-
-
 def transpose(A: Matrix) -> Matrix:
     """A's columns, each over the lcm L of A's row denominators."""
-    A = mat(A)
     _, lcm, _, one = _ring(A._constant, A.nvars)
     L = lcm(one, *A._dens)
     cols = [list(col) for col in zip(*_rescaled(A._nums, A._dens, L))]
@@ -337,7 +326,6 @@ def hstack(*blocks: Matrix) -> Matrix:
     """The blocks side by side; all have the same number of rows.  Row i is
     over the lcm of the blocks' denominators of row i, which keeps it
     reduced."""
-    blocks = [mat(b) for b in blocks]
     n = blocks[0].nrows
     if any(b.nrows != n for b in blocks):
         raise ValueError("hstack of blocks with different row counts")
@@ -358,7 +346,7 @@ def hstack(*blocks: Matrix) -> Matrix:
 def vstack(*blocks: Matrix) -> Matrix:
     """The blocks one above another; all with rows have the same number of
     columns, and a block without rows is skipped."""
-    blocks = [b for b in map(mat, blocks) if b.nrows]
+    blocks = [b for b in blocks if b.nrows]
     if len(blocks) < 2:
         return blocks[0] if blocks else mat(())
     ncols = blocks[0].ncols
@@ -371,16 +359,14 @@ def vstack(*blocks: Matrix) -> Matrix:
 
 def columns(A: Matrix, start: int, stop: int) -> Matrix:
     """The matrix of columns start..stop-1 of A."""
-    A = mat(A)
     ncols = len(range(A.ncols)[start:stop])
     entries = tuple(row[start:stop] for row in A._entries) if A._entries is not None else None
     return _reduced([row[start:stop] for row in A._nums], A._dens, A.nvars, ncols, True, entries)
 
 
 def mat_add(A: Matrix, B: Matrix) -> Matrix:
-    A, B = mat(A), mat(B)
     if (A.nrows, A.ncols) != (B.nrows, B.ncols):
-        raise ValueError(f"shape mismatch {dims(A)} + {dims(B)}")
+        raise ValueError(f"shape mismatch {(A.nrows, A.ncols)} + {(B.nrows, B.ncols)}")
     (_, lcm, _, _), nvars, ((an, ad), (bn, bd)) = _operands(A, B)
     nums, dens = [], []
     for a, d, b, e in zip(an, ad, bn, bd):
@@ -396,7 +382,6 @@ def mat_add(A: Matrix, B: Matrix) -> Matrix:
 
 
 def mat_neg(A: Matrix) -> Matrix:
-    A = mat(A)
     return Matrix(A.nrows, A.ncols, A.nvars, [[-a for a in row] for row in A._nums], A._dens)
 
 
@@ -404,7 +389,6 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     """A @ B.  A matrix without rows gives the empty product.  The rows of B
     are rescaled to the lcm L of their denominators, so row i of the
     product is a row of dot products over d_i * L."""
-    A, B = mat(A), mat(B)
     n, k, k2, m = A.nrows, A.ncols, B.nrows, B.ncols
     if not n:
         return A
@@ -418,7 +402,6 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
 
 
 def mat_vec(A: Matrix, v: Sequence[Scalar]) -> Vector:
-    A = mat(A)
     if not A.nrows:
         return ()
     return tuple(row[0] for row in mat_mul(A, transpose(mat([v]))))
@@ -427,7 +410,6 @@ def mat_vec(A: Matrix, v: Sequence[Scalar]) -> Vector:
 def mat_scale(A: Matrix, c: Scalar) -> Matrix:
     """c A: the rows times c's cleared numerator s, over their denominators
     times its denominator t."""
-    A = mat(A)
     if not A.nrows:
         return A
     _, nvars, ((nums, dens), ([[s]], [t])) = _operands(A, mat([[c]]))
@@ -436,9 +418,8 @@ def mat_scale(A: Matrix, c: Scalar) -> Matrix:
 
 def is_skew(A: Matrix) -> bool:
     """a_ij / d_i == -a_ji / d_j, compared as a_ij * d_j == -a_ji * d_i."""
-    A = mat(A)
-    n, m = dims(A)
-    if n != m:
+    n = A.nrows
+    if n != A.ncols:
         return False
     a, d = A._nums, A._dens
     return all(a[i][j] * d[j] == -a[j][i] * d[i] for i in range(n) for j in range(i, n))
@@ -452,24 +433,15 @@ def is_skew(A: Matrix) -> bool:
 def rref(A: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns, exact over the field.
 
-    Gauss-Jordan on primitive cleared rows (`_rref`), of ints for a constant
-    matrix and of polynomials otherwise: each pivot row over its pivot is
-    its reduced row.  Clearing scales each row by the lcm of its
-    denominators, which leaves the RREF unchanged.
-    """
-    return _rref(mat(A))
-
-
-def _rref(A: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """rref(A) of a Matrix.
-
-    The cleared rows, of ints or of polynomials, are each divided by their
-    content.  At a pivot p in column c only the rows with a nonzero entry f
-    there change: row <- (p/g) row - (f/g) pivot_row with g = gcd(p, f), and
-    the row is divided by its content.  Every row stays primitive, so a
-    pivot row over its pivot is its reduced row.  The ring (`_ring`) gives
-    the gcd, which for a polynomial row stops at its first constant gcd; the
-    loop is the same.
+    Gauss-Jordan on the cleared rows, of ints for a constant matrix and of
+    polynomials otherwise; clearing scales each row by the lcm of its
+    denominators, which leaves the RREF unchanged.  Each row is divided by
+    its content.  At a pivot p in column c only the rows with a nonzero
+    entry f there change: row <- (p/g) row - (f/g) pivot_row with
+    g = gcd(p, f), and the row is divided by its content.  Every row stays
+    primitive, so a pivot row over its pivot is its reduced row.  The ring
+    (`_ring`) gives the gcd, which for a polynomial row stops at its first
+    constant gcd; the loop is the same.
     """
     nvars = A.nvars
     if not A.nrows or not A.ncols:
@@ -517,7 +489,6 @@ def _rref(A: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 def rank(A: Matrix) -> int:
     """The rank: the pivot count of one forward Bareiss pass on the cleared
     rows (no RREF)."""
-    A = mat(A)
     return len(_bareiss(A)[1]) if A.nrows and A.ncols else 0
 
 
@@ -526,7 +497,6 @@ def nullspace(A: Matrix) -> Matrix:
     RREF (one row per free column): with L the lcm of the pivot rows'
     denominators, the row of free column f is L at f and minus L times
     column f of the RREF at the pivots."""
-    A = mat(A)
     if not A.nrows:
         return A
     R, pivots = rref(A)
@@ -553,29 +523,21 @@ def solve(A: Matrix, B: Matrix) -> Matrix:
     A singular A raises ZeroDivisionError; a non-square A, or a B whose row
     count differs from A's, raises ValueError.
     """
-    A, B = mat(A), mat(B)
-    n, m = dims(A)
-    if n != m:
+    n = A.nrows
+    if n != A.ncols:
         raise ValueError("solve with a non-square matrix")
     if B.nrows != n:
         raise ValueError(f"shape mismatch: {n}x{n} system with {B.nrows} right-hand rows")
     if n == 0:
         return A
-    R, pivots = _rref(hstack(A, B))
+    R, pivots = rref(hstack(A, B))
     if pivots[:n] != tuple(range(n)):
         raise ZeroDivisionError("matrix is singular")
     return columns(R, n, R.ncols)
 
 
-def solve_det(A: Matrix, B: Matrix) -> tuple[Matrix, Scalar]:
-    """solve(A, B) and det(A), the determinant from one forward Bareiss pass
-    (`det`), whose exact divisions keep every entry at the size of a minor."""
-    return solve(A, B), det(A)
-
-
 def inverse(A: Matrix) -> Matrix:
     """Exact inverse: solve(A, I)."""
-    A = mat(A)
     return solve(A, identity(A.nrows, A.nvars))
 
 
@@ -624,9 +586,8 @@ def _bareiss(A: Matrix) -> tuple[list[list], tuple[int, ...], int]:
 
 def det(A: Matrix) -> Scalar:
     """Exact determinant: the signed last Bareiss pivot over the row scales."""
-    A = mat(A)
-    n, m = dims(A)
-    if n != m:
+    n = A.nrows
+    if n != A.ncols:
         raise ValueError("determinant of a non-square matrix")
     if n == 0:
         return Scalar.one(0)
@@ -641,15 +602,14 @@ def det(A: Matrix) -> Scalar:
     return -result if sign < 0 else result
 
 
-def in_span(vectors: Matrix | Sequence[Vector], w: Vector) -> bool:
-    """Is w a Scalar-linear combination of the given vectors?
+def in_span(A: Matrix, w: Vector) -> bool:
+    """Is w a Scalar-linear combination of the rows of A?
 
     Decided by a fraction-free rank comparison, which stays polynomial even
     over the rational-function field.
     """
     if all(c.is_zero() for c in w):
         return True
-    A = mat(vectors)
     if not A.nrows:
         return False
     return len(_bareiss(A)[1]) == len(_bareiss(vstack(A, mat([w])))[1])
@@ -669,7 +629,6 @@ def clear_matrix(A: Matrix) -> tuple[list[list[Poly]], Poly]:
     computations, where a uniform polynomial matrix avoids fraction-field
     gcd churn: Pf_S(D*A) = D^{|S|/2} Pf_S(A).
     """
-    A = mat(A)
     nums, dens = _poly_rows(A)
     D = _poly_lcm(Poly.one(A.nvars), *dens)
     return _rescaled(nums, dens, D), D
@@ -718,7 +677,6 @@ def evaluate_matrix(A: Matrix, point: Sequence[Fraction]) -> Matrix:
     denominator does is evaluated entry by entry, so a pole raises
     PoleError naming `point` exactly when some entry has one.
     """
-    A = mat(A)
     if A._constant:
         return Matrix(A.nrows, A.ncols, 0, A._nums, A._dens)
     pt = as_point(point)

@@ -9,6 +9,7 @@ a counterexample; feeding that payload back through `run_replay` (or the CLI
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import dataclasses
 import functools
@@ -1100,20 +1101,37 @@ def _gen_family_deform(rng, cfg):
     )
 
 
-# The instances certified so far in one serial `run_suite`, keyed by the
-# canonical JSON text of their payload; None outside such a run.  The scope
-# is one run: a process that repeats a run certifies its instances again.
+# The instances certified so far in one run, keyed by the canonical JSON
+# text of their payload; None outside a run.  A run is a serial `run_suite`,
+# a pool worker of a parallel one, or one `run` of a chart instance; a
+# process that repeats a run certifies its instances again.
 _CERTIFIED: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "certified", default=None
 )
 
 
+@contextlib.contextmanager
+def certified_once():
+    """Within this block each distinct instance payload is certified once."""
+    token = _CERTIFIED.set({})
+    try:
+        yield
+    finally:
+        _CERTIFIED.reset(token)
+
+
+def _open_certified_memo():
+    """A pool worker's initializer: the memo lives as long as the worker,
+    whose pool lives for one run."""
+    _CERTIFIED.set({})
+
+
 def _certified_instance(payload):
     """The chart instance of `payload`; an uncertifiable rank skips the check.
 
-    Inside a serial suite run each distinct payload is certified once, and
-    each check gets its own copy of the instance, so its Koszul context is
-    its own; the frames, whose caches are deterministic, are shared.
+    Inside a run (`certified_once`) each distinct payload is certified once,
+    and each check gets its own copy of the instance, so its Koszul context
+    is its own; the frames, whose caches are deterministic, are shared.
     """
     memo = _CERTIFIED.get()
     if memo is None:
@@ -1453,9 +1471,9 @@ def _suite_workload(config: SuiteConfig):
 
 def run_suite(config: SuiteConfig, jobs: int = 1) -> list[CheckOutcome]:
     """Run a suite; trials are independent, so jobs > 1 executes them in a
-    process pool.  Reports are identical for serial and parallel runs; only
-    the serial loop certifies each distinct instance once
-    (`_certified_instance`)."""
+    process pool.  Reports are identical for serial and parallel runs; the
+    serial loop, and each pool worker, certifies each distinct instance
+    once (`_certified_instance`)."""
     if config.suite not in SUITES:
         raise ValueError(
             f"unknown suite {config.suite!r}; available: {sorted(SUITES)}"
@@ -1472,17 +1490,16 @@ def run_suite(config: SuiteConfig, jobs: int = 1) -> list[CheckOutcome]:
         else:
             pending.append(i)
     if jobs <= 1 or len(pending) <= 1:
-        token = _CERTIFIED.set({})
-        try:
+        with certified_once():
             for i in pending:
                 name, payload = work[i]
                 outcomes[i] = run_check(name, payload)
-        finally:
-            _CERTIFIED.reset(token)
     else:
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=jobs, initializer=_open_certified_memo
+        ) as pool:
             futures = {
                 pool.submit(run_check, work[i][0], work[i][1]): i
                 for i in pending

@@ -28,6 +28,7 @@ from diracdeform.suites import (
     _suite_workload,
     derive_rng,
     family_f1,
+    family_f2,
     run_check,
     run_replay,
     run_suite,
@@ -798,8 +799,8 @@ SNAPSHOT_SKEW_N4_SEED1 = [
 
 
 def test_parallel_trials_identical_report():
-    # on presymplectic the serial loop certifies each instance once, and the
-    # pool on every check
+    # on presymplectic the serial loop and each pool worker certify each
+    # instance once
     for suite in ("dirac", "presymplectic"):
         cfg = SuiteConfig(suite=suite, trials=3, seed=99)
         serial = assemble_report("suite", suite, cfg.to_json(), run_suite(cfg, jobs=1))
@@ -845,6 +846,18 @@ def test_suite_run_certifies_each_instance_once(monkeypatch):
         assert len(handed) > len(decoded)
         assert len({id(data) for data in handed}) == len(handed)
         assert len({id(ctx) for _, ctx in contexts}) == len({id(data) for data, _ in contexts})
+    assert suites._CERTIFIED.get() is None
+
+
+def test_run_certifies_a_chart_instance_once(monkeypatch):
+    """`run` on a chart instance with a beta decodes it once for its build
+    and its deformation check."""
+    decoded = _count_decodes(monkeypatch)
+    payload = family_f2()
+    payload["beta"] = to_json(DifferentialForm.make(Chart(5), {(1, 2): "x5"}))
+    _, outcomes = run_instance_payload(payload)
+    assert [o.status for o in outcomes] == ["pass"] * 3
+    assert list(decoded.values()) == [1]
     assert suites._CERTIFIED.get() is None
 
 

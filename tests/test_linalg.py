@@ -129,15 +129,16 @@ def test_singular_over_rational_functions(rng):
         assert det(A).is_zero()
         with pytest.raises(ZeroDivisionError):
             inverse(A)
-        assert in_span([tuple(r0), tuple(r1)], r2)
+        assert in_span(mat([r0, r1]), r2)
         # a random row is in the span iff the matrix it completes is singular
         r3 = tuple(rand_rational_function(rng, 2) for _ in range(3))
         B = mat([r0, r1, r3])
-        assert in_span([tuple(r0), tuple(r1)], r3) == det(B).is_zero()
+        assert in_span(mat([r0, r1]), r3) == det(B).is_zero()
 
 
-def test_solve_det_gives_solve_and_bareiss_det(rng):
-    """solve_det gives solve(A, B) and the Bareiss det(A), over Q and Q(x)."""
+def test_solve_fails_exactly_when_det_vanishes(rng):
+    """solve(A, B) raises exactly when the Bareiss det(A) is zero, and
+    otherwise solves A X = B, over Q and Q(x)."""
     cases = [rand_matrix(rng, n, n) for n in (1, 2, 3, 4) for _ in range(4)]
     cases += [rand_matrix(rng, 3, 3, nvars=2, deg=1) for _ in range(3)]
     cases += [mat([[rand_rational_function(rng, 2) for _ in range(2)]
@@ -149,16 +150,15 @@ def test_solve_det_gives_solve_and_bareiss_det(rng):
         d = det(A)
         if d.is_zero():
             with pytest.raises(ZeroDivisionError):
-                linalg.solve_det(A, B)
+                solve(A, B)
             continue
-        X, d2 = linalg.solve_det(A, B)
-        assert d2 == d and X == solve(A, B)
-        assert mat_mul(A, X) == B
+        assert mat_mul(A, solve(A, B)) == B
 
 
 def test_empty_matrix():
-    assert det(()) == Scalar.one(0)
-    assert inverse(()) == ()
+    empty = mat(())
+    assert det(empty) == Scalar.one(0)
+    assert tuple(inverse(empty)) == ()
 
 
 def test_solve_shape_errors():
@@ -169,7 +169,7 @@ def test_solve_shape_errors():
         solve(A, from_fractions([[1, 2]], 0))
     with pytest.raises(ValueError):
         solve(A, from_fractions([[1], [2], [3]], 0))
-    assert solve((), ()) == ()
+    assert tuple(solve(mat(()), mat(()))) == ()
 
 
 def test_rref_and_nullspace(rng):
@@ -350,10 +350,10 @@ def test_constant_qx_matrices_match_q(rows, nvars):
     assert Ax.is_constant()
 
     def results(A, Q):
-        out = [rref(A)[0], tuple(nullspace(A)), mat_mul(A, transpose(A)),
+        out = [tuple(rref(A)[0]), tuple(nullspace(A)), tuple(mat_mul(A, transpose(A))),
                linalg.mat_vec(A, A[0]), (det(Q),)]
         if not det(Q).is_zero():
-            out.append(inverse(Q))
+            out.append(tuple(inverse(Q)))
         return out
 
     over_q, over_x = results(Aq, Qq), results(Ax, Qx)
@@ -369,7 +369,7 @@ def test_constant_qx_matrices_match_q(rows, nvars):
 @settings(max_examples=30, deadline=None)
 def test_one_nonconstant_entry_takes_the_field_route(rows, nvars, data):
     """A single polynomial or rational-function entry: the matrix has no int
-    rows, so `_rref` and `_bareiss` run on its rows cleared to polynomials,
+    rows, so `rref` and `_bareiss` run on its rows cleared to polynomials,
     and every operation agrees with sympy."""
     A = [list(row) for row in from_fractions(rows, nvars)]
     i = data.draw(st.integers(0, len(rows) - 1))
@@ -418,12 +418,12 @@ def test_forward_pivot_rank_matches_sympy(rows, nvars, skew, ring):
     def no_rref(*_):
         raise AssertionError("a rank reads no RREF")
 
-    real = linalg.rref, linalg._rref
-    linalg.rref = linalg._rref = no_rref
+    real = linalg.rref
+    linalg.rref = no_rref
     try:
         got = rank(A)
     finally:
-        linalg.rref, linalg._rref = real
+        linalg.rref = real
     assert got == _sympy_matrix(A).rank(simplify=True)
 
 
@@ -577,33 +577,31 @@ def test_constant_matrix_ops_match_entrywise_scalars(pair, data):
     n, m = len(EA), len(EA[0])
     # lazy entry reads, by row index, by iteration and through a row slice
     assert [A[i][j] for i in range(n) for j in range(m)] == [x for r in EA for x in r]
-    assert _as_tuples(EA) == tuple(A) and A == _as_tuples(EA)
-    # == against the reference, both ways round, and hash consistent with it
+    assert _as_tuples(EA) == tuple(A)
+    # == against the reference, both ways round
     assert (A == B) == _ref_eq(EA, EB) == (B == A)
     assert (A != B) != _ref_eq(EA, EB)
-    if A == B:
-        assert hash(A) == hash(B) == hash(_as_tuples(EB))
     assert linalg.is_skew(A) == _ref_is_skew(EA)
     assert linalg.is_skew(B) == _ref_is_skew(EB)
     T = linalg.transpose(A)
-    assert T == _as_tuples(list(zip(*EA)))
+    assert tuple(T) == _as_tuples(list(zip(*EA)))
     assert linalg.transpose(T) == A
     a = data.draw(st.integers(0, n))
     b = data.draw(st.integers(a, n))
-    assert A[a:b] == _as_tuples(EA[a:b])
+    assert tuple(A[a:b]) == _as_tuples(EA[a:b])
     c = data.draw(st.integers(0, m))
     d = data.draw(st.integers(c, m))
     if n:
         cols = linalg.columns(A, c, d)
-        assert cols == _as_tuples([r[c:d] for r in EA])
+        assert tuple(cols) == _as_tuples([r[c:d] for r in EA])
         assert linalg.hstack(linalg.columns(A, 0, c), linalg.columns(A, c, m)) == A
-    assert linalg.hstack(A, B) == _as_tuples([ea + eb for ea, eb in zip(EA, EB)])
-    assert linalg.vstack(A, B) == _as_tuples(EA + EB)
+    assert tuple(linalg.hstack(A, B)) == _as_tuples([ea + eb for ea, eb in zip(EA, EB)])
+    assert tuple(linalg.vstack(A, B)) == _as_tuples(EA + EB)
     assert linalg.vstack(A[:a], A[a:]) == A
-    assert linalg.mat_add(A, B) == _as_tuples(
+    assert tuple(linalg.mat_add(A, B)) == _as_tuples(
         [[x + y for x, y in zip(ea, eb)] for ea, eb in zip(EA, EB)])
-    assert linalg.mat_neg(A) == _as_tuples([[-x for x in r] for r in EA])
-    assert mat_mul(A, transpose(B)) == _as_tuples(
+    assert tuple(linalg.mat_neg(A)) == _as_tuples([[-x for x in r] for r in EA])
+    assert tuple(mat_mul(A, transpose(B))) == _as_tuples(
         [[_dot(ea, eb) for eb in EB] for ea in EA])
     s = data.draw(st.sampled_from(scales + [Scalar.zero(nvars)]))
     results = [
@@ -619,7 +617,7 @@ def test_constant_matrix_ops_match_entrywise_scalars(pair, data):
         (nullspace(A), _ref_nullspace(A)),
     ]
     for M, E in results:
-        assert M == _as_tuples(E)
+        assert tuple(M) == _as_tuples(E)
         assert M.is_constant() == _ref_is_constant(E) and M.nvars == (nvars if len(M) else 0)
         if E and E[0]:
             assert M == mat(E)
@@ -697,8 +695,8 @@ def _field_matrix(S):
 @given(_elimination_case())
 @settings(max_examples=150, deadline=None)
 def test_int_gauss_jordan_matches_sympy(A):
-    # rref and its pivots, nullspace, rank, and solve_det with its
-    # determinant, against sympy on the same matrix over Q or Q(x)
+    # rref and its pivots, nullspace, rank, and solve and det, against sympy
+    # on the same matrix over Q or Q(x)
     S = _sympy_matrix(A)
     F = _field_matrix(S)
     R, pivots = rref(A)
@@ -724,10 +722,11 @@ def test_int_gauss_jordan_matches_sympy(A):
     Q, SQ = linalg.columns(A[:k], 0, k), S[:k, :k]
     B, SB = A[:k], S[:k, :]
     sdet = F.domain.to_sympy(F[:k, :k].det())
+    d = det(Q)
+    assert d.nvars == A.nvars and sympy.cancel(_to_sympy(d) - sdet) == 0
     if sdet == 0:
         with pytest.raises(ZeroDivisionError):
-            linalg.solve_det(Q, B)
+            solve(Q, B)
     else:
-        X, d = linalg.solve_det(Q, B)
-        assert d.nvars == A.nvars and sympy.cancel(_to_sympy(d) - sdet) == 0
+        X = solve(Q, B)
         assert (SQ * _sympy_matrix(X) - SB).applyfunc(sympy.cancel).is_zero_matrix
