@@ -111,9 +111,10 @@ def is_dirac_frame(frame: Sequence[GeneralizedSection]) -> bool:
     """Dirac test for the subbundle spanned by a rank-n frame.
 
     Checks pointwise rank n at the origin, vanishing of all pairwise
-    pairings, and closure of the frame under the Dorfman bracket (membership
-    in the span of the frame's coordinate rows, solved exactly over the
-    rational-function field).  The frame's matrix is built once.
+    pairings, and closure of the frame under the Dorfman bracket.  The
+    frame's matrix M is built once; the rank check makes its rows
+    independent, so a nonzero bracket lies in their span iff stacking it
+    under M leaves the rank at n (exact over the rational-function field).
     """
     if not frame:
         raise ValueError("empty frame")
@@ -130,7 +131,10 @@ def is_dirac_frame(frame: Sequence[GeneralizedSection]) -> bool:
                 return False
     for i in range(n):
         for j in range(i + 1, n):
-            if not linalg.in_span(M, dorfman(frame[i], frame[j]).coordinates()):
+            w = dorfman(frame[i], frame[j])
+            if not w.is_zero() and linalg.rank(
+                linalg.vstack(M, linalg.mat([w.coordinates()]))
+            ) != n:
                 return False
     return True
 

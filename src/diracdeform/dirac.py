@@ -197,31 +197,18 @@ class Subspace:
         images = linalg.mat_mul(self.basis, linalg.transpose(M))
         return Subspace.from_spanning(len(M), images)
 
-    def intersection(self, other: "Subspace") -> "Subspace":
+    def intersection_dim(self, other: "Subspace") -> int:
+        """dim(self cap other) by Grassmann's formula: dim A + dim B minus
+        the dimension of the span of both bases."""
         if self.ambient != other.ambient:
             raise DimensionMismatchError("ambient mismatch")
-        if not self.basis or not other.basis:
-            return Subspace(self.ambient, ())
-        # solve a c + b d = 0 on the stacked coefficient space; each solution
-        # gives the vector sum_a c_a a_a
-        stacked = linalg.transpose(
-            linalg.vstack(self.basis, linalg.mat_neg(other.basis))
-        )
-        coeffs = linalg.columns(linalg.nullspace(stacked), 0, self.dim)
-        return Subspace.from_spanning(self.ambient, linalg.mat_mul(coeffs, self.basis))
-
-    def sum_(self, other: "Subspace") -> "Subspace":
-        if self.ambient != other.ambient:
-            raise DimensionMismatchError("ambient mismatch")
-        return Subspace.from_spanning(
-            self.ambient, linalg.vstack(self.basis, other.basis)
-        )
+        return self.dim + other.dim - span_dim(self.basis, other.basis)
 
     def is_complement_of(self, other: "Subspace") -> bool:
         return (
             self.ambient == other.ambient
             and self.dim + other.dim == self.ambient
-            and self.sum_(other).dim == self.ambient
+            and self.intersection_dim(other) == 0
         )
 
     def orthogonal_complement(self) -> "Subspace":
@@ -244,6 +231,15 @@ class Subspace:
             ", ".join(scalar_to_str(a) for a in v) for v in self.basis
         )
         return f"Subspace({self.ambient}; {rows})"
+
+
+def span_dim(*blocks: Matrix) -> int:
+    """The dimension of the span of the stacked rows of the blocks: the
+    pivot count of `linalg.rref`, whose Gauss-Jordan leaves a row alone
+    where it is zero in the pivot column.  Echelon bases are mostly zeros;
+    a forward Bareiss pass (`linalg.rank`) rescales every row at every
+    pivot, so on them its entries grow into full minors."""
+    return len(linalg.rref(linalg.vstack(*blocks))[1])
 
 
 def standard_basis_subspace(ambient: int, nvars: int, indices: Sequence[int]) -> Subspace:
@@ -549,23 +545,19 @@ def phi_Z(beta: SkewBilinear, Z: Bivector) -> Subspace:
 # ---------------------------------------------------------------------------
 
 
-def annihilator_in_vstar(G: Subspace, nvars: int) -> Subspace:
-    """The annihilator of G inside V*, embedded as {0} + V* rows of V + V*."""
-    n = G.ambient
-    if G.dim == 0:
-        return standard_basis_subspace(2 * n, nvars, range(n, 2 * n))
-    xi_basis = linalg.nullspace(G.basis)
-    rows = linalg.hstack(linalg.zeros(len(xi_basis), n, nvars), xi_basis)
-    return Subspace.from_spanning(2 * n, rows)
-
-
 def g_plus_kstar(G: Subspace, K: Subspace) -> Subspace:
-    """The complement G + K* of graph(eta), with K* = ann(G) inside V*."""
+    """The complement G + K* of graph(eta), with K* = ann(G) inside V*: the
+    rows (g, 0) and (0, xi) with xi in ann(G), reduced once."""
     n = G.ambient
     nvars = K.nvars if K.basis else G.nvars
-    g_rows = linalg.hstack(G.basis, linalg.zeros(G.dim, n, nvars))
-    kstar = annihilator_in_vstar(G, nvars)
-    return Subspace.from_spanning(2 * n, linalg.vstack(g_rows, kstar.basis))
+    if G.dim == 0:
+        return v_star_subspace(n, nvars)
+    xi = linalg.nullspace(G.basis)
+    rows = linalg.vstack(
+        linalg.hstack(G.basis, linalg.zeros(G.dim, n, nvars)),
+        linalg.hstack(linalg.zeros(len(xi), n, nvars), xi),
+    )
+    return Subspace.from_spanning(2 * n, rows)
 
 
 def verify_linear_lemmas(
@@ -598,12 +590,11 @@ def verify_linear_lemmas(
 
     # rank comparison: dim(Phi cap V) equals dim{v in K : iota_v beta in ann(K)}
     V = v_subspace(n, nvars)
-    annK = annihilator_in_vstar(K, nvars)
     rhs_dim = _relative_kernel(
         linalg.mat_mul(K.basis, linalg.transpose(beta.mat)),  # rows beta#(k)
-        linalg.columns(annK.basis, n, 2 * n),
+        linalg.nullspace(K.basis),  # ann(K)
     )
-    results["rankgood"] = phi_gk.intersection(V).dim == rhs_dim
+    results["rankgood"] = phi_gk.intersection_dim(V) == rhs_dim
 
     # graph(exp_eta(beta)) = Phi_{G + K*}(beta-bar), when beta is in I_Z
     member = in_I_Z(beta, Z)
@@ -619,19 +610,16 @@ def verify_linear_lemmas(
 
     # Phi_Z(beta) transverse to V* iff beta in I_Z
     vstar = v_star_subspace(n, nvars)
-    transverse = phiz.intersection(vstar).dim == 0
+    transverse = phiz.intersection_dim(vstar) == 0
     results["almost_dirac_ii"] = transverse == member
 
     return results
 
 
 def _relative_kernel(images: Matrix, span_rows: Matrix) -> int:
-    """dim of {c : sum c_a images_a lies in span(span_rows)}."""
-    if not images:
-        return 0
-    A = linalg.transpose(linalg.vstack(images, linalg.mat_neg(span_rows)))
-    coeffs = linalg.columns(linalg.nullspace(A), 0, len(images))
-    return Subspace.from_spanning(len(images), coeffs).dim
+    """dim of {c : sum c_a images_a lies in span(span_rows)}: the count of
+    images less the dimension they add to span(span_rows)."""
+    return len(images) - span_dim(images, span_rows) + span_dim(span_rows)
 
 
 def _phi0_inverse_matches_F(phiz: Subspace, f_beta: SkewBilinear) -> bool:

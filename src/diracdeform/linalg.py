@@ -542,7 +542,7 @@ def inverse(A: Matrix) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# Fraction-free elimination: determinants and span membership
+# Fraction-free elimination: determinants
 # ---------------------------------------------------------------------------
 
 
@@ -602,19 +602,6 @@ def det(A: Matrix) -> Scalar:
     return -result if sign < 0 else result
 
 
-def in_span(A: Matrix, w: Vector) -> bool:
-    """Is w a Scalar-linear combination of the rows of A?
-
-    Decided by a fraction-free rank comparison, which stays polynomial even
-    over the rational-function field.
-    """
-    if all(c.is_zero() for c in w):
-        return True
-    if not A.nrows:
-        return False
-    return len(_bareiss(A)[1]) == len(_bareiss(vstack(A, mat([w])))[1])
-
-
 # ---------------------------------------------------------------------------
 # Pfaffians
 # ---------------------------------------------------------------------------
@@ -672,24 +659,20 @@ def _pf_poly(rows, idx: tuple[int, ...], nvars: int) -> Poly:
 def evaluate_matrix(A: Matrix, point: Sequence[Fraction]) -> Matrix:
     """Evaluate all entries at a rational point (a matrix over zero variables).
 
-    The entries share one `Point`.  A row whose denominator does not vanish
-    there is its numerators' values over the denominator's; a row whose
-    denominator does is evaluated entry by entry, so a pole raises
-    PoleError naming `point` exactly when some entry has one.
+    The entries share one `Point`.  A row is its numerators' values over
+    its denominator's.  A reduced row's denominator is the lcm of its
+    entries' denominators, so it vanishes at the point exactly when some
+    entry has a pole there, and then PoleError names `point`.
     """
     if A._constant:
         return Matrix(A.nrows, A.ncols, 0, A._nums, A._dens)
     pt = as_point(point)
     values = []
-    try:
-        for i, (row, d) in enumerate(zip(A._nums, A._dens)):
-            dv = d.evaluate(pt)
-            if dv:
-                values.append([a.evaluate(pt) / dv for a in row])
-            else:
-                values.append([a.evaluate(pt) for a in A[i]])
-    except PoleError:
-        raise PoleError.at(point) from None
+    for row, d in zip(A._nums, A._dens):
+        dv = d.evaluate(pt)
+        if not dv:
+            raise PoleError.at(point)
+        values.append([a.evaluate(pt) / dv for a in row])
     return from_fractions(values, 0)
 
 

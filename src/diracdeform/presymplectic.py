@@ -251,16 +251,24 @@ def _kernel_rows(form: DifferentialForm) -> linalg.Matrix:
 
 
 def frame_is_involutive(frame: DistributionFrame) -> bool:
+    """Is each commutator of two sections in the span of the frame?
+
+    The frame's construction certifies that its coordinate rows M are
+    independent, so a nonzero commutator lies in their span iff stacking
+    it under M leaves the rank at the frame's rank.
+    """
     from .exterior import vf_commutator
 
-    rows = frame.coordinate_matrix()
+    M = frame.coordinate_matrix()
     for a in range(len(frame.sections)):
         for b in range(a + 1, len(frame.sections)):
             w = vf_commutator(frame.sections[a], frame.sections[b])
             wrow = tuple(
                 w.coefficient((i,)) for i in range(1, frame.chart.dim + 1)
             )
-            if not linalg.in_span(rows, wrow):
+            if not w.is_zero() and linalg.rank(
+                linalg.vstack(M, linalg.mat([wrow]))
+            ) != len(M):
                 return False
     return True
 

@@ -22,7 +22,7 @@ from diracdeform.exterior import (
     partial,
 )
 from diracdeform.koszul import KoszulContext
-from diracdeform.linalg import in_span
+from diracdeform.linalg import mat, rank, vstack
 from diracdeform.randgen import random_bivector_field, random_field, random_form
 
 
@@ -139,7 +139,7 @@ def test_is_dirac_guards(c2):
 
 
 def test_in_frame_span(c2):
-    frame = tangent_frame(c2)
+    M = frame_matrix(tangent_frame(c2))
     s = section(MultivectorField.make(c2, {(1,): "x2", (2,): 1}), None)
-    assert in_span(frame_matrix(frame), s.coordinates())
-    assert not in_span(frame_matrix(frame), section(None, dx(c2, 1)).coordinates())
+    assert rank(vstack(M, mat([s.coordinates()]))) == rank(M) == 2
+    assert rank(vstack(M, mat([section(None, dx(c2, 1)).coordinates()]))) == 3

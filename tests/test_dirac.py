@@ -11,6 +11,7 @@ from diracdeform import dirac, linalg
 from diracdeform.dirac import (
     Bivector,
     DegenerateRestrictionError,
+    DimensionMismatchError,
     NonHorizontalError,
     NotComplementaryError,
     NotInIZError,
@@ -44,7 +45,7 @@ from diracdeform.dirac import (
     verify_linear_lemmas,
     Z_from_eta_G,
 )
-from diracdeform.rational import Scalar, scalar_from_str, scalar_to_str
+from diracdeform.rational import Scalar, random_poly, scalar_from_str, scalar_to_str
 from diracdeform.randgen import (
     random_complement,
     random_horizontal_skew,
@@ -182,8 +183,8 @@ def test_Z_from_eta_G_postconditions(rng):
                 Scalar.zero(0) for _ in range(n)
             )
         # column space of Z# lies in G, ann(G) in the kernel
-        for col in zip(*Z.mat):
-            assert linalg.in_span(G.basis, col)
+        stacked = linalg.vstack(G.basis, linalg.transpose(Z.mat))
+        assert linalg.rank(stacked) == G.dim
         for xi in linalg.nullspace(G.basis):
             assert all(c.is_zero() for c in linalg.mat_vec(Z.mat, xi))
 
@@ -324,7 +325,7 @@ def test_g_plus_kstar_is_complement_of_graph(rng):
         _, K = rank_and_kernel(eta)
         GK = g_plus_kstar(G, K)
         assert is_lagrangian(GK)
-        assert GK.intersection(graph_of_form(eta)).dim == 0
+        assert GK.intersection_dim(graph_of_form(eta)) == 0
 
 
 def test_default_complement(rng):
@@ -332,6 +333,105 @@ def test_default_complement(rng):
     G = default_complement(eta)
     _, K = rank_and_kernel(eta)
     assert K.is_complement_of(G)
+
+
+# -- dimensions read from one rank --------------------------------------------------------
+
+
+def _entry(rng, nvars):
+    """A random entry over Q, or over Q(x1, x2) with a denominator."""
+    if rng.random() < 0.3:
+        return Scalar.zero(nvars)
+    if not nvars:
+        return Scalar.const(0, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    den = random_poly(rng, nvars, 1, 2, 3)
+    return Scalar(random_poly(rng, nvars, 1, 2, 3), den) if den else Scalar.one(nvars)
+
+
+def _rows(rng, m, nvars, count, dependent=True):
+    """count random rows of length m; with `dependent`, about a third of
+    them are combinations of two rows before them."""
+    rows = []
+    for _ in range(count):
+        if dependent and rows and rng.random() < 0.35:
+            (c, r), (d, s) = [(_entry(rng, nvars), rng.choice(rows)) for _ in range(2)]
+            rows.append(tuple(c * a + d * b for a, b in zip(r, s)))
+        else:
+            rows.append(tuple(_entry(rng, nvars) for _ in range(m)))
+    return rows
+
+
+def _span(m, rows):
+    return Subspace.from_spanning(m, linalg.mat(rows))
+
+
+def _reference_intersection_dim(A, B):
+    """The deleted construction: solve a c - b d = 0 on the stacked
+    coefficient space and span the vectors sum_a c_a a_a."""
+    if not A.basis or not B.basis:
+        return 0
+    stacked = linalg.transpose(linalg.vstack(A.basis, linalg.mat_neg(B.basis)))
+    coeffs = linalg.columns(linalg.nullspace(stacked), 0, A.dim)
+    return Subspace.from_spanning(A.ambient, linalg.mat_mul(coeffs, A.basis)).dim
+
+
+def _reference_is_complement(A, B):
+    return (
+        A.ambient == B.ambient
+        and A.dim + B.dim == A.ambient
+        and Subspace.from_spanning(A.ambient, linalg.vstack(A.basis, B.basis)).dim == A.ambient
+    )
+
+
+def _reference_relative_kernel(images, span_rows):
+    if not images:
+        return 0
+    A = linalg.transpose(linalg.vstack(images, linalg.mat_neg(span_rows)))
+    coeffs = linalg.columns(linalg.nullspace(A), 0, len(images))
+    return Subspace.from_spanning(len(images), coeffs).dim
+
+
+def _pairs(rng, m, nvars):
+    """Subspace pairs in Q^m or Q(x1, x2)^m: random, complementary by
+    dimension, equal, nested, and with an empty or a full side."""
+    k = rng.randint(0, m)
+    A_rows = _rows(rng, m, nvars, rng.randint(0, m + 1))
+    A = _span(m, A_rows)
+    full = _span(m, linalg.identity(m, nvars))
+    return [
+        (A, _span(m, _rows(rng, m, nvars, rng.randint(0, m + 1)))),
+        (_span(m, _rows(rng, m, nvars, k, False)), _span(m, _rows(rng, m, nvars, m - k, False))),
+        (A, _span(m, A_rows[::-1])),
+        (A, _span(m, A_rows[: len(A_rows) // 2])),
+        (_span(m, ()), A),
+        (A, full),
+    ]
+
+
+def test_dimension_reads_match_the_basis_constructions(rng):
+    """intersection_dim, is_complement_of and _relative_kernel, read from
+    ranks of stacked rows, equal the subspaces they replaced built whole."""
+    seen_dims, seen_complement, seen_kernels = set(), set(), set()
+    for nvars, trials in ((0, 6), (2, 2)):
+        for m in range(2, 7):
+            for _ in range(trials):
+                for A, B in _pairs(rng, m, nvars):
+                    for X, Y in ((A, B), (B, A)):
+                        d = X.intersection_dim(Y)
+                        assert d == _reference_intersection_dim(X, Y)
+                        complement = X.is_complement_of(Y)
+                        assert complement == _reference_is_complement(X, Y)
+                        seen_dims.add(d)
+                        seen_complement.add(complement)
+                images = linalg.mat(_rows(rng, m, nvars, rng.randint(0, m)))
+                span_rows = linalg.mat(_rows(rng, m, nvars, rng.randint(0, m + 1)))
+                r = dirac._relative_kernel(images, span_rows)
+                assert r == _reference_relative_kernel(images, span_rows)
+                seen_kernels.add(r)
+    assert {0, 1, 2, 3} <= seen_dims and seen_complement == {True, False}
+    assert {0, 1, 2} <= seen_kernels
+    with pytest.raises(DimensionMismatchError):
+        _span(2, ()).intersection_dim(_span(3, ()))
 
 
 # -- JSON ---------------------------------------------------------------------------------
