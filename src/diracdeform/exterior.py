@@ -25,7 +25,6 @@ from .rational import (
     Scalar,
     _quote,
     _shown,
-    as_point,
     poly_from_str,
     scalar_from_str,
     scalar_to_str,
@@ -554,18 +553,17 @@ def vf_commutator(X: MultivectorField, Y: MultivectorField) -> MultivectorField:
 
 
 def evaluate(elem: _GradedElement, point: Sequence) -> _GradedElement:
-    """Substitute a rational point (a sequence or a `rational.Point`) into
-    all coefficients.
+    """Substitute a rational point (a sequence of ints, Fractions or
+    strings) into all coefficients; each is `Scalar.evaluate`.
 
-    Raises PoleError when some denominator vanishes at the point.
+    Raises PoleError, naming `point`, when some denominator vanishes there.
     """
-    pt = as_point(point)
     n = elem.chart.dim
-    if len(pt) != n:
+    if len(point) != n:
         raise ValueError("point dimension mismatch")
 
     def ev(c: Scalar) -> Scalar:
-        return Scalar.const(n, c.evaluate(pt))
+        return Scalar.const(n, c.evaluate(point))
 
     return elem.map_coefficients(ev)
 

@@ -42,7 +42,7 @@ import operator
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .rational import PoleError, Poly, Scalar, _const, as_point, poly_divexact, poly_gcd, poly_lcm
+from .rational import PoleError, Poly, Scalar, _const, poly_divexact, poly_gcd, poly_lcm
 
 Vector = tuple[Scalar, ...]
 
@@ -659,20 +659,23 @@ def _pf_poly(rows, idx: tuple[int, ...], nvars: int) -> Poly:
 def evaluate_matrix(A: Matrix, point: Sequence[Fraction]) -> Matrix:
     """Evaluate all entries at a rational point (a matrix over zero variables).
 
-    The entries share one `Point`.  A row is its numerators' values over
-    its denominator's.  A reduced row's denominator is the lcm of its
-    entries' denominators, so it vanishes at the point exactly when some
-    entry has a pole there, and then PoleError names `point`.
+    The point has one coordinate per variable, as for `Poly.evaluate`,
+    whenever the matrix has rows, constant or not.  A row is its
+    numerators' values over its denominator's.  A reduced row's
+    denominator is the lcm of its entries' denominators, so it vanishes at
+    the point exactly when some entry has a pole there, and then
+    PoleError names `point`.
     """
+    if A.nrows and len(point) != A.nvars:
+        raise ValueError("point dimension mismatch")
     if A._constant:
         return Matrix(A.nrows, A.ncols, 0, A._nums, A._dens)
-    pt = as_point(point)
     values = []
     for row, d in zip(A._nums, A._dens):
-        dv = d.evaluate(pt)
+        dv = d.evaluate(point)
         if not dv:
             raise PoleError.at(point)
-        values.append([a.evaluate(pt) / dv for a in row])
+        values.append([a.evaluate(point) / dv for a in row])
     return from_fractions(values, 0)
 
 

@@ -42,6 +42,7 @@ from .koszul import (
 )
 from .rational import (
     Scalar,
+    _shown,
     rational_from_str,
     scalar_is_definite,
     scalar_is_polefree,
@@ -637,7 +638,7 @@ def _kernel_transversality(
 # ---------------------------------------------------------------------------
 # Instance files
 #   { "chart": n, "eta": form-JSON, "G": [vf-JSON] (optional),
-#     "ref_point": [rationals] (optional) }
+#     "ref_point": [n rationals] (optional) }
 # ---------------------------------------------------------------------------
 
 
@@ -659,7 +660,12 @@ def instance_from_json(payload: Mapping) -> PreSymplecticData:
         if eta.chart != chart:
             raise ValueError("eta chart does not match instance chart")
         ref = payload.get("ref_point")
-        point = [rational_from_str(x) for x in ref] if ref else [Fraction(0)] * n
+        if ref is None:
+            point = [Fraction(0)] * n
+        elif isinstance(ref, list) and len(ref) == n:
+            point = [rational_from_str(x) for x in ref]
+        else:
+            raise ValueError(f"ref_point {_shown(ref)} is not a list of {n} coordinates")
         G = None
         if payload.get("G") is not None:
             sections = [field_from_json(item) for item in payload["G"]]

@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import or_
 from typing import Sequence
 
@@ -253,58 +253,78 @@ class Poly:
                 out[k - step] = e * v
         return _primitive(n, out, self.cn, self.cd)
 
-    def evaluate(self, point: Point | Sequence) -> Fraction:
-        """The exact value at a rational point (ints, Fractions or strings)."""
-        s, d = self._sum_at(as_point(point))
+    def evaluate(self, point: Sequence) -> Fraction:
+        """The exact value at a rational point (ints, Fractions or strings):
+        `_grid_sums` on the one-point grid [[x_1], ..., [x_n]]."""
+        coords = [x if type(x) is Fraction else Fraction(x) for x in point]
+        if len(coords) != self.nvars:
+            raise ValueError("point dimension mismatch")
+        (s,), degrees = self._grid_sums([[x] for x in coords])
+        d = prod([x.denominator ** e for x, e in zip(coords, degrees)])
         if s == d:  # a constant, or any value that is the content itself
             return self.content
         return Fraction(s * self.cn, d * self.cd)
 
     def grid_zeros(self, coords: Sequence) -> list[bool]:
         """Is the value zero at each point of coords^n, in the order of
-        `itertools.product(coords, repeat=n)`?
+        `itertools.product(coords, repeat=n)`?  `_grid_sums` on the axes
+        [coords] * n."""
+        coords = [x if type(x) is Fraction else Fraction(x) for x in coords]
+        sums, _ = self._grid_sums([coords] * self.nvars)
+        return [not s for s in sums]
 
-        The variables are specialised one at a time, depth first: x_1 at a
-        coordinate, then x_2 in the result, and so on (Knuth, TAOCP vol. 2,
-        4.6.4), so a term is carried once per specialised prefix, not once
-        per point.  As in `_sum_at`, x_i = a/b enters as a^e b^(D_i - e),
-        with D_i read from the bitwise or of the keys, so every sum is an
-        int that is zero exactly where the value is.  Stripping x_i from a
-        key subtracts e * _step(i, n), clearing its exponent and its share
-        of the degree slot together.  A variable that does not occur is
-        not specialised: its block repeats the first coordinate's.  Only
-        one partial polynomial per open variable is held.
+    def _grid_sums(self, axes: Sequence[Sequence[Fraction]]) -> tuple[list[int], list[int]]:
+        """(sums, D): an int s per point of axes[0] x ... x axes[n-1], in the
+        order of `itertools.product(*axes)`, and the degree bound D_i of
+        each variable.  With x_i = p_i/q_i the value at a point is
+        cn/cd * s / prod q_i^D_i, so s is zero exactly where the value is.
+
+        x_i = p/q enters as p^e q^(D_i - e), with D_i read from the bitwise
+        or of the keys, which bounds every slot by less than twice its
+        largest value; so every sum is an int.  The variables are
+        specialised one at a time, depth first: x_1 at a coordinate, then
+        x_2 in the result, and so on (Knuth, TAOCP vol. 2, 4.6.4), so a
+        term is carried once per specialised prefix, not once per point.
+        Stripping x_i from a key subtracts e * _step(i, n), clearing its
+        exponent and its share of the degree slot together.  A variable
+        that does not occur is not specialised: its block repeats the
+        first coordinate's.  Only one partial polynomial per open variable
+        is held.
         """
         n = self.nvars
-        coords = [x if type(x) is Fraction else Fraction(x) for x in coords]
-        m = len(coords)
         ip = self.ip
         bits = reduce(or_, ip, 0)
-        if not bits:  # a constant
-            return [not ip] * m ** n
-        top = _SLOT * n
+        sizes = [len(axis) for axis in axes]
+        degrees = []
         # (shift, step, power tables or None, points per coordinate) of x_1..x_n
         levels = []
-        for i in range(1, n + 1):
-            shift = top - _SLOT * i
+        last = -1  # the last variable that occurs
+        shift = top = _SLOT * n
+        for i, axis in enumerate(axes):
+            shift -= _SLOT
             d = (bits >> shift) & _MASK
-            tables = [_power_table(x.numerator, x.denominator, d) for x in coords] if d else None
-            levels.append((shift, _step(i, n), tables, m ** (n - i)))
-        last = max(i for i, level in enumerate(levels) if level[2])
+            degrees.append(d)
+            tables = None
+            if d:
+                last = i
+                tables = [_power_table(x.numerator, x.denominator, d) for x in axis]
+            levels.append((shift, _step(i + 1, n), tables, prod(sizes[i + 1:])))
+        if last < 0:  # a constant
+            return [1 if ip else 0] * prod(sizes), degrees
         mask = _MASK
-        out: list[bool] = []
+        out: list[int] = []
 
         def walk(i: int, terms: dict[int, int]) -> None:
             shift, step, tables, block = levels[i]
             if tables is None:
                 start = len(out)
                 walk(i + 1, terms)
-                out.extend(out[start:] * (m - 1))
+                out.extend(out[start:] * (sizes[i] - 1))
             elif i == last:
                 # every other exponent is stripped, so the degree slot holds x_i's
                 pairs = [(k >> top, v) for k, v in terms.items()]
                 for table in tables:
-                    out.extend([not sum([v * table[e] for e, v in pairs])] * block)
+                    out.extend([sum([v * table[e] for e, v in pairs])] * block)
             else:
                 # (key with x_i stripped, exponent of x_i, value) of each term
                 stripped = []
@@ -318,40 +338,7 @@ class Poly:
                     walk(i + 1, partial)
 
         walk(0, ip)
-        return out
-
-    def _sum_at(self, point: Point) -> tuple[int, int]:
-        """(s, d) with the value at the point equal to cn/cd * s / d.
-
-        With x_i = p_i/q_i and D_i a bound on the degree in x_i, s is
-        sum v_e prod p_i^e_i q_i^(D_i - e_i) and d is prod q_i^D_i, both
-        ints.  D_i is read from the bitwise or of the keys, which bounds
-        every slot by less than twice its largest value; the point builds
-        each table once.
-        """
-        n = self.nvars
-        if len(point.coords) != n:
-            raise ValueError("point dimension mismatch")
-        bits = reduce(or_, self.ip, 0)
-        if not bits:  # a constant
-            return (1 if self.ip else 0), 1
-        den = 1
-        tables = []
-        shift = _SLOT * n
-        for i in range(n):
-            shift -= _SLOT
-            d = (bits >> shift) & _MASK
-            if d:
-                table = point.table(i, d)
-                tables.append((shift, table))
-                den *= table[0]  # q_i^D_i
-        total = 0
-        mask = _MASK
-        for k, v in self.ip.items():
-            for shift, table in tables:
-                v *= table[(k >> shift) & mask]
-            total += v
-        return total, den
+        return out, degrees
 
     # -- comparisons ----------------------------------------------------------
 
@@ -448,40 +435,6 @@ def _power_table(p: int, q: int, degree: int) -> list[int]:
             table[k] *= r
             r *= q
     return table
-
-
-class Point:
-    """A rational point at which many polynomials are evaluated.
-
-    Holds the coordinates as Fractions and builds the power table
-    [p^k q^(D-k) for k = 0..D] of coordinate p/q for each (variable, degree
-    bound D) on first use, so every evaluation at the point shares it.
-    """
-
-    __slots__ = ("coords", "_tables")
-
-    def __init__(self, coords: Sequence):
-        self.coords = tuple([x if type(x) is Fraction else Fraction(x) for x in coords])
-        self._tables: dict[tuple[int, int], list[int]] = {}
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def table(self, i: int, degree: int) -> list[int]:
-        """The power table of coordinate i (0-based) for degree bound `degree`."""
-        key = (i, degree)
-        table = self._tables.get(key)
-        if table is None:
-            x = self.coords[i]
-            table = self._tables[key] = _power_table(x.numerator, x.denominator, degree)
-        return table
-
-
-def as_point(point: Point | Sequence) -> Point:
-    return point if type(point) is Point else Point(point)
 
 
 # ---------------------------------------------------------------------------
@@ -919,14 +872,13 @@ class Scalar:
         v = poly_divexact(dd, g)
         return Scalar(dn * u - n * v, d * u)
 
-    def evaluate(self, point: Point | Sequence) -> Fraction:
-        pt = as_point(point)
+    def evaluate(self, point: Sequence) -> Fraction:
         if self.is_polynomial():  # the unit denominator has no pole
-            return self.num.evaluate(pt)
-        dv = self.den.evaluate(pt)
+            return self.num.evaluate(point)
+        dv = self.den.evaluate(point)
         if dv == 0:
             raise PoleError.at(point)
-        return self.num.evaluate(pt) / dv
+        return self.num.evaluate(point) / dv
 
     # -- comparisons -----------------------------------------------------------------
 

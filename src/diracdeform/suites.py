@@ -55,6 +55,7 @@ from .dirac import (
     Z_from_eta_G,
 )
 from .exterior import (
+    MAX_CHART_DIM,
     Chart,
     DifferentialForm,
     MultivectorField,
@@ -113,7 +114,7 @@ from .randgen import (
     random_skew,
     shrink_into_IZ,
 )
-from .rational import Scalar, _quote, rational_from_str, scalar_from_str
+from .rational import Scalar, _quote, _shown, rational_from_str, scalar_from_str
 from .report import DEFAULT_GRID, CheckOutcome, SuiteConfig
 
 
@@ -153,10 +154,24 @@ def _dim(cfg: SuiteConfig, default: int) -> int:
     return cfg.dim if cfg.dim is not None else default
 
 
-def _grid(payload: dict) -> tuple[Fraction, ...]:
+# The most points a payload's grid may have at its chart dimension: the
+# default grid at the largest chart.  A grid check builds each zero table,
+# one entry per point, before it walks the grid.
+MAX_GRID_POINTS = len(DEFAULT_GRID) ** MAX_CHART_DIM
+
+
+def _grid(payload: dict, n: int) -> tuple[Fraction, ...]:
+    """The grid coordinates of a payload over an n-dimensional chart; the
+    default grid when it names none.  Read before a check chooses its
+    mode, so a payload is refused whether the check is symbolic or not."""
     coords = payload.get("grid")
     if coords is None:
         return DEFAULT_GRID_COORDS
+    if not isinstance(coords, list) or not coords:
+        raise ValueError(f"grid {_shown(coords)} is not a non-empty list of coordinates")
+    if len(coords) ** n > MAX_GRID_POINTS:
+        raise ValueError(f"grid of {len(coords)} coordinates has more than "
+                         f"{MAX_GRID_POINTS} points at chart {n}")
     return tuple(rational_from_str(c) for c in coords)
 
 
@@ -940,7 +955,7 @@ def _gen_mc_equivalence(rng, cfg):
 def _run_mc_equivalence(payload):
     ctx = _payload_ctx(payload)
     beta = form_from_json(payload["beta"])
-    rep = mc_equivalence_report(beta, ctx, _grid(payload))
+    rep = mc_equivalence_report(beta, ctx, _grid(payload, ctx.chart.dim))
     ok = rep["equivalent"]
     if payload.get("expect_mc") is not None:
         ok = ok and rep["mc"] == payload["expect_mc"]
@@ -1160,8 +1175,9 @@ def _run_build(payload):
 def _run_family_deform(payload):
     data = _certified_instance(payload["instance"])
     beta = form_from_json(payload["beta"])
+    grid = _grid(payload, data.chart.dim)
     try:
-        rep = deform(data, beta, _grid(payload))
+        rep = deform(data, beta, grid)
     except (NotInIZError, NonHorizontalError) as exc:
         raise SkipCheck(str(exc))
     ok = rep["biconditional"] and rep["rank_k"] and rep["kernel_transverse"]

@@ -399,25 +399,41 @@ def _coefficient(draw):
        st.lists(st.sampled_from(_GRID).map(Fraction), min_size=1, max_size=3))
 @settings(max_examples=200, deadline=None)
 def test_grid_zeros_matches_evaluate(terms, coords):
+    """The zero and pole table against each numerator and denominator
+    evaluated by the Fraction loop, and against `evaluate`."""
     c3 = Chart(3)
     elem = DifferentialForm.make(c3, terms)
     table = grid_zeros(elem, coords)
     points = list(itertools.product(coords, repeat=3))
     assert len(table) == len(points)
+    coefficients = elem.terms.values()
     first_pole = None
     for point, zero in zip(points, table):
-        try:
-            want = evaluate(elem, point).is_zero()
-        except PoleError as exc:
-            assert zero is None
-            first_pole = first_pole or (point, str(exc))
+        if any(_fraction_value(c.den, point) == 0 for c in coefficients):
+            want = None
         else:
-            assert zero is want
+            want = all(_fraction_value(c.num, point) == 0 for c in coefficients)
+        assert zero is want
+        try:
+            assert evaluate(elem, point).is_zero() is want
+        except PoleError as exc:
+            assert want is None
+            first_pole = first_pole or (point, str(exc))
     if first_pole is not None:
         # the grid loops raise PoleError.at(point) at the first None: the
         # error `evaluate` raises there
         point, message = first_pole
         assert str(PoleError.at(point)) == message
+
+
+def _fraction_value(p, point):
+    """The value of a Poly at a point, term by term on Fractions."""
+    total = Fraction(0)
+    for exponents, c in p.items():
+        for x, k in zip(point, exponents):
+            c *= Fraction(x) ** k
+        total += c
+    return total
 
 
 # -- canonical form: sorted in-range indices, no stored zero ---------------------

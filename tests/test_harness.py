@@ -598,6 +598,44 @@ def test_cli_run_zero_denominator(tmp_path, instance):
     assert main(["run", str(p), "--quiet"]) == 2
 
 
+def _mc_replay(grid):
+    """An mc.equivalence replay at chart 4 whose check is symbolic: Z# beta#
+    is zero, so det(id + Z# beta#) = 1 and no grid point is visited."""
+    def form(indices, num):
+        return {"chart": 4, "terms": [
+            {"degree": 2, "indices": indices, "num": num, "den": "1"}]}
+    return {"replay": "mc.equivalence", "data": {
+        "z": form([1, 2], "1"), "beta": form([3, 4], "x3"),
+        "expect_mc": None, "grid": grid}}
+
+
+@pytest.mark.parametrize("payload, field", [
+    (_mc_replay("0123"), "grid"),
+    (_mc_replay([]), "grid"),
+    (_mc_replay([str(i) for i in range(1000)]), "grid"),
+    (dict(family_f1(), ref_point=["0"]), "ref_point"),
+    (dict(family_f1(), ref_point=["0"] * 6), "ref_point"),
+    (dict(family_f2(), ref_point=["0"]), "ref_point"),
+], ids=["string-grid", "empty-grid", "wide-grid", "short-ref-point",
+        "long-ref-point", "short-ref-point-frame"])
+def test_cli_run_refuses_bad_grid_and_ref_point(tmp_path, payload, field, capsys):
+    """A grid that is not a non-empty list or has more than
+    MAX_GRID_POINTS points, and a ref_point whose length is not the
+    chart's, are usage errors even where the check would not read them."""
+    p = tmp_path / "inst.json"
+    p.write_text(json.dumps(payload))
+    assert main(["run", str(p), "--quiet"]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_grid_limit_admits_the_default_grid_at_every_chart():
+    for n in range(1, MAX_CHART_DIM + 1):
+        assert len(suites._grid({"grid": ["0", "1/2", "-1/3"]}, n)) == 3
+    assert len(suites._grid({"grid": ["0", "1/2", "-1/3", "2"]}, 6)) == 4
+    with pytest.raises(ValueError, match="grid"):
+        suites._grid({"grid": ["0", "1/2", "-1/3", "2"]}, 10)
+
+
 @pytest.mark.parametrize("instance", [
     {"n": 2, "eta": [["0", "-1"], ["1"]], "beta": [["0", "0"], ["0", "0"]]},
     {"n": 2, "eta": [["0", "-1"], ["1", "0"]], "beta": [["0", "0"]]},

@@ -26,7 +26,7 @@ from diracdeform.linalg import (
     solve,
     transpose,
 )
-from diracdeform.rational import Point, PoleError, Poly, Scalar, random_poly, scalar_from_str
+from diracdeform.rational import PoleError, Poly, Scalar, random_poly, scalar_from_str
 
 
 def rand_matrix(rng, n, m, nvars=0, deg=0):
@@ -218,7 +218,7 @@ def test_evaluate_matrix():
     B = evaluate_matrix(A, [Fraction(3)])
     assert B[0][0].constant_value() == 3
     assert B[1][1].constant_value() == 9
-    # the entries share one Point: values as at a fresh point, and a pole
+    # rows over a shared denominator: values as entry by entry, and a pole
     # names the caller's point
     entries = ["(x1 + x2^2)/(x2 + 2)", "x1*x2 - 1/3", "(1)/(x1 - 1)", "1"]
     C = mat([[scalar_from_str(e, 2) for e in entries[:2]],
@@ -226,11 +226,16 @@ def test_evaluate_matrix():
     point = [Fraction(1, 2), Fraction(-3)]
     got = evaluate_matrix(C, point)
     assert [[e.constant_value() for e in row] for row in got] == [
-        [c.evaluate(Point(point)) for c in row] for row in C
+        [c.evaluate(point) for c in row] for row in C
     ]
     with pytest.raises(PoleError) as pole:
         evaluate_matrix(C, [1, 0])
     assert str(pole.value) == "denominator vanishes at point (1, 0)"
+    # a point of the wrong length is refused, constant matrix or not
+    for M in (C, mat([[Scalar.one(2), Scalar.zero(2)]])):
+        for bad in ([1], [1, 0, 0]):
+            with pytest.raises(ValueError, match="point dimension mismatch"):
+                evaluate_matrix(M, bad)
 
 
 # ---------------------------------------------------------------------------
